@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-smoke bench-store bench-quant run-experiment serve-smoke fleet-smoke lab-smoke robustness-smoke fmt fmt-check vet godoc-check check
+.PHONY: all build test race bench-check bench bench-smoke bench-store bench-quant run-experiment serve-smoke fleet-smoke lab-smoke robustness-smoke fmt fmt-check vet godoc-check check
 
 all: build
 
@@ -17,6 +17,13 @@ test:
 # the default 10m package timeout on small runners.
 race:
 	$(GO) test -race -timeout 45m ./...
+
+# The benchmark harness under nbhdbench/ is its own Go module (it
+# replaces nbhd with ../), so the root `go test ./...` never compiles
+# it. Vet and test it here so a change to the library it drives cannot
+# break the benchmark silently.
+bench-check:
+	cd nbhdbench && $(GO) vet ./... && $(GO) test ./...
 
 # Full paper-benchmark sweep (slow; prints every table and figure).
 bench:

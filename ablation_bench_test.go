@@ -4,9 +4,11 @@
 package nbhd
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
+	"nbhd/internal/backend"
 	"nbhd/internal/classify"
 	"nbhd/internal/core"
 	"nbhd/internal/dataset"
@@ -30,7 +32,11 @@ func BenchmarkAblationPerceptionResolution(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			rep, err := pipe.EvaluateClassifier(llmModel(b, vlm.Gemini15Pro), core.LLMOptions{})
+			gemini, err := backend.NewVLM(llmModel(b, vlm.Gemini15Pro))
+			if err != nil {
+				b.Fatal(err)
+			}
+			rep, err := pipe.NewEvaluator(core.EvalConfig{}).EvaluateBackend(context.Background(), gemini, core.LLMOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -148,27 +154,14 @@ func BenchmarkComparisonSceneClassifier(b *testing.B) {
 // BenchmarkAblationVotingVsBestMember quantifies the voting gain per
 // indicator class rather than on the average alone.
 func BenchmarkAblationVotingVsBestMember(b *testing.B) {
-	pipe, err := core.NewPipeline(core.Config{Coordinates: 60, Seed: benchSeed})
-	if err != nil {
-		b.Fatal(err)
-	}
+	res := runSpecN(b, builtinSpec(b, "f5", 60))
+	gemini := res.Sweep("f5:models").Report(string(vlm.Gemini15Pro))
+	voting := res.Sweep("f5:voting").Reports[0].Report
 	var gemAcc, voteAcc [scene.NumIndicators]float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		reports, err := pipe.EvaluateAllLLMs(core.LLMOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		voting, err := pipe.RunMajorityVoting(reports, core.LLMOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for k, ind := range scene.Indicators() {
-			gemAcc[k] = reports[vlm.Gemini15Pro].Of(ind).Accuracy()
-			voteAcc[k] = voting.Report.Of(ind).Accuracy()
-		}
+	for k, ind := range scene.Indicators() {
+		gemAcc[k] = gemini.Of(ind).Accuracy()
+		voteAcc[k] = voting.Of(ind).Accuracy()
 	}
-	b.StopTimer()
 	fmt.Printf("\nAblation — per-class accuracy, best member vs committee:\n")
 	fmt.Printf("%-18s %9s %9s %9s\n", "indicator", "gemini", "voting", "delta")
 	for k, ind := range scene.Indicators() {

@@ -86,6 +86,40 @@ func llmModel(b *testing.B, id vlm.ModelID) *vlm.Model {
 	return m
 }
 
+// builtinSpec builds a builtin experiment spec over a corpus of the
+// given size at the benchmark seed.
+func builtinSpec(b *testing.B, name string, coords int) experiment.Spec {
+	b.Helper()
+	spec, err := experiment.Builtin(name, experiment.BuiltinConfig{Coordinates: coords, Seed: benchSeed})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return spec
+}
+
+// runSpec executes a spec through the declarative runner.
+func runSpec(b *testing.B, spec experiment.Spec) *experiment.Result {
+	b.Helper()
+	res, err := experiment.NewRunner(experiment.RunnerConfig{}).Run(context.Background(), spec, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
+}
+
+// runSpecN runs a spec b.N times under the benchmark timer and returns
+// the last result.
+func runSpecN(b *testing.B, spec experiment.Spec) *experiment.Result {
+	b.Helper()
+	var res *experiment.Result
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res = runSpec(b, spec)
+	}
+	b.StopTimer()
+	return res
+}
+
 func printDetectorTable(title string, res *core.BaselineResult) {
 	fmt.Printf("\n%s\n%-18s %9s %9s %9s %9s\n", title, "Label", "Precision", "Recall", "F1", "AP50")
 	var pSum, rSum, fSum float64
@@ -236,35 +270,18 @@ func BenchmarkFigure3_NoiseSNR(b *testing.B) {
 // Gemini and ChatGPT under parallel vs sequential prompting (paper:
 // parallel 92/83 vs sequential 80/79 average recall).
 func BenchmarkFigure4_PromptStrategy(b *testing.B) {
-	pipe := llmPipeline(b)
+	res := runSpecN(b, builtinSpec(b, "f4", benchLLMCoord))
 	ids := []vlm.ModelID{vlm.Gemini15Pro, vlm.ChatGPT4oMini}
-	type arm struct {
-		id   vlm.ModelID
-		mode prompt.Mode
+	recall := func(id vlm.ModelID, mode prompt.Mode, ind scene.Indicator) float64 {
+		return res.Sweep("f4:" + mode.String()).Report(string(id)).Of(ind).Recall()
 	}
-	var arms []arm
-	for _, id := range ids {
-		arms = append(arms, arm{id, prompt.Parallel}, arm{id, prompt.Sequential})
-	}
-	reports := make(map[arm]*metrics.ClassReport, len(arms))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, a := range arms {
-			rep, err := pipe.EvaluateClassifier(llmModel(b, a.id), core.LLMOptions{Mode: a.mode})
-			if err != nil {
-				b.Fatal(err)
-			}
-			reports[a] = rep
-		}
-	}
-	b.StopTimer()
 	fmt.Println("\nFig. 4 — recall by prompting strategy:")
 	for _, id := range ids {
 		fmt.Printf("%s:\n%-12s %9s %9s\n", id, "Indicator", "Parallel", "Sequential")
 		var pSum, sSum float64
 		for _, ind := range scene.Indicators() {
-			pr := reports[arm{id, prompt.Parallel}].Of(ind).Recall()
-			sr := reports[arm{id, prompt.Sequential}].Of(ind).Recall()
+			pr := recall(id, prompt.Parallel, ind)
+			sr := recall(id, prompt.Sequential, ind)
 			pSum += pr
 			sSum += sr
 			fmt.Printf("%-12s %9.2f %9.2f\n", ind.Abbrev(), pr, sr)
@@ -277,9 +294,8 @@ func BenchmarkFigure4_PromptStrategy(b *testing.B) {
 // accuracy ladder — trained YOLO detector, each of the four LLMs, and the
 // top-three majority vote (paper: YOLO ~99, then 84/88/86/84 -> 88.5).
 func BenchmarkFigure5_MajorityVoting(b *testing.B) {
-	pipe := llmPipeline(b)
-	var reports map[vlm.ModelID]*metrics.ClassReport
-	var voting *core.VotingResult
+	spec := builtinSpec(b, "f5", benchLLMCoord)
+	var f5 *experiment.Result
 	var yoloAcc float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -304,43 +320,29 @@ func BenchmarkFigure5_MajorityVoting(b *testing.B) {
 		}
 		_, _, _, yoloAcc = detRep.Averages()
 
-		reports, err = pipe.EvaluateAllLLMs(core.LLMOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		voting, err = pipe.RunMajorityVoting(reports, core.LLMOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
+		f5 = runSpec(b, spec)
 	}
 	b.StopTimer()
 	fmt.Println("\nFig. 5 — image-level accuracy (paper: YOLO ~99, ChatGPT 84, Gemini 88, Claude 86, Grok 84, voting 88.5):")
 	fmt.Printf("%-18s %6.2f%%\n", "YOLOv11 (ours)", yoloAcc*100)
 	for _, id := range vlm.AllModels() {
-		_, _, _, acc := reports[id].Averages()
+		_, _, _, acc := f5.Sweep("f5:models").Report(string(id)).Averages()
 		fmt.Printf("%-18s %6.2f%%\n", id, acc*100)
 	}
+	voting := f5.Sweep("f5:voting").Reports[0]
 	_, _, _, acc := voting.Report.Averages()
-	fmt.Printf("%-18s %6.2f%%  committee %v\n", "majority voting", acc*100, voting.Committee)
+	fmt.Printf("%-18s %6.2f%%  committee %v\n", "majority voting", acc*100, voting.Members)
 }
 
 // BenchmarkFigure6_Languages regenerates Fig. 6: Gemini per-class recall
 // under English, Spanish, Chinese, and Bengali prompts (paper averages
 // 89.7/76/69/86 with a Chinese sidewalk collapse to ~1%).
 func BenchmarkFigure6_Languages(b *testing.B) {
-	pipe := llmPipeline(b)
+	res := runSpecN(b, builtinSpec(b, "f6", benchLLMCoord))
 	reports := make(map[prompt.Language]*metrics.ClassReport, 4)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, lang := range prompt.Languages() {
-			rep, err := pipe.EvaluateClassifier(llmModel(b, vlm.Gemini15Pro), core.LLMOptions{Language: lang})
-			if err != nil {
-				b.Fatal(err)
-			}
-			reports[lang] = rep
-		}
+	for _, lang := range prompt.Languages() {
+		reports[lang] = res.Sweep("f6:" + lang.String()).Report(string(vlm.Gemini15Pro))
 	}
-	b.StopTimer()
 	fmt.Printf("\nFig. 6 — Gemini recall by prompt language:\n%-12s", "Indicator")
 	for _, lang := range prompt.Languages() {
 		fmt.Printf(" %9s", lang)
@@ -365,17 +367,7 @@ func BenchmarkFigure6_Languages(b *testing.B) {
 // per-class precision/recall/F1/accuracy table for each of the four
 // models under parallel English prompts.
 func BenchmarkTables3to6_PerLLM(b *testing.B) {
-	pipe := llmPipeline(b)
-	var reports map[vlm.ModelID]*metrics.ClassReport
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		reports, err = pipe.EvaluateAllLLMs(core.LLMOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
+	tables := runSpecN(b, builtinSpec(b, "tables", benchLLMCoord)).Sweep("tables")
 	titles := map[vlm.ModelID]string{
 		vlm.ChatGPT4oMini: "Table III — ChatGPT 4o mini (paper avg: P .66 R .91 F1 .73 Acc .84)",
 		vlm.Gemini15Pro:   "Table IV — Gemini 1.5 Pro (paper avg: P .77 R .90 F1 .81 Acc .88)",
@@ -383,7 +375,7 @@ func BenchmarkTables3to6_PerLLM(b *testing.B) {
 		vlm.Claude37:      "Table VI — Claude 3.7 (paper avg: P .72 R .90 F1 .78 Acc .86)",
 	}
 	for _, id := range []vlm.ModelID{vlm.ChatGPT4oMini, vlm.Gemini15Pro, vlm.Grok2, vlm.Claude37} {
-		rep := reports[id]
+		rep := tables.Report(string(id))
 		fmt.Printf("\n%s\n%-18s %9s %9s %9s %9s\n", titles[id], "Label", "Precision", "Recall", "F1", "Accuracy")
 		for _, ind := range scene.Indicators() {
 			c := rep.Of(ind)
@@ -394,26 +386,34 @@ func BenchmarkTables3to6_PerLLM(b *testing.B) {
 	}
 }
 
+// paramSweep runs the builtin §IV-C4 spec narrowed to one parameter's
+// sweeps and returns Gemini's average F1 at each value.
+func paramSweep(b *testing.B, param string, values []float64) []float64 {
+	b.Helper()
+	spec := builtinSpec(b, "params", benchLLMCoord)
+	var sweeps []experiment.SweepSpec
+	for _, sw := range spec.Sweeps {
+		for _, v := range values {
+			if sw.Name == experiment.ParamSweepName(param, v) {
+				sweeps = append(sweeps, sw)
+			}
+		}
+	}
+	spec.Sweeps = sweeps
+	res := runSpecN(b, spec)
+	f1s := make([]float64, len(values))
+	for i, v := range values {
+		_, _, f1s[i], _ = res.Sweep(experiment.ParamSweepName(param, v)).Report(string(vlm.Gemini15Pro)).Averages()
+	}
+	return f1s
+}
+
 // BenchmarkParamTemperature regenerates the §IV-C4 temperature sweep
 // (paper: F1 .78/.81/.79 at 0.1/1.0/1.5).
 func BenchmarkParamTemperature(b *testing.B) {
-	pipe := llmPipeline(b)
-	temps := []float64{0.1, vlm.DefaultTemperature, 1.5}
-	f1s := make([]float64, len(temps))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for ti, temp := range temps {
-			rep, err := pipe.EvaluateClassifier(llmModel(b, vlm.Gemini15Pro), core.LLMOptions{Temperature: temp})
-			if err != nil {
-				b.Fatal(err)
-			}
-			_, _, f1, _ := rep.Averages()
-			f1s[ti] = f1
-		}
-	}
-	b.StopTimer()
+	f1s := paramSweep(b, "temperature", experiment.ParamTemperatures)
 	fmt.Printf("\n§IV-C4 — Gemini F1 vs temperature:\n")
-	for ti, temp := range temps {
+	for ti, temp := range experiment.ParamTemperatures {
 		fmt.Printf("temperature %-6.1f %8.3f\n", temp, f1s[ti])
 	}
 }
@@ -421,23 +421,9 @@ func BenchmarkParamTemperature(b *testing.B) {
 // BenchmarkParamTopP regenerates the §IV-C4 top-p sweep (paper: F1
 // .79/.79/.81 at 0.5/0.75/0.95).
 func BenchmarkParamTopP(b *testing.B) {
-	pipe := llmPipeline(b)
-	tops := []float64{0.5, 0.75, vlm.DefaultTopP}
-	f1s := make([]float64, len(tops))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for ti, topP := range tops {
-			rep, err := pipe.EvaluateClassifier(llmModel(b, vlm.Gemini15Pro), core.LLMOptions{TopP: topP})
-			if err != nil {
-				b.Fatal(err)
-			}
-			_, _, f1, _ := rep.Averages()
-			f1s[ti] = f1
-		}
-	}
-	b.StopTimer()
+	f1s := paramSweep(b, "top_p", experiment.ParamTopPs)
 	fmt.Printf("\n§IV-C4 — Gemini F1 vs top-p:\n")
-	for ti, topP := range tops {
+	for ti, topP := range experiment.ParamTopPs {
 		fmt.Printf("top-p %-6.2f %8.3f\n", topP, f1s[ti])
 	}
 }
@@ -469,7 +455,7 @@ func BenchmarkDatasetStats(b *testing.B) {
 // BenchmarkAblationCommitteeSize extends Fig. 5: accuracy as the voting
 // committee grows from one model to all four.
 func BenchmarkAblationCommitteeSize(b *testing.B) {
-	pipe := llmPipeline(b)
+	ev := llmPipeline(b).NewEvaluator(core.EvalConfig{})
 	committees := [][]vlm.ModelID{
 		{vlm.Gemini15Pro},
 		{vlm.Gemini15Pro, vlm.Claude37, vlm.Grok2},
@@ -487,7 +473,11 @@ func BenchmarkAblationCommitteeSize(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			rep, err := pipe.EvaluateClassifier(committee, core.LLMOptions{})
+			cb, err := backend.NewCommittee(committee)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rep, err := ev.EvaluateBackend(context.Background(), cb, core.LLMOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}

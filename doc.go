@@ -19,7 +19,7 @@
 // declarative specs through the registry (backend.Register /
 // backend.Open); the paper's experiments are built-in specs
 // (experiment.Builtin), and a golden test pins the runner's reports
-// byte-identical to the legacy Pipeline wrappers.
+// byte-identical to checked-in report JSON.
 //
 // Evaluation sweeps run on the concurrent engine in internal/core: a
 // shared render cache rasterizes each frame once per resolution, a

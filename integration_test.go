@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"nbhd/internal/backend"
 	"nbhd/internal/core"
 	"nbhd/internal/dataset"
 	"nbhd/internal/ensemble"
@@ -132,7 +133,11 @@ func TestDetectorBeatsCommittee(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := pipe.EvaluateClassifier(committee, core.LLMOptions{})
+	cb, err := backend.NewCommittee(committee)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := pipe.NewEvaluator(core.EvalConfig{}).EvaluateBackend(context.Background(), cb, core.LLMOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,8 +11,7 @@ import (
 
 // Classifier is the minimal single-frame classification surface the
 // in-process adapters wrap: a simulated vision LLM, a committee, or any
-// test double. It mirrors core.Classifier, which satisfies it
-// structurally.
+// test double.
 type Classifier interface {
 	Classify(req vlm.Request) ([]bool, error)
 }

@@ -20,13 +20,6 @@ import (
 	"nbhd/internal/vlm"
 )
 
-// PerceivingClassifier is a Classifier that can consume precomputed
-// perception features, letting the evaluator perceive each frame once
-// and share the evidence across every model and committee that sweeps
-// the corpus. It aliases the backend layer's definition so the
-// fast-path contract has exactly one home.
-type PerceivingClassifier = backend.PerceivingClassifier
-
 // EvalConfig tunes the concurrent evaluator.
 type EvalConfig struct {
 	// Workers is the classification fan-out per sweep; zero defaults to
@@ -108,42 +101,6 @@ func (p *Pipeline) frameItems(start, end, size int, cond string, wantFeats bool)
 	return items, nil
 }
 
-// classifySemFor returns the semaphore bounding concurrent Classify
-// calls for a backend, or nil when the worker count already respects the
-// backend's limit. Workers above the cap still render and perceive in
-// parallel (the caches' main win), queuing only for classification.
-func classifySemFor(caps backend.Capabilities, workers int) chan struct{} {
-	if caps.MaxConcurrency > 0 && caps.MaxConcurrency < workers {
-		return make(chan struct{}, caps.MaxConcurrency)
-	}
-	return nil
-}
-
-// localBackend adapts an in-process Classifier to the backend layer,
-// labeling the known families for better errors.
-func localBackend(c Classifier) (*backend.Local, error) {
-	switch v := c.(type) {
-	case *vlm.Model:
-		return backend.NewVLM(v)
-	case *ensemble.Committee:
-		return backend.NewCommittee(v)
-	default:
-		return backend.NewLocal("local", v)
-	}
-}
-
-// EvaluateClassifier sweeps an in-process classifier over the corpus by
-// adapting it to the backend layer — the historical entry point for
-// models and committees, now one caller of EvaluateBackend among five
-// backend families.
-func (e *Evaluator) EvaluateClassifier(ctx context.Context, c Classifier, opts LLMOptions) (*metrics.ClassReport, error) {
-	b, err := localBackend(c)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	return e.EvaluateBackend(ctx, b, opts)
-}
-
 // EvaluateBackend sweeps any classifier backend over the corpus with the
 // evaluator's worker pool. The backend's capability hints shape the
 // sweep: frames render (once, cached) at its preferred resolution,
@@ -158,102 +115,29 @@ func (e *Evaluator) EvaluateBackend(ctx context.Context, b backend.Backend, opts
 	if !dataset.ValidCondition(opts.Condition) {
 		return nil, fmt.Errorf("core: unknown capture condition %q (have %v)", opts.Condition, dataset.Conditions())
 	}
-	caps := b.Capabilities()
 	n := p.Study.Len()
 	if opts.FrameLimit > 0 && opts.FrameLimit < n {
 		n = opts.FrameLimit
 	}
-	size := p.renderSizeFor(caps)
-	batch := caps.PreferredBatch
-	if batch < 1 {
-		batch = 1
-	}
+	batch := max(1, b.Capabilities().PreferredBatch)
 	nBatches := (n + batch - 1) / batch
-	workers := e.workers
-	if workers > nBatches {
-		workers = nBatches
+	span := func(bi int) (int, int) {
+		start := bi * batch
+		return start, min(start+batch, n)
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	classifySem := classifySemFor(caps, workers)
-	options := opts.backendOptions()
-	inds := options.Indicators
-
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-		next     atomic.Int64
-	)
-	fail := func(err error) {
-		errOnce.Do(func() {
-			firstErr = err
-			cancel()
-		})
-	}
-	next.Store(-1)
-	partials := make([]metrics.ClassReport, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(part *metrics.ClassReport) {
-			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				bi := int(next.Add(1))
-				if bi >= nBatches {
-					return
-				}
-				start := bi * batch
-				end := start + batch
-				if end > n {
-					end = n
-				}
-				items, err := p.frameItems(start, end, size, opts.Condition, caps.PerceivedFeatures)
-				if err != nil {
-					fail(err)
-					return
-				}
-				if classifySem != nil {
-					select {
-					case classifySem <- struct{}{}:
-					case <-ctx.Done():
-						return
-					}
-				}
-				res, err := b.Classify(ctx, backend.BatchRequest{Items: items, Options: options})
-				if classifySem != nil {
-					<-classifySem
-				}
-				if err != nil {
-					fail(fmt.Errorf("core: %w", err))
-					return
-				}
-				if len(res.Answers) != len(items) {
-					fail(fmt.Errorf("core: backend %s returned %d answer vectors for %d items", b.Name(), len(res.Answers), len(items)))
-					return
-				}
-				for k := range items {
-					if len(res.Answers[k]) != len(inds) {
-						fail(fmt.Errorf("core: backend %s answered %d indicators for %s, want %d", b.Name(), len(res.Answers[k]), items[k].ID, len(inds)))
-						return
-					}
-					var pred [scene.NumIndicators]bool
-					copy(pred[:], res.Answers[k])
-					part.AddVector(pred, p.Study.Frames[start+k].Scene.Presence())
-				}
+	partials := make([]metrics.ClassReport, e.width(nBatches))
+	err := e.classifyBatches(ctx, b, opts, nBatches, span, func(w, _, start int, items []backend.Item, answers [][]bool) error {
+		for k := range items {
+			if len(answers[k]) != scene.NumIndicators {
+				return fmt.Errorf("core: backend %s answered %d indicators for %s, want %d", b.Name(), len(answers[k]), items[k].ID, scene.NumIndicators)
 			}
-		}(&partials[w])
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if err := ctx.Err(); err != nil {
+			var pred [scene.NumIndicators]bool
+			copy(pred[:], answers[k])
+			partials[w].AddVector(pred, p.Study.Frames[start+k].Scene.Presence())
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	var report metrics.ClassReport
@@ -319,81 +203,6 @@ func (e *Evaluator) EvaluateBackendSet(ctx context.Context, backends []backend.B
 	return reports, nil
 }
 
-// EvaluateModels evaluates one backend per model concurrently and
-// returns their reports keyed by ID — the map-shaped veneer over
-// EvaluateBackendSet the model sweeps use.
-func (e *Evaluator) EvaluateModels(ctx context.Context, backends map[vlm.ModelID]backend.Backend, opts LLMOptions) (map[vlm.ModelID]*metrics.ClassReport, error) {
-	if len(backends) == 0 {
-		return nil, fmt.Errorf("core: no backends to evaluate")
-	}
-	ids := make([]vlm.ModelID, 0, len(backends))
-	for id := range backends {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-	ordered := make([]backend.Backend, len(ids))
-	for i, id := range ids {
-		ordered[i] = backends[id]
-	}
-	reports, err := e.EvaluateBackendSet(ctx, ordered, opts)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[vlm.ModelID]*metrics.ClassReport, len(ids))
-	for i, id := range ids {
-		out[id] = reports[i]
-	}
-	return out, nil
-}
-
-// EvaluateAllLLMs evaluates the four built-in models concurrently over
-// the shared caches and returns their reports keyed by ID. Each model
-// backend opens from its one-line declarative spec — the same spec a
-// full experiment names.
-func (e *Evaluator) EvaluateAllLLMs(ctx context.Context, opts LLMOptions) (map[vlm.ModelID]*metrics.ClassReport, error) {
-	backends := make(map[vlm.ModelID]backend.Backend, len(vlm.AllModels()))
-	for _, id := range vlm.AllModels() {
-		b, err := backend.Open(ctx, backend.Spec{Kind: "vlm", Model: string(id)})
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		backends[id] = b
-	}
-	return e.EvaluateModels(ctx, backends, opts)
-}
-
-// RunMajorityVoting selects the top three models from the per-model
-// reports and evaluates their majority vote over the shared caches — no
-// frame is re-rendered or re-perceived after the per-model sweeps. The
-// committee runs through the generic voting composite, the same path a
-// declarative vote-top sweep takes; its reports are bit-identical to the
-// historical in-process committee.
-func (e *Evaluator) RunMajorityVoting(ctx context.Context, reports map[vlm.ModelID]*metrics.ClassReport, opts LLMOptions) (*VotingResult, error) {
-	top, err := ensemble.SelectTop(reports, 3)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	members := make([]backend.Backend, 0, len(top))
-	ids := make([]vlm.ModelID, 0, len(top))
-	for _, s := range top {
-		b, err := backend.Open(ctx, backend.Spec{Kind: "vlm", Model: string(s.ID)})
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		members = append(members, b)
-		ids = append(ids, s.ID)
-	}
-	voting, err := backend.NewVoting("majority voting", members...)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	report, err := e.EvaluateBackend(ctx, voting, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &VotingResult{Committee: ids, Report: report}, nil
-}
-
 // AnalyzeNeighborhood runs a backend over the whole corpus, fuses the
 // four headings of each coordinate with any-vote fusion, and produces
 // tract-level environment scores and health-outcome associations.
@@ -452,17 +261,60 @@ func (e *Evaluator) NeighborhoodAt(ctx context.Context, b backend.Backend, cente
 // groups).
 func (e *Evaluator) classifyGroups(ctx context.Context, b backend.Backend, groups []int) ([]analysis.LocationProfile, error) {
 	p := e.pipe
+	span := func(gi int) (int, int) {
+		start := groups[gi] * FramesPerCoordinate
+		return start, start + FramesPerCoordinate
+	}
+	locations := make([]analysis.LocationProfile, len(groups))
+	err := e.classifyBatches(ctx, b, LLMOptions{}, len(groups), span, func(_, gi, start int, _ []backend.Item, answers [][]bool) error {
+		perHeading := make([][scene.NumIndicators]bool, len(answers))
+		for k := range answers {
+			copy(perHeading[k][:], answers[k])
+		}
+		fused, err := ensemble.FuseHeadings(perHeading, ensemble.FuseAny)
+		if err != nil {
+			return fmt.Errorf("core: %w", err)
+		}
+		fr := p.Study.Frames[start]
+		locations[gi] = analysis.LocationProfile{
+			Coordinate: fr.Scene.Point.Coordinate,
+			County:     fr.County,
+			Presence:   fused,
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return locations, nil
+}
+
+// width is the worker count for a sweep of n batches: the evaluator's
+// fan-out, capped at n but at least one.
+func (e *Evaluator) width(n int) int { return max(1, min(e.workers, n)) }
+
+// classifyBatches is the worker pool under every corpus sweep. Workers
+// claim batch indices 0..nBatches-1 in order; batch bi covers the corpus
+// frames [span(bi)), assembled from the shared caches under opts'
+// capture condition and classified by b. body consumes each batch's
+// answers together with the claiming worker's index in
+// [0, e.width(nBatches)), so callers can keep per-worker accumulators.
+// The first error — from assembly, classification or body — cancels
+// the remaining workers and is returned; otherwise a canceled context
+// returns its error.
+func (e *Evaluator) classifyBatches(ctx context.Context, b backend.Backend, opts LLMOptions, nBatches int, span func(bi int) (start, end int), body func(worker, bi, start int, items []backend.Item, answers [][]bool) error) error {
+	p := e.pipe
 	caps := b.Capabilities()
 	size := p.renderSizeFor(caps)
-	options := LLMOptions{}.backendOptions()
-	workers := e.workers
-	if workers > len(groups) {
-		workers = len(groups)
+	options := opts.backendOptions()
+	workers := e.width(nBatches)
+	// A semaphore bounds concurrent Classify calls to the backend's
+	// limit; workers above the cap still render and perceive in parallel
+	// (the caches' main win), queuing only for classification.
+	var classifySem chan struct{}
+	if caps.MaxConcurrency > 0 && caps.MaxConcurrency < workers {
+		classifySem = make(chan struct{}, caps.MaxConcurrency)
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	classifySem := classifySemFor(caps, workers)
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -479,21 +331,17 @@ func (e *Evaluator) classifyGroups(ctx context.Context, b backend.Backend, group
 		})
 	}
 	next.Store(-1)
-	locations := make([]analysis.LocationProfile, len(groups))
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func() {
+		go func(w int) {
 			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
+			for ctx.Err() == nil {
+				bi := int(next.Add(1))
+				if bi >= nBatches {
 					return
 				}
-				gi := int(next.Add(1))
-				if gi >= len(groups) {
-					return
-				}
-				start := groups[gi] * FramesPerCoordinate
-				items, err := p.frameItems(start, start+FramesPerCoordinate, size, "", caps.PerceivedFeatures)
+				start, end := span(bi)
+				items, err := p.frameItems(start, end, size, opts.Condition, caps.PerceivedFeatures)
 				if err != nil {
 					fail(err)
 					return
@@ -517,32 +365,16 @@ func (e *Evaluator) classifyGroups(ctx context.Context, b backend.Backend, group
 					fail(fmt.Errorf("core: backend %s returned %d answer vectors for %d items", b.Name(), len(res.Answers), len(items)))
 					return
 				}
-				perHeading := make([][scene.NumIndicators]bool, 0, FramesPerCoordinate)
-				for k := range items {
-					var v [scene.NumIndicators]bool
-					copy(v[:], res.Answers[k])
-					perHeading = append(perHeading, v)
-				}
-				fused, err := ensemble.FuseHeadings(perHeading, ensemble.FuseAny)
-				if err != nil {
-					fail(fmt.Errorf("core: %w", err))
+				if err := body(w, bi, start, items, res.Answers); err != nil {
+					fail(err)
 					return
 				}
-				fr := p.Study.Frames[start]
-				locations[gi] = analysis.LocationProfile{
-					Coordinate: fr.Scene.Point.Coordinate,
-					County:     fr.County,
-					Presence:   fused,
-				}
 			}
-		}()
+		}(w)
 	}
 	wg.Wait()
 	if firstErr != nil {
-		return nil, firstErr
+		return firstErr
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return locations, nil
+	return ctx.Err()
 }

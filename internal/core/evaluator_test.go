@@ -23,7 +23,7 @@ import (
 // implementation: re-render the corpus, perceive inside Classify, and
 // accumulate one report in frame order. The tests below assert the
 // concurrent path reproduces it bit-for-bit.
-func evaluateClassifierSerial(p *Pipeline, c Classifier, opts LLMOptions) (*metrics.ClassReport, error) {
+func evaluateClassifierSerial(p *Pipeline, c backend.Classifier, opts LLMOptions) (*metrics.ClassReport, error) {
 	frames := p.Study.Frames
 	if opts.FrameLimit > 0 && opts.FrameLimit < len(frames) {
 		frames = frames[:opts.FrameLimit]
@@ -79,6 +79,69 @@ func testCommittee(t *testing.T) *ensemble.Committee {
 	return committee
 }
 
+// wrap adapts a test classifier to the backend layer with the adapter
+// its family opens through.
+func wrap(t *testing.T, c backend.Classifier) backend.Backend {
+	t.Helper()
+	var (
+		b   backend.Backend
+		err error
+	)
+	switch v := c.(type) {
+	case *vlm.Model:
+		b, err = backend.NewVLM(v)
+	case *ensemble.Committee:
+		b, err = backend.NewCommittee(v)
+	default:
+		b, err = backend.NewLocal("test", c)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// modelBackends wraps the four builtin models in vlm.AllModels order.
+func modelBackends(t *testing.T) []backend.Backend {
+	t.Helper()
+	out := make([]backend.Backend, 0, len(vlm.AllModels()))
+	for _, id := range vlm.AllModels() {
+		out = append(out, wrap(t, testModel(t, id)))
+	}
+	return out
+}
+
+// voteTopThree majority-votes the three most accurate models of an
+// all-models sweep (reports in vlm.AllModels order) through the voting
+// composite — the paper's Fig. 5 last bar — and returns the committee in
+// rank order with its report.
+func voteTopThree(t *testing.T, ev *Evaluator, reports []*metrics.ClassReport, opts LLMOptions) ([]vlm.ModelID, *metrics.ClassReport) {
+	t.Helper()
+	byName := make(map[string]*metrics.ClassReport, len(reports))
+	for i, id := range vlm.AllModels() {
+		byName[string(id)] = reports[i]
+	}
+	top, err := ensemble.SelectTop(byName, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]vlm.ModelID, 0, len(top))
+	members := make([]backend.Backend, 0, len(top))
+	for _, s := range top {
+		ids = append(ids, vlm.ModelID(s.ID))
+		members = append(members, wrap(t, testModel(t, vlm.ModelID(s.ID))))
+	}
+	voting, err := backend.NewVoting("majority voting", members...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	report, err := ev.EvaluateBackend(context.Background(), voting, opts)
+	if err != nil {
+		t.Fatalf("voting sweep: %v", err)
+	}
+	return ids, report
+}
+
 // TestEvaluatorMatchesSerial asserts the concurrent evaluator reproduces
 // the serial reference bit-for-bit: same classifier, same options, same
 // ClassReport — for single models, the voting committee, non-default
@@ -87,7 +150,7 @@ func TestEvaluatorMatchesSerial(t *testing.T) {
 	p := smallPipeline(t, 12)
 	cases := []struct {
 		name       string
-		classifier Classifier
+		classifier backend.Classifier
 		opts       LLMOptions
 	}{
 		{"gemini", testModel(t, vlm.Gemini15Pro), LLMOptions{}},
@@ -108,7 +171,7 @@ func TestEvaluatorMatchesSerial(t *testing.T) {
 			}
 			for _, workers := range []int{1, 3, 16} {
 				ev := p.NewEvaluator(EvalConfig{Workers: workers})
-				got, err := ev.EvaluateClassifier(context.Background(), tc.classifier, tc.opts)
+				got, err := ev.EvaluateBackend(context.Background(), wrap(t, tc.classifier), tc.opts)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
@@ -120,47 +183,44 @@ func TestEvaluatorMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestEvaluateAllLLMsMatchesSerial asserts the concurrent multi-model
-// sweep matches per-model serial references.
-func TestEvaluateAllLLMsMatchesSerial(t *testing.T) {
+// TestEvaluateBackendSetMatchesSerial asserts the concurrent
+// multi-model sweep matches per-model serial references.
+func TestEvaluateBackendSetMatchesSerial(t *testing.T) {
 	p := smallPipeline(t, 10)
 	ev := p.NewEvaluator(EvalConfig{Workers: 4})
-	got, err := ev.EvaluateAllLLMs(context.Background(), LLMOptions{})
+	got, err := ev.EvaluateBackendSet(context.Background(), modelBackends(t), LLMOptions{})
 	if err != nil {
-		t.Fatalf("EvaluateAllLLMs: %v", err)
+		t.Fatalf("EvaluateBackendSet: %v", err)
 	}
 	if len(got) != 4 {
 		t.Fatalf("reports = %d, want 4", len(got))
 	}
-	for _, id := range vlm.AllModels() {
+	for i, id := range vlm.AllModels() {
 		want, err := evaluateClassifierSerial(p, testModel(t, id), LLMOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if *got[id] != *want {
+		if *got[i] != *want {
 			t.Errorf("%s: parallel report diverges from serial", id)
 		}
 	}
 }
 
-// TestRunMajorityVotingMatchesSerial asserts the committee sweep built
-// from the concurrent reports matches the serial committee reference.
-func TestRunMajorityVotingMatchesSerial(t *testing.T) {
+// TestVotingTopThreeMatchesSerial asserts the committee sweep built from
+// the concurrent reports matches the serial committee reference.
+func TestVotingTopThreeMatchesSerial(t *testing.T) {
 	p := smallPipeline(t, 10)
 	ev := p.NewEvaluator(EvalConfig{Workers: 4})
-	reports, err := ev.EvaluateAllLLMs(context.Background(), LLMOptions{})
+	reports, err := ev.EvaluateBackendSet(context.Background(), modelBackends(t), LLMOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	voting, err := ev.RunMajorityVoting(context.Background(), reports, LLMOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(voting.Committee) != 3 {
-		t.Fatalf("committee = %v", voting.Committee)
+	ids, report := voteTopThree(t, ev, reports, LLMOptions{})
+	if len(ids) != 3 {
+		t.Fatalf("committee = %v", ids)
 	}
 	members := make([]*vlm.Model, 0, 3)
-	for _, id := range voting.Committee {
+	for _, id := range ids {
 		members = append(members, testModel(t, id))
 	}
 	committee, err := ensemble.NewCommittee(members...)
@@ -171,7 +231,7 @@ func TestRunMajorityVotingMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if *voting.Report != *want {
+	if *report != *want {
 		t.Error("voting report diverges from serial committee reference")
 	}
 }
@@ -183,13 +243,13 @@ func TestEvaluatorCancellation(t *testing.T) {
 	ev := p.NewEvaluator(EvalConfig{Workers: 2})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := ev.EvaluateClassifier(ctx, testModel(t, vlm.Gemini15Pro), LLMOptions{})
+	_, err := ev.EvaluateBackend(ctx, wrap(t, testModel(t, vlm.Gemini15Pro)), LLMOptions{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	_, err = ev.EvaluateAllLLMs(ctx, LLMOptions{})
+	_, err = ev.EvaluateBackendSet(ctx, modelBackends(t), LLMOptions{})
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("EvaluateAllLLMs err = %v, want context.Canceled", err)
+		t.Fatalf("EvaluateBackendSet err = %v, want context.Canceled", err)
 	}
 }
 
@@ -204,7 +264,7 @@ func (failingClassifier) Classify(vlm.Request) ([]bool, error) {
 func TestEvaluatorFirstErrorPropagation(t *testing.T) {
 	p := smallPipeline(t, 6)
 	ev := p.NewEvaluator(EvalConfig{Workers: 4})
-	_, err := ev.EvaluateClassifier(context.Background(), failingClassifier{}, LLMOptions{})
+	_, err := ev.EvaluateBackend(context.Background(), wrap(t, failingClassifier{}), LLMOptions{})
 	if err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("expected classification error, got %v", err)
 	}
@@ -216,14 +276,12 @@ func TestEvaluatorFirstErrorPropagation(t *testing.T) {
 func TestEvaluatorSharesRenders(t *testing.T) {
 	p := smallPipeline(t, 8)
 	ev := p.NewEvaluator(EvalConfig{})
-	reports, err := ev.EvaluateAllLLMs(context.Background(), LLMOptions{})
+	reports, err := ev.EvaluateBackendSet(context.Background(), modelBackends(t), LLMOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ev.RunMajorityVoting(context.Background(), reports, LLMOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ev.EvaluateClassifier(context.Background(), testModel(t, vlm.Gemini15Pro), LLMOptions{Language: prompt.Chinese}); err != nil {
+	voteTopThree(t, ev, reports, LLMOptions{})
+	if _, err := ev.EvaluateBackend(context.Background(), wrap(t, testModel(t, vlm.Gemini15Pro)), LLMOptions{Language: prompt.Chinese}); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := p.RenderCache().Renders(), int64(p.Study.Len()); got != want {

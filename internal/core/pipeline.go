@@ -22,15 +22,8 @@ import (
 	"nbhd/internal/render"
 	"nbhd/internal/scene"
 	"nbhd/internal/store"
-	"nbhd/internal/vlm"
 	"nbhd/internal/yolo"
 )
-
-// Classifier is anything that answers per-indicator Yes/No questions
-// about an image: a single simulated LLM, a majority-voting committee,
-// or any test double. It aliases the backend layer's definition — one
-// interface serves both the engine's public surface and the adapters.
-type Classifier = backend.Classifier
 
 // Config parameterizes a pipeline run.
 type Config struct {
@@ -393,59 +386,12 @@ func (o LLMOptions) backendOptions() backend.Options {
 	}
 }
 
-// EvaluateClassifier sweeps a classifier over the corpus and returns the
-// per-class confusion report (the layout of Tables III-VI). It runs the
-// concurrent evaluator at default width over the pipeline's shared
-// caches; results are bit-identical to the historical serial sweep.
-func (p *Pipeline) EvaluateClassifier(c Classifier, opts LLMOptions) (*metrics.ClassReport, error) {
-	return p.NewEvaluator(EvalConfig{}).EvaluateClassifier(context.Background(), c, opts)
-}
-
-// EvaluateBackend sweeps any classifier backend — local model,
-// committee, remote HTTP, YOLO presence, CNN baseline — over the corpus
-// through the same engine and caches.
-func (p *Pipeline) EvaluateBackend(b backend.Backend, opts LLMOptions) (*metrics.ClassReport, error) {
-	return p.NewEvaluator(EvalConfig{}).EvaluateBackend(context.Background(), b, opts)
-}
-
-// EvaluateAllLLMs runs the four built-in models concurrently and returns
-// their reports keyed by ID.
-func (p *Pipeline) EvaluateAllLLMs(opts LLMOptions) (map[vlm.ModelID]*metrics.ClassReport, error) {
-	return p.NewEvaluator(EvalConfig{}).EvaluateAllLLMs(context.Background(), opts)
-}
-
-// VotingResult is the majority-voting evaluation (Fig. 5's last bar).
-type VotingResult struct {
-	Committee []vlm.ModelID
-	Report    *metrics.ClassReport
-}
-
-// RunMajorityVoting selects the top three models from the per-model
-// reports and evaluates their committee over the shared caches.
-func (p *Pipeline) RunMajorityVoting(reports map[vlm.ModelID]*metrics.ClassReport, opts LLMOptions) (*VotingResult, error) {
-	return p.NewEvaluator(EvalConfig{}).RunMajorityVoting(context.Background(), reports, opts)
-}
-
 // NeighborhoodResult is the downstream analysis output.
 type NeighborhoodResult struct {
 	Locations    []analysis.LocationProfile
 	Tracts       []analysis.TractProfile
 	Scores       []analysis.EnvironmentScore
 	Associations []analysis.Association
-}
-
-// AnalyzeNeighborhood runs a classifier over the corpus, fuses the four
-// headings of each coordinate, and produces tract-level environment
-// scores and health-outcome associations. Legacy shim: it adapts the
-// classifier to the backend layer and delegates to the evaluator's
-// concurrent, cancellable sweep — declarative runs name the same step
-// as an analysis in an experiment spec.
-func (p *Pipeline) AnalyzeNeighborhood(c Classifier, tractCellFeet float64) (*NeighborhoodResult, error) {
-	b, err := localBackend(c)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	return p.NewEvaluator(EvalConfig{}).AnalyzeNeighborhood(context.Background(), b, tractCellFeet)
 }
 
 // neighborhoodAnalysis runs the downstream analysis chain — tract

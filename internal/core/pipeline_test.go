@@ -1,10 +1,10 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"nbhd/internal/dataset"
-	"nbhd/internal/ensemble"
 	"nbhd/internal/prompt"
 	"nbhd/internal/scene"
 	"nbhd/internal/vlm"
@@ -79,19 +79,13 @@ func TestTrainBaselineWithAugmentAndNoise(t *testing.T) {
 	}
 }
 
-func TestEvaluateClassifier(t *testing.T) {
+func TestEvaluateBackend(t *testing.T) {
 	p := smallPipeline(t, 10)
-	profile, err := vlm.ProfileFor(vlm.Gemini15Pro)
+	ev := p.NewEvaluator(EvalConfig{})
+	b := wrap(t, testModel(t, vlm.Gemini15Pro))
+	report, err := ev.EvaluateBackend(context.Background(), b, LLMOptions{})
 	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := vlm.NewModel(profile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	report, err := p.EvaluateClassifier(m, LLMOptions{})
-	if err != nil {
-		t.Fatalf("EvaluateClassifier: %v", err)
+		t.Fatalf("EvaluateBackend: %v", err)
 	}
 	total := 0
 	for _, ind := range scene.Indicators() {
@@ -101,7 +95,7 @@ func TestEvaluateClassifier(t *testing.T) {
 		t.Errorf("report covers %d pairs, want %d", total, p.Study.Len()*scene.NumIndicators)
 	}
 	// FrameLimit caps coverage.
-	limited, err := p.EvaluateClassifier(m, LLMOptions{FrameLimit: 8})
+	limited, err := ev.EvaluateBackend(context.Background(), b, LLMOptions{FrameLimit: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,63 +104,51 @@ func TestEvaluateClassifier(t *testing.T) {
 	}
 }
 
-func TestEvaluateAllLLMsAndVoting(t *testing.T) {
+func TestEvaluateBackendSetAndVoting(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-model sweep in -short mode")
 	}
 	p := smallPipeline(t, 30)
-	reports, err := p.EvaluateAllLLMs(LLMOptions{})
+	ev := p.NewEvaluator(EvalConfig{})
+	reports, err := ev.EvaluateBackendSet(context.Background(), modelBackends(t), LLMOptions{})
 	if err != nil {
-		t.Fatalf("EvaluateAllLLMs: %v", err)
+		t.Fatalf("EvaluateBackendSet: %v", err)
 	}
 	if len(reports) != 4 {
 		t.Fatalf("reports = %d", len(reports))
 	}
-	voting, err := p.RunMajorityVoting(reports, LLMOptions{})
-	if err != nil {
-		t.Fatalf("RunMajorityVoting: %v", err)
-	}
-	if len(voting.Committee) != 3 {
-		t.Fatalf("committee = %v", voting.Committee)
+	ids, voted := voteTopThree(t, ev, reports, LLMOptions{})
+	if len(ids) != 3 {
+		t.Fatalf("committee = %v", ids)
 	}
 	// Voting accuracy should be at least competitive with the best
 	// member (exact dominance is asserted at larger scale in the
 	// ensemble package tests).
-	_, _, _, votedAcc := voting.Report.Averages()
+	_, _, _, votedAcc := voted.Averages()
 	if votedAcc < 0.7 {
 		t.Errorf("voting accuracy %.3f implausibly low", votedAcc)
 	}
 }
 
-func TestEvaluateClassifierLanguagesAndModes(t *testing.T) {
+func TestEvaluateBackendLanguagesAndModes(t *testing.T) {
 	p := smallPipeline(t, 8)
-	profile, err := vlm.ProfileFor(vlm.Gemini15Pro)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := vlm.NewModel(profile)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ev := p.NewEvaluator(EvalConfig{})
+	b := wrap(t, testModel(t, vlm.Gemini15Pro))
 	for _, opts := range []LLMOptions{
 		{Language: prompt.Spanish},
 		{Mode: prompt.Sequential},
 		{Temperature: 1.5},
 		{TopP: 0.5},
 	} {
-		if _, err := p.EvaluateClassifier(m, opts); err != nil {
-			t.Errorf("EvaluateClassifier(%+v): %v", opts, err)
+		if _, err := ev.EvaluateBackend(context.Background(), b, opts); err != nil {
+			t.Errorf("EvaluateBackend(%+v): %v", opts, err)
 		}
 	}
 }
 
 func TestAnalyzeNeighborhood(t *testing.T) {
 	p := smallPipeline(t, 16)
-	committee, err := ensemble.PaperCommittee()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := p.AnalyzeNeighborhood(committee, 2000)
+	res, err := p.NewEvaluator(EvalConfig{}).AnalyzeNeighborhood(context.Background(), wrap(t, testCommittee(t)), 2000)
 	if err != nil {
 		t.Fatalf("AnalyzeNeighborhood: %v", err)
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"testing"
 
-	"nbhd/internal/ensemble"
 	"nbhd/internal/geo"
 	"nbhd/internal/vlm"
 )
@@ -30,7 +29,7 @@ func TestPipelineWarmStartZeroRenders(t *testing.T) {
 	}
 
 	cold := storePipeline(t, 6, dir)
-	coldRep, err := cold.EvaluateClassifier(model, LLMOptions{})
+	coldRep, err := cold.NewEvaluator(EvalConfig{}).EvaluateBackend(context.Background(), wrap(t, model), LLMOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +42,7 @@ func TestPipelineWarmStartZeroRenders(t *testing.T) {
 
 	warm := storePipeline(t, 6, dir)
 	defer warm.Close()
-	warmRep, err := warm.EvaluateClassifier(model, LLMOptions{})
+	warmRep, err := warm.NewEvaluator(EvalConfig{}).EvaluateBackend(context.Background(), wrap(t, model), LLMOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,14 +89,7 @@ func TestFrameIndexMatchesStudy(t *testing.T) {
 // a linear distance scan selects.
 func TestNeighborhoodAtSubsetsCorpus(t *testing.T) {
 	p := smallPipeline(t, 16)
-	committee, err := ensemble.PaperCommittee()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := localBackend(committee)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := wrap(t, testCommittee(t))
 	center := p.Study.Frames[0].Scene.Point.Coordinate
 	const radius = 30000.0
 	res, err := p.NewEvaluator(EvalConfig{}).NeighborhoodAt(context.Background(), b, center, radius, 2000)
@@ -133,14 +125,7 @@ func TestNeighborhoodAtSubsetsCorpus(t *testing.T) {
 // empty tract set.
 func TestNeighborhoodAtEmptySelection(t *testing.T) {
 	p := smallPipeline(t, 4)
-	committee, err := ensemble.PaperCommittee()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := localBackend(committee)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := wrap(t, testCommittee(t))
 	far := geo.Coordinate{Lat: -45, Lng: 170}
 	if _, err := p.NewEvaluator(EvalConfig{}).NeighborhoodAt(context.Background(), b, far, 10, 2000); err == nil {
 		t.Fatal("NeighborhoodAt with empty selection succeeded")

@@ -42,16 +42,18 @@ func Vote(answers [][]bool) ([]bool, error) {
 	return out, nil
 }
 
-// ModelScore pairs a model with its average accuracy.
+// ModelScore pairs a backend with its average accuracy.
 type ModelScore struct {
-	ID       vlm.ModelID
+	// ID is the backend's name.
+	ID       string
 	Accuracy float64
 }
 
-// SelectTop ranks models by average accuracy (from their evaluation
-// reports) and returns the best k, the paper's "top three LLMs" step.
-// Ties break lexicographically on the model ID for determinism.
-func SelectTop(reports map[vlm.ModelID]*metrics.ClassReport, k int) ([]ModelScore, error) {
+// SelectTop ranks backends by average accuracy (from their evaluation
+// reports, keyed by backend name) and returns the best k, the paper's
+// "top three LLMs" step. Ties break lexicographically on the name for
+// determinism.
+func SelectTop(reports map[string]*metrics.ClassReport, k int) ([]ModelScore, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("ensemble: k must be positive, got %d", k)
 	}
@@ -59,9 +61,9 @@ func SelectTop(reports map[vlm.ModelID]*metrics.ClassReport, k int) ([]ModelScor
 		return nil, fmt.Errorf("ensemble: no reports")
 	}
 	scores := make([]ModelScore, 0, len(reports))
-	for id, rep := range reports {
+	for name, rep := range reports {
 		_, _, _, acc := rep.Averages()
-		scores = append(scores, ModelScore{ID: id, Accuracy: acc})
+		scores = append(scores, ModelScore{ID: name, Accuracy: acc})
 	}
 	sort.Slice(scores, func(a, b int) bool {
 		if scores[a].Accuracy != scores[b].Accuracy {

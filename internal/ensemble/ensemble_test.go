@@ -78,11 +78,11 @@ func reportWithAccuracy(t *testing.T, acc float64) *metrics.ClassReport {
 }
 
 func TestSelectTop(t *testing.T) {
-	reports := map[vlm.ModelID]*metrics.ClassReport{
-		vlm.ChatGPT4oMini: reportWithAccuracy(t, 0.84),
-		vlm.Gemini15Pro:   reportWithAccuracy(t, 0.88),
-		vlm.Claude37:      reportWithAccuracy(t, 0.86),
-		vlm.Grok2:         reportWithAccuracy(t, 0.84),
+	reports := map[string]*metrics.ClassReport{
+		string(vlm.ChatGPT4oMini): reportWithAccuracy(t, 0.84),
+		string(vlm.Gemini15Pro):   reportWithAccuracy(t, 0.88),
+		string(vlm.Claude37):      reportWithAccuracy(t, 0.86),
+		string(vlm.Grok2):         reportWithAccuracy(t, 0.84),
 	}
 	top, err := SelectTop(reports, 3)
 	if err != nil {
@@ -91,15 +91,15 @@ func TestSelectTop(t *testing.T) {
 	if len(top) != 3 {
 		t.Fatalf("top = %d entries", len(top))
 	}
-	if top[0].ID != vlm.Gemini15Pro {
+	if top[0].ID != string(vlm.Gemini15Pro) {
 		t.Errorf("best = %s, want Gemini", top[0].ID)
 	}
-	if top[1].ID != vlm.Claude37 {
+	if top[1].ID != string(vlm.Claude37) {
 		t.Errorf("second = %s, want Claude", top[1].ID)
 	}
 	// ChatGPT and Grok tie at 0.84; lexicographic order puts chatgpt
 	// first.
-	if top[2].ID != vlm.ChatGPT4oMini {
+	if top[2].ID != string(vlm.ChatGPT4oMini) {
 		t.Errorf("third = %s, want ChatGPT (tie-break)", top[2].ID)
 	}
 	// Oversized k clamps.
@@ -116,7 +116,7 @@ func TestSelectTopValidation(t *testing.T) {
 	if _, err := SelectTop(nil, 3); err == nil {
 		t.Error("empty reports accepted")
 	}
-	if _, err := SelectTop(map[vlm.ModelID]*metrics.ClassReport{vlm.Grok2: {}}, 0); err == nil {
+	if _, err := SelectTop(map[string]*metrics.ClassReport{string(vlm.Grok2): {}}, 0); err == nil {
 		t.Error("k=0 accepted")
 	}
 }
@@ -367,11 +367,11 @@ func TestFuseIdenticalProperty(t *testing.T) {
 // accuracy, repeated selections must return the same lexicographic
 // order — map iteration randomness must never leak into the committee.
 func TestSelectTopAllTiedIsDeterministic(t *testing.T) {
-	reports := map[vlm.ModelID]*metrics.ClassReport{
-		vlm.ChatGPT4oMini: reportWithAccuracy(t, 0.9),
-		vlm.Gemini15Pro:   reportWithAccuracy(t, 0.9),
-		vlm.Claude37:      reportWithAccuracy(t, 0.9),
-		vlm.Grok2:         reportWithAccuracy(t, 0.9),
+	reports := map[string]*metrics.ClassReport{
+		string(vlm.ChatGPT4oMini): reportWithAccuracy(t, 0.9),
+		string(vlm.Gemini15Pro):   reportWithAccuracy(t, 0.9),
+		string(vlm.Claude37):      reportWithAccuracy(t, 0.9),
+		string(vlm.Grok2):         reportWithAccuracy(t, 0.9),
 	}
 	first, err := SelectTop(reports, 3)
 	if err != nil {
@@ -398,9 +398,9 @@ func TestSelectTopAllTiedIsDeterministic(t *testing.T) {
 // TestSelectTopKLargerThanReports: k beyond the report count clamps to
 // all models, still fully ordered.
 func TestSelectTopKLargerThanReports(t *testing.T) {
-	reports := map[vlm.ModelID]*metrics.ClassReport{
-		vlm.Grok2:       reportWithAccuracy(t, 0.8),
-		vlm.Gemini15Pro: reportWithAccuracy(t, 0.9),
+	reports := map[string]*metrics.ClassReport{
+		string(vlm.Grok2):       reportWithAccuracy(t, 0.8),
+		string(vlm.Gemini15Pro): reportWithAccuracy(t, 0.9),
 	}
 	top, err := SelectTop(reports, 100)
 	if err != nil {
@@ -409,15 +409,15 @@ func TestSelectTopKLargerThanReports(t *testing.T) {
 	if len(top) != 2 {
 		t.Fatalf("top = %d entries, want 2", len(top))
 	}
-	if top[0].ID != vlm.Gemini15Pro || top[1].ID != vlm.Grok2 {
+	if top[0].ID != string(vlm.Gemini15Pro) || top[1].ID != string(vlm.Grok2) {
 		t.Errorf("order = %v", top)
 	}
 	// A single report works for any positive k.
-	solo, err := SelectTop(map[vlm.ModelID]*metrics.ClassReport{vlm.Claude37: reportWithAccuracy(t, 0.7)}, 3)
+	solo, err := SelectTop(map[string]*metrics.ClassReport{string(vlm.Claude37): reportWithAccuracy(t, 0.7)}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(solo) != 1 || solo[0].ID != vlm.Claude37 {
+	if len(solo) != 1 || solo[0].ID != string(vlm.Claude37) {
 		t.Errorf("solo = %v", solo)
 	}
 }

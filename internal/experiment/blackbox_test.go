@@ -104,6 +104,28 @@ func TestValidateRejectsVoteOfLaterSweep(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsDuplicateBackendInSweep: a backend listed twice in
+// one sweep would seat the same model several times in a top-k vote and
+// share one checkpoint cell ID, so validation must refuse it.
+func TestValidateRejectsDuplicateBackendInSweep(t *testing.T) {
+	spec, err := experiment.Builtin("f5", experiment.BuiltinConfig{Coordinates: 6, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw := &spec.Sweeps[0]
+	if sw.Name != "f5:models" {
+		t.Fatalf("first f5 sweep = %q, want f5:models", sw.Name)
+	}
+	sw.Backends = append(sw.Backends, "grok-2", "grok-2")
+	err = spec.Validate()
+	if err == nil {
+		t.Fatal("Validate accepted a sweep listing one backend twice")
+	}
+	if want := `experiment: sweep "f5:models" lists backend "grok-2" twice`; err.Error() != want {
+		t.Errorf("error = %q, want %q", err, want)
+	}
+}
+
 // TestEventOrdering pins the runner's event contract: sweeps in spec
 // order, reports in backend order, analyses after sweeps — the same
 // deterministic stream every run, despite the concurrency underneath.

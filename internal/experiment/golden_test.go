@@ -3,67 +3,20 @@ package experiment_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"testing"
 
-	"nbhd/internal/core"
-	"nbhd/internal/ensemble"
+	"nbhd/internal/analysis"
 	"nbhd/internal/experiment"
-	"nbhd/internal/vlm"
 )
 
-// TestRunnerBitIdenticalToLegacyPath pins the API redesign: the same
-// spec and seed replayed through the declarative runner must produce
-// byte-identical report JSON to the legacy Pipeline.EvaluateAllLLMs /
-// RunMajorityVoting path. Both paths are encoded with the artifact
-// store's deterministic encoder under the same labels, so any
-// divergence in a confusion cell, a derived metric, committee
-// selection, or encoding order fails the byte comparison.
-func TestRunnerBitIdenticalToLegacyPath(t *testing.T) {
-	const coords, seed = 10, 5
-
-	// Legacy path: the demoted pipeline wrappers.
-	pipe, err := core.NewPipeline(core.Config{Coordinates: coords, Seed: seed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacyReports, err := pipe.EvaluateAllLLMs(core.LLMOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacyVote, err := pipe.RunMajorityVoting(legacyReports, core.LLMOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacyModels := experiment.SweepResult{Name: "f5:models"}
-	for _, id := range vlm.AllModels() {
-		legacyModels.Reports = append(legacyModels.Reports, experiment.BackendReport{
-			Backend: string(id),
-			Report:  legacyReports[id],
-		})
-	}
-	members := make([]string, len(legacyVote.Committee))
-	for i, id := range legacyVote.Committee {
-		members[i] = string(id)
-	}
-	legacyVoting := experiment.SweepResult{
-		Name: "f5:voting",
-		Reports: []experiment.BackendReport{{
-			Backend: "f5:voting",
-			Members: members,
-			Report:  legacyVote.Report,
-		}},
-	}
-	legacyModelsJSON, err := experiment.EncodeSweepReports(legacyModels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacyVotingJSON, err := experiment.EncodeSweepReports(legacyVoting)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// New path: the built-in Fig. 5 spec through the runner.
-	spec, err := experiment.Builtin("f5", experiment.BuiltinConfig{Coordinates: coords, Seed: seed})
+// runBuiltin executes a builtin spec at the given scale through the
+// runner.
+func runBuiltin(t *testing.T, name string, coords int, seed int64) *experiment.Result {
+	t.Helper()
+	spec, err := experiment.Builtin(name, experiment.BuiltinConfig{Coordinates: coords, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,73 +24,51 @@ func TestRunnerBitIdenticalToLegacyPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	newModelsJSON, err := experiment.EncodeSweepReports(*res.Sweep("f5:models"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	newVotingJSON, err := experiment.EncodeSweepReports(*res.Sweep("f5:voting"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	return res
+}
 
-	if !bytes.Equal(legacyModelsJSON, newModelsJSON) {
-		t.Errorf("per-model report JSON diverged between legacy and runner paths:\nlegacy:\n%s\nrunner:\n%s", legacyModelsJSON, newModelsJSON)
+// assertGolden compares got byte-for-byte against testdata/file.
+func assertGolden(t *testing.T, file string, got []byte) {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join("testdata", file))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Equal(legacyVotingJSON, newVotingJSON) {
-		t.Errorf("voting report JSON diverged between legacy and runner paths:\nlegacy:\n%s\nrunner:\n%s", legacyVotingJSON, newVotingJSON)
+	if !bytes.Equal(got, want) {
+		t.Errorf("output diverged from testdata/%s:\ngot:\n%s\nwant:\n%s", file, got, want)
+	}
+}
+
+// TestRunnerBitIdenticalToLegacyPath pins the Fig. 5 ladder: the
+// builtin f5 spec (10 coordinates, seed 5) must encode byte-identically
+// to the checked-in per-model and voting report JSON, which the
+// pre-runner per-model and majority-voting evaluation path produced
+// before it was retired. Any divergence in a confusion cell, a derived
+// metric, committee selection, or encoding order fails.
+func TestRunnerBitIdenticalToLegacyPath(t *testing.T) {
+	res := runBuiltin(t, "f5", 10, 5)
+	for sweep, file := range map[string]string{"f5:models": "f5_models.json", "f5:voting": "f5_voting.json"} {
+		got, err := experiment.EncodeSweepReports(*res.Sweep(sweep))
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertGolden(t, file, got)
 	}
 }
 
 // TestRunnerAnalysisMatchesLegacyAnalyze pins the neighborhood-analysis
-// step the same way: the declarative analysis and the legacy
-// Pipeline.AnalyzeNeighborhood wrapper must agree exactly.
+// step the same way: the builtin neighborhood spec (8 coordinates, seed
+// 5, 5000 ft tracts) must reproduce exactly the locations, tracts and
+// associations the retired pre-runner analysis path checked in.
 func TestRunnerAnalysisMatchesLegacyAnalyze(t *testing.T) {
-	const coords, seed = 8, 5
-
-	pipe, err := core.NewPipeline(core.Config{Coordinates: coords, Seed: seed})
+	got := runBuiltin(t, "neighborhood", 8, 5).Analysis("neighborhood").Result
+	data, err := json.MarshalIndent(struct {
+		Locations    []analysis.LocationProfile `json:"locations"`
+		Tracts       []analysis.TractProfile    `json:"tracts"`
+		Associations []analysis.Association     `json:"associations"`
+	}{got.Locations, got.Tracts, got.Associations}, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	committee, err := ensemble.PaperCommittee()
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy, err := pipe.AnalyzeNeighborhood(committee, 5000)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	spec, err := experiment.Builtin("neighborhood", experiment.BuiltinConfig{Coordinates: coords, Seed: seed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := experiment.NewRunner(experiment.RunnerConfig{}).Run(context.Background(), spec, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := res.Analysis("neighborhood").Result
-	if len(got.Locations) != len(legacy.Locations) {
-		t.Fatalf("locations: got %d, legacy %d", len(got.Locations), len(legacy.Locations))
-	}
-	for i := range got.Locations {
-		if got.Locations[i] != legacy.Locations[i] {
-			t.Errorf("location %d diverged: got %+v, legacy %+v", i, got.Locations[i], legacy.Locations[i])
-		}
-	}
-	if len(got.Tracts) != len(legacy.Tracts) {
-		t.Fatalf("tracts: got %d, legacy %d", len(got.Tracts), len(legacy.Tracts))
-	}
-	for i := range got.Tracts {
-		if got.Tracts[i] != legacy.Tracts[i] {
-			t.Errorf("tract %d diverged: got %+v, legacy %+v", i, got.Tracts[i], legacy.Tracts[i])
-		}
-	}
-	if len(got.Associations) != len(legacy.Associations) {
-		t.Fatalf("associations: got %d, legacy %d", len(got.Associations), len(legacy.Associations))
-	}
-	for i := range got.Associations {
-		if got.Associations[i] != legacy.Associations[i] {
-			t.Errorf("association %d diverged: got %+v, legacy %+v", i, got.Associations[i], legacy.Associations[i])
-		}
-	}
+	assertGolden(t, "neighborhood.json", append(data, '\n'))
 }

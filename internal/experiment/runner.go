@@ -3,11 +3,11 @@ package experiment
 import (
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	"nbhd/internal/backend"
 	"nbhd/internal/core"
+	"nbhd/internal/ensemble"
 	"nbhd/internal/metrics"
 )
 
@@ -332,9 +332,10 @@ func (r *Runner) runSweep(ctx context.Context, ev *core.Evaluator, sw *SweepSpec
 }
 
 // runVoteSweep majority-votes the top backends of an earlier sweep:
-// members are ranked by average accuracy (ties broken by backend name,
-// mirroring the paper's deterministic top-three selection), opened
-// again from their specs, and evaluated as one voting composite.
+// members are ranked by ensemble.SelectTop (average accuracy, ties
+// broken by backend name — the paper's deterministic top-three
+// selection), opened again from their specs, and evaluated as one
+// voting composite.
 func (r *Runner) runVoteSweep(ctx context.Context, ev *core.Evaluator, res *Result, sw *SweepSpec, opts core.LLMOptions, open func(string) (backend.Backend, error)) (SweepResult, []bool, error) {
 	// A vote sweep is one cell, named after the sweep itself.
 	if cr, ok := r.cfg.Checkpoint.report(SweepCellID(sw.Name, sw.Name)); ok {
@@ -351,28 +352,23 @@ func (r *Runner) runVoteSweep(ctx context.Context, ev *core.Evaluator, res *Resu
 	if k == 0 {
 		k = 3
 	}
-	ranked := make([]BackendReport, len(prev.Reports))
-	copy(ranked, prev.Reports)
-	sort.SliceStable(ranked, func(a, b int) bool {
-		_, _, _, accA := ranked[a].Report.Averages()
-		_, _, _, accB := ranked[b].Report.Averages()
-		if accA != accB {
-			return accA > accB
-		}
-		return ranked[a].Backend < ranked[b].Backend
-	})
-	if k > len(ranked) {
-		k = len(ranked)
+	reports := make(map[string]*metrics.ClassReport, len(prev.Reports))
+	for _, br := range prev.Reports {
+		reports[br.Backend] = br.Report
 	}
-	members := make([]backend.Backend, k)
-	names := make([]string, k)
-	for i := 0; i < k; i++ {
-		b, err := open(ranked[i].Backend)
+	top, err := ensemble.SelectTop(reports, k)
+	if err != nil {
+		return SweepResult{}, nil, err
+	}
+	members := make([]backend.Backend, len(top))
+	names := make([]string, len(top))
+	for i, s := range top {
+		b, err := open(s.ID)
 		if err != nil {
 			return SweepResult{}, nil, err
 		}
 		members[i] = b
-		names[i] = ranked[i].Backend
+		names[i] = s.ID
 	}
 	voting, err := backend.NewVoting(sw.Name, members...)
 	if err != nil {

@@ -226,10 +226,15 @@ func (s *Spec) Validate() error {
 			if len(sw.Backends) == 0 {
 				return fmt.Errorf("experiment: sweep %q evaluates no backends", sw.Name)
 			}
+			listed := make(map[string]bool, len(sw.Backends))
 			for _, name := range sw.Backends {
 				if _, ok := s.Backends[name]; !ok {
 					return fmt.Errorf("experiment: sweep %q references unknown backend %q", sw.Name, name)
 				}
+				if listed[name] {
+					return fmt.Errorf("experiment: sweep %q lists backend %q twice", sw.Name, name)
+				}
+				listed[name] = true
 			}
 		}
 		seenSweeps[sw.Name] = true
