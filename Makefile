@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench-check bench bench-smoke bench-store bench-quant run-experiment serve-smoke fleet-smoke lab-smoke robustness-smoke fmt fmt-check vet godoc-check check
+.PHONY: all build test test-386 race bench-check bench bench-smoke bench-store bench-quant run-experiment serve-smoke fleet-smoke lab-smoke robustness-smoke fmt fmt-check vet godoc-check check
 
 all: build
 
@@ -12,6 +12,12 @@ build:
 
 test:
 	$(GO) test ./...
+
+# The simulated models' answer draw does 64-bit modular arithmetic;
+# running the vlm tests on a 32-bit target catches any of it slipping
+# into 32-bit int.
+test-386:
+	GOARCH=386 $(GO) test ./internal/vlm
 
 # Race overhead is ~10-20x; the root integration tests need more than
 # the default 10m package timeout on small runners.

@@ -111,6 +111,15 @@ func (p *Pipeline) frameItems(start, end, size int, cond string, wantFeats bool)
 // backends. The context cancels the sweep: the first error (or
 // cancellation) stops all workers and is returned.
 func (e *Evaluator) EvaluateBackend(ctx context.Context, b backend.Backend, opts LLMOptions) (*metrics.ClassReport, error) {
+	return e.evaluateBackend(ctx, b, opts, 0, 1)
+}
+
+// evaluateBackend is EvaluateBackend for sweep i of k running
+// concurrently over the shared caches: it starts at batch i·nBatches/k
+// and wraps around, so concurrent sweeps spread over the corpus instead
+// of queuing on the same frame's render and perception. The report is
+// the same from any start, since confusion counts are sums.
+func (e *Evaluator) evaluateBackend(ctx context.Context, b backend.Backend, opts LLMOptions, i, k int) (*metrics.ClassReport, error) {
 	p := e.pipe
 	if !dataset.ValidCondition(opts.Condition) {
 		return nil, fmt.Errorf("core: unknown capture condition %q (have %v)", opts.Condition, dataset.Conditions())
@@ -126,7 +135,7 @@ func (e *Evaluator) EvaluateBackend(ctx context.Context, b backend.Backend, opts
 		return start, min(start+batch, n)
 	}
 	partials := make([]metrics.ClassReport, e.width(nBatches))
-	err := e.classifyBatches(ctx, b, opts, nBatches, span, func(w, _, start int, items []backend.Item, answers [][]bool) error {
+	err := e.classifyBatches(ctx, b, opts, nBatches, i*nBatches/k, span, func(w, _, start int, items []backend.Item, answers [][]bool) error {
 		for k := range items {
 			if len(answers[k]) != scene.NumIndicators {
 				return fmt.Errorf("core: backend %s answered %d indicators for %s, want %d", b.Name(), len(answers[k]), items[k].ID, scene.NumIndicators)
@@ -149,18 +158,14 @@ func (e *Evaluator) EvaluateBackend(ctx context.Context, b backend.Backend, opts
 
 // EvaluateBackendSet evaluates several backends concurrently over the
 // shared caches and returns their reports in input order. The
-// evaluator's worker budget is divided among the sweeps so the total
-// fan-out stays at ~e.workers rather than backends × workers. The first
+// evaluator's worker budget is divided among the sweeps (see
+// sweepWorkers) so the total fan-out stays at e.workers rather than
+// backends × workers, and each sweep starts at its own batch. The first
 // backend error cancels the others.
 func (e *Evaluator) EvaluateBackendSet(ctx context.Context, backends []backend.Backend, opts LLMOptions) ([]*metrics.ClassReport, error) {
 	if len(backends) == 0 {
 		return nil, fmt.Errorf("core: no backends to evaluate")
 	}
-	perSweep := e.workers / len(backends)
-	if perSweep < 1 {
-		perSweep = 1
-	}
-	sub := &Evaluator{pipe: e.pipe, workers: perSweep}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	reports := make([]*metrics.ClassReport, len(backends))
@@ -170,7 +175,8 @@ func (e *Evaluator) EvaluateBackendSet(ctx context.Context, backends []backend.B
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			rep, err := sub.EvaluateBackend(ctx, backends[i], opts)
+			sub := &Evaluator{pipe: e.pipe, workers: sweepWorkers(e.workers, len(backends), i)}
+			rep, err := sub.evaluateBackend(ctx, backends[i], opts, i, len(backends))
 			if err != nil {
 				errs[i] = fmt.Errorf("core: %s: %w", backends[i].Name(), err)
 				cancel()
@@ -201,6 +207,17 @@ func (e *Evaluator) EvaluateBackendSet(ctx context.Context, backends []backend.B
 		return nil, canceled
 	}
 	return reports, nil
+}
+
+// sweepWorkers is sweep i's share of a budget of workers split over k
+// concurrent sweeps: workers/k, one more for the first workers%k sweeps,
+// and never less than one, so the shares sum to max(workers, k).
+func sweepWorkers(workers, k, i int) int {
+	n := workers / k
+	if i < workers%k {
+		n++
+	}
+	return max(1, n)
 }
 
 // AnalyzeNeighborhood runs a backend over the whole corpus, fuses the
@@ -266,7 +283,7 @@ func (e *Evaluator) classifyGroups(ctx context.Context, b backend.Backend, group
 		return start, start + FramesPerCoordinate
 	}
 	locations := make([]analysis.LocationProfile, len(groups))
-	err := e.classifyBatches(ctx, b, LLMOptions{}, len(groups), span, func(_, gi, start int, _ []backend.Item, answers [][]bool) error {
+	err := e.classifyBatches(ctx, b, LLMOptions{}, len(groups), 0, span, func(_, gi, start int, _ []backend.Item, answers [][]bool) error {
 		perHeading := make([][scene.NumIndicators]bool, len(answers))
 		for k := range answers {
 			copy(perHeading[k][:], answers[k])
@@ -294,7 +311,8 @@ func (e *Evaluator) classifyGroups(ctx context.Context, b backend.Backend, group
 func (e *Evaluator) width(n int) int { return max(1, min(e.workers, n)) }
 
 // classifyBatches is the worker pool under every corpus sweep. Workers
-// claim batch indices 0..nBatches-1 in order; batch bi covers the corpus
+// claim batch indices in order from first, wrapping past nBatches-1 to
+// 0 until every batch is claimed once; batch bi covers the corpus
 // frames [span(bi)), assembled from the shared caches under opts'
 // capture condition and classified by b. body consumes each batch's
 // answers together with the claiming worker's index in
@@ -302,7 +320,7 @@ func (e *Evaluator) width(n int) int { return max(1, min(e.workers, n)) }
 // The first error — from assembly, classification or body — cancels
 // the remaining workers and is returned; otherwise a canceled context
 // returns its error.
-func (e *Evaluator) classifyBatches(ctx context.Context, b backend.Backend, opts LLMOptions, nBatches int, span func(bi int) (start, end int), body func(worker, bi, start int, items []backend.Item, answers [][]bool) error) error {
+func (e *Evaluator) classifyBatches(ctx context.Context, b backend.Backend, opts LLMOptions, nBatches, first int, span func(bi int) (start, end int), body func(worker, bi, start int, items []backend.Item, answers [][]bool) error) error {
 	p := e.pipe
 	caps := b.Capabilities()
 	size := p.renderSizeFor(caps)
@@ -336,10 +354,11 @@ func (e *Evaluator) classifyBatches(ctx context.Context, b backend.Backend, opts
 		go func(w int) {
 			defer wg.Done()
 			for ctx.Err() == nil {
-				bi := int(next.Add(1))
-				if bi >= nBatches {
+				claimed := int(next.Add(1))
+				if claimed >= nBatches {
 					return
 				}
+				bi := (first + claimed) % nBatches
 				start, end := span(bi)
 				items, err := p.frameItems(start, end, size, opts.Condition, caps.PerceivedFeatures)
 				if err != nil {

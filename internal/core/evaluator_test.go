@@ -183,25 +183,133 @@ func TestEvaluatorMatchesSerial(t *testing.T) {
 	}
 }
 
+// batchedBackend overrides a backend's preferred batch size.
+type batchedBackend struct {
+	backend.Backend
+	batch int
+}
+
+func (b batchedBackend) Capabilities() backend.Capabilities {
+	caps := b.Backend.Capabilities()
+	caps.PreferredBatch = b.batch
+	return caps
+}
+
 // TestEvaluateBackendSetMatchesSerial asserts the concurrent
-// multi-model sweep matches per-model serial references.
+// multi-backend sweep — each sweep starting at its own batch — matches
+// per-backend serial references across worker budgets, frame limits
+// (7 is not a multiple of any batch size used) and backend sets with
+// mixed batch sizes, and that every frame still renders exactly once.
 func TestEvaluateBackendSetMatchesSerial(t *testing.T) {
-	p := smallPipeline(t, 10)
-	ev := p.NewEvaluator(EvalConfig{Workers: 4})
-	got, err := ev.EvaluateBackendSet(context.Background(), modelBackends(t), LLMOptions{})
-	if err != nil {
-		t.Fatalf("EvaluateBackendSet: %v", err)
+	type entry struct {
+		classifier backend.Classifier
+		batch      int
 	}
-	if len(got) != 4 {
-		t.Fatalf("reports = %d, want 4", len(got))
+	gemini, chatgpt := testModel(t, vlm.Gemini15Pro), testModel(t, vlm.ChatGPT4oMini)
+	claude, grok := testModel(t, vlm.Claude37), testModel(t, vlm.Grok2)
+	sets := [][]entry{
+		{{claude, 3}},
+		{{gemini, 1}, {testCommittee(t), 4}, {grok, 0}},
+		{{chatgpt, 2}, {gemini, 0}, {claude, 5}, {grok, 3}, {testCommittee(t), 1}},
 	}
-	for i, id := range vlm.AllModels() {
-		want, err := evaluateClassifierSerial(p, testModel(t, id), LLMOptions{})
-		if err != nil {
-			t.Fatal(err)
+	ref := smallPipeline(t, 10)
+	for _, limit := range []int{0, 7} {
+		opts := LLMOptions{FrameLimit: limit}
+		wants := make(map[backend.Classifier]*metrics.ClassReport)
+		for _, set := range sets {
+			for _, en := range set {
+				if wants[en.classifier] != nil {
+					continue
+				}
+				want, err := evaluateClassifierSerial(ref, en.classifier, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wants[en.classifier] = want
+			}
 		}
-		if *got[i] != *want {
-			t.Errorf("%s: parallel report diverges from serial", id)
+		for _, workers := range []int{1, 2, 3, 8} {
+			p := smallPipeline(t, 10)
+			ev := p.NewEvaluator(EvalConfig{Workers: workers})
+			for _, set := range sets {
+				backends := make([]backend.Backend, len(set))
+				for i, en := range set {
+					backends[i] = batchedBackend{Backend: wrap(t, en.classifier), batch: en.batch}
+				}
+				got, err := ev.EvaluateBackendSet(context.Background(), backends, opts)
+				if err != nil {
+					t.Fatalf("limit=%d workers=%d set of %d: %v", limit, workers, len(set), err)
+				}
+				if len(got) != len(set) {
+					t.Fatalf("limit=%d workers=%d: reports = %d, want %d", limit, workers, len(got), len(set))
+				}
+				for i, en := range set {
+					if *got[i] != *wants[en.classifier] {
+						t.Errorf("limit=%d workers=%d set of %d: backend %d (batch %d) diverges from serial", limit, workers, len(set), i, en.batch)
+					}
+				}
+			}
+			frames := int64(p.Study.Len())
+			if limit > 0 {
+				frames = int64(limit)
+			}
+			if got := p.RenderCache().Renders(); got != frames {
+				t.Errorf("limit=%d workers=%d: renders = %d, want %d (one per frame)", limit, workers, got, frames)
+			}
+		}
+	}
+}
+
+// TestEvaluateBackendSetStaggersStarts: with one worker per sweep,
+// sweep i of k begins at batch i·nBatches/k.
+func TestEvaluateBackendSetStaggersStarts(t *testing.T) {
+	p := smallPipeline(t, 8) // 32 frames: 11 batches of 3
+	hbs := make([]*hintedBackend, 4)
+	backends := make([]backend.Backend, len(hbs))
+	for i := range hbs {
+		hbs[i] = &hintedBackend{caps: backend.Capabilities{PreferredBatch: 3}}
+		backends[i] = hbs[i]
+	}
+	if _, err := p.NewEvaluator(EvalConfig{Workers: len(hbs)}).EvaluateBackendSet(context.Background(), backends, LLMOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	for i, hb := range hbs {
+		want := p.Study.Frames[3*(i*11/4)].Scene.ID
+		if hb.firstID != want {
+			t.Errorf("sweep %d started at %s, want %s", i, hb.firstID, want)
+		}
+	}
+}
+
+// TestSweepWorkersSplit: every concurrent sweep gets at least one
+// worker, none of the budget is dropped, and shares differ by at most
+// one.
+func TestSweepWorkersSplit(t *testing.T) {
+	for workers := 1; workers <= 12; workers++ {
+		for k := 1; k <= 6; k++ {
+			total, lo, hi := 0, workers+k, 0
+			for i := 0; i < k; i++ {
+				n := sweepWorkers(workers, k, i)
+				if n < 1 {
+					t.Errorf("workers=%d k=%d: sweep %d gets %d workers", workers, k, i, n)
+				}
+				total += n
+				lo, hi = min(lo, n), max(hi, n)
+			}
+			if want := max(workers, k); total != want {
+				t.Errorf("workers=%d k=%d: shares sum to %d, want %d", workers, k, total, want)
+			}
+			if hi-lo > 1 {
+				t.Errorf("workers=%d k=%d: shares range %d..%d", workers, k, lo, hi)
+			}
+		}
+	}
+	for _, tc := range []struct{ workers, k, first, last int }{{6, 4, 2, 1}, {4, 3, 2, 1}} {
+		if got := sweepWorkers(tc.workers, tc.k, 0); got != tc.first {
+			t.Errorf("sweepWorkers(%d, %d, 0) = %d, want %d", tc.workers, tc.k, got, tc.first)
+		}
+		if got := sweepWorkers(tc.workers, tc.k, tc.k-1); got != tc.last {
+			t.Errorf("sweepWorkers(%d, %d, %d) = %d, want %d", tc.workers, tc.k, tc.k-1, got, tc.last)
 		}
 	}
 }
@@ -358,14 +466,16 @@ func TestEvaluateBackendCNNMatchesEvaluate(t *testing.T) {
 	}
 }
 
-// hintedBackend records how the engine drives it: batch sizes seen and
-// the maximum number of concurrent Classify calls.
+// hintedBackend records how the engine drives it: batch sizes seen,
+// the maximum number of concurrent Classify calls and the first frame
+// it was asked about.
 type hintedBackend struct {
 	caps       backend.Capabilities
 	mu         sync.Mutex
 	inFlight   int
 	maxSeen    int
 	batchSizes []int
+	firstID    string
 }
 
 func (h *hintedBackend) Name() string                       { return "hinted" }
@@ -377,6 +487,9 @@ func (h *hintedBackend) Classify(_ context.Context, req backend.BatchRequest) (b
 		h.maxSeen = h.inFlight
 	}
 	h.batchSizes = append(h.batchSizes, len(req.Items))
+	if h.firstID == "" {
+		h.firstID = req.Items[0].ID
+	}
 	h.mu.Unlock()
 	time.Sleep(time.Millisecond)
 	h.mu.Lock()

@@ -2,9 +2,7 @@ package vlm
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
-	"math/rand"
 
 	"nbhd/internal/prompt"
 	"nbhd/internal/render"
@@ -120,14 +118,15 @@ func (m *Model) validate(req Request) error {
 }
 
 func (m *Model) answer(req Request, feats Features) ([]bool, error) {
-	answers := make([]bool, len(req.Indicators))
-	for i, ind := range req.Indicators {
+	for _, ind := range req.Indicators {
 		if ind.Index() < 0 {
 			return nil, fmt.Errorf("vlm: %s: unknown indicator %d", m.profile.ID, int(ind))
 		}
-		pYes := m.yesProbability(ind, feats, req)
-		rng := m.answerRNG(req, ind)
-		answers[i] = rng.Float64() < pYes
+	}
+	seeds := m.answerSeeds(req)
+	answers := make([]bool, len(req.Indicators))
+	for i, ind := range req.Indicators {
+		answers[i] = firstFloat64(int64(seeds[ind.Index()])) < m.yesProbability(ind, feats, req)
 	}
 	return answers, nil
 }
@@ -234,32 +233,78 @@ func clamp01(v float64) float64 {
 	return v
 }
 
-// answerRNG derives a deterministic RNG from the full request identity:
-// model, image content, indicator, language, mode, sampling parameters,
-// and nonce.
-func (m *Model) answerRNG(req Request, ind scene.Indicator) *rand.Rand {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(m.profile.ID))
-	_, _ = h.Write([]byte{byte(ind.Index()), byte(req.Language), byte(req.Mode)})
-	writeF := func(v float64) {
-		bits := math.Float64bits(v)
-		var buf [8]byte
-		for i := range buf {
-			buf[i] = byte(bits >> (8 * i))
-		}
-		_, _ = h.Write(buf[:])
+// FNV-1a (64-bit) parameters. fnvZero3 is fnvPrime³ mod 2⁶⁴: FNV-1a
+// over three zero bytes is one multiply by it.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+	fnvZero3  = 0x8a97b0004e7feab
+)
+
+// The pixel pass below unrolls one hash lane per indicator.
+var _ = [1]struct{}{}[scene.NumIndicators-6]
+
+func fnvByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * fnvPrime }
+
+// fnvPixel hashes one sampled pixel word. A float32 widened to float64
+// has its low 29 bits clear, so the word's first three bytes are zero.
+func fnvPixel(h, bits uint64) uint64 {
+	h *= fnvZero3
+	h = (h ^ bits>>24&0xff) * fnvPrime
+	h = (h ^ bits>>32&0xff) * fnvPrime
+	h = (h ^ bits>>40&0xff) * fnvPrime
+	h = (h ^ bits>>48&0xff) * fnvPrime
+	return (h ^ bits>>56) * fnvPrime
+}
+
+// fnvWord hashes v's eight bytes, least significant first.
+func fnvWord(h uint64, v float64) uint64 {
+	bits := math.Float64bits(v)
+	for i := 0; i < 64; i += 8 {
+		h = fnvByte(h, byte(bits>>i))
 	}
-	writeF(req.Temperature)
-	writeF(req.TopP)
-	writeF(float64(req.Shots))
-	writeF(float64(req.Nonce))
-	// Hash a sparse sample of the image rather than every pixel.
-	stride := len(req.Image.Pix)/512 + 1
-	for i := 0; i < len(req.Image.Pix); i += stride {
-		writeF(float64(req.Image.Pix[i]))
+	return h
+}
+
+// answerSeeds returns, for every indicator index, the seed of that
+// indicator's answer draw: FNV-1a of the full request identity — model,
+// indicator, language, mode, sampling parameters, nonce, a sparse
+// sample of the image, and its width. All indicators share one pass over
+// the image sample, each in its own hash lane.
+func (m *Model) answerSeeds(req Request) [scene.NumIndicators]uint64 {
+	h := uint64(fnvOffset)
+	for i := 0; i < len(m.profile.ID); i++ {
+		h = fnvByte(h, m.profile.ID[i])
 	}
-	writeF(float64(req.Image.W))
-	return rand.New(rand.NewSource(int64(h.Sum64())))
+	var lanes [scene.NumIndicators]uint64
+	for k := range lanes {
+		l := fnvByte(h, byte(k))
+		l = fnvByte(l, byte(req.Language))
+		l = fnvByte(l, byte(req.Mode))
+		l = fnvWord(l, req.Temperature)
+		l = fnvWord(l, req.TopP)
+		l = fnvWord(l, float64(req.Shots))
+		lanes[k] = fnvWord(l, float64(req.Nonce))
+	}
+	// The six lanes advance together as independent multiply chains,
+	// so the CPU overlaps them.
+	pix := req.Image.Pix
+	stride := len(pix)/512 + 1
+	l0, l1, l2, l3, l4, l5 := lanes[0], lanes[1], lanes[2], lanes[3], lanes[4], lanes[5]
+	for i := 0; i < len(pix); i += stride {
+		bits := math.Float64bits(float64(pix[i]))
+		l0 = fnvPixel(l0, bits)
+		l1 = fnvPixel(l1, bits)
+		l2 = fnvPixel(l2, bits)
+		l3 = fnvPixel(l3, bits)
+		l4 = fnvPixel(l4, bits)
+		l5 = fnvPixel(l5, bits)
+	}
+	lanes = [...]uint64{l0, l1, l2, l3, l4, l5}
+	for k := range lanes {
+		lanes[k] = fnvWord(lanes[k], float64(req.Image.W))
+	}
+	return lanes
 }
 
 // AnswerText runs Classify and formats the reply in the paper's
