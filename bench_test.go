@@ -769,13 +769,13 @@ func BenchmarkTrainEpoch(b *testing.B) {
 	}
 }
 
-// BenchmarkQuantDrift records the int8 accuracy-drift numbers in the
-// benchmark artifact (BENCH_pr7.json): it runs the supervised cnn spec
+// BenchmarkQuantDrift reports the int8 accuracy-drift numbers as
+// benchmark metrics: it runs the supervised cnn spec
 // once per path — identical corpus, seed, and training — and reports
 // the max per-class accuracy drift and the macro-average accuracy drift
 // between the f32 and int8 reports. The build-failing envelope for
 // these numbers lives in internal/experiment's
-// TestQuantizedAccuracyEnvelope; this benchmark is the artifact trail.
+// TestQuantizedAccuracyEnvelope; this benchmark only reports them.
 func BenchmarkQuantDrift(b *testing.B) {
 	run := func(quant bool) *metrics.ClassReport {
 		spec, err := experiment.Builtin("cnn", experiment.BuiltinConfig{

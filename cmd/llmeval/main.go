@@ -30,7 +30,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -74,7 +73,6 @@ func run() error {
 	morphology := flag.String("morphology", "", "procedural world family for the corpus (empty = legacy study world); comma-list of families for -experiment robustness")
 	condition := flag.String("condition", "", "corpus capture condition; comma-list of matrix conditions for -experiment robustness")
 	matrixKinds := flag.String("matrix-kinds", "", "comma-list restricting the robustness matrix's backend kinds")
-	benchOut := flag.String("bench-out", "", "write the robustness matrix result JSON to this file (robustness only)")
 	verbose := flag.Bool("v", false, "stream run progress events to stderr")
 	flag.Parse()
 
@@ -94,14 +92,13 @@ func run() error {
 			morphology:  *morphology,
 			condition:   *condition,
 			matrixKinds: *matrixKinds,
-			benchOut:    *benchOut,
 			runDir:      *runDir,
 			workers:     *workers,
 			verbose:     *verbose,
 		})
 	}
-	if *matrixKinds != "" || *benchOut != "" {
-		return fmt.Errorf("-matrix-kinds and -bench-out apply only to -experiment robustness")
+	if *matrixKinds != "" {
+		return fmt.Errorf("-matrix-kinds applies only to -experiment robustness")
 	}
 	cfg.Morphology = *morphology
 	cfg.Condition = *condition
@@ -182,7 +179,6 @@ type robustnessArgs struct {
 	morphology  string
 	condition   string
 	matrixKinds string
-	benchOut    string
 	runDir      string
 	workers     int
 	verbose     bool
@@ -201,8 +197,7 @@ func splitList(s string) []string {
 
 // runRobustness executes the morphology × condition × backend matrix and
 // checks every cell against the accuracy envelope. A cell below its
-// floor makes the command fail after the full matrix (and any -bench-out
-// file) is reported.
+// floor makes the command fail after the full matrix is reported.
 func runRobustness(ctx context.Context, args robustnessArgs) error {
 	cfg := experiment.MatrixConfig{
 		Builtin: args.cfg,
@@ -245,16 +240,6 @@ func runRobustness(ctx context.Context, args robustnessArgs) error {
 			ok = "NO"
 		}
 		fmt.Printf("%-10s %-10s %-10s %9.4f %7.2f %5s\n", world, c.Condition, c.Backend, c.Accuracy, c.Floor, ok)
-	}
-	if args.benchOut != "" {
-		data, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(args.benchOut, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "llmeval: matrix result written to %s\n", args.benchOut)
 	}
 	if fails := res.Failures(); len(fails) > 0 {
 		return fmt.Errorf("%d matrix cell(s) below the accuracy envelope (first: %s/%s/%s %.4f < %.2f)",

@@ -9,30 +9,23 @@
 //
 //	nbhdfleet -addr :8095 -replicas 4            # 4 in-process gateway replicas
 //	nbhdfleet -config fleet.json                 # everything from a fleet.Config JSON
-//	nbhdfleet -loadgen -bench-out BENCH_pr8.json
 //
 // With cfg.Exec set in the config file the supervisor runs each replica
 // as a subprocess (one nbhdserve per replica); otherwise replicas are
 // in-process serve.Server instances sharing one rendered corpus.
 //
-// Loadgen mode measures what the fleet exists for: it replays the Zipf
-// sweep against 1, 2, and 4 replicas to show aggregate throughput
-// scaling, then replays against 3 replicas and kills one mid-replay to
-// show the ring absorbing the loss — every request still answered
-// (zero drops) and every answer bit-identical to the pre-kill fleet's.
+// TestFleetKillUnderLoadDropsNo200s in internal/fleet pins the failover
+// guarantee: a replica killed under load costs no request its 200 and
+// changes no answer.
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"reflect"
 	"syscall"
 	"time"
 
@@ -57,32 +50,10 @@ func run() error {
 	coords := flag.Int("coords", 64, "dataset coordinates (x4 headings)")
 	seed := flag.Int64("seed", 0, "dataset seed")
 	storeDir := flag.String("store-dir", "", "persistent frame store directory shared by in-process replicas")
-
-	loadgen := flag.Bool("loadgen", false, "run the fleet scaling + failover benchmark instead of serving")
-	lgRequests := flag.Int("loadgen-requests", 2400, "requests per scaling pass")
-	lgConcurrency := flag.Int("loadgen-concurrency", 256, "concurrent loadgen clients (high enough that one replica's dispatch budget is the bottleneck)")
-	lgFrames := flag.Int("loadgen-frames", 64, "distinct frames the replay cycles through")
-	lgSkew := flag.Float64("loadgen-skew", 1.2, "Zipf exponent of frame popularity")
-	floorMS := flag.Int("service-floor-ms", 12, "per-dispatch service-time floor in ms, modeling remote model-server RTT (see docs/FLEET.md)")
-	benchOut := flag.String("bench-out", "BENCH_pr8.json", "benchmark report output path")
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	if *loadgen {
-		return runFleetLoadgen(ctx, fleetLoadgenParams{
-			coords:      *coords,
-			seed:        *seed,
-			storeDir:    *storeDir,
-			requests:    *lgRequests,
-			concurrency: *lgConcurrency,
-			frames:      *lgFrames,
-			skew:        *lgSkew,
-			floor:       time.Duration(*floorMS) * time.Millisecond,
-			out:         *benchOut,
-		})
-	}
 
 	cfg, err := fleetConfig(*configPath, *replicas)
 	if err != nil {
@@ -162,365 +133,4 @@ func fleetConfig(path string, replicas int) (fleet.Config, error) {
 		string(vlm.Gemini15Pro), string(vlm.Claude37), string(vlm.Grok2),
 	}}
 	return fleet.Config{Replicas: replicas, Gateway: gw}, nil
-}
-
-type fleetLoadgenParams struct {
-	coords      int
-	seed        int64
-	storeDir    string
-	requests    int
-	concurrency int
-	frames      int
-	skew        float64
-	floor       time.Duration
-	out         string
-}
-
-// scalingPass is one replica-count measurement in BENCH_pr8.json.
-type scalingPass struct {
-	Replicas int                  `json:"replicas"`
-	Loadgen  *serve.LoadgenReport `json:"loadgen"`
-	Router   fleet.Metrics        `json:"router"`
-	// Gateways snapshots each replica's own /metricsz at the end of the
-	// pass — per-replica batch formation is where fleet scaling lives.
-	Gateways map[string]serve.MetricsSnapshot `json:"gateways,omitempty"`
-}
-
-// gatewaySnapshots scrapes every replica's /metricsz through the
-// supervisor's replica table.
-func gatewaySnapshots(client *http.Client, sup *fleet.Supervisor) map[string]serve.MetricsSnapshot {
-	out := make(map[string]serve.MetricsSnapshot)
-	for _, id := range sup.Replicas() {
-		url, ok := sup.URLOf(id)
-		if !ok {
-			continue
-		}
-		resp, err := client.Get(url + "/metricsz")
-		if err != nil {
-			continue
-		}
-		var snap serve.MetricsSnapshot
-		if err := json.NewDecoder(resp.Body).Decode(&snap); err == nil {
-			out[id] = snap
-		}
-		_ = resp.Body.Close()
-	}
-	return out
-}
-
-// killReport is the mid-replay replica-kill measurement.
-type killReport struct {
-	Replicas      int                  `json:"replicas"`
-	KilledReplica string               `json:"killed_replica"`
-	Loadgen       *serve.LoadgenReport `json:"loadgen"`
-	Router        fleet.Metrics        `json:"router"`
-	// DroppedRequests is Requests minus successful 200s — the replay
-	// aborts on any non-200/non-503, so a completed replay pins this
-	// to zero.
-	DroppedRequests int64 `json:"dropped_requests"`
-	// FailoverServed counts 200s served by a ring successor while the
-	// ring still listed the corpse.
-	FailoverServed int64 `json:"failover_served"`
-	// BitIdentical reports that every frame's answers after the kill
-	// byte-match the answers before it.
-	BitIdentical bool `json:"bit_identical"`
-}
-
-// fleetBenchReport is the BENCH_pr8.json schema.
-type fleetBenchReport struct {
-	Backend        string        `json:"backend"`
-	Coordinates    int           `json:"coordinates"`
-	Seed           int64         `json:"seed"`
-	Frames         int           `json:"frames"`
-	Requests       int           `json:"requests"`
-	Concurrency    int           `json:"concurrency"`
-	Skew           float64       `json:"skew"`
-	ServiceFloorMS float64       `json:"service_floor_ms"`
-	Notes          []string      `json:"notes"`
-	Scaling        []scalingPass `json:"scaling"`
-	Speedup2Over1  float64       `json:"throughput_2_over_1"`
-	Speedup4Over1  float64       `json:"throughput_4_over_1"`
-	Kill           killReport    `json:"kill_replay"`
-	GeneratedAt    time.Time     `json:"generated_at"`
-}
-
-// liveFleet is one booted fleet under benchmark: supervisor, router,
-// and a real TCP listener.
-type liveFleet struct {
-	sup    *fleet.Supervisor
-	router *fleet.Router
-	url    string
-	close  func()
-}
-
-func bootFleet(ctx context.Context, pipe *core.Pipeline, n int, gw serve.Config, floor time.Duration, pollMS int, forward *http.Client) (*liveFleet, error) {
-	cfg := fleet.Config{
-		Replicas:     n,
-		Gateway:      gw,
-		HealthPollMS: pollMS,
-		// The Zipf replay has a hot head; bounded-load spill keeps the
-		// hot shard's overflow on the ring successors instead of capping
-		// the whole fleet at one replica's dispatch ceiling.
-		SpillFactor: 1.25,
-	}
-	// Each replica opens its own simulated-VLM backend (deterministic:
-	// answers hash from the request, so replicas agree bit-for-bit)
-	// wrapped in the service-time floor that models its remote model
-	// server — the regime where replica count, not host CPU, bounds
-	// aggregate throughput.
-	spawn := func(ctx context.Context, idx int, id string) (fleet.Replica, error) {
-		b, err := backend.OpenWith(ctx, backend.Spec{Kind: "vlm", Model: string(vlm.Gemini15Pro)}, pipe.BackendEnv())
-		if err != nil {
-			return nil, err
-		}
-		srv, err := serve.New(ctx, gw, serve.Options{
-			Frames:   pipe.RenderCache(),
-			Backends: map[string]backend.Backend{"vlm": fleet.WithServiceFloor(b, floor)},
-		})
-		if err != nil {
-			return nil, err
-		}
-		return fleet.NewLocalReplica(id, srv)
-	}
-	sup := fleet.NewSupervisor(cfg, spawn)
-	if err := sup.Start(ctx); err != nil {
-		return nil, err
-	}
-	router := sup.Router(fleet.RouterOptions{QuantizedRoutes: map[string]bool{"vlm": false}, Client: forward})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		_ = sup.Close()
-		return nil, err
-	}
-	httpSrv := &http.Server{Handler: router.Handler()}
-	go func() { _ = httpSrv.Serve(ln) }()
-	return &liveFleet{
-		sup:    sup,
-		router: router,
-		url:    "http://" + ln.Addr().String(),
-		close: func() {
-			_ = httpSrv.Close()
-			_ = sup.Close()
-		},
-	}, nil
-}
-
-// fleetAnswers classifies every replayed frame once through the router
-// and returns each frame's answers plus the replica that served it.
-func fleetAnswers(client *http.Client, url string, frames int) (map[int][]bool, map[int]string, error) {
-	answers := make(map[int][]bool, frames)
-	servedBy := make(map[int]string, frames)
-	for i := 0; i < frames; i++ {
-		idx := i
-		payload, err := json.Marshal(serve.ClassifyRequest{Backend: "vlm", Frame: serve.FrameRef{Index: &idx}})
-		if err != nil {
-			return nil, nil, err
-		}
-		var resp serve.ClassifyResponse
-		for attempt := 0; ; attempt++ {
-			httpResp, err := client.Post(url+"/v1/classify", "application/json", bytes.NewReader(payload))
-			if err != nil {
-				return nil, nil, fmt.Errorf("frame %d: %w", i, err)
-			}
-			if httpResp.StatusCode == http.StatusServiceUnavailable && attempt < 8 {
-				_ = httpResp.Body.Close()
-				time.Sleep(100 * time.Millisecond)
-				continue
-			}
-			if httpResp.StatusCode != http.StatusOK {
-				_ = httpResp.Body.Close()
-				return nil, nil, fmt.Errorf("frame %d: status %d", i, httpResp.StatusCode)
-			}
-			err = json.NewDecoder(httpResp.Body).Decode(&resp)
-			servedBy[i] = httpResp.Header.Get("X-Fleet-Replica")
-			_ = httpResp.Body.Close()
-			if err != nil {
-				return nil, nil, err
-			}
-			break
-		}
-		answers[i] = resp.Answers
-	}
-	return answers, servedBy, nil
-}
-
-func runFleetLoadgen(ctx context.Context, p fleetLoadgenParams) error {
-	fmt.Printf("assembling %d-coordinate corpus (seed %d)...\n", p.coords, p.seed)
-	pipe, err := core.NewPipeline(core.Config{Coordinates: p.coords, Seed: p.seed, StoreDir: p.storeDir})
-	if err != nil {
-		return err
-	}
-	defer func() { _ = pipe.Close() }()
-	if p.frames > pipe.Study.Len() {
-		return fmt.Errorf("loadgen wants %d frames but the corpus has %d", p.frames, pipe.Study.Len())
-	}
-	// Pre-warm every replayed frame in the shared render cache so no
-	// pass pays render cost.
-	for i := 0; i < p.frames; i++ {
-		if _, err := pipe.RenderCache().Example(i, 96); err != nil {
-			return err
-		}
-	}
-
-	// The result cache stays off and coalescing on: the scaling passes
-	// measure dispatch throughput against the floored backend, not LRU
-	// hit rates. One dispatch slot per replica (the model-replica
-	// budget) caps a replica at MaxBatch items per floor interval, so a
-	// saturated single replica is the bottleneck the extra replicas
-	// relieve. The queue bound sits above the client concurrency so the
-	// scaling passes measure throughput, not shed-and-retry pacing.
-	//
-	// BatchDelayMS must cover the service floor: completions wake the
-	// closed-loop workers in bursts, and once traffic splits across
-	// replicas each replica's burst is no longer enough to fill a batch
-	// inside the default 3ms window — batches seal half-full on the
-	// timer while the dispatch slot is still busy, and per-replica
-	// throughput (MeanBatch / floor) halves instead of scaling. A window
-	// a little wider than the floor lets the next batch keep filling for
-	// the whole in-flight dispatch, which is free: the slot was occupied
-	// anyway.
-	floorMS := int(p.floor/time.Millisecond) + 3
-	gw := serve.Config{MaxBatch: 8, BatchDelayMS: floorMS, MaxDispatch: 1, MaxQueue: 1024, CacheSize: -1}
-
-	// One pooled client across every pass; idle connections reset
-	// between passes so no fleet inherits another's warm pool. The
-	// router's own forward pool is sized the same way — in the
-	// one-replica pass all bench concurrency funnels to a single host,
-	// and an undersized pool would benchmark TCP churn at the router.
-	client := serve.NewLoadgenClient(p.concurrency)
-	forward := serve.NewLoadgenClient(p.concurrency)
-
-	report := fleetBenchReport{
-		Backend:        "vlm",
-		Coordinates:    p.coords,
-		Seed:           p.seed,
-		Frames:         p.frames,
-		Requests:       p.requests,
-		Concurrency:    p.concurrency,
-		Skew:           p.skew,
-		ServiceFloorMS: float64(p.floor) / float64(time.Millisecond),
-		Notes: []string{
-			"Replicas run in one process on a shared CPU budget; each wraps its backend in a per-dispatch service-time floor modeling remote model-server RTT, so throughput is dispatch-bound, not host-CPU-bound. See docs/FLEET.md.",
-			"Scaling passes replay the Zipf sweep best-of-2 per replica count with the result cache off and coalescing on.",
-			"The kill replay removes one replica mid-replay without warning the ring; a completed replay means every request was answered 200 (dropped_requests 0).",
-			"The router runs consistent hashing with bounded loads (spill_factor 1.25): the Zipf head's overflow beyond 1.25x the fleet-average in-flight count serves from ring successors, so the hot shard cannot cap fleet throughput at one replica's dispatch ceiling.",
-		},
-	}
-
-	throughput := make(map[int]float64)
-	for _, n := range []int{1, 2, 4} {
-		lf, err := bootFleet(ctx, pipe, n, gw, p.floor, 0, forward)
-		if err != nil {
-			return err
-		}
-		var best scalingPass
-		for rep := 0; rep < 2; rep++ {
-			fmt.Printf("scaling pass: %d replica(s), run %d...\n", n, rep+1)
-			client.CloseIdleConnections()
-			lg, err := serve.Loadgen(ctx, serve.LoadgenConfig{
-				BaseURL: lf.url, Backend: "vlm",
-				Frames: p.frames, Requests: p.requests, Concurrency: p.concurrency, Skew: p.skew,
-				HTTPClient: client,
-			})
-			if err != nil {
-				lf.close()
-				return err
-			}
-			if best.Loadgen == nil || lg.ThroughputRPS > best.Loadgen.ThroughputRPS {
-				best = scalingPass{Replicas: n, Loadgen: lg, Router: lf.router.Metrics()}
-			}
-		}
-		best.Gateways = gatewaySnapshots(client, lf.sup)
-		lf.close()
-		fmt.Printf("  %d replica(s): %.1f req/s, p50 %.2fms, p99 %.2fms, replicas %v\n",
-			n, best.Loadgen.ThroughputRPS, best.Loadgen.LatencyP50MS, best.Loadgen.LatencyP99MS, best.Loadgen.ReplicaCounts)
-		for _, id := range lf.sup.Replicas() {
-			if snap, ok := best.Gateways[id]; ok {
-				if rm, ok := snap.Routes["vlm"]; ok {
-					fmt.Printf("    %s: %d ok, %d batches, mean_batch %.2f, dedup %d, shed %d\n",
-						id, rm.OK, rm.Batches, rm.MeanBatch, rm.DedupHits, rm.Shed)
-				}
-			}
-		}
-		report.Scaling = append(report.Scaling, best)
-		throughput[n] = best.Loadgen.ThroughputRPS
-	}
-	if throughput[1] > 0 {
-		report.Speedup2Over1 = throughput[2] / throughput[1]
-		report.Speedup4Over1 = throughput[4] / throughput[1]
-	}
-	fmt.Printf("throughput scaling: 2/1 = %.2fx, 4/1 = %.2fx\n", report.Speedup2Over1, report.Speedup4Over1)
-
-	// Kill replay: 3 replicas, one killed unannounced at the replay
-	// midpoint. A fast health poll gives the supervisor a realistic
-	// eviction window; the router's per-request failover covers the gap.
-	fmt.Println("kill replay: 3 replicas, killing one mid-replay...")
-	lf, err := bootFleet(ctx, pipe, 3, gw, p.floor, 100, forward)
-	if err != nil {
-		return err
-	}
-	defer lf.close()
-	before, servedBy, err := fleetAnswers(client, lf.url, p.frames)
-	if err != nil {
-		return err
-	}
-	victim := servedBy[0] // provably owns at least one replayed frame
-	killed := make(chan error, 1)
-	client.CloseIdleConnections()
-	lg, err := serve.Loadgen(ctx, serve.LoadgenConfig{
-		BaseURL: lf.url, Backend: "vlm",
-		Frames: p.frames, Requests: p.requests, Concurrency: p.concurrency, Skew: p.skew,
-		HTTPClient: client,
-		OnHalfway: func() {
-			go func() { killed <- lf.sup.KillReplica(context.Background(), victim) }()
-		},
-	})
-	if err != nil {
-		return fmt.Errorf("kill replay dropped a request: %w", err)
-	}
-	if err := <-killed; err != nil {
-		return fmt.Errorf("KillReplica(%s): %v", victim, err)
-	}
-	after, servedAfter, err := fleetAnswers(client, lf.url, p.frames)
-	if err != nil {
-		return err
-	}
-	identical := reflect.DeepEqual(before, after)
-	for i, rep := range servedAfter {
-		if rep == victim {
-			return fmt.Errorf("frame %d still served by killed replica %s", i, victim)
-		}
-	}
-	var served int64
-	for _, n := range lg.ReplicaCounts {
-		served += n
-	}
-	report.Kill = killReport{
-		Replicas:        3,
-		KilledReplica:   victim,
-		Loadgen:         lg,
-		Router:          lf.router.Metrics(),
-		DroppedRequests: int64(lg.Requests) - served,
-		FailoverServed:  lg.FailoverServed,
-		BitIdentical:    identical,
-	}
-	fmt.Printf("  kill replay: %.1f req/s, %d failover-served, %d dropped, bit-identical %v, survivors %v\n",
-		lg.ThroughputRPS, lg.FailoverServed, report.Kill.DroppedRequests, identical, lg.ReplicaCounts)
-	if !identical {
-		return fmt.Errorf("failover answers diverged from the pre-kill fleet")
-	}
-	if report.Kill.DroppedRequests != 0 {
-		return fmt.Errorf("%d requests unaccounted for in the kill replay", report.Kill.DroppedRequests)
-	}
-
-	report.GeneratedAt = time.Now().UTC()
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(p.out, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", p.out)
-	return nil
 }

@@ -9,7 +9,6 @@
 //	nbhdlab -workspace lab/                     # smoke job, manual enqueue
 //	nbhdlab -workspace lab/ -config lab.json    # jobs from a lab.Config file
 //	nbhdlab -workspace lab/ -interval 3600      # re-run the smoke job hourly
-//	nbhdlab -smoke -bench-out BENCH_pr9.json    # CI self-test (see below)
 //
 // The daemon serves GET /queuez, GET /runz/{id}, POST /v1/enqueue,
 // POST /v1/promote, POST /v1/cancel, /healthz and /metricsz (see
@@ -17,24 +16,19 @@
 // journal, /healthz flips 503, admitted requests finish, and the next
 // daemon resumes the interrupted run.
 //
-// Smoke mode proves the two core guarantees end to end in one process:
-// it runs the builtin smoke spec twice in a fresh workspace and asserts
-// the second run diffs byte-identical against the first's baseline,
-// then starts a third run, simulates a SIGKILL after its first
-// completed cell, reopens the workspace, and asserts the resumed run
-// restores journaled cells and still lands byte-identical. The result
-// is written as a JSON report for CI.
+// TestRunLifecycleAndBaseline (a repeat run diffs byte-identical
+// against the promoted baseline) and TestKillResumeByteIdentical (a run
+// killed between two journal appends resumes and still lands
+// byte-identical) in internal/lab pin the daemon's two core guarantees.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net/http"
 	"os"
 	"os/signal"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -50,13 +44,11 @@ func main() {
 
 func run() error {
 	addr := flag.String("addr", ":8095", "listen address")
-	workspace := flag.String("workspace", "", "lab workspace directory (required unless -smoke)")
+	workspace := flag.String("workspace", "", "lab workspace directory (required)")
 	configPath := flag.String("config", "", "lab.Config JSON file (default: one manual job running the builtin smoke spec)")
 	coords := flag.Int("coords", 12, "builtin-spec dataset coordinates (x4 headings)")
 	seed := flag.Int64("seed", 0, "builtin-spec dataset seed")
 	interval := flag.Int("interval", 0, "default job interval in seconds (0 = manual enqueue only)")
-	smoke := flag.Bool("smoke", false, "run the self-test instead of serving")
-	benchOut := flag.String("bench-out", "BENCH_pr9.json", "smoke report output path")
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -65,9 +57,6 @@ func run() error {
 	cfg, err := labConfig(*configPath, *coords, *seed, *interval)
 	if err != nil {
 		return err
-	}
-	if *smoke {
-		return runSmoke(ctx, cfg, *workspace, *benchOut)
 	}
 	if *workspace == "" {
 		return fmt.Errorf("-workspace is required")
@@ -123,178 +112,4 @@ func labConfig(path string, coords int, seed int64, interval int) (lab.Config, e
 		Builtin: lab.BuiltinSettings{Coordinates: coords, Seed: seed},
 		Jobs:    []lab.JobConfig{{Name: "smoke", Spec: "smoke", IntervalSeconds: interval}},
 	}, nil
-}
-
-// smokeRun is one run's line in the smoke report.
-type smokeRun struct {
-	Run           string           `json:"run"`
-	Status        string           `json:"status"`
-	Cells         int              `json:"cells"`
-	CellsRestored int              `json:"cells_restored"`
-	Diff          *lab.DiffSummary `json:"diff,omitempty"`
-}
-
-// smokeReport is the BENCH_pr9.json schema.
-type smokeReport struct {
-	Workspace    string              `json:"workspace"`
-	Coordinates  int                 `json:"coordinates"`
-	Seed         int64               `json:"seed"`
-	Baseline     smokeRun            `json:"baseline"`
-	Repeat       smokeRun            `json:"repeat"`
-	KilledResume smokeRun            `json:"killed_resume"`
-	ZeroDiff     bool                `json:"zero_diff"`
-	ResumeOK     bool                `json:"resume_ok"`
-	Metrics      lab.MetricsSnapshot `json:"metrics"`
-	ElapsedMS    int64               `json:"elapsed_ms"`
-	GeneratedAt  time.Time           `json:"generated_at"`
-}
-
-// waitRun polls until the run reaches a terminal or wanted status.
-func waitRun(ctx context.Context, l *lab.Lab, runID, want string) (lab.RunRecord, error) {
-	for {
-		rec, ok := l.Run(runID)
-		if !ok {
-			return rec, fmt.Errorf("run %s vanished", runID)
-		}
-		if rec.Status == want {
-			return rec, nil
-		}
-		switch rec.Status {
-		case lab.StatusFailed, lab.StatusCanceled:
-			return rec, fmt.Errorf("run %s reached %s (want %s): %s", runID, rec.Status, want, rec.Error)
-		}
-		select {
-		case <-ctx.Done():
-			return rec, ctx.Err()
-		case <-time.After(20 * time.Millisecond):
-		}
-	}
-}
-
-func record(rec lab.RunRecord) smokeRun {
-	return smokeRun{Run: rec.ID, Status: rec.Status, Cells: rec.Cells, CellsRestored: rec.CellsRestored, Diff: rec.Diff}
-}
-
-// runSmoke is the CI self-test: baseline run, zero-diff repeat,
-// kill-resume.
-func runSmoke(ctx context.Context, cfg lab.Config, workspace, out string) error {
-	start := time.Now()
-	if workspace == "" {
-		dir, err := os.MkdirTemp("", "nbhdlab-smoke-")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(dir)
-		workspace = dir
-	}
-	// The smoke drives the manual-enqueue path; interval triggers would
-	// race the scripted sequence.
-	for i := range cfg.Jobs {
-		cfg.Jobs[i].IntervalSeconds = 0
-	}
-	job := cfg.Jobs[0].Name
-
-	// freeze interrupts the third run at its first completed cell: the
-	// hook parks the scheduler goroutine mid-run while the main
-	// goroutine delivers the simulated kill, exactly a SIGKILL between
-	// two journal appends.
-	var armed atomic.Bool
-	frozen := make(chan string, 1)
-	release := make(chan struct{})
-	hook := func(runID, cell string) {
-		if armed.CompareAndSwap(true, false) {
-			frozen <- cell
-			<-release
-		}
-	}
-
-	l, err := lab.Open(workspace, cfg, lab.Options{Logf: logf, CellHook: hook})
-	if err != nil {
-		return err
-	}
-	defer func() { _ = l.Close() }()
-
-	logf("smoke 1/3: baseline run")
-	run1, err := l.Enqueue(job)
-	if err != nil {
-		return err
-	}
-	rec1, err := waitRun(ctx, l, run1, lab.StatusDone)
-	if err != nil {
-		return err
-	}
-
-	logf("smoke 2/3: repeat run, expecting zero diff against %s", run1)
-	run2, err := l.Enqueue(job)
-	if err != nil {
-		return err
-	}
-	rec2, err := waitRun(ctx, l, run2, lab.StatusDone)
-	if err != nil {
-		return err
-	}
-	if rec2.Diff == nil || rec2.Diff.Against != run1 || !rec2.Diff.Identical {
-		return fmt.Errorf("repeat run %s is not byte-identical to baseline %s: %+v", run2, run1, rec2.Diff)
-	}
-
-	logf("smoke 3/3: kill after first cell, resume, expecting byte-identical artifacts")
-	armed.Store(true)
-	run3, err := l.Enqueue(job)
-	if err != nil {
-		return err
-	}
-	select {
-	case cell := <-frozen:
-		logf("  killing daemon with run %s frozen after cell %s", run3, cell)
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-	l.Kill()
-	close(release)
-	if err := l.Close(); err != nil {
-		return err
-	}
-
-	l2, err := lab.Open(workspace, cfg, lab.Options{Logf: logf})
-	if err != nil {
-		return fmt.Errorf("reopen after kill: %w", err)
-	}
-	defer func() { _ = l2.Close() }()
-	rec3, err := waitRun(ctx, l2, run3, lab.StatusDone)
-	if err != nil {
-		return err
-	}
-	if rec3.CellsRestored < 1 {
-		return fmt.Errorf("resumed run %s restored no cells; the journal did nothing", run3)
-	}
-	if rec3.Cells >= rec1.Cells {
-		return fmt.Errorf("resumed run %s re-ran all %d cells", run3, rec3.Cells)
-	}
-	if rec3.Diff == nil || !rec3.Diff.Identical {
-		return fmt.Errorf("resumed run %s is not byte-identical to its baseline: %+v", run3, rec3.Diff)
-	}
-
-	report := smokeReport{
-		Workspace:    workspace,
-		Coordinates:  cfg.Builtin.Coordinates,
-		Seed:         cfg.Builtin.Seed,
-		Baseline:     record(rec1),
-		Repeat:       record(rec2),
-		KilledResume: record(rec3),
-		ZeroDiff:     rec2.Diff.Identical,
-		ResumeOK:     rec3.Diff.Identical && rec3.CellsRestored >= 1,
-		Metrics:      l2.Metrics(),
-		ElapsedMS:    time.Since(start).Milliseconds(),
-		GeneratedAt:  time.Now().UTC(),
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	logf("lab smoke passed: zero-diff repeat, %d/%d cells restored on resume; wrote %s",
-		rec3.CellsRestored, rec3.Cells+rec3.CellsRestored, out)
-	return nil
 }

@@ -10,35 +10,25 @@
 //	nbhdserve -addr :8090 -cnn-epochs 20       # also train and mount the CNN baseline
 //	nbhdserve -addr :8090 -store-dir corpus/   # persistent frame store: restarts re-render nothing
 //	nbhdserve -config gateway.json             # routes from a serve.Config JSON file
-//	nbhdserve -loadgen -bench-out BENCH_pr5.json
 //
-// Loadgen mode trains the CNN backend once, then replays a sweep as
-// concurrent client traffic against three in-process gateway variants —
-// coalescing enabled, coalescing pinned to batch size 1, and coalescing
-// with the result cache on — and writes the throughput/latency
-// comparison as JSON.
+// Throughput and latency numbers for the gateway come from the
+// serve-cnn-miss and serve-zipf-upload workloads of nbhdbench.
 package main
 
 import (
 	"context"
-	"encoding/base64"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"nbhd/internal/backend"
 	"nbhd/internal/core"
-	"nbhd/internal/dataset"
 	"nbhd/internal/serve"
 	"nbhd/internal/vlm"
-	"nbhd/internal/world"
 )
 
 func main() {
@@ -54,39 +44,14 @@ func run() error {
 	coords := flag.Int("coords", 300, "dataset coordinates (x4 headings)")
 	seed := flag.Int64("seed", 0, "dataset seed")
 	storeDir := flag.String("store-dir", "", "persistent frame store directory: renders persist across runs and warm starts serve from disk with zero re-renders")
-	cnnEpochs := flag.Int("cnn-epochs", 0, "train and mount the cnn backend for this many epochs (0 = skip; loadgen mode defaults to 2)")
+	cnnEpochs := flag.Int("cnn-epochs", 0, "train and mount the cnn backend for this many epochs (0 = skip)")
 	batchDelayMS := flag.Int("batch-delay-ms", 0, "max-latency batch flush timer (0 = default 3ms, negative = no coalescing)")
 	maxQueue := flag.Int("max-queue", 0, "per-backend admission queue bound (0 = default 256)")
 	cacheSize := flag.Int("cache-size", 0, "LRU result cache entries (0 = default 1024, negative = disabled)")
-
-	loadgen := flag.Bool("loadgen", false, "run the loadgen benchmark instead of serving")
-	lgTarget := flag.String("loadgen-target", "", "replay against an external gateway URL instead of booting in-process")
-	lgRequests := flag.Int("loadgen-requests", 512, "loadgen total requests per pass")
-	lgConcurrency := flag.Int("loadgen-concurrency", 32, "loadgen concurrent clients")
-	lgFrames := flag.Int("loadgen-frames", 64, "distinct frames the replay cycles through")
-	lgSkew := flag.Float64("loadgen-skew", 1.2, "Zipf exponent of frame popularity (0 = uniform; real traffic is skewed)")
-	lgMix := flag.String("loadgen-mix", "", "comma-list of world families (e.g. grid,coastal): replay a blend of uploaded frames rendered from each morphology's corpus — heterogeneous shard keys for fleet benchmarks")
-	benchOut := flag.String("bench-out", "BENCH_pr5.json", "loadgen report output path")
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	if *loadgen {
-		return runLoadgen(ctx, loadgenParams{
-			target:      *lgTarget,
-			coords:      *coords,
-			seed:        *seed,
-			storeDir:    *storeDir,
-			cnnEpochs:   *cnnEpochs,
-			requests:    *lgRequests,
-			concurrency: *lgConcurrency,
-			frames:      *lgFrames,
-			skew:        *lgSkew,
-			mix:         *lgMix,
-			out:         *benchOut,
-		})
-	}
 
 	cfg, err := gatewayConfig(*configPath, *cnnEpochs)
 	if err != nil {
@@ -164,267 +129,4 @@ func gatewayConfig(path string, cnnEpochs int) (serve.Config, error) {
 		cfg.Backends["cnn"] = backend.Spec{Kind: "cnn", Epochs: cnnEpochs}
 	}
 	return cfg, nil
-}
-
-type loadgenParams struct {
-	target      string
-	coords      int
-	seed        int64
-	storeDir    string
-	cnnEpochs   int
-	requests    int
-	concurrency int
-	frames      int
-	skew        float64
-	mix         string
-	out         string
-}
-
-// benchPass pairs the client-side loadgen report with the gateway-side
-// route metrics for one pass.
-type benchPass struct {
-	Loadgen *serve.LoadgenReport `json:"loadgen"`
-	Gateway serve.RouteMetrics   `json:"gateway"`
-}
-
-// benchReport is the BENCH_pr5.json schema: the same replay against a
-// coalescing gateway, a batch-size-1 gateway, and a cached gateway.
-type benchReport struct {
-	Backend           string    `json:"backend"`
-	Coordinates       int       `json:"coordinates"`
-	Seed              int64     `json:"seed"`
-	CNNEpochs         int       `json:"cnn_epochs"`
-	Coalesced         benchPass `json:"coalesced"`
-	Batch1            benchPass `json:"batch1"`
-	Cached            benchPass `json:"cached"`
-	ThroughputSpeedup float64   `json:"coalesced_over_batch1_throughput"`
-	GeneratedAt       time.Time `json:"generated_at"`
-}
-
-func runLoadgen(ctx context.Context, p loadgenParams) error {
-	// One pooled client serves every pass: idle connections persist
-	// across requests (no per-pass TCP churn), and CloseIdleConnections
-	// between gateway variants resets the pool so no variant inherits
-	// another's warm connections.
-	client := serve.NewLoadgenClient(p.concurrency)
-	if p.target != "" {
-		// External target: single pass, client-side numbers only. A mix
-		// uploads frames at the CNN default input size; the target's cnn
-		// route must match it.
-		mix, err := buildLoadgenMix(p.mix, p.seed, p.frames, mixUploadSize)
-		if err != nil {
-			return err
-		}
-		rep, err := serve.Loadgen(ctx, serve.LoadgenConfig{
-			BaseURL: p.target, Backend: "cnn",
-			Frames: p.frames, Requests: p.requests, Concurrency: p.concurrency, Skew: p.skew,
-			Mix:        mix,
-			HTTPClient: client,
-		})
-		if err != nil {
-			return err
-		}
-		return writeJSONFile(p.out, rep)
-	}
-
-	epochs := p.cnnEpochs
-	if epochs == 0 {
-		epochs = 2
-	}
-	fmt.Printf("assembling %d-coordinate corpus (seed %d)...\n", p.coords, p.seed)
-	pipe, err := core.NewPipeline(core.Config{Coordinates: p.coords, Seed: p.seed, StoreDir: p.storeDir})
-	if err != nil {
-		return err
-	}
-	defer func() { _ = pipe.Close() }()
-	if p.frames > pipe.Study.Len() {
-		return fmt.Errorf("loadgen wants %d frames but the corpus has %d", p.frames, pipe.Study.Len())
-	}
-	fmt.Printf("training cnn backend (%d epochs)...\n", epochs)
-	cnn, err := backend.OpenWith(ctx, backend.Spec{Kind: "cnn", Epochs: epochs}, pipe.BackendEnv())
-	if err != nil {
-		return err
-	}
-	// Pre-warm every replayed frame so neither pass pays render cost and
-	// the comparison isolates the dispatch strategy. With a -store-dir,
-	// repeated loadgen runs skip rendering entirely: frames mmap from the
-	// persistent tier. A morphology mix pre-renders its upload corpus
-	// instead (clients send pixels; the gateway renders nothing).
-	size := cnn.Capabilities().RenderSize
-	mix, err := buildLoadgenMix(p.mix, p.seed, p.frames, size)
-	if err != nil {
-		return err
-	}
-	if mix == nil {
-		for i := 0; i < p.frames; i++ {
-			if _, err := pipe.RenderCache().Example(i, size); err != nil {
-				return err
-			}
-		}
-	}
-	if p.storeDir != "" {
-		fmt.Printf("frame store %s: %d rendered, %d from disk\n",
-			p.storeDir, pipe.RenderCache().Renders(), pipe.RenderCache().StoreHits())
-	}
-
-	pass := func(label string, cfg serve.Config) (benchPass, error) {
-		fmt.Printf("pass %q: %d requests, %d clients, %d frames\n", label, p.requests, p.concurrency, p.frames)
-		// Each variant starts from a cold connection pool but the same
-		// client, so passes differ only in the gateway under test.
-		client.CloseIdleConnections()
-		srv, err := serve.New(ctx, cfg, serve.Options{
-			Frames:   pipe.RenderCache(),
-			Backends: map[string]backend.Backend{"cnn": cnn},
-		})
-		if err != nil {
-			return benchPass{}, err
-		}
-		defer func() { _ = srv.Close() }()
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return benchPass{}, err
-		}
-		httpSrv := &http.Server{Handler: srv.Handler()}
-		go func() { _ = httpSrv.Serve(ln) }()
-		defer func() { _ = httpSrv.Close() }()
-		rep, err := serve.Loadgen(ctx, serve.LoadgenConfig{
-			BaseURL: "http://" + ln.Addr().String(), Backend: "cnn",
-			Frames: p.frames, Requests: p.requests, Concurrency: p.concurrency, Skew: p.skew,
-			Mix:        mix,
-			HTTPClient: client,
-		})
-		if err != nil {
-			return benchPass{}, err
-		}
-		gw := srv.Metrics().Routes["cnn"]
-		fmt.Printf("  %.1f req/s, p50 %.2fms, p99 %.2fms, mean batch %.2f, cache hits %d, shed %d\n",
-			rep.ThroughputRPS, rep.LatencyP50MS, rep.LatencyP99MS, gw.MeanBatch, rep.CacheHits, rep.Shed503)
-		return benchPass{Loadgen: rep, Gateway: gw}, nil
-	}
-
-	// Both contenders run with the result cache off, so the comparison
-	// isolates the dispatch strategy: the coalesced gateway batches at
-	// the backend's preferred size and collapses concurrent duplicate
-	// requests single-flight inside each batch window; the batch-1
-	// gateway dispatches every request the moment it arrives, so it
-	// computes every duplicate and pays per-call overhead per item.
-	coalescedCfg := serve.Config{CacheSize: -1}
-	batch1Cfg := serve.Config{MaxBatch: 1, CacheSize: -1}
-
-	// Alternate the contenders twice and keep each one's best run, so
-	// a one-off noise dip on a busy host cannot decide the comparison.
-	var coalesced, batch1 benchPass
-	for rep := 0; rep < 2; rep++ {
-		b, err := pass("batch1", batch1Cfg)
-		if err != nil {
-			return err
-		}
-		if batch1.Loadgen == nil || b.Loadgen.ThroughputRPS > batch1.Loadgen.ThroughputRPS {
-			batch1 = b
-		}
-		c, err := pass("coalesced", coalescedCfg)
-		if err != nil {
-			return err
-		}
-		if coalesced.Loadgen == nil || c.Loadgen.ThroughputRPS > coalesced.Loadgen.ThroughputRPS {
-			coalesced = c
-		}
-	}
-	cachedCfg := coalescedCfg
-	cachedCfg.CacheSize = 0 // default LRU back on
-	cached, err := pass("cached", cachedCfg)
-	if err != nil {
-		return err
-	}
-
-	report := benchReport{
-		Backend:     "cnn",
-		Coordinates: p.coords,
-		Seed:        p.seed,
-		CNNEpochs:   epochs,
-		Coalesced:   coalesced,
-		Batch1:      batch1,
-		Cached:      cached,
-		GeneratedAt: time.Now().UTC(),
-	}
-	if batch1.Loadgen.ThroughputRPS > 0 {
-		report.ThroughputSpeedup = coalesced.Loadgen.ThroughputRPS / batch1.Loadgen.ThroughputRPS
-	}
-	fmt.Printf("coalesced/batch1 throughput: %.2fx\n", report.ThroughputSpeedup)
-	return writeJSONFile(p.out, report)
-}
-
-// mixUploadSize is the upload resolution when the mix targets an
-// external gateway (the CNN backend's default input size).
-const mixUploadSize = 64
-
-// buildLoadgenMix renders a small upload corpus per named world family
-// and returns one mix entry per frame, labeled by family. The spec
-// string is a comma-list of families; empty returns nil (index-addressed
-// replay). Frames upload as lossless raw-f32 payloads, so each
-// morphology contributes genuinely distinct pixel content — and thus
-// distinct shard keys — to the blend.
-func buildLoadgenMix(spec string, seed int64, totalFrames, size int) ([]serve.LoadgenMix, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	var families []string
-	for _, f := range strings.Split(spec, ",") {
-		if f = strings.TrimSpace(f); f != "" {
-			families = append(families, f)
-		}
-	}
-	if len(families) == 0 {
-		return nil, fmt.Errorf("-loadgen-mix names no families")
-	}
-	perFam := totalFrames / len(families)
-	if perFam < 1 {
-		perFam = 1
-	}
-	var mix []serve.LoadgenMix
-	for _, fam := range families {
-		if !world.Valid(fam) {
-			return nil, fmt.Errorf("unknown world family %q in -loadgen-mix (have %v)", fam, world.Names())
-		}
-		study, err := dataset.BuildStudy(dataset.StudyConfig{
-			Coordinates: (perFam + core.FramesPerCoordinate - 1) / core.FramesPerCoordinate,
-			Seed:        seed,
-			Morphology:  fam,
-		})
-		if err != nil {
-			return nil, err
-		}
-		indices := make([]int, perFam)
-		for i := range indices {
-			indices[i] = i
-		}
-		examples, err := study.RenderExamples(indices, size)
-		if err != nil {
-			return nil, err
-		}
-		for _, ex := range examples {
-			mix = append(mix, serve.LoadgenMix{
-				Label: fam,
-				Frame: serve.FrameRef{
-					ImageF32Base64: base64.StdEncoding.EncodeToString(ex.Image.EncodeRawF32()),
-					Width:          ex.Image.W,
-					Height:         ex.Image.H,
-				},
-			})
-		}
-	}
-	fmt.Printf("loadgen mix: %d uploaded frames across %v\n", len(mix), families)
-	return mix, nil
-}
-
-func writeJSONFile(path string, v any) error {
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", path)
-	return nil
 }

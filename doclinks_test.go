@@ -1,8 +1,9 @@
 // Documentation link check: every relative markdown link in the root
 // *.md files and docs/*.md must point at a file (or directory) that
-// exists, so the architecture book and the store-format spec cannot
-// silently rot as the tree moves. Runs under plain `go test ./...`,
-// which is how CI fails on a dead doc link.
+// exists, and every `make <target>` the README and docs/*.md name must
+// be a rule in the Makefile, so the architecture book and the
+// store-format spec cannot silently rot as the tree moves. Runs under
+// plain `go test ./...`, which is how CI fails on a dead doc link.
 package nbhd
 
 import (
@@ -55,6 +56,47 @@ func TestDocRelativeLinksResolve(t *testing.T) {
 			resolved := filepath.Join(filepath.Dir(file), filepath.FromSlash(target))
 			if _, err := os.Stat(resolved); err != nil {
 				t.Errorf("%s: dead relative link %q (resolved %s): %v", file, m[1], resolved, err)
+			}
+		}
+	}
+}
+
+// makeRule matches a rule's target at the start of a Makefile line; the
+// ([^=]|$) tail skips ":=" variable assignments.
+var makeRule = regexp.MustCompile(`(?m)^([A-Za-z0-9_.-]+)\s*:([^=]|$)`)
+
+// makeInvocation matches "make <target>" opening a code line or a code
+// span, including spans wrapped across a line break.
+var makeInvocation = regexp.MustCompile("(?m)(?:^|`)make\\s+([a-z][a-z0-9_-]*)")
+
+// TestDocMakeTargetsExist keeps the README and docs/*.md from naming a
+// Make target that no longer exists. CHANGES.md and ROADMAP.md are
+// history and may name deleted targets.
+func TestDocMakeTargetsExist(t *testing.T) {
+	makefile, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rules := make(map[string]bool)
+	for _, m := range makeRule.FindAllStringSubmatch(string(makefile), -1) {
+		rules[m[1]] = true
+	}
+	if !rules["check"] {
+		t.Fatal("Makefile rule pattern found no `check` rule; the pattern is wrong")
+	}
+
+	docs, err := filepath.Glob("docs/*.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, file := range append([]string{"README.md"}, docs...) {
+		data, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range makeInvocation.FindAllStringSubmatch(string(data), -1) {
+			if !rules[m[1]] {
+				t.Errorf("%s: names `make %s`, which is not a rule in the Makefile", file, m[1])
 			}
 		}
 	}

@@ -32,8 +32,8 @@ type Replica interface {
 }
 
 // localReplica runs a serve.Server in this process on a loopback
-// listener — the shape tests and the fleet bench use, where replicas
-// share one render cache and injected backends.
+// listener — the shape tests and in-process nbhdfleet use, where
+// replicas share one render cache.
 type localReplica struct {
 	id      string
 	srv     *serve.Server

@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -70,7 +71,7 @@ type RouterOptions struct {
 	// so the router's shard keys carry the same quantized bit the
 	// gateways put in their cache keys. Spec-configured routes are
 	// derived from the fleet config; entries here overlay injected
-	// routes (tests, benches).
+	// routes (tests).
 	QuantizedRoutes map[string]bool
 	// Client issues the forwarded requests; nil builds a pooled client
 	// (idle connections per replica, no per-request TCP churn).
@@ -174,9 +175,8 @@ func (rt *Router) handleClassify(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "invalid_request_error", "use POST", reqID)
 		return
 	}
-	body, req, herr := readBody[serve.ClassifyRequest](r, rt.maxBody)
-	if herr != "" {
-		writeError(w, http.StatusBadRequest, "invalid_request_error", herr, reqID)
+	body, req, ok := readBody[serve.ClassifyRequest](w, r, rt.maxBody, reqID)
+	if !ok {
 		return
 	}
 	key, err := serve.RequestShardKey(req, rt.quantized[req.Backend])
@@ -193,9 +193,8 @@ func (rt *Router) handleNeighborhood(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "invalid_request_error", "use POST", reqID)
 		return
 	}
-	body, req, herr := readBody[serve.NeighborhoodRequest](r, rt.maxBody)
-	if herr != "" {
-		writeError(w, http.StatusBadRequest, "invalid_request_error", herr, reqID)
+	body, req, ok := readBody[serve.NeighborhoodRequest](w, r, rt.maxBody, reqID)
+	if !ok {
 		return
 	}
 	key, err := serve.NeighborhoodShardKey(req, rt.quantized[req.Backend])
@@ -219,18 +218,27 @@ func (rt *Router) handleNearest(w http.ResponseWriter, r *http.Request) {
 }
 
 // readBody buffers and decodes a JSON request body, returning the raw
-// bytes for re-sending downstream. The error string is empty on
-// success.
-func readBody[T any](r *http.Request, limit int64) ([]byte, *T, string) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, limit))
+// bytes for re-sending downstream. On failure it writes the error
+// response (413 for a body over limit, 400 otherwise) and reports false,
+// so a truncated body is never forwarded.
+func readBody[T any](w http.ResponseWriter, r *http.Request, limit int64, reqID string) ([]byte, *T, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
 	if err != nil {
-		return nil, nil, "read body: " + err.Error()
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeError(w, http.StatusRequestEntityTooLarge, "invalid_request_error",
+				fmt.Sprintf("request body exceeds limit of %d bytes", limit), reqID)
+		} else {
+			writeError(w, http.StatusBadRequest, "invalid_request_error", "read body: "+err.Error(), reqID)
+		}
+		return nil, nil, false
 	}
 	var req T
 	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, nil, "empty or malformed JSON body: " + err.Error()
+		writeError(w, http.StatusBadRequest, "invalid_request_error", "empty or malformed JSON body: "+err.Error(), reqID)
+		return nil, nil, false
 	}
-	return body, &req, ""
+	return body, &req, true
 }
 
 // spillOrder applies consistent hashing with bounded loads to the

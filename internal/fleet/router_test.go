@@ -15,12 +15,14 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"nbhd/internal/backend"
 	"nbhd/internal/dataset"
 	"nbhd/internal/fleet"
+	"nbhd/internal/llmclient"
 	"nbhd/internal/serve"
 )
 
@@ -223,6 +225,190 @@ func TestFleetFailoverBitIdentical(t *testing.T) {
 	}
 	if m := tf.router.Metrics(); m.Failovers == 0 {
 		t.Fatalf("router metrics recorded no failovers after a replica kill: %+v", m)
+	}
+}
+
+// TestFleetKillUnderLoadDropsNo200s kills a replica unannounced while
+// concurrent clients replay the corpus: every request must still end in
+// a 200 with its pre-kill answers, the health poll must then evict the
+// victim, and the router must have covered the gap by failover. The
+// backend's few milliseconds of service time keep requests in flight at
+// the moment of the kill, and the replay runs on until the victim has
+// left the ring, so requests keep arriving while the ring still lists
+// a dead replica.
+func TestFleetKillUnderLoadDropsNo200s(t *testing.T) {
+	tf := newTestFleet(t, 3, serve.Config{CacheSize: -1}, 100, 3*time.Millisecond)
+	const (
+		frames   = 24
+		clients  = 16
+		requests = 8 * frames // the replay's minimum length
+		halfway  = requests / 2
+	)
+	base := make([]classifyResult, frames)
+	owner := make([]string, frames)
+	for i := range base {
+		base[i], owner[i], _ = tf.classifyFrame(t, i)
+	}
+	victim := owner[0]
+	inRing := func() bool {
+		for _, id := range tf.sup.Ring().Members() {
+			if id == victim {
+				return true
+			}
+		}
+		return false
+	}
+
+	// routerSheds counts 503s the router wrote itself (no replica
+	// header): with two live successors, failover must absorb the kill
+	// rather than surface it to clients.
+	var routerSheds atomic.Int64
+	// post sends one classify, retrying 503s per their Retry-After as a
+	// well-behaved client does; any other non-200 is an error.
+	post := func(idx int) (classifyResult, string, error) {
+		body := fmt.Sprintf(`{"backend": "fake", "frame": {"index": %d}}`, idx)
+		for attempt := 0; ; attempt++ {
+			resp, err := http.Post(tf.ts.URL+"/v1/classify", "application/json", strings.NewReader(body))
+			if err != nil {
+				return classifyResult{}, "", err
+			}
+			if resp.StatusCode == http.StatusServiceUnavailable && attempt < 8 {
+				_ = resp.Body.Close()
+				if resp.Header.Get("X-Fleet-Replica") == "" {
+					routerSheds.Add(1)
+				}
+				delay, ok := llmclient.ParseRetryAfter(resp.Header.Get("Retry-After"))
+				if !ok {
+					delay = 50 * time.Millisecond
+				}
+				time.Sleep(delay)
+				continue
+			}
+			defer func() { _ = resp.Body.Close() }()
+			if resp.StatusCode != http.StatusOK {
+				return classifyResult{}, "", fmt.Errorf("status %d (attempt %d)", resp.StatusCode, attempt+1)
+			}
+			var cr serve.ClassifyResponse
+			if err := json.NewDecoder(resp.Body).Decode(&cr); err != nil {
+				return classifyResult{}, "", err
+			}
+			return classifyResult{Backend: cr.Backend, Frame: cr.Frame, Indicators: cr.Indicators, Answers: cr.Answers},
+				resp.Header.Get("X-Fleet-Replica"), nil
+		}
+	}
+
+	var next atomic.Int64
+	killed := make(chan error, 1)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				i := int(next.Add(1) - 1)
+				if i == halfway {
+					go func() { killed <- tf.sup.KillReplica(context.Background(), victim) }()
+				}
+				frame := i % frames
+				res, _, err := post(frame)
+				if err != nil {
+					t.Errorf("request %d (frame %d): %v", i, frame, err)
+					return
+				}
+				if !reflect.DeepEqual(res, base[frame]) {
+					t.Errorf("request %d (frame %d): answers diverged from pre-kill:\n got %+v\nwant %+v", i, frame, res, base[frame])
+					return
+				}
+			}
+		}()
+	}
+	// Replay until the kill has returned, the poll loop has evicted the
+	// victim, and the minimum request count is reached.
+	deadline := time.Now().Add(10 * time.Second)
+	var killErr error
+	select {
+	case killErr = <-killed:
+	case <-time.After(time.Until(deadline)):
+		killErr = fmt.Errorf("no return within 10s")
+	}
+	for (inRing() || next.Load() < requests) && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	close(stop)
+	wg.Wait()
+	if killErr != nil {
+		t.Fatalf("KillReplica(%s): %v", victim, killErr)
+	}
+	if inRing() {
+		t.Fatalf("health poll never evicted killed replica %s", victim)
+	}
+	if t.Failed() {
+		t.FailNow()
+	}
+	if n := routerSheds.Load(); n > 0 {
+		t.Fatalf("router answered %d requests with its own 503 while live successors were in the ring", n)
+	}
+
+	for i := 0; i < frames; i++ {
+		res, rep, err := post(i)
+		if err != nil {
+			t.Fatalf("frame %d after eviction: %v", i, err)
+		}
+		if rep == victim {
+			t.Fatalf("frame %d served by evicted replica %s", i, victim)
+		}
+		if !reflect.DeepEqual(res, base[i]) {
+			t.Fatalf("frame %d after eviction: answers diverged:\n got %+v\nwant %+v", i, res, base[i])
+		}
+	}
+	if m := tf.router.Metrics(); m.Failovers == 0 {
+		t.Fatalf("router recorded no failovers across the kill: %+v", m)
+	}
+}
+
+// TestFleetRejectsOversizedBody: a body over the router's limit is a
+// 413 at the router, never truncated into a "malformed JSON" 400 or
+// forwarded.
+func TestFleetRejectsOversizedBody(t *testing.T) {
+	tf := newTestFleet(t, 2, serve.Config{MaxImageBytes: 2048}, 600000, 0)
+	cases := []struct {
+		name, path, body string
+		want             int
+	}{
+		{"malformed classify", "/v1/classify", `{"backend": "fake"`, http.StatusBadRequest},
+		{"classify body over the limit", "/v1/classify",
+			`{"backend":"fake","frame":{"index":0},"pad":"` + strings.Repeat("x", 2<<20) + `"}`, http.StatusRequestEntityTooLarge},
+		{"neighborhood body over the limit", "/v1/neighborhood",
+			`{"backend":"fake","lat":1,"lng":2,"radius_feet":10,"pad":"` + strings.Repeat("x", 2<<20) + `"}`, http.StatusRequestEntityTooLarge},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, err := http.Post(tf.ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatalf("POST: %v", err)
+			}
+			defer func() { _ = resp.Body.Close() }()
+			if resp.StatusCode != tc.want {
+				t.Fatalf("status = %d, want %d", resp.StatusCode, tc.want)
+			}
+			var eb struct {
+				Error struct {
+					Type string `json:"type"`
+				} `json:"error"`
+			}
+			if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil || eb.Error.Type != "invalid_request_error" {
+				t.Fatalf("error body type %q (decode err %v), want invalid_request_error", eb.Error.Type, err)
+			}
+		})
+	}
+	if m := tf.router.Metrics(); len(m.Forwarded) != 0 {
+		t.Fatalf("rejected bodies reached a replica: forwarded %v", m.Forwarded)
 	}
 }
 

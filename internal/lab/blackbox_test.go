@@ -15,6 +15,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -218,6 +219,14 @@ func TestEnqueueRejectsBadRequests(t *testing.T) {
 		t.Errorf("empty request: status %d, want 400: %s", resp.StatusCode, body)
 	}
 	assertErrorBody(t, body, "")
+
+	// A body over the 1 MiB control-plane limit is a 413, not a
+	// truncated-JSON 400.
+	resp, body = c.post("/v1/enqueue", map[string]any{"job": "demo", "pad": strings.Repeat("x", 1<<20)})
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("body over the limit: status %d, want 413: %s", resp.StatusCode, body)
+	}
+	assertErrorBody(t, body, "invalid_request_error")
 
 	resp, body = c.get("/runz/nope-000001")
 	if resp.StatusCode != http.StatusNotFound {

@@ -2,8 +2,8 @@ package lab
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 
@@ -71,7 +71,7 @@ type EnqueueRequest struct {
 func (l *Lab) handleEnqueue(w http.ResponseWriter, r *http.Request) {
 	reqID := l.requestID()
 	var req EnqueueRequest
-	if herr := decodeBody(r, &req); herr != nil {
+	if herr := decodeBody(w, r, &req); herr != nil {
 		writeError(w, herr.status, herr.typ, herr.msg, reqID)
 		return
 	}
@@ -114,7 +114,7 @@ type runRef struct {
 func (l *Lab) handlePromote(w http.ResponseWriter, r *http.Request) {
 	reqID := l.requestID()
 	var req runRef
-	if herr := decodeBody(r, &req); herr != nil {
+	if herr := decodeBody(w, r, &req); herr != nil {
 		writeError(w, herr.status, herr.typ, herr.msg, reqID)
 		return
 	}
@@ -133,7 +133,7 @@ func (l *Lab) handlePromote(w http.ResponseWriter, r *http.Request) {
 func (l *Lab) handleCancel(w http.ResponseWriter, r *http.Request) {
 	reqID := l.requestID()
 	var req runRef
-	if herr := decodeBody(r, &req); herr != nil {
+	if herr := decodeBody(w, r, &req); herr != nil {
 		writeError(w, herr.status, herr.typ, herr.msg, reqID)
 		return
 	}
@@ -175,10 +175,15 @@ type httpError struct {
 	msg    string
 }
 
-func decodeBody(r *http.Request, v any) *httpError {
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) *httpError {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			return &httpError{http.StatusRequestEntityTooLarge, "invalid_request_error",
+				fmt.Sprintf("request body exceeds limit of %d bytes", maxBodyBytes)}
+		}
 		return &httpError{http.StatusBadRequest, "invalid_request_error", "empty or malformed JSON body: " + err.Error()}
 	}
 	return nil

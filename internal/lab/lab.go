@@ -58,17 +58,17 @@ import (
 	"nbhd/internal/lockfile"
 )
 
-// Options tunes a Lab beyond its Config — injection points for tests
-// and the smoke harness, all optional.
+// Options tunes a Lab beyond its Config — injection points for tests,
+// all optional.
 type Options struct {
 	// Clock overrides time.Now for state timestamps and scheduling.
 	Clock func() time.Time
 	// Logf receives operational log lines; nil discards them.
 	Logf func(format string, args ...any)
 	// CellHook, when set, is called synchronously after each completed
-	// cell's event is processed (journaled, for fresh cells). The
-	// smoke harness and tests use it to freeze a run at an exact cell
-	// boundary before simulating a kill.
+	// cell's event is processed (journaled, for fresh cells). Tests use
+	// it to freeze a run at an exact cell boundary before simulating a
+	// kill.
 	CellHook func(runID, cell string)
 }
 
@@ -795,7 +795,7 @@ func (l *Lab) Close() error {
 	return err
 }
 
-// Kill simulates SIGKILL delivery for tests and the smoke harness: from
+// Kill simulates SIGKILL delivery for tests: from
 // this instant the lab writes nothing more — no state.json update, no
 // journal lines — and the in-flight run's context is canceled. The
 // workspace is left exactly as a real kill would leave it (state.json

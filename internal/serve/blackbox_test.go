@@ -173,6 +173,9 @@ func TestClassifyRejectsBadRequests(t *testing.T) {
 		{"oversized image", `{"backend":"fake","frame":{"image_png_base64":"` + bigPNG + `"}}`, http.StatusRequestEntityTooLarge},
 		{"png decompression bomb", `{"backend":"fake","frame":{"image_png_base64":"` + bombPNG + `"}}`, http.StatusRequestEntityTooLarge},
 		{"bad f32 dims", `{"backend":"fake","frame":{"image_f32_base64":"AAAA","width":9,"height":9}}`, http.StatusBadRequest},
+		// The body limit is 2*MaxImageBytes + 1 MiB; a body past it must
+		// not be truncated into a "malformed JSON" 400.
+		{"body over the limit", `{"backend":"fake","frame":{"index":0},"pad":"` + strings.Repeat("x", 2<<20) + `"}`, http.StatusRequestEntityTooLarge},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -33,7 +33,6 @@ import (
 	"errors"
 	"fmt"
 	"image/png"
-	"io"
 	"net/http"
 	"sort"
 	"sync"
@@ -63,8 +62,8 @@ type Config struct {
 	// CPU-backed routes want small micro-batches, accelerator-backed
 	// ones their preferred size). Zero uses the backend's
 	// PreferredBatch (minimum 1); 1 disables coalescing — every
-	// request dispatches alone, the degraded gateway the loadgen
-	// benchmark compares against.
+	// request dispatches alone (TestCoalescedBitIdenticalToSerial
+	// pins that both settings answer identically).
 	MaxBatch int `json:"max_batch,omitempty"`
 	// BatchDelayMS is the max-latency flush timer in milliseconds: a
 	// partial batch dispatches this long after its first request even if
@@ -88,7 +87,7 @@ type Config struct {
 	RetryAfterSeconds int `json:"retry_after_seconds,omitempty"`
 	// CacheSize is the LRU result cache's entry budget. Zero defaults to
 	// 1024; negative disables the cache (every request reaches the
-	// coalescer — what the loadgen benchmark wants).
+	// coalescer).
 	CacheSize int `json:"cache_size,omitempty"`
 	// MaxImageBytes caps a decoded image upload; zero defaults to 8 MiB
 	// (matching llmserve).
@@ -146,8 +145,8 @@ type Options struct {
 	// payloads.
 	Frames *dataset.RenderCache
 	// Backends are pre-opened backends mounted as routes alongside the
-	// config's specs (tests inject fakes, the loadgen harness shares one
-	// trained model across gateway variants). The caller keeps ownership:
+	// config's specs (tests inject fakes, nbhdbench shares one trained
+	// model across gateway runs). The caller keeps ownership:
 	// Close does not close injected backends. Names must not collide
 	// with config specs.
 	Backends map[string]backend.Backend
@@ -321,6 +320,20 @@ func badRequest(format string, args ...any) *httpError {
 	return &httpError{status: http.StatusBadRequest, typ: "invalid_request_error", msg: fmt.Sprintf(format, args...)}
 }
 
+// decodeBody decodes a JSON request body of at most limit bytes. A body
+// over the limit is a 413; one that fails to decode is a 400.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) *httpError {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			return &httpError{status: http.StatusRequestEntityTooLarge, typ: "invalid_request_error",
+				msg: fmt.Sprintf("request body exceeds limit of %d bytes", limit)}
+		}
+		return badRequest("empty or malformed JSON body: %v", err)
+	}
+	return nil
+}
+
 func writeError(w http.ResponseWriter, status int, typ, msg, reqID string) {
 	var body llmserve.ErrorResponse
 	body.Error.Message = msg
@@ -356,8 +369,8 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	// Body bound: the largest legal request is one max-size image in
 	// base64 (4/3 expansion) plus small JSON scaffolding.
 	limit := int64(s.cfg.MaxImageBytes)*2 + 1<<20
-	if err := json.NewDecoder(io.LimitReader(r.Body, limit)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid_request_error", "empty or malformed JSON body: "+err.Error(), reqID)
+	if herr := decodeBody(w, r, limit, &req); herr != nil {
+		writeError(w, herr.status, herr.typ, herr.msg, reqID)
 		return
 	}
 	rt, ok := s.routes[req.Backend]

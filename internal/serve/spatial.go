@@ -16,9 +16,7 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -121,8 +119,8 @@ func (s *Server) handleNeighborhood(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req NeighborhoodRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid_request_error", "empty or malformed JSON body: "+err.Error(), reqID)
+	if herr := decodeBody(w, r, 1<<20, &req); herr != nil {
+		writeError(w, herr.status, herr.typ, herr.msg, reqID)
 		return
 	}
 	rt, ok := s.routes[req.Backend]

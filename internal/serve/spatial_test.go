@@ -246,10 +246,12 @@ func TestNeighborhoodValidation(t *testing.T) {
 		{`{"backend":"fake","lat":1,"lng":2,"radius_feet":-5}`, http.StatusBadRequest},
 		{`{"backend":"fake","lat":1,"lng":2,"radius_feet":10,"language":"klingon"}`, http.StatusBadRequest},
 		{`not json`, http.StatusBadRequest},
+		// Over the 1 MiB body limit: a 413, not a truncated-JSON 400.
+		{`{"backend":"fake","lat":1,"lng":2,"radius_feet":10,"pad":"` + strings.Repeat("x", 1<<20) + `"}`, http.StatusRequestEntityTooLarge},
 	}
 	for _, c := range cases {
 		if resp := u.postNeighborhood(t, c.body); resp.StatusCode != c.want {
-			t.Errorf("body %q: status = %d, want %d", c.body, resp.StatusCode, c.want)
+			t.Errorf("body %.80q: status = %d, want %d", c.body, resp.StatusCode, c.want)
 		}
 	}
 }

@@ -1,5 +1,5 @@
 // Spatial-layer benchmarks for the persistent frame store and the geo
-// index (the PR-6 artifact, uploaded by CI as BENCH_pr6.json):
+// index (run once per CI pass by `make bench-smoke`):
 //
 //   - BenchmarkNearest pits the k-d tree against the linear scan it
 //     replaces on a corpus-sized point set. Both sides produce
