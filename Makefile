@@ -13,11 +13,12 @@ build:
 test:
 	$(GO) test ./...
 
-# The simulated models' answer draw does 64-bit modular arithmetic;
-# running the vlm tests on a 32-bit target catches any of it slipping
-# into 32-bit int.
+# The simulated models' answer draw does 64-bit modular arithmetic, and
+# the renderer and perception index flat pixel planes; running the vlm
+# and render tests (with their answer, perception and frame goldens) on
+# a 32-bit target catches any of it slipping into 32-bit int.
 test-386:
-	GOARCH=386 $(GO) test ./internal/vlm
+	GOARCH=386 $(GO) test ./internal/vlm ./internal/render
 
 # Race overhead is ~10-20x; the root integration tests need more than
 # the default 10m package timeout on small runners.

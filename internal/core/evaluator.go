@@ -101,6 +101,14 @@ func (p *Pipeline) frameItems(start, end, size int, cond string, wantFeats bool)
 	return items, nil
 }
 
+// BackendSweep is one backend's sweep over the corpus: its confusion
+// report and the answer vectors it was scored from, indexed by corpus
+// frame (Answers[i] is frame i's; the FrameLimit cuts the slice short).
+type BackendSweep struct {
+	Report  *metrics.ClassReport
+	Answers [][scene.NumIndicators]bool
+}
+
 // EvaluateBackend sweeps any classifier backend over the corpus with the
 // evaluator's worker pool. The backend's capability hints shape the
 // sweep: frames render (once, cached) at its preferred resolution,
@@ -111,18 +119,23 @@ func (p *Pipeline) frameItems(start, end, size int, cond string, wantFeats bool)
 // backends. The context cancels the sweep: the first error (or
 // cancellation) stops all workers and is returned.
 func (e *Evaluator) EvaluateBackend(ctx context.Context, b backend.Backend, opts LLMOptions) (*metrics.ClassReport, error) {
-	return e.evaluateBackend(ctx, b, opts, 0, 1)
+	sw, err := e.sweepBackend(ctx, b, opts, 0, 1)
+	if err != nil {
+		return nil, err
+	}
+	return sw.Report, nil
 }
 
-// evaluateBackend is EvaluateBackend for sweep i of k running
-// concurrently over the shared caches: it starts at batch i·nBatches/k
-// and wraps around, so concurrent sweeps spread over the corpus instead
-// of queuing on the same frame's render and perception. The report is
-// the same from any start, since confusion counts are sums.
-func (e *Evaluator) evaluateBackend(ctx context.Context, b backend.Backend, opts LLMOptions, i, k int) (*metrics.ClassReport, error) {
+// sweepBackend is EvaluateBackend for sweep i of k running concurrently
+// over the shared caches, keeping the answers: it starts at batch
+// i·nBatches/k and wraps around, so concurrent sweeps spread over the
+// corpus instead of queuing on the same frame's render and perception.
+// The result is the same from any start, since every answer lands in
+// its frame's slot.
+func (e *Evaluator) sweepBackend(ctx context.Context, b backend.Backend, opts LLMOptions, i, k int) (BackendSweep, error) {
 	p := e.pipe
 	if !dataset.ValidCondition(opts.Condition) {
-		return nil, fmt.Errorf("core: unknown capture condition %q (have %v)", opts.Condition, dataset.Conditions())
+		return BackendSweep{}, fmt.Errorf("core: unknown capture condition %q (have %v)", opts.Condition, dataset.Conditions())
 	}
 	n := p.Study.Len()
 	if opts.FrameLimit > 0 && opts.FrameLimit < n {
@@ -134,41 +147,90 @@ func (e *Evaluator) evaluateBackend(ctx context.Context, b backend.Backend, opts
 		start := bi * batch
 		return start, min(start+batch, n)
 	}
-	partials := make([]metrics.ClassReport, e.width(nBatches))
-	err := e.classifyBatches(ctx, b, opts, nBatches, i*nBatches/k, span, func(w, _, start int, items []backend.Item, answers [][]bool) error {
+	answers := make([][scene.NumIndicators]bool, n)
+	err := e.classifyBatches(ctx, b, opts, nBatches, i*nBatches/k, span, func(_, start int, items []backend.Item, got [][]bool) error {
 		for k := range items {
-			if len(answers[k]) != scene.NumIndicators {
-				return fmt.Errorf("core: backend %s answered %d indicators for %s, want %d", b.Name(), len(answers[k]), items[k].ID, scene.NumIndicators)
+			if len(got[k]) != scene.NumIndicators {
+				return fmt.Errorf("core: backend %s answered %d indicators for %s, want %d", b.Name(), len(got[k]), items[k].ID, scene.NumIndicators)
 			}
-			var pred [scene.NumIndicators]bool
-			copy(pred[:], answers[k])
-			partials[w].AddVector(pred, p.Study.Frames[start+k].Scene.Presence())
+			copy(answers[start+k][:], got[k])
 		}
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return BackendSweep{}, err
 	}
+	return BackendSweep{Report: p.score(answers), Answers: answers}, nil
+}
+
+// score builds the confusion report of per-frame answer vectors against
+// the corpus ground truth.
+func (p *Pipeline) score(answers [][scene.NumIndicators]bool) *metrics.ClassReport {
 	var report metrics.ClassReport
-	for w := range partials {
-		report.Merge(&partials[w])
+	for i, pred := range answers {
+		report.AddVector(pred, p.Study.Frames[i].Scene.Presence())
 	}
-	return &report, nil
+	return &report
+}
+
+// Vote majority-votes the members' recorded answers frame by frame with
+// ensemble.Vote and scores the votes against the corpus ground truth.
+// Over sweeps taken under the same options it reports exactly what
+// EvaluateBackend reports for a backend.NewVoting committee of the same
+// members, without asking any member again.
+func (e *Evaluator) Vote(members []BackendSweep) (*metrics.ClassReport, error) {
+	if len(members) == 0 {
+		return nil, fmt.Errorf("core: vote needs at least one member")
+	}
+	n := len(members[0].Answers)
+	for _, m := range members[1:] {
+		if len(m.Answers) != n {
+			return nil, fmt.Errorf("core: vote members answered %d and %d frames", n, len(m.Answers))
+		}
+	}
+	voted := make([][scene.NumIndicators]bool, n)
+	votes := make([][]bool, len(members))
+	for i := range voted {
+		for m := range members {
+			votes[m] = members[m].Answers[i][:]
+		}
+		v, err := ensemble.Vote(votes)
+		if err != nil {
+			return nil, fmt.Errorf("core: %w", err)
+		}
+		copy(voted[i][:], v)
+	}
+	return e.pipe.score(voted), nil
 }
 
 // EvaluateBackendSet evaluates several backends concurrently over the
-// shared caches and returns their reports in input order. The
+// shared caches and returns their reports in input order; it is
+// SweepBackendSet without the answers.
+func (e *Evaluator) EvaluateBackendSet(ctx context.Context, backends []backend.Backend, opts LLMOptions) ([]*metrics.ClassReport, error) {
+	sweeps, err := e.SweepBackendSet(ctx, backends, opts)
+	if err != nil {
+		return nil, err
+	}
+	reports := make([]*metrics.ClassReport, len(sweeps))
+	for i := range sweeps {
+		reports[i] = sweeps[i].Report
+	}
+	return reports, nil
+}
+
+// SweepBackendSet sweeps several backends concurrently over the shared
+// caches and returns their reports and answers in input order. The
 // evaluator's worker budget is divided among the sweeps (see
 // sweepWorkers) so the total fan-out stays at e.workers rather than
 // backends × workers, and each sweep starts at its own batch. The first
 // backend error cancels the others.
-func (e *Evaluator) EvaluateBackendSet(ctx context.Context, backends []backend.Backend, opts LLMOptions) ([]*metrics.ClassReport, error) {
+func (e *Evaluator) SweepBackendSet(ctx context.Context, backends []backend.Backend, opts LLMOptions) ([]BackendSweep, error) {
 	if len(backends) == 0 {
 		return nil, fmt.Errorf("core: no backends to evaluate")
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	reports := make([]*metrics.ClassReport, len(backends))
+	sweeps := make([]BackendSweep, len(backends))
 	errs := make([]error, len(backends))
 	var wg sync.WaitGroup
 	for i := range backends {
@@ -176,13 +238,13 @@ func (e *Evaluator) EvaluateBackendSet(ctx context.Context, backends []backend.B
 		go func(i int) {
 			defer wg.Done()
 			sub := &Evaluator{pipe: e.pipe, workers: sweepWorkers(e.workers, len(backends), i)}
-			rep, err := sub.evaluateBackend(ctx, backends[i], opts, i, len(backends))
+			sw, err := sub.sweepBackend(ctx, backends[i], opts, i, len(backends))
 			if err != nil {
 				errs[i] = fmt.Errorf("core: %s: %w", backends[i].Name(), err)
 				cancel()
 				return
 			}
-			reports[i] = rep
+			sweeps[i] = sw
 		}(i)
 	}
 	wg.Wait()
@@ -206,7 +268,7 @@ func (e *Evaluator) EvaluateBackendSet(ctx context.Context, backends []backend.B
 	if canceled != nil {
 		return nil, canceled
 	}
-	return reports, nil
+	return sweeps, nil
 }
 
 // sweepWorkers is sweep i's share of a budget of workers split over k
@@ -283,7 +345,7 @@ func (e *Evaluator) classifyGroups(ctx context.Context, b backend.Backend, group
 		return start, start + FramesPerCoordinate
 	}
 	locations := make([]analysis.LocationProfile, len(groups))
-	err := e.classifyBatches(ctx, b, LLMOptions{}, len(groups), 0, span, func(_, gi, start int, _ []backend.Item, answers [][]bool) error {
+	err := e.classifyBatches(ctx, b, LLMOptions{}, len(groups), 0, span, func(gi, start int, _ []backend.Item, answers [][]bool) error {
 		perHeading := make([][scene.NumIndicators]bool, len(answers))
 		for k := range answers {
 			copy(perHeading[k][:], answers[k])
@@ -315,12 +377,11 @@ func (e *Evaluator) width(n int) int { return max(1, min(e.workers, n)) }
 // 0 until every batch is claimed once; batch bi covers the corpus
 // frames [span(bi)), assembled from the shared caches under opts'
 // capture condition and classified by b. body consumes each batch's
-// answers together with the claiming worker's index in
-// [0, e.width(nBatches)), so callers can keep per-worker accumulators.
+// answers; it runs concurrently on distinct batches.
 // The first error — from assembly, classification or body — cancels
 // the remaining workers and is returned; otherwise a canceled context
 // returns its error.
-func (e *Evaluator) classifyBatches(ctx context.Context, b backend.Backend, opts LLMOptions, nBatches, first int, span func(bi int) (start, end int), body func(worker, bi, start int, items []backend.Item, answers [][]bool) error) error {
+func (e *Evaluator) classifyBatches(ctx context.Context, b backend.Backend, opts LLMOptions, nBatches, first int, span func(bi int) (start, end int), body func(bi, start int, items []backend.Item, answers [][]bool) error) error {
 	p := e.pipe
 	caps := b.Capabilities()
 	size := p.renderSizeFor(caps)
@@ -351,7 +412,7 @@ func (e *Evaluator) classifyBatches(ctx context.Context, b backend.Backend, opts
 	next.Store(-1)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for ctx.Err() == nil {
 				claimed := int(next.Add(1))
@@ -384,12 +445,12 @@ func (e *Evaluator) classifyBatches(ctx context.Context, b backend.Backend, opts
 					fail(fmt.Errorf("core: backend %s returned %d answer vectors for %d items", b.Name(), len(res.Answers), len(items)))
 					return
 				}
-				if err := body(w, bi, start, items, res.Answers); err != nil {
+				if err := body(bi, start, items, res.Answers); err != nil {
 					fail(err)
 					return
 				}
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	if firstErr != nil {

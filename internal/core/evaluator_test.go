@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -341,6 +342,46 @@ func TestVotingTopThreeMatchesSerial(t *testing.T) {
 	}
 	if *report != *want {
 		t.Error("voting report diverges from serial committee reference")
+	}
+}
+
+// TestVoteMatchesVotingBackend asserts that voting the answers of an
+// all-models sweep reproduces the voting composite's sweep under the
+// same options, including a FrameLimit that cuts the answers short.
+func TestVoteMatchesVotingBackend(t *testing.T) {
+	p := smallPipeline(t, 10)
+	ev := p.NewEvaluator(EvalConfig{Workers: 3})
+	for _, opts := range []LLMOptions{{}, {FrameLimit: 7}, {Language: prompt.Bengali, Mode: prompt.Sequential, Temperature: 1.2}} {
+		sweeps, err := ev.SweepBackendSet(context.Background(), modelBackends(t), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reports := make([]*metrics.ClassReport, len(sweeps))
+		for i := range sweeps {
+			reports[i] = sweeps[i].Report
+			if n := sweeps[i].Report.PerClass[0].Total(); len(sweeps[i].Answers) != n {
+				t.Fatalf("%+v: %d answer vectors for %d scored frames", opts, len(sweeps[i].Answers), n)
+			}
+		}
+		ids, want := voteTopThree(t, ev, reports, opts)
+		all := vlm.AllModels()
+		members := make([]BackendSweep, len(ids))
+		for i, id := range ids {
+			members[i] = sweeps[slices.Index(all[:], id)]
+		}
+		got, err := ev.Vote(members)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if *got != *want {
+			t.Errorf("%+v: vote over drawn answers diverges from the voting backend\ngot:  %+v\nwant: %+v", opts, *got, *want)
+		}
+		if _, err := ev.Vote([]BackendSweep{members[0], {Answers: members[1].Answers[1:]}}); err == nil {
+			t.Errorf("%+v: Vote accepted members with different frame counts", opts)
+		}
+	}
+	if _, err := ev.Vote(nil); err == nil {
+		t.Error("Vote accepted no members")
 	}
 }
 

@@ -169,10 +169,10 @@ func NewRunner(cfg RunnerConfig) *Runner {
 	return &Runner{cfg: cfg}
 }
 
-// Run executes the spec. The context cancels the run mid-sweep: workers
-// stop, the first error is returned, and a RunFailed event closes the
-// stream. On success the returned Result holds every sweep report and
-// analysis output in spec order.
+// Run executes the spec. The context cancels the run mid-sweep (workers
+// stop) or between steps: the first error is returned, and a RunFailed
+// event closes the stream. On success the returned Result holds every
+// sweep report and analysis output in spec order.
 func (r *Runner) Run(ctx context.Context, spec Spec, sink Sink) (*Result, error) {
 	if sink == nil {
 		sink = func(Event) {}
@@ -224,9 +224,24 @@ func (r *Runner) Run(ctx context.Context, spec Spec, sink Sink) (*Result, error)
 		return b, nil
 	}
 
+	// A step that makes no evaluator call (a vote over recorded answers,
+	// a restored cell) would not notice cancellation, so every step
+	// checks first.
+	canceled := func() error {
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("experiment: %s: %w", spec.Name, err)
+		}
+		return nil
+	}
+	// Each regular sweep's fresh answers, for vote sweeps over it.
+	drawn := make(map[string]drawnAnswers, len(spec.Sweeps))
+
 	sink(Event{Kind: RunStarted, Spec: spec.Name})
 	for i := range spec.Sweeps {
 		sw := &spec.Sweeps[i]
+		if err := canceled(); err != nil {
+			return fail(err)
+		}
 		sink(Event{Kind: SweepStarted, Spec: spec.Name, Step: sw.Name})
 		opts, err := sw.Options.llmOptions()
 		if err != nil {
@@ -235,9 +250,11 @@ func (r *Runner) Run(ctx context.Context, spec Spec, sink Sink) (*Result, error)
 		var sr SweepResult
 		var restored []bool
 		if sw.VoteTopOf != "" {
-			sr, restored, err = r.runVoteSweep(ctx, ev, res, sw, opts, open)
+			sr, restored, err = r.runVoteSweep(ctx, ev, res, sw, opts, drawn[sw.VoteTopOf], open)
 		} else {
-			sr, restored, err = r.runSweep(ctx, ev, sw, opts, open)
+			d := drawnAnswers{opts: opts}
+			sr, restored, d.sweeps, err = r.runSweep(ctx, ev, sw, opts, open)
+			drawn[sw.Name] = d
 		}
 		if err != nil {
 			return fail(fmt.Errorf("experiment: %s: sweep %q: %w", spec.Name, sw.Name, err))
@@ -260,6 +277,9 @@ func (r *Runner) Run(ctx context.Context, spec Spec, sink Sink) (*Result, error)
 	for i := range spec.Analyses {
 		a := &spec.Analyses[i]
 		cell := AnalysisCellID(a.Name)
+		if err := canceled(); err != nil {
+			return fail(err)
+		}
 		sink(Event{Kind: AnalysisStarted, Spec: spec.Name, Step: a.Name})
 		tractFeet := a.TractFeet
 		if tractFeet == 0 {
@@ -289,12 +309,21 @@ func (r *Runner) Run(ctx context.Context, spec Spec, sink Sink) (*Result, error)
 	return res, nil
 }
 
+// drawnAnswers is what a regular sweep's freshly evaluated cells drew:
+// the options they ran under and each backend's sweep by name. Restored
+// cells have no entry.
+type drawnAnswers struct {
+	opts   core.LLMOptions
+	sweeps map[string]core.BackendSweep
+}
+
 // runSweep evaluates a regular sweep's backends concurrently and
-// returns their reports in spec order, plus which cells were restored
-// from the checkpoint. Restored cells splice in their journaled report;
-// only the missing backends open (and, for supervised kinds, train) and
-// evaluate — the resume property the lab daemon's journal leans on.
-func (r *Runner) runSweep(ctx context.Context, ev *core.Evaluator, sw *SweepSpec, opts core.LLMOptions, open func(string) (backend.Backend, error)) (SweepResult, []bool, error) {
+// returns their reports in spec order, which cells were restored from
+// the checkpoint, and the evaluated cells' sweeps by backend name.
+// Restored cells splice in their journaled report; only the missing
+// backends open (and, for supervised kinds, train) and evaluate — the
+// resume property the lab daemon's journal leans on.
+func (r *Runner) runSweep(ctx context.Context, ev *core.Evaluator, sw *SweepSpec, opts core.LLMOptions, open func(string) (backend.Backend, error)) (SweepResult, []bool, map[string]core.BackendSweep, error) {
 	sr := SweepResult{Name: sw.Name, Reports: make([]BackendReport, len(sw.Backends))}
 	restored := make([]bool, len(sw.Backends))
 	var missing []int
@@ -306,12 +335,13 @@ func (r *Runner) runSweep(ctx context.Context, ev *core.Evaluator, sw *SweepSpec
 		}
 		missing = append(missing, i)
 	}
+	fresh := make(map[string]core.BackendSweep, len(missing))
 	if len(missing) > 0 {
 		backends := make([]backend.Backend, len(missing))
 		for k, i := range missing {
 			b, err := open(sw.Backends[i])
 			if err != nil {
-				return SweepResult{}, nil, err
+				return SweepResult{}, nil, nil, err
 			}
 			backends[k] = b
 		}
@@ -320,23 +350,28 @@ func (r *Runner) runSweep(ctx context.Context, ev *core.Evaluator, sw *SweepSpec
 		// bit-identity the golden serial-vs-concurrent tests pin — so
 		// evaluating the missing subset reproduces the uninterrupted
 		// run's reports exactly.
-		reports, err := ev.EvaluateBackendSet(ctx, backends, opts)
+		sweeps, err := ev.SweepBackendSet(ctx, backends, opts)
 		if err != nil {
-			return SweepResult{}, nil, err
+			return SweepResult{}, nil, nil, err
 		}
 		for k, i := range missing {
-			sr.Reports[i] = BackendReport{Backend: sw.Backends[i], Report: reports[k]}
+			sr.Reports[i] = BackendReport{Backend: sw.Backends[i], Report: sweeps[k].Report}
+			fresh[sw.Backends[i]] = sweeps[k]
 		}
 	}
-	return sr, restored, nil
+	return sr, restored, fresh, nil
 }
 
 // runVoteSweep majority-votes the top backends of an earlier sweep:
 // members are ranked by ensemble.SelectTop (average accuracy, ties
 // broken by backend name — the paper's deterministic top-three
-// selection), opened again from their specs, and evaluated as one
-// voting composite.
-func (r *Runner) runVoteSweep(ctx context.Context, ev *core.Evaluator, res *Result, sw *SweepSpec, opts core.LLMOptions, open func(string) (backend.Backend, error)) (SweepResult, []bool, error) {
+// selection) and their answers are voted frame by frame. A member the
+// source sweep evaluated under this sweep's options contributes the
+// answers it already drew; the others (the options differ, or the
+// source cell was restored from a checkpoint) are swept again under
+// this sweep's options first. Either way the report equals a
+// backend.NewVoting committee's.
+func (r *Runner) runVoteSweep(ctx context.Context, ev *core.Evaluator, res *Result, sw *SweepSpec, opts core.LLMOptions, src drawnAnswers, open func(string) (backend.Backend, error)) (SweepResult, []bool, error) {
 	// A vote sweep is one cell, named after the sweep itself.
 	if cr, ok := r.cfg.Checkpoint.report(SweepCellID(sw.Name, sw.Name)); ok {
 		return SweepResult{
@@ -360,21 +395,35 @@ func (r *Runner) runVoteSweep(ctx context.Context, ev *core.Evaluator, res *Resu
 	if err != nil {
 		return SweepResult{}, nil, err
 	}
-	members := make([]backend.Backend, len(top))
 	names := make([]string, len(top))
+	sweeps := make([]core.BackendSweep, len(top))
+	var missing []int
 	for i, s := range top {
-		b, err := open(s.ID)
+		names[i] = s.ID
+		if d, ok := src.sweeps[s.ID]; ok && src.opts == opts {
+			sweeps[i] = d
+			continue
+		}
+		missing = append(missing, i)
+	}
+	if len(missing) > 0 {
+		members := make([]backend.Backend, len(missing))
+		for j, i := range missing {
+			b, err := open(names[i])
+			if err != nil {
+				return SweepResult{}, nil, err
+			}
+			members[j] = b
+		}
+		swept, err := ev.SweepBackendSet(ctx, members, opts)
 		if err != nil {
 			return SweepResult{}, nil, err
 		}
-		members[i] = b
-		names[i] = s.ID
+		for j, i := range missing {
+			sweeps[i] = swept[j]
+		}
 	}
-	voting, err := backend.NewVoting(sw.Name, members...)
-	if err != nil {
-		return SweepResult{}, nil, err
-	}
-	report, err := ev.EvaluateBackend(ctx, voting, opts)
+	report, err := ev.Vote(sweeps)
 	if err != nil {
 		return SweepResult{}, nil, err
 	}

@@ -1,0 +1,175 @@
+package render
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"fmt"
+	"os"
+	"strings"
+	"testing"
+
+	"nbhd/internal/geo"
+	"nbhd/internal/scene"
+)
+
+// goldenScenes generates the frame golden's scenes: every urbanicity
+// in a low-to-high ladder × both road classes × a heading along and one
+// across the road × three seeds. The ladder spreads the vegetation
+// density, and its top urbanicities reach apartments and streetlights.
+func goldenScenes(t *testing.T) []*scene.Scene {
+	t.Helper()
+	g := scene.NewGenerator(nil)
+	var out []*scene.Scene
+	for _, u := range []float64{0.05, 0.4, 0.75, 1} {
+		for _, class := range []geo.RoadClass{geo.RoadSingleLane, geo.RoadMultiLane} {
+			for _, heading := range []geo.Heading{geo.HeadingNorth, geo.HeadingEast} {
+				for seed := int64(1); seed <= 3; seed++ {
+					p := geo.SamplePoint{
+						Coordinate:   geo.Coordinate{Lat: 35.9, Lng: -79.0},
+						RoadID:       int(class),
+						RoadClass:    class,
+						MilepostFeet: 100 * u,
+						Urbanicity:   u,
+					}
+					id := fmt.Sprintf("u%g-%v-h%d-s%d", u, class, int(heading), seed)
+					s, err := g.Generate(id, p, heading, seed)
+					if err != nil {
+						t.Fatal(err)
+					}
+					out = append(out, s)
+				}
+			}
+		}
+	}
+	return out
+}
+
+// frameHash is the hex SHA-256 of an image's raw float32 encoding.
+func frameHash(m *Image) string {
+	sum := sha256.Sum256(m.EncodeRawF32())
+	return hex.EncodeToString(sum[:])
+}
+
+// frameGolden renders every golden scene at every golden size, applies
+// each pixel operation to one frame, and returns the encoded file: one
+// JSON string per image, naming it and ending in its size and hash.
+func frameGolden(t *testing.T) []byte {
+	t.Helper()
+	var lines []string
+	add := func(name string, m *Image) {
+		lines = append(lines, fmt.Sprintf("%s %dx%d %s", name, m.W, m.H, frameHash(m)))
+	}
+	sizes := [][2]int{{1, 1}, {7, 5}, {37, 23}, {96, 96}, {640, 640}}
+	for _, s := range goldenScenes(t) {
+		for _, sz := range sizes {
+			img, err := Render(s, Config{Width: sz[0], Height: sz[1]})
+			if err != nil {
+				t.Fatal(err)
+			}
+			add(s.ID, img)
+		}
+	}
+
+	// Scene 36 is an along-road view with four objects.
+	base, err := Render(goldenScenes(t)[36], Config{Width: 37, Height: 23})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := -1; k <= 4; k++ {
+		add(fmt.Sprintf("rotate90(%d)", k), base.Rotate90(k))
+	}
+	add("flip", base.FlipHorizontal())
+	for _, r := range []scene.Rect{{X0: 0, Y0: 0, X1: 1, Y1: 1}, {X0: 0.1, Y0: 0.3, X1: 0.62, Y1: 0.9}, {X0: 0.95, Y0: 0, X1: 1, Y1: 0.05}} {
+		c, err := base.Crop(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		add(fmt.Sprintf("crop(%g,%g,%g,%g)", r.X0, r.Y0, r.X1, r.Y1), c)
+	}
+	for _, r := range [][4]int{{3, 2, 20, 9}, {-5, -5, 4, 3}, {30, 15, 99, 99}, {10, 10, 5, 5}, {-1, -1, 100, 100}} {
+		m := base.Clone()
+		m.FillRect(r[0], r[1], r[2], r[3], 0.2, 1.4, -0.1)
+		add(fmt.Sprintf("fillrect(%d,%d,%d,%d)", r[0], r[1], r[2], r[3]), m)
+	}
+	blended := base.Clone()
+	for i, alpha := range []float32{-0.5, 0, 0.25, 0.5, 0.999, 1, 1.5} {
+		for _, xy := range [][2]int{{i, i}, {36 - i, 22 - i}, {-1, i}, {i, 23}} {
+			blended.BlendRGB(xy[0], xy[1], 0.9, 0.1*float32(i), 1.2, alpha)
+		}
+	}
+	add("blend", blended)
+	for _, sz := range [][2]int{{37, 23}, {1, 1}, {16, 9}, {200, 150}, {37, 64}} {
+		m, err := base.Resize(sz[0], sz[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		add(fmt.Sprintf("resize(%d,%d)", sz[0], sz[1]), m)
+	}
+
+	var buf bytes.Buffer
+	buf.WriteString("[\n")
+	for i, line := range lines {
+		enc, err := json.Marshal(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf.Write(enc)
+		if i < len(lines)-1 {
+			buf.WriteByte(',')
+		}
+		buf.WriteByte('\n')
+	}
+	buf.WriteString("]\n")
+	return buf.Bytes()
+}
+
+// TestGoldenScenesCover checks the golden's scenes still span what it
+// is meant to pin: both view kinds, each with every object class, and
+// several vegetation densities.
+func TestGoldenScenesCover(t *testing.T) {
+	seen := map[scene.ViewKind]map[scene.Indicator]bool{}
+	densities := map[float64]bool{}
+	for _, s := range goldenScenes(t) {
+		if seen[s.View] == nil {
+			seen[s.View] = map[scene.Indicator]bool{}
+		}
+		for _, o := range s.Objects {
+			seen[s.View][o.Indicator] = true
+		}
+		densities[s.VegetationDensity] = true
+	}
+	for _, v := range []scene.ViewKind{scene.ViewAlongRoad, scene.ViewAcrossRoad} {
+		for _, ind := range scene.Indicators() {
+			if !seen[v][ind] {
+				t.Errorf("no %v scene draws a %v", v, ind)
+			}
+		}
+	}
+	if len(densities) < 10 {
+		t.Errorf("only %d distinct vegetation densities", len(densities))
+	}
+}
+
+// TestFramesGolden pins rendered pixels byte for byte: every golden
+// scene at sizes from 1×1 to the paper's 640×640, plus the rotate,
+// flip, crop, fill, blend and resize operations on one frame.
+func TestFramesGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/frames.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := frameGolden(t)
+	if bytes.Equal(got, want) {
+		return
+	}
+	gotLines := strings.Split(string(got), "\n")
+	wantLines := strings.Split(string(want), "\n")
+	for i := range min(len(gotLines), len(wantLines)) {
+		if gotLines[i] != wantLines[i] {
+			t.Fatalf("frames diverge from testdata/frames.json at line %d:\ngot:  %s\nwant: %s", i+1, gotLines[i], wantLines[i])
+		}
+	}
+	t.Fatalf("frames have %d lines, testdata/frames.json has %d", len(gotLines), len(wantLines))
+}

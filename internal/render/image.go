@@ -61,11 +61,43 @@ func (m *Image) Set(x, y, c int, v float32) {
 	m.Pix[c*m.W*m.H+y*m.W+x] = clampF32(v)
 }
 
-// SetRGB writes all three channels at (x,y).
+// SetRGB writes all three channels at (x,y), clamping like Set and
+// ignoring out-of-bounds writes.
 func (m *Image) SetRGB(x, y int, r, g, b float32) {
-	m.Set(x, y, 0, r)
-	m.Set(x, y, 1, g)
-	m.Set(x, y, 2, b)
+	if x < 0 || y < 0 || x >= m.W || y >= m.H {
+		return
+	}
+	i, plane := y*m.W+x, m.W*m.H
+	m.Pix[i] = clampF32(r)
+	m.Pix[plane+i] = clampF32(g)
+	m.Pix[2*plane+i] = clampF32(b)
+}
+
+// Row returns row y of the red, green and blue planes, aliasing Pix:
+// each slice is W long and index x is pixel (x,y). y must be in
+// [0,H).
+func (m *Image) Row(y int) (r, g, b []float32) {
+	i, plane := y*m.W, m.W*m.H
+	return m.Pix[i : i+m.W], m.Pix[plane+i : plane+i+m.W], m.Pix[2*plane+i : 2*plane+i+m.W]
+}
+
+// fillRow paints pixels [x0,x1) of row y with one color, clipping the
+// span to the image and clamping the color once.
+func (m *Image) fillRow(y, x0, x1 int, r, g, b float32) {
+	x0, x1 = max(x0, 0), min(x1, m.W)
+	if y < 0 || y >= m.H || x0 >= x1 {
+		return
+	}
+	rs, gs, bs := m.Row(y)
+	fill(rs[x0:x1], clampF32(r))
+	fill(gs[x0:x1], clampF32(g))
+	fill(bs[x0:x1], clampF32(b))
+}
+
+func fill(s []float32, v float32) {
+	for i := range s {
+		s[i] = v
+	}
 }
 
 // BlendRGB mixes the existing pixel with (r,g,b) at alpha in [0,1].

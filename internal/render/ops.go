@@ -80,22 +80,8 @@ func (m *Image) Crop(r scene.Rect) (*Image, error) {
 // fills everything; an inverted or empty rect fills nothing). The
 // degradation suite's occluders are FillRects.
 func (m *Image) FillRect(x0, y0, x1, y1 int, r, g, b float32) {
-	if x0 < 0 {
-		x0 = 0
-	}
-	if y0 < 0 {
-		y0 = 0
-	}
-	if x1 > m.W {
-		x1 = m.W
-	}
-	if y1 > m.H {
-		y1 = m.H
-	}
-	for y := y0; y < y1; y++ {
-		for x := x0; x < x1; x++ {
-			m.SetRGB(x, y, r, g, b)
-		}
+	for y := max(y0, 0); y < min(y1, m.H); y++ {
+		m.fillRow(y, x0, x1, r, g, b)
 	}
 }
 

@@ -111,9 +111,7 @@ func fillRect(img *Image, r scene.Rect, c rgb) {
 	x0, x1 := px(r.X0, img.W), px(r.X1, img.W)
 	y0, y1 := px(r.Y0, img.H), px(r.Y1, img.H)
 	for y := y0; y < y1; y++ {
-		for x := x0; x < x1; x++ {
-			img.SetRGB(x, y, c.r, c.g, c.b)
-		}
+		img.fillRow(y, x0, x1, c.r, c.g, c.b)
 	}
 }
 
@@ -125,24 +123,23 @@ func drawSky(img *Image, tone float64) {
 		r := (colSkyTop.r*(1-f) + colSkyBottom.r*f) * t
 		g := (colSkyTop.g*(1-f) + colSkyBottom.g*f) * t
 		b := (colSkyTop.b*(1-f) + colSkyBottom.b*f) * t
-		for x := 0; x < img.W; x++ {
-			img.SetRGB(x, y, r, g, b)
-		}
+		img.fillRow(y, 0, img.W, r, g, b)
 	}
 	// Thin haze band at the horizon.
 	for y := horizon; y < horizon+img.H/60+1 && y < img.H; y++ {
-		for x := 0; x < img.W; x++ {
-			img.SetRGB(x, y, colHorizonHaze.r, colHorizonHaze.g, colHorizonHaze.b)
-		}
+		img.fillRow(y, 0, img.W, colHorizonHaze.r, colHorizonHaze.g, colHorizonHaze.b)
 	}
 }
 
 func drawGround(img *Image, rng *rand.Rand) {
 	horizon := int(0.46*float64(img.H)) + img.H/60 + 1
 	for y := horizon; y < img.H; y++ {
-		for x := 0; x < img.W; x++ {
+		r, g, b := img.Row(y)
+		for x := range r {
 			jitter := float32(rng.Float64()-0.5) * 0.05
-			img.SetRGB(x, y, colGrassBase.r+jitter, colGrassBase.g+jitter, colGrassBase.b+jitter)
+			r[x] = clampF32(colGrassBase.r + jitter)
+			g[x] = clampF32(colGrassBase.g + jitter)
+			b[x] = clampF32(colGrassBase.b + jitter)
 		}
 	}
 }
@@ -199,9 +196,7 @@ func drawRoad(img *Image, o scene.Object, view scene.ViewKind, lanesPerDir int) 
 		f := float64(y-y0) / math.Max(1, float64(y1-y0))
 		half := topHalf + (botHalf-topHalf)*f
 		x0, x1 := px(cx-half, img.W), px(cx+half, img.W)
-		for x := x0; x < x1; x++ {
-			img.SetRGB(x, y, colAsphalt.r, colAsphalt.g, colAsphalt.b)
-		}
+		img.fillRow(y, x0, x1, colAsphalt.r, colAsphalt.g, colAsphalt.b)
 		drawLaneMarkings(img, y, f, cx, half, lanesPerDir)
 	}
 }
@@ -216,9 +211,7 @@ func drawLaneMarkings(img *Image, y int, f, cx, half float64, lanesPerDir int) {
 	paint := func(center float64, c rgb) {
 		x0 := int(center*float64(img.W) - width/2)
 		x1 := int(center*float64(img.W) + width/2)
-		for x := x0; x <= x1; x++ {
-			img.SetRGB(x, y, c.r, c.g, c.b)
-		}
+		img.fillRow(y, x0, x1+1, c.r, c.g, c.b)
 	}
 	if lanesPerDir <= 1 {
 		if dashOn {

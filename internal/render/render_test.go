@@ -51,6 +51,22 @@ func TestImageSetAtClamp(t *testing.T) {
 	}
 }
 
+func TestRowAliasesPlanes(t *testing.T) {
+	img := MustNewImage(3, 2)
+	img.SetRGB(2, 1, 0.25, 0.5, 0.75)
+	r, g, b := img.Row(1)
+	if len(r) != 3 || r[2] != 0.25 || g[2] != 0.5 || b[2] != 0.75 {
+		t.Fatalf("Row(1) = %v %v %v", r, g, b)
+	}
+	r[0], g[0], b[0] = 0.1, 0.2, 0.3
+	if img.At(0, 1, 0) != 0.1 || img.At(0, 1, 1) != 0.2 || img.At(0, 1, 2) != 0.3 {
+		t.Error("writes through Row are not visible through At")
+	}
+	if r, _, _ := img.Row(0); r[0] != 0 || r[2] != 0 {
+		t.Errorf("Row(0) red = %v, want untouched", r)
+	}
+}
+
 func TestBlendRGB(t *testing.T) {
 	img := MustNewImage(2, 2)
 	img.SetRGB(0, 0, 1, 0, 0)

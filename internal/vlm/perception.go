@@ -49,10 +49,14 @@ type Features struct {
 // Perceive extracts features from an image by color-signature probing on
 // a downscaled view. The synthetic renderer gives each indicator class a
 // distinctive signature, mirroring how the real classes are visually
-// separable in street imagery.
+// separable in street imagery. A nil image, a non-positive size or a
+// pixel buffer whose length does not match the size is an error.
 func Perceive(img *render.Image) (Features, error) {
 	if img == nil {
 		return Features{}, fmt.Errorf("vlm: perceive: nil image")
+	}
+	if !wellFormed(img) {
+		return Features{}, fmt.Errorf("vlm: perceive: malformed %dx%d image with %d pixel values", img.W, img.H, len(img.Pix))
 	}
 	view := img
 	if img.W > perceptionSize || img.H > perceptionSize {
@@ -62,13 +66,18 @@ func Perceive(img *render.Image) (Features, error) {
 			return Features{}, err
 		}
 	}
-	var f Features
-	f.Road, f.PartialRoad = perceiveRoad(view)
-	f.Sidewalk = perceiveSidewalk(view)
-	f.Streetlight = perceiveStreetlight(view)
-	f.Powerline = perceivePowerline(view)
-	f.Apartment = perceiveApartment(view)
-	return f, nil
+	return perceive(view), nil
+}
+
+// wellFormed reports whether img has a positive size and exactly
+// render.Channels values per pixel, dividing rather than multiplying so
+// a huge claimed size cannot overflow into a match.
+func wellFormed(img *render.Image) bool {
+	if img.W <= 0 || img.H <= 0 || img.W > len(img.Pix) {
+		return false
+	}
+	row := render.Channels * img.W
+	return len(img.Pix)%row == 0 && len(img.Pix)/row == img.H
 }
 
 // pixel predicates over the renderer's palette, with generous tolerances
@@ -115,109 +124,78 @@ func absf(v float32) float32 {
 	return v
 }
 
-// perceiveRoad scans the lower half for asphalt and lane markings.
-func perceiveRoad(img *render.Image) (RoadKind, bool) {
+// perceive probes a view of at most perceptionSize×perceptionSize
+// pixels in one pass over its rows:
+//   - road: asphalt rows and lane-marking pixels in the lower half;
+//   - sidewalk: pavement tone in the lower half;
+//   - streetlight: the bright lamp head in the upper third;
+//   - powerline: dark wire pixels spread across many columns of the sky
+//     region (a single pole produces a narrow dark cluster; wires span
+//     the frame);
+//   - apartment: the brick facade above the horizon.
+func perceive(img *render.Image) Features {
 	w, h := img.W, img.H
-	asphaltRows := 0
+	lampRows, skyRows, facadeRows := h/3, int(float64(h)*0.42), int(float64(h)*0.6)
+	var (
+		asphaltRows, whiteLinePx, yellowLinePx int
+		sidewalkPx, lampPx, brickPx, darkCols  int
+		darkCol                                [perceptionSize]bool
+	)
 	firstAsphaltRow := h
-	var asphaltCols, whiteLinePx, yellowLinePx int
-	for y := h / 2; y < h; y++ {
+	for y := 0; y < h; y++ {
+		rs, gs, bs := img.Row(y)
+		lower := y >= h/2
 		rowAsphalt := 0
-		for x := 0; x < w; x++ {
-			r, g, b := img.At(x, y, 0), img.At(x, y, 1), img.At(x, y, 2)
-			switch {
-			case isAsphalt(r, g, b):
-				rowAsphalt++
-			case isWhiteLine(r, g, b):
-				whiteLinePx++
-			case isYellowLine(r, g, b):
-				yellowLinePx++
+		for x, r := range rs {
+			g, b := gs[x], bs[x]
+			if lower {
+				switch {
+				case isAsphalt(r, g, b):
+					rowAsphalt++
+				case isWhiteLine(r, g, b):
+					whiteLinePx++
+				case isYellowLine(r, g, b):
+					yellowLinePx++
+				}
+				if isSidewalkTone(r, g, b) {
+					sidewalkPx++
+				}
+			}
+			if y < lampRows && isLamp(r, g, b) {
+				lampPx++
+			}
+			if y < skyRows && !darkCol[x] && isDark(r, g, b) {
+				darkCol[x] = true
+				darkCols++
+			}
+			if y < facadeRows && isBrick(r, g, b) {
+				brickPx++
 			}
 		}
 		if rowAsphalt > w/8 {
 			asphaltRows++
-			asphaltCols += rowAsphalt
-			if y < firstAsphaltRow {
-				firstAsphaltRow = y
-			}
+			firstAsphaltRow = min(firstAsphaltRow, y)
 		}
 	}
-	if asphaltRows < h/10 {
-		return RoadNone, false
+	f := Features{
+		Road:        RoadNone,
+		Sidewalk:    sidewalkPx > (w*h)/160,
+		Streetlight: lampPx >= 2,
+		Powerline:   darkCols > w*3/5,
+		Apartment:   brickPx > (w*h)/120,
 	}
-	_ = asphaltCols
-	// Partial view: asphalt only appears in the bottom third.
-	partial := firstAsphaltRow > h*2/3
-	// Lane-marking cue: white dividers mean multilane; a yellow center
-	// line with no white dividers means single-lane. A partial strip with
-	// no legible markings defaults to single-lane — exactly the
-	// ambiguity behind the paper's single-lane over-prediction finding.
-	if whiteLinePx >= 3 && whiteLinePx > yellowLinePx/4 {
-		return RoadMulti, partial
-	}
-	return RoadSingle, partial
-}
-
-// perceiveSidewalk looks for the pavement tone in the lower half,
-// excluding the immediate road margin.
-func perceiveSidewalk(img *render.Image) bool {
-	w, h := img.W, img.H
-	count := 0
-	for y := h / 2; y < h; y++ {
-		for x := 0; x < w; x++ {
-			if isSidewalkTone(img.At(x, y, 0), img.At(x, y, 1), img.At(x, y, 2)) {
-				count++
-			}
+	if asphaltRows >= h/10 {
+		// Partial view: asphalt only appears in the bottom third.
+		f.PartialRoad = firstAsphaltRow > h*2/3
+		// Lane-marking cue: white dividers mean multilane; a yellow
+		// center line with no white dividers means single-lane. A
+		// partial strip with no legible markings defaults to
+		// single-lane — exactly the ambiguity behind the paper's
+		// single-lane over-prediction finding.
+		f.Road = RoadSingle
+		if whiteLinePx >= 3 && whiteLinePx > yellowLinePx/4 {
+			f.Road = RoadMulti
 		}
 	}
-	return count > (w*h)/160
-}
-
-// perceiveStreetlight looks for the bright lamp head in the upper third.
-func perceiveStreetlight(img *render.Image) bool {
-	w, h := img.W, img.H
-	count := 0
-	for y := 0; y < h/3; y++ {
-		for x := 0; x < w; x++ {
-			if isLamp(img.At(x, y, 0), img.At(x, y, 1), img.At(x, y, 2)) {
-				count++
-			}
-		}
-	}
-	return count >= 2
-}
-
-// perceivePowerline looks for dark wire pixels spread across many columns
-// of the sky region (a single pole produces a narrow dark cluster; wires
-// span the frame).
-func perceivePowerline(img *render.Image) bool {
-	w, h := img.W, img.H
-	colsWithDark := 0
-	for x := 0; x < w; x++ {
-		dark := false
-		for y := 0; y < int(float64(h)*0.42); y++ {
-			if isDark(img.At(x, y, 0), img.At(x, y, 1), img.At(x, y, 2)) {
-				dark = true
-				break
-			}
-		}
-		if dark {
-			colsWithDark++
-		}
-	}
-	return colsWithDark > w*3/5
-}
-
-// perceiveApartment looks for the brick facade above the horizon.
-func perceiveApartment(img *render.Image) bool {
-	w, h := img.W, img.H
-	count := 0
-	for y := 0; y < int(float64(h)*0.6); y++ {
-		for x := 0; x < w; x++ {
-			if isBrick(img.At(x, y, 0), img.At(x, y, 1), img.At(x, y, 2)) {
-				count++
-			}
-		}
-	}
-	return count > (w*h)/120
+	return f
 }
