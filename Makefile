@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-386 race bench-check bench bench-smoke fmt fmt-check vet godoc-check check
+.PHONY: all build test test-386 race bench-check bench bench-smoke fuzz-smoke fmt fmt-check vet godoc-check check
 
 all: build
 
@@ -46,6 +46,17 @@ bench:
 # from this target.
 bench-smoke:
 	$(GO) test -run=NONE -bench='MatMul128|HTTPBackend_Sweep|ConvForward|ConvBackward|TrainEpoch|DetectorForward|PredictBatch|QuantDrift|GEMMSizes|Nearest|WarmStart|DegradationOps' -benchtime=1x -benchmem . ./internal/tensor
+
+# Runs each fuzz target for ten seconds past its seed corpus (plain
+# `go test` already replays the seeds under testdata/fuzz/). The
+# targets cover the strict-JSON spec and gateway config parsers and the
+# packed GEMM kernel. `go test -fuzz` takes one package and one target
+# per run; capping minimization at 100 runs per new input keeps the
+# ten seconds spent fuzzing rather than shrinking inputs.
+fuzz-smoke:
+	$(GO) test -run=NONE -fuzz='^FuzzParseSpec$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/experiment
+	$(GO) test -run=NONE -fuzz='^FuzzParseConfig$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/serve
+	$(GO) test -run=NONE -fuzz='^FuzzPackedGEMM$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/tensor
 
 fmt:
 	gofmt -w .

@@ -5,18 +5,23 @@
 // Usage:
 //
 //	gsvserve -addr :8081 -coords 300 -keys demo-key -quota 5000
+//
+// SIGTERM or SIGINT stops the listener and lets in-flight requests
+// finish before the process exits.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
+	"os/signal"
 	"strings"
-	"time"
+	"syscall"
 
 	"nbhd/internal/dataset"
 	"nbhd/internal/gsv"
+	"nbhd/internal/wire"
 )
 
 func main() {
@@ -51,11 +56,8 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{
-		Addr:              *addr,
-		Handler:           srv.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	fmt.Printf("serving %d frames (%s + %s) on %s\n", study.Len(), study.Rural.Name, study.Urban.Name, *addr)
-	return httpSrv.ListenAndServe()
+	return wire.Serve(ctx, *addr, srv.Handler(), nil)
 }

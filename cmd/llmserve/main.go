@@ -5,17 +5,22 @@
 //
 //	llmserve -addr :8080
 //	llmserve -addr :8080 -fail-429 0.05 -fail-500 0.01   # chaos mode
+//
+// SIGTERM or SIGINT stops the listener and lets in-flight requests
+// finish before the process exits.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
-	"time"
+	"os/signal"
+	"syscall"
 
 	"nbhd/internal/llmserve"
 	"nbhd/internal/vlm"
+	"nbhd/internal/wire"
 )
 
 func main() {
@@ -40,11 +45,8 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{
-		Addr:              *addr,
-		Handler:           srv.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	fmt.Printf("serving models %v on %s\n", vlm.AllModels(), *addr)
-	return httpSrv.ListenAndServe()
+	return wire.Serve(ctx, *addr, srv.Handler(), nil)
 }

@@ -23,17 +23,14 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
-	"nbhd/internal/backend"
 	"nbhd/internal/core"
 	"nbhd/internal/fleet"
 	"nbhd/internal/serve"
-	"nbhd/internal/vlm"
+	"nbhd/internal/wire"
 )
 
 func main() {
@@ -90,24 +87,14 @@ func run() error {
 	defer func() { _ = sup.Close() }()
 	router := sup.Router(fleet.RouterOptions{})
 
-	httpSrv := &http.Server{
-		Addr:              *addr,
-		Handler:           router.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
+	fmt.Printf("fleet of %d replicas %v routing on %s\n", sup.Ring().Len(), sup.Ring().Members(), *addr)
 	// SIGTERM: the router stops advertising health first, then in-flight
 	// forwards finish, then the supervisor drains every replica — the
 	// same outside-in order each gateway uses internally.
-	go func() {
-		<-ctx.Done()
+	if err := wire.Serve(ctx, *addr, router.Handler(), func() {
 		fmt.Println("draining fleet...")
 		router.Drain()
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		_ = httpSrv.Shutdown(shutdownCtx)
-	}()
-	fmt.Printf("fleet of %d replicas %v routing on %s\n", sup.Ring().Len(), sup.Ring().Members(), *addr)
-	if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
+	}); err != nil {
 		return err
 	}
 	fmt.Println("drained")
@@ -125,12 +112,5 @@ func fleetConfig(path string, replicas int) (fleet.Config, error) {
 		}
 		return fleet.ParseConfig(data)
 	}
-	gw := serve.Config{Backends: make(map[string]backend.Spec)}
-	for _, id := range vlm.AllModels() {
-		gw.Backends[string(id)] = backend.Spec{Kind: "vlm", Model: string(id)}
-	}
-	gw.Backends["committee"] = backend.Spec{Kind: "committee", Models: []string{
-		string(vlm.Gemini15Pro), string(vlm.Claude37), string(vlm.Grok2),
-	}}
-	return fleet.Config{Replicas: replicas, Gateway: gw}, nil
+	return fleet.Config{Replicas: replicas, Gateway: serve.Config{Backends: serve.DefaultBackends()}}, nil
 }

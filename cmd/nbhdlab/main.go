@@ -26,13 +26,12 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"nbhd/internal/lab"
+	"nbhd/internal/wire"
 )
 
 func main() {
@@ -68,26 +67,16 @@ func run() error {
 	}
 	defer func() { _ = l.Close() }()
 
-	httpSrv := &http.Server{
-		Addr:              *addr,
-		Handler:           l.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
+	logf("lab workspace %s serving on %s (%d jobs)", *workspace, *addr, len(cfg.Jobs))
 	// SIGTERM/SIGINT: checkpoint the in-flight run (Drain cancels it;
 	// its journal already holds every completed cell), flip healthz,
 	// and let admitted control-plane requests finish before the
 	// listener closes — drained requests never see a dropped
 	// connection.
-	go func() {
-		<-ctx.Done()
+	if err := wire.Serve(ctx, *addr, l.Handler(), func() {
 		logf("draining...")
 		l.Drain()
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		_ = httpSrv.Shutdown(shutdownCtx)
-	}()
-	logf("lab workspace %s serving on %s (%d jobs)", *workspace, *addr, len(cfg.Jobs))
-	if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
+	}); err != nil {
 		return err
 	}
 	logf("drained")

@@ -19,16 +19,14 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"nbhd/internal/backend"
 	"nbhd/internal/core"
 	"nbhd/internal/serve"
-	"nbhd/internal/vlm"
+	"nbhd/internal/wire"
 )
 
 func main() {
@@ -83,24 +81,14 @@ func run() error {
 	}
 	defer func() { _ = srv.Close() }()
 
-	httpSrv := &http.Server{
-		Addr:              *addr,
-		Handler:           srv.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
+	fmt.Printf("serving backends %v on %s\n", srv.Routes(), *addr)
 	// SIGTERM/SIGINT: flip healthz to draining, then let every admitted
 	// request finish before the listener closes and the pool is
 	// released — drained requests never see a dropped connection.
-	go func() {
-		<-ctx.Done()
+	if err := wire.Serve(ctx, *addr, srv.Handler(), func() {
 		fmt.Println("draining...")
 		srv.Drain()
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		_ = httpSrv.Shutdown(shutdownCtx)
-	}()
-	fmt.Printf("serving backends %v on %s\n", srv.Routes(), *addr)
-	if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
+	}); err != nil {
 		return err
 	}
 	fmt.Println("drained")
@@ -118,13 +106,7 @@ func gatewayConfig(path string, cnnEpochs int) (serve.Config, error) {
 		}
 		return serve.ParseConfig(data)
 	}
-	cfg := serve.Config{Backends: make(map[string]backend.Spec)}
-	for _, id := range vlm.AllModels() {
-		cfg.Backends[string(id)] = backend.Spec{Kind: "vlm", Model: string(id)}
-	}
-	cfg.Backends["committee"] = backend.Spec{Kind: "committee", Models: []string{
-		string(vlm.Gemini15Pro), string(vlm.Claude37), string(vlm.Grok2),
-	}}
+	cfg := serve.Config{Backends: serve.DefaultBackends()}
 	if cnnEpochs > 0 {
 		cfg.Backends["cnn"] = backend.Spec{Kind: "cnn", Epochs: cnnEpochs}
 	}

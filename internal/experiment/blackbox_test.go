@@ -58,6 +58,19 @@ func TestParseSpecRejectsUnknownFields(t *testing.T) {
 	if err == nil {
 		t.Fatal("ParseSpec accepted a spec with an unknown field")
 	}
+	// A valid spec followed by anything but whitespace is rejected too.
+	valid, err := experiment.MarshalIndentSpec(demoSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := experiment.ParseSpec(valid); err != nil {
+		t.Fatalf("valid spec rejected: %v", err)
+	}
+	for _, trailing := range []string{`}`, `]`, `{}`, `x`} {
+		if _, err := experiment.ParseSpec(append(append([]byte(nil), valid...), trailing...)); err == nil {
+			t.Errorf("ParseSpec accepted trailing data %q", trailing)
+		}
+	}
 }
 
 func TestValidateRejectsUnknownBackendName(t *testing.T) {

@@ -17,6 +17,7 @@ import (
 	"nbhd/internal/core"
 	"nbhd/internal/dataset"
 	"nbhd/internal/prompt"
+	"nbhd/internal/wire"
 	"nbhd/internal/world"
 )
 
@@ -259,13 +260,12 @@ func (s *Spec) Validate() error {
 	return nil
 }
 
-// ParseSpec decodes and validates a JSON spec. Unknown fields are
-// rejected so typos fail loudly instead of silently changing the run.
+// ParseSpec decodes and validates a JSON spec under the strict wire
+// rule: unknown fields and trailing data are rejected so typos fail
+// loudly instead of silently changing the run.
 func ParseSpec(data []byte) (Spec, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var s Spec
-	if err := dec.Decode(&s); err != nil {
+	if err := wire.DecodeStrict(bytes.NewReader(data), &s); err != nil {
 		return Spec{}, fmt.Errorf("experiment: parse spec: %w", err)
 	}
 	if err := s.Validate(); err != nil {

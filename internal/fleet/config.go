@@ -26,10 +26,10 @@ package fleet
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 
 	"nbhd/internal/serve"
+	"nbhd/internal/wire"
 )
 
 // Config is the fleet's JSON-loadable configuration: one gateway config
@@ -84,17 +84,12 @@ type Config struct {
 	BasePort int `json:"base_port,omitempty"`
 }
 
-// ParseConfig decodes a JSON fleet config, rejecting unknown fields so
-// typos fail at boot, matching serve.ParseConfig.
+// ParseConfig decodes a JSON fleet config under the strict wire rule
+// (no unknown fields, no trailing data), matching serve.ParseConfig.
 func ParseConfig(data []byte) (Config, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var cfg Config
-	if err := dec.Decode(&cfg); err != nil {
+	if err := wire.DecodeStrict(bytes.NewReader(data), &cfg); err != nil {
 		return Config{}, fmt.Errorf("fleet: parse config: %w", err)
-	}
-	if dec.More() {
-		return Config{}, fmt.Errorf("fleet: parse config: trailing data after JSON object")
 	}
 	return cfg, nil
 }

@@ -13,9 +13,10 @@ func TestParseConfigRejectsUnknownFields(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "repilcas") {
 		t.Fatalf("unknown field accepted, err = %v", err)
 	}
-	_, err = ParseConfig([]byte(`{"replicas": 2} trailing`))
-	if err == nil {
-		t.Fatal("trailing data accepted")
+	for _, trailing := range []string{` trailing`, `}`, `]`, `{}`, `x`} {
+		if _, err := ParseConfig([]byte(`{"replicas": 2}` + trailing)); err == nil {
+			t.Fatalf("trailing data %q accepted", trailing)
+		}
 	}
 }
 

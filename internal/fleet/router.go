@@ -2,8 +2,6 @@ package fleet
 
 import (
 	"bytes"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -13,8 +11,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"nbhd/internal/llmserve"
+	"nbhd/internal/render"
 	"nbhd/internal/serve"
+	"nbhd/internal/wire"
 )
 
 // Router is the fleet's front door: it computes each request's shard
@@ -53,7 +52,7 @@ type Router struct {
 
 	start    time.Time
 	draining atomic.Bool
-	reqSeq   atomic.Int64
+	ids      *wire.IDs
 
 	mu        sync.Mutex
 	forwarded map[string]int64
@@ -107,7 +106,7 @@ func NewRouter(ring *Ring, resolve func(id string) (string, bool), cfg Config, o
 		if imageCap == 0 {
 			imageCap = 8 << 20
 		}
-		maxBody = int64(imageCap)*2 + 1<<20
+		maxBody = render.UploadBodyLimit(imageCap)
 	}
 	failover := cfg.FailoverRetries
 	if failover < 0 {
@@ -123,6 +122,7 @@ func NewRouter(ring *Ring, resolve func(id string) (string, bool), cfg Config, o
 		maxBody:    maxBody,
 		spill:      cfg.SpillFactor,
 		start:      time.Now(),
+		ids:        wire.NewIDs("flt"),
 		forwarded:  make(map[string]int64),
 		fwdErrors:  make(map[string]int64),
 		inflight:   make(map[string]int64),
@@ -145,34 +145,10 @@ func (rt *Router) Handler() http.Handler {
 // traffic; in-flight forwards finish normally, mirroring serve.Drain.
 func (rt *Router) Drain() { rt.draining.Store(true) }
 
-func (rt *Router) nextReqID() string {
-	return fmt.Sprintf("flt-%06d", rt.reqSeq.Add(1))
-}
-
-// writeError emits the llmserve-shaped error body both services speak.
-func writeError(w http.ResponseWriter, status int, typ, msg, reqID string) {
-	var body llmserve.ErrorResponse
-	body.Error.Message = msg
-	body.Error.Type = typ
-	body.Error.RequestID = reqID
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(body)
-}
-
-// write503 sheds at the router itself (no healthy replica, all
-// candidates unreachable), advertising the configured Retry-After.
-func (rt *Router) write503(w http.ResponseWriter, msg, reqID string) {
-	if rt.retryAfter > 0 {
-		w.Header().Set("Retry-After", strconv.Itoa(rt.retryAfter))
-	}
-	writeError(w, http.StatusServiceUnavailable, "overloaded", msg, reqID)
-}
-
 func (rt *Router) handleClassify(w http.ResponseWriter, r *http.Request) {
-	reqID := rt.nextReqID()
+	reqID := rt.ids.Next()
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "invalid_request_error", "use POST", reqID)
+		wire.WriteError(w, http.StatusMethodNotAllowed, "invalid_request_error", "use POST", reqID)
 		return
 	}
 	body, req, ok := readBody[serve.ClassifyRequest](w, r, rt.maxBody, reqID)
@@ -181,16 +157,16 @@ func (rt *Router) handleClassify(w http.ResponseWriter, r *http.Request) {
 	}
 	key, err := serve.RequestShardKey(req, rt.quantized[req.Backend])
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid_request_error", err.Error(), reqID)
+		wire.WriteError(w, http.StatusBadRequest, "invalid_request_error", err.Error(), reqID)
 		return
 	}
 	rt.forward(w, r, key, body, reqID)
 }
 
 func (rt *Router) handleNeighborhood(w http.ResponseWriter, r *http.Request) {
-	reqID := rt.nextReqID()
+	reqID := rt.ids.Next()
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "invalid_request_error", "use POST", reqID)
+		wire.WriteError(w, http.StatusMethodNotAllowed, "invalid_request_error", "use POST", reqID)
 		return
 	}
 	body, req, ok := readBody[serve.NeighborhoodRequest](w, r, rt.maxBody, reqID)
@@ -199,16 +175,16 @@ func (rt *Router) handleNeighborhood(w http.ResponseWriter, r *http.Request) {
 	}
 	key, err := serve.NeighborhoodShardKey(req, rt.quantized[req.Backend])
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid_request_error", err.Error(), reqID)
+		wire.WriteError(w, http.StatusBadRequest, "invalid_request_error", err.Error(), reqID)
 		return
 	}
 	rt.forward(w, r, key, body, reqID)
 }
 
 func (rt *Router) handleNearest(w http.ResponseWriter, r *http.Request) {
-	reqID := rt.nextReqID()
+	reqID := rt.ids.Next()
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "invalid_request_error", "use GET", reqID)
+		wire.WriteError(w, http.StatusMethodNotAllowed, "invalid_request_error", "use GET", reqID)
 		return
 	}
 	// Nearest queries touch no per-key gateway state (the spatial index
@@ -217,28 +193,23 @@ func (rt *Router) handleNearest(w http.ResponseWriter, r *http.Request) {
 	rt.forward(w, r, "nearest|"+r.URL.RawQuery, nil, reqID)
 }
 
-// readBody buffers and decodes a JSON request body, returning the raw
-// bytes for re-sending downstream. On failure it writes the error
-// response (413 for a body over limit, 400 otherwise) and reports false,
-// so a truncated body is never forwarded.
+// readBody strictly decodes a bounded JSON request body in one pass
+// (wire.DecodeBody, so the router accepts exactly what a gateway
+// accepts) and tees the raw bytes off that read for re-sending
+// downstream. On failure it writes the error response and reports
+// false, so a rejected or truncated body is never forwarded.
 func readBody[T any](w http.ResponseWriter, r *http.Request, limit int64, reqID string) ([]byte, *T, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, "invalid_request_error",
-				fmt.Sprintf("request body exceeds limit of %d bytes", limit), reqID)
-		} else {
-			writeError(w, http.StatusBadRequest, "invalid_request_error", "read body: "+err.Error(), reqID)
-		}
-		return nil, nil, false
-	}
+	var raw bytes.Buffer
+	r.Body = struct {
+		io.Reader
+		io.Closer
+	}{io.TeeReader(r.Body, &raw), r.Body}
 	var req T
-	if err := json.Unmarshal(body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid_request_error", "empty or malformed JSON body: "+err.Error(), reqID)
+	if herr := wire.DecodeBody(w, r, limit, &req); herr != nil {
+		herr.Write(w, reqID)
 		return nil, nil, false
 	}
-	return body, &req, true
+	return raw.Bytes(), &req, true
 }
 
 // spillOrder applies consistent hashing with bounded loads to the
@@ -300,7 +271,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, key string, bo
 		rt.mu.Lock()
 		rt.noReplica++
 		rt.mu.Unlock()
-		rt.write503(w, "no healthy replicas in the ring", reqID)
+		wire.Shed(w, http.StatusServiceUnavailable, "overloaded", "no healthy replicas in the ring", reqID, rt.retryAfter)
 		return
 	}
 	candidates, spilled := rt.spillOrder(candidates)
@@ -315,7 +286,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, key string, bo
 		}
 		req, err := http.NewRequestWithContext(r.Context(), r.Method, url+r.URL.RequestURI(), payload)
 		if err != nil {
-			writeError(w, http.StatusInternalServerError, "router_error", err.Error(), reqID)
+			wire.WriteError(w, http.StatusInternalServerError, "router_error", err.Error(), reqID)
 			return
 		}
 		if ct := r.Header.Get("Content-Type"); ct != "" {
@@ -351,7 +322,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, key string, bo
 		rt.mu.Unlock()
 		return
 	}
-	rt.write503(w, fmt.Sprintf("all %d candidate replicas unreachable", len(candidates)), reqID)
+	wire.Shed(w, http.StatusServiceUnavailable, "overloaded", fmt.Sprintf("all %d candidate replicas unreachable", len(candidates)), reqID, rt.retryAfter)
 }
 
 // relay copies one replica response to the client, tagging it with the
@@ -394,15 +365,11 @@ func (rt *Router) handleHealth(w http.ResponseWriter, r *http.Request) {
 		h.Status = "degraded"
 		status = http.StatusServiceUnavailable
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(h)
+	wire.WriteJSON(w, status, h)
 }
 
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_ = json.NewEncoder(w).Encode(rt.Metrics())
+	wire.WriteJSON(w, http.StatusOK, rt.Metrics())
 }
 
 // Metrics snapshots the router's counters — what /metricsz serves.

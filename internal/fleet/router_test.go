@@ -374,9 +374,16 @@ func TestFleetKillUnderLoadDropsNo200s(t *testing.T) {
 
 // TestFleetRejectsOversizedBody: a body over the router's limit is a
 // 413 at the router, never truncated into a "malformed JSON" 400 or
-// forwarded.
+// forwarded. Every row also goes straight to a gateway replica: the
+// router and the gateway share one strict decoder (wire.DecodeBody), so
+// trailing data and unknown fields get the same status and error type
+// either way, and the router rejects them before forwarding.
 func TestFleetRejectsOversizedBody(t *testing.T) {
 	tf := newTestFleet(t, 2, serve.Config{MaxImageBytes: 2048}, 600000, 0)
+	gatewayURL, ok := tf.sup.URLOf(tf.sup.Replicas()[0])
+	if !ok {
+		t.Fatal("no replica URL")
+	}
 	cases := []struct {
 		name, path, body string
 		want             int
@@ -386,24 +393,33 @@ func TestFleetRejectsOversizedBody(t *testing.T) {
 			`{"backend":"fake","frame":{"index":0},"pad":"` + strings.Repeat("x", 2<<20) + `"}`, http.StatusRequestEntityTooLarge},
 		{"neighborhood body over the limit", "/v1/neighborhood",
 			`{"backend":"fake","lat":1,"lng":2,"radius_feet":10,"pad":"` + strings.Repeat("x", 2<<20) + `"}`, http.StatusRequestEntityTooLarge},
+		{"classify trailing brace", "/v1/classify", `{"backend":"fake","frame":{"index":0}}}`, http.StatusBadRequest},
+		{"classify trailing value", "/v1/classify", `{"backend":"fake","frame":{"index":0}} {}`, http.StatusBadRequest},
+		{"classify unknown field", "/v1/classify", `{"backend":"fake","frame":{"index":0},"fram":1}`, http.StatusBadRequest},
+		{"neighborhood trailing data", "/v1/neighborhood", `{"backend":"fake","lat":1,"lng":2,"radius_feet":10}]`, http.StatusBadRequest},
+		{"neighborhood unknown field", "/v1/neighborhood", `{"backend":"fake","lat":1,"lng":2,"radius_feet":10,"radius":5}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			resp, err := http.Post(tf.ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
-			if err != nil {
-				t.Fatalf("POST: %v", err)
-			}
-			defer func() { _ = resp.Body.Close() }()
-			if resp.StatusCode != tc.want {
-				t.Fatalf("status = %d, want %d", resp.StatusCode, tc.want)
-			}
-			var eb struct {
-				Error struct {
-					Type string `json:"type"`
-				} `json:"error"`
-			}
-			if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil || eb.Error.Type != "invalid_request_error" {
-				t.Fatalf("error body type %q (decode err %v), want invalid_request_error", eb.Error.Type, err)
+			for _, via := range []struct{ name, url string }{{"router", tf.ts.URL}, {"gateway", gatewayURL}} {
+				t.Run(via.name, func(t *testing.T) {
+					resp, err := http.Post(via.url+tc.path, "application/json", strings.NewReader(tc.body))
+					if err != nil {
+						t.Fatalf("POST: %v", err)
+					}
+					defer func() { _ = resp.Body.Close() }()
+					if resp.StatusCode != tc.want {
+						t.Fatalf("status = %d, want %d", resp.StatusCode, tc.want)
+					}
+					var eb struct {
+						Error struct {
+							Type string `json:"type"`
+						} `json:"error"`
+					}
+					if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil || eb.Error.Type != "invalid_request_error" {
+						t.Fatalf("error body type %q (decode err %v), want invalid_request_error", eb.Error.Type, err)
+					}
+				})
 			}
 		})
 	}

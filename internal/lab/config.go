@@ -2,11 +2,11 @@ package lab
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"strings"
 
 	"nbhd/internal/experiment"
+	"nbhd/internal/wire"
 )
 
 // Baseline policies.
@@ -87,17 +87,13 @@ type JobConfig struct {
 	Workers int `json:"workers,omitempty"`
 }
 
-// ParseConfig decodes a JSON config, rejecting unknown fields so typos
-// fail at boot (the serve.ParseConfig convention).
+// ParseConfig decodes a JSON config under the strict wire rule (no
+// unknown fields, no trailing data) so typos fail at boot, the
+// serve.ParseConfig convention.
 func ParseConfig(data []byte) (Config, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var cfg Config
-	if err := dec.Decode(&cfg); err != nil {
+	if err := wire.DecodeStrict(bytes.NewReader(data), &cfg); err != nil {
 		return Config{}, fmt.Errorf("lab: parse config: %w", err)
-	}
-	if dec.More() {
-		return Config{}, fmt.Errorf("lab: parse config: trailing data after JSON object")
 	}
 	if err := cfg.Validate(); err != nil {
 		return Config{}, err

@@ -2,18 +2,17 @@ package lab
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"strings"
 
-	"nbhd/internal/llmserve"
+	"nbhd/internal/wire"
 )
 
-// HTTP control plane, following internal/serve's conventions: JSON
-// everywhere, llmserve-shaped error bodies ({"error": {"message",
-// "type", "request_id"}}), /healthz flipping 503 on drain so load
-// balancers stop routing before shutdown.
+// HTTP control plane, following internal/serve's conventions through
+// the shared wire shell: strict bounded JSON bodies, wire.ErrorResponse
+// bodies ({"error": {"message", "type", "request_id"}}), /healthz
+// flipping 503 on drain so load balancers stop routing before shutdown.
 //
 //	GET  /queuez        scheduler snapshot (running, queue, jobs)
 //	GET  /runz/{id}     one run's record
@@ -31,7 +30,7 @@ const maxBodyBytes = 1 << 20
 func (l *Lab) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /queuez", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, l.Queue())
+		wire.WriteJSON(w, http.StatusOK, l.Queue())
 	})
 	mux.HandleFunc("GET /runz/{id}", l.handleRun)
 	mux.HandleFunc("POST /v1/enqueue", l.handleEnqueue)
@@ -39,24 +38,20 @@ func (l *Lab) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/cancel", l.handleCancel)
 	mux.HandleFunc("GET /healthz", l.handleHealth)
 	mux.HandleFunc("GET /metricsz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, l.Metrics())
+		wire.WriteJSON(w, http.StatusOK, l.Metrics())
 	})
 	return mux
 }
 
-func (l *Lab) requestID() string {
-	return fmt.Sprintf("lab-%06d", l.reqSeq.Add(1))
-}
-
 func (l *Lab) handleRun(w http.ResponseWriter, r *http.Request) {
-	reqID := l.requestID()
+	reqID := l.ids.Next()
 	rec, ok := l.Run(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown_run",
+		wire.WriteError(w, http.StatusNotFound, "unknown_run",
 			fmt.Sprintf("unknown run %q", r.PathValue("id")), reqID)
 		return
 	}
-	writeJSON(w, http.StatusOK, rec)
+	wire.WriteJSON(w, http.StatusOK, rec)
 }
 
 // EnqueueRequest is the POST /v1/enqueue body: exactly one of Job or
@@ -69,17 +64,17 @@ type EnqueueRequest struct {
 }
 
 func (l *Lab) handleEnqueue(w http.ResponseWriter, r *http.Request) {
-	reqID := l.requestID()
+	reqID := l.ids.Next()
 	var req EnqueueRequest
-	if herr := decodeBody(w, r, &req); herr != nil {
-		writeError(w, herr.status, herr.typ, herr.msg, reqID)
+	if herr := wire.DecodeBody(w, r, maxBodyBytes, &req); herr != nil {
+		herr.Write(w, reqID)
 		return
 	}
 	var runID string
 	var err error
 	switch {
 	case req.Job != "" && len(req.Spec) > 0:
-		writeError(w, http.StatusBadRequest, "invalid_request_error",
+		wire.WriteError(w, http.StatusBadRequest, "invalid_request_error",
 			"set either job or spec, not both", reqID)
 		return
 	case req.Job != "":
@@ -87,7 +82,7 @@ func (l *Lab) handleEnqueue(w http.ResponseWriter, r *http.Request) {
 	case len(req.Spec) > 0:
 		runID, err = l.EnqueueSpec(req.Spec)
 	default:
-		writeError(w, http.StatusBadRequest, "invalid_request_error",
+		wire.WriteError(w, http.StatusBadRequest, "invalid_request_error",
 			"body needs a job name or an inline spec", reqID)
 		return
 	}
@@ -95,15 +90,15 @@ func (l *Lab) handleEnqueue(w http.ResponseWriter, r *http.Request) {
 		status, typ := http.StatusBadRequest, "invalid_request_error"
 		switch {
 		case err == errDraining:
-			w.Header().Set("Retry-After", "1")
-			status, typ = http.StatusServiceUnavailable, "overloaded"
+			wire.Shed(w, http.StatusServiceUnavailable, "overloaded", err.Error(), reqID, 1)
+			return
 		case strings.Contains(err.Error(), "unknown job"):
 			status, typ = http.StatusNotFound, "unknown_job"
 		}
-		writeError(w, status, typ, err.Error(), reqID)
+		wire.WriteError(w, status, typ, err.Error(), reqID)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, map[string]string{"run": runID, "request_id": reqID})
+	wire.WriteJSON(w, http.StatusAccepted, map[string]string{"run": runID, "request_id": reqID})
 }
 
 // runRef is the {"run": id} body promote and cancel share.
@@ -112,10 +107,10 @@ type runRef struct {
 }
 
 func (l *Lab) handlePromote(w http.ResponseWriter, r *http.Request) {
-	reqID := l.requestID()
+	reqID := l.ids.Next()
 	var req runRef
-	if herr := decodeBody(w, r, &req); herr != nil {
-		writeError(w, herr.status, herr.typ, herr.msg, reqID)
+	if herr := wire.DecodeBody(w, r, maxBodyBytes, &req); herr != nil {
+		herr.Write(w, reqID)
 		return
 	}
 	job, err := l.Promote(req.Run)
@@ -124,17 +119,17 @@ func (l *Lab) handlePromote(w http.ResponseWriter, r *http.Request) {
 		if strings.Contains(err.Error(), "unknown run") {
 			status, typ = http.StatusNotFound, "unknown_run"
 		}
-		writeError(w, status, typ, err.Error(), reqID)
+		wire.WriteError(w, status, typ, err.Error(), reqID)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"job": job, "baseline": req.Run, "request_id": reqID})
+	wire.WriteJSON(w, http.StatusOK, map[string]string{"job": job, "baseline": req.Run, "request_id": reqID})
 }
 
 func (l *Lab) handleCancel(w http.ResponseWriter, r *http.Request) {
-	reqID := l.requestID()
+	reqID := l.ids.Next()
 	var req runRef
-	if herr := decodeBody(w, r, &req); herr != nil {
-		writeError(w, herr.status, herr.typ, herr.msg, reqID)
+	if herr := wire.DecodeBody(w, r, maxBodyBytes, &req); herr != nil {
+		herr.Write(w, reqID)
 		return
 	}
 	if err := l.Cancel(req.Run); err != nil {
@@ -142,10 +137,10 @@ func (l *Lab) handleCancel(w http.ResponseWriter, r *http.Request) {
 		if strings.Contains(err.Error(), "unknown run") {
 			status, typ = http.StatusNotFound, "unknown_run"
 		}
-		writeError(w, status, typ, err.Error(), reqID)
+		wire.WriteError(w, status, typ, err.Error(), reqID)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"run": req.Run, "status": "canceling", "request_id": reqID})
+	wire.WriteJSON(w, http.StatusOK, map[string]string{"run": req.Run, "status": "canceling", "request_id": reqID})
 }
 
 // HealthResponse is the /healthz body.
@@ -165,42 +160,5 @@ func (l *Lab) handleHealth(w http.ResponseWriter, r *http.Request) {
 		h.Status = "draining"
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, h)
-}
-
-// httpError carries a status for an llmserve-shaped body.
-type httpError struct {
-	status int
-	typ    string
-	msg    string
-}
-
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) *httpError {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			return &httpError{http.StatusRequestEntityTooLarge, "invalid_request_error",
-				fmt.Sprintf("request body exceeds limit of %d bytes", maxBodyBytes)}
-		}
-		return &httpError{http.StatusBadRequest, "invalid_request_error", "empty or malformed JSON body: " + err.Error()}
-	}
-	return nil
-}
-
-func writeError(w http.ResponseWriter, status int, typ, msg, reqID string) {
-	var body llmserve.ErrorResponse
-	body.Error.Message = msg
-	body.Error.Type = typ
-	body.Error.RequestID = reqID
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(body)
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	wire.WriteJSON(w, status, h)
 }

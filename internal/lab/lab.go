@@ -37,9 +37,10 @@
 // waits for POST /v1/promote. Timing lives in state.json, never in
 // artifacts, so diffs stay byte-exact.
 //
-// The HTTP surface (Handler) mirrors internal/serve's conventions:
-// llmserve-shaped error bodies, /healthz flipping 503 on drain, and a
-// /metricsz counter snapshot. See docs/LAB.md for the full contract.
+// The HTTP surface (Handler) mirrors internal/serve's conventions
+// through the shared internal/wire shell: strict bounded JSON bodies,
+// wire.ErrorResponse error bodies, /healthz flipping 503 on drain, and
+// a /metricsz counter snapshot. See docs/LAB.md for the full contract.
 package lab
 
 import (
@@ -51,11 +52,11 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"nbhd/internal/experiment"
 	"nbhd/internal/lockfile"
+	"nbhd/internal/wire"
 )
 
 // Options tunes a Lab beyond its Config — injection points for tests,
@@ -87,7 +88,7 @@ type Lab struct {
 	kick   chan struct{}
 	done   chan struct{}
 
-	reqSeq atomic.Int64
+	ids *wire.IDs
 
 	mu        sync.Mutex
 	state     *labState
@@ -140,6 +141,7 @@ func Open(dir string, cfg Config, opts Options) (*Lab, error) {
 		kick:   make(chan struct{}, 1),
 		done:   make(chan struct{}),
 		state:  st,
+		ids:    wire.NewIDs("lab"),
 	}
 
 	now := l.now()

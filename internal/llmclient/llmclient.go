@@ -24,6 +24,7 @@ import (
 	"nbhd/internal/render"
 	"nbhd/internal/scene"
 	"nbhd/internal/vlm"
+	"nbhd/internal/wire"
 )
 
 // ImageEncoding selects how images travel to the server.
@@ -153,7 +154,7 @@ func (c *Client) Models(ctx context.Context) ([]string, error) {
 func decodeError(resp *http.Response) error {
 	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
 	se := &StatusError{StatusCode: resp.StatusCode, Type: "unknown", Message: string(body)}
-	var er llmserve.ErrorResponse
+	var er wire.ErrorResponse
 	if err := json.Unmarshal(body, &er); err == nil && er.Error.Message != "" {
 		se.Type = er.Error.Type
 		se.Message = er.Error.Message

@@ -7,28 +7,27 @@
 // (429s with Retry-After, 500s) with traceable request IDs for
 // resilience testing.
 //
-// The rate-limit contract — delta-seconds Retry-After plus a JSON error
-// body carrying message/type/request_id — is shared with the serving
-// gateway (internal/serve), which sheds overload with 503 the same way
-// this server rate-limits with 429: one llmclient-style retry loop
-// (llmclient.ParseRetryAfter, jittered backoff, zero-seconds means
-// no-guidance) handles both services.
+// The rate-limit contract — delta-seconds Retry-After plus a
+// wire.ErrorResponse body carrying message/type/request_id — is shared
+// with the serving gateway (internal/serve), which sheds overload with
+// 503 the same way this server rate-limits with 429: one llmclient-style
+// retry loop (llmclient.ParseRetryAfter, jittered backoff, zero-seconds
+// means no-guidance) handles both services. Request bodies follow the
+// same strict, bounded decode as the gateway's (wire.DecodeBody), and
+// uploads the same guarded image decode.
 package llmserve
 
 import (
-	"bytes"
-	"encoding/base64"
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
 
 	"nbhd/internal/prompt"
 	"nbhd/internal/render"
 	"nbhd/internal/vlm"
+	"nbhd/internal/wire"
 )
 
 // Wire types, loosely following the OpenAI chat-completions schema the
@@ -88,17 +87,6 @@ type ChatResponse struct {
 	Usage   Usage    `json:"usage"`
 }
 
-// ErrorResponse is the error body.
-type ErrorResponse struct {
-	Error struct {
-		Message string `json:"message"`
-		Type    string `json:"type"`
-		// RequestID identifies the failed request so client retries are
-		// traceable in chaos mode.
-		RequestID string `json:"request_id,omitempty"`
-	} `json:"error"`
-}
-
 // ModelList is the GET /v1/models response.
 type ModelList struct {
 	Data []ModelInfo `json:"data"`
@@ -153,11 +141,11 @@ type Config struct {
 type Server struct {
 	cfg    Config
 	models map[vlm.ModelID]*vlm.Model
+	ids    *wire.IDs
 
-	mu       sync.Mutex
-	served   int
-	failRNG  *rand.Rand
-	requests int
+	mu      sync.Mutex
+	served  int
+	failRNG *rand.Rand
 }
 
 // New builds a server hosting the given models.
@@ -171,6 +159,9 @@ func New(cfg Config, models ...*vlm.Model) (*Server, error) {
 	if cfg.MaxImageBytes == 0 {
 		cfg.MaxImageBytes = 8 << 20
 	}
+	if cfg.RetryAfterSeconds == 0 {
+		cfg.RetryAfterSeconds = 1
+	}
 	byID := make(map[vlm.ModelID]*vlm.Model, len(models))
 	for _, m := range models {
 		if _, dup := byID[m.ID()]; dup {
@@ -181,6 +172,7 @@ func New(cfg Config, models ...*vlm.Model) (*Server, error) {
 	return &Server{
 		cfg:     cfg,
 		models:  byID,
+		ids:     wire.NewIDs("req"),
 		failRNG: rand.New(rand.NewSource(cfg.Failures.Seed)),
 	}, nil
 }
@@ -217,33 +209,9 @@ func (s *Server) RequestsServed() int {
 	return s.served
 }
 
-func writeError(w http.ResponseWriter, status int, typ, msg, reqID string) {
-	var body ErrorResponse
-	body.Error.Message = msg
-	body.Error.Type = typ
-	body.Error.RequestID = reqID
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(body)
-}
-
-// write429 is writeError for rate-limit responses: it advertises the
-// configured Retry-After so clients pace their retries instead of
-// hammering the doubling schedule.
-func (s *Server) write429(w http.ResponseWriter, typ, msg, reqID string) {
-	secs := s.cfg.RetryAfterSeconds
-	if secs == 0 {
-		secs = 1
-	}
-	if secs > 0 {
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
-	}
-	writeError(w, http.StatusTooManyRequests, typ, msg, reqID)
-}
-
 func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "invalid_request_error", "use GET", "")
+		wire.WriteError(w, http.StatusMethodNotAllowed, "invalid_request_error", "use GET", "")
 		return
 	}
 	var list ModelList
@@ -256,17 +224,7 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 			list.Data[j-1], list.Data[j] = list.Data[j], list.Data[j-1]
 		}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(list)
-}
-
-// nextRequestID assigns the request's traceable ID under the server
-// lock.
-func (s *Server) nextRequestID() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.requests++
-	return fmt.Sprintf("req-%06d", s.requests)
+	wire.WriteJSON(w, http.StatusOK, list)
 }
 
 // injectFailure rolls the failure dice under the server lock.
@@ -303,51 +261,51 @@ func (s *Server) authorize(r *http.Request) bool {
 }
 
 func (s *Server) handleChat(w http.ResponseWriter, r *http.Request) {
-	reqID := s.nextRequestID()
+	reqID := s.ids.Next()
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "invalid_request_error", "use POST", reqID)
+		wire.WriteError(w, http.StatusMethodNotAllowed, "invalid_request_error", "use POST", reqID)
 		return
 	}
 	if !s.authorize(r) {
-		writeError(w, http.StatusUnauthorized, "authentication_error", "missing or invalid API key", reqID)
+		wire.WriteError(w, http.StatusUnauthorized, "authentication_error", "missing or invalid API key", reqID)
 		return
 	}
 	if status := s.injectFailure(); status != 0 {
 		if status == http.StatusTooManyRequests {
-			s.write429(w, "server_error", "injected failure", reqID)
+			wire.Shed(w, status, "server_error", "injected failure", reqID, s.cfg.RetryAfterSeconds)
 		} else {
-			writeError(w, status, "server_error", "injected failure", reqID)
+			wire.WriteError(w, status, "server_error", "injected failure", reqID)
 		}
 		return
 	}
 	s.mu.Lock()
 	if s.cfg.RequestBudget > 0 && s.served >= s.cfg.RequestBudget {
 		s.mu.Unlock()
-		s.write429(w, "quota_exceeded", "request budget exhausted", reqID)
+		wire.Shed(w, http.StatusTooManyRequests, "quota_exceeded", "request budget exhausted", reqID, s.cfg.RetryAfterSeconds)
 		return
 	}
 	s.mu.Unlock()
 
 	var req ChatRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid_request_error", "malformed JSON: "+err.Error(), reqID)
+	if herr := wire.DecodeBody(w, r, render.UploadBodyLimit(s.cfg.MaxImageBytes), &req); herr != nil {
+		herr.Write(w, reqID)
 		return
 	}
 	model, ok := s.models[vlm.ModelID(req.Model)]
 	if !ok {
-		writeError(w, http.StatusNotFound, "model_not_found", fmt.Sprintf("unknown model %q", req.Model), reqID)
+		wire.WriteError(w, http.StatusNotFound, "model_not_found", fmt.Sprintf("unknown model %q", req.Model), reqID)
 		return
 	}
 	text, img, err := s.extractContent(req)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid_request_error", err.Error(), reqID)
+		wire.WriteError(w, http.StatusBadRequest, "invalid_request_error", err.Error(), reqID)
 		return
 	}
 
 	lang := prompt.DetectLanguage(text)
 	inds := prompt.QuestionsIn(text, lang)
 	if len(inds) == 0 {
-		writeError(w, http.StatusBadRequest, "invalid_request_error", "prompt contains no recognizable indicator question", reqID)
+		wire.WriteError(w, http.StatusBadRequest, "invalid_request_error", "prompt contains no recognizable indicator question", reqID)
 		return
 	}
 	mode := prompt.Parallel
@@ -364,7 +322,7 @@ func (s *Server) handleChat(w http.ResponseWriter, r *http.Request) {
 		Nonce:       req.Nonce,
 	})
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid_request_error", err.Error(), reqID)
+		wire.WriteError(w, http.StatusBadRequest, "invalid_request_error", err.Error(), reqID)
 		return
 	}
 
@@ -388,8 +346,7 @@ func (s *Server) handleChat(w http.ResponseWriter, r *http.Request) {
 		},
 	}
 	resp.Usage.TotalTokens = resp.Usage.PromptTokens + resp.Usage.CompletionTokens
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(resp)
+	wire.WriteJSON(w, http.StatusOK, resp)
 }
 
 // extractContent pulls the prompt text and decoded image out of the
@@ -406,29 +363,15 @@ func (s *Server) extractContent(req ChatRequest) (string, *render.Image, error) 
 			case "text":
 				textParts = append(textParts, part.Text)
 			case "image_png":
-				raw, err := base64.StdEncoding.DecodeString(part.ImagePNGBase64)
+				decoded, err := render.DecodeBase64PNG(part.ImagePNGBase64, s.cfg.MaxImageBytes)
 				if err != nil {
-					return "", nil, fmt.Errorf("image is not valid base64: %v", err)
-				}
-				if len(raw) > s.cfg.MaxImageBytes {
-					return "", nil, fmt.Errorf("image payload %d bytes exceeds limit %d", len(raw), s.cfg.MaxImageBytes)
-				}
-				decoded, err := render.DecodePNG(bytes.NewReader(raw))
-				if err != nil {
-					return "", nil, fmt.Errorf("image is not valid PNG: %v", err)
+					return "", nil, err
 				}
 				img = decoded
 			case "image_f32":
-				raw, err := base64.StdEncoding.DecodeString(part.ImageF32Base64)
+				decoded, err := render.DecodeBase64RawF32(part.ImageF32Base64, part.Width, part.Height, s.cfg.MaxImageBytes)
 				if err != nil {
-					return "", nil, fmt.Errorf("image is not valid base64: %v", err)
-				}
-				if len(raw) > s.cfg.MaxImageBytes {
-					return "", nil, fmt.Errorf("image payload %d bytes exceeds limit %d", len(raw), s.cfg.MaxImageBytes)
-				}
-				decoded, err := render.DecodeRawF32(part.Width, part.Height, raw)
-				if err != nil {
-					return "", nil, fmt.Errorf("image is not a valid raw f32 buffer: %v", err)
+					return "", nil, err
 				}
 				img = decoded
 			default:

@@ -11,8 +11,10 @@ import (
 
 	"nbhd/internal/dataset"
 	"nbhd/internal/prompt"
+	"nbhd/internal/render"
 	"nbhd/internal/scene"
 	"nbhd/internal/vlm"
+	"nbhd/internal/wire"
 )
 
 func testServer(t *testing.T, cfg Config) *Server {
@@ -204,6 +206,11 @@ func TestChatCompletionErrors(t *testing.T) {
 	s := testServer(t, Config{})
 	h := s.Handler()
 	img := testImagePNG(t)
+	var bombBuf bytes.Buffer
+	if err := render.MustNewImage(1000, 1000).EncodePNG(&bombBuf); err != nil {
+		t.Fatalf("encode bomb png: %v", err)
+	}
+	bombPNG := base64.StdEncoding.EncodeToString(bombBuf.Bytes())
 
 	tests := []struct {
 		name string
@@ -215,6 +222,13 @@ func TestChatCompletionErrors(t *testing.T) {
 		{"no questions", chatBody(t, string(vlm.Grok2), "describe this image", img), http.StatusBadRequest},
 		{"bad base64", chatBody(t, string(vlm.Grok2), parallelText(t), "!!!"), http.StatusBadRequest},
 		{"bad png", chatBody(t, string(vlm.Grok2), parallelText(t), base64.StdEncoding.EncodeToString([]byte("nope"))), http.StatusBadRequest},
+		{"unknown field", []byte(`{"model":"grok-2","messages":[],"tyop":1}`), http.StatusBadRequest},
+		{"trailing data", append(chatBody(t, string(vlm.Grok2), parallelText(t), img), '}'), http.StatusBadRequest},
+		// The body limit is 2*MaxImageBytes + 1 MiB (the gateway's rule).
+		{"body over the limit", []byte(`{"model":"grok-2","pad":"` + strings.Repeat("x", 17<<20+1) + `"}`), http.StatusRequestEntityTooLarge},
+		// A decompression bomb: a few hundred bytes of PNG declaring
+		// 1000x1000 pixels, 12 MB decoded, over the 8 MiB default cap.
+		{"png decompression bomb", chatBody(t, string(vlm.Grok2), parallelText(t), bombPNG), http.StatusBadRequest},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -315,7 +329,7 @@ func TestInjected429CarriesRetryAfterAndRequestID(t *testing.T) {
 	if got := rec.Header().Get("Retry-After"); got != "2" {
 		t.Errorf("Retry-After = %q, want \"2\"", got)
 	}
-	var er ErrorResponse
+	var er wire.ErrorResponse
 	if err := json.NewDecoder(rec.Body).Decode(&er); err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +338,7 @@ func TestInjected429CarriesRetryAfterAndRequestID(t *testing.T) {
 	}
 	// IDs advance per request.
 	rec2 := post(t, s.Handler(), chatBody(t, string(vlm.Grok2), parallelText(t), testImagePNG(t)))
-	var er2 ErrorResponse
+	var er2 wire.ErrorResponse
 	if err := json.NewDecoder(rec2.Body).Decode(&er2); err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,10 @@
 package render
 
 import (
+	"bytes"
+	"encoding/base64"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"image"
 	"image/color"
@@ -215,6 +218,68 @@ func DecodeRawF32(w, h int, data []byte) (*Image, error) {
 		img.Pix[i] = clampF32(v)
 	}
 	return img, nil
+}
+
+// ErrTooLarge is wrapped by the upload decoders when an image payload,
+// or the pixel buffer a PNG header declares, exceeds the caller's cap.
+var ErrTooLarge = errors.New("exceeds limit")
+
+// DecodeBase64PNG decodes a base64 PNG upload, allocating no more than
+// maxBytes for either the decoded payload or the float32 pixel buffer.
+// The payload bound is checked before base64 decoding, and the pixel
+// bound against the header's dimensions before any pixel is inflated:
+// a tiny compressed PNG can declare an enormous canvas. Size errors
+// wrap ErrTooLarge. Error messages are written for API clients, so
+// services return them verbatim.
+func DecodeBase64PNG(b64 string, maxBytes int) (*Image, error) {
+	raw, err := decodeBase64(b64, maxBytes)
+	if err != nil {
+		return nil, err
+	}
+	cfg, err := png.DecodeConfig(bytes.NewReader(raw))
+	if err != nil {
+		return nil, fmt.Errorf("image is not valid PNG: %v", err)
+	}
+	if decoded := int64(cfg.Width) * int64(cfg.Height) * Channels * 4; cfg.Width <= 0 || cfg.Height <= 0 || decoded > int64(maxBytes) {
+		return nil, fmt.Errorf("decoded image %dx%d %w of %d bytes", cfg.Width, cfg.Height, ErrTooLarge, maxBytes)
+	}
+	img, err := DecodePNG(bytes.NewReader(raw))
+	if err != nil {
+		return nil, fmt.Errorf("image is not valid PNG: %v", err)
+	}
+	return img, nil
+}
+
+// DecodeBase64RawF32 decodes a base64 EncodeRawF32 upload of w×h
+// pixels, checking the payload against maxBytes as DecodeBase64PNG does.
+func DecodeBase64RawF32(b64 string, w, h, maxBytes int) (*Image, error) {
+	raw, err := decodeBase64(b64, maxBytes)
+	if err != nil {
+		return nil, err
+	}
+	img, err := DecodeRawF32(w, h, raw)
+	if err != nil {
+		return nil, fmt.Errorf("image is not a valid raw f32 buffer: %v", err)
+	}
+	return img, nil
+}
+
+// UploadBodyLimit bounds a JSON request body that carries one base64
+// image upload of at most maxImageBytes: the 4/3 base64 expansion,
+// rounded up to 2x, plus 1 MiB for the rest of the request.
+func UploadBodyLimit(maxImageBytes int) int64 { return int64(maxImageBytes)*2 + 1<<20 }
+
+// decodeBase64 enforces the payload cap before allocating the decoded
+// buffer.
+func decodeBase64(b64 string, maxBytes int) ([]byte, error) {
+	if base64.StdEncoding.DecodedLen(len(b64)) > maxBytes {
+		return nil, fmt.Errorf("image payload %w of %d bytes", ErrTooLarge, maxBytes)
+	}
+	raw, err := base64.StdEncoding.DecodeString(b64)
+	if err != nil {
+		return nil, fmt.Errorf("image is not valid base64: %v", err)
+	}
+	return raw, nil
 }
 
 // Resize scales the image to (w,h) with bilinear interpolation.

@@ -372,8 +372,12 @@ func TestParseConfig(t *testing.T) {
 	if _, err := ParseConfig([]byte(`{"backendz":{}}`)); err == nil {
 		t.Fatalf("unknown field accepted")
 	}
-	if _, err := ParseConfig([]byte(`{"backends":{}} trailing`)); err == nil {
-		t.Fatalf("trailing data accepted")
+	// Trailing data is rejected whatever follows the object, including
+	// a stray '}' or ']' that json.Decoder.More reports as "no more".
+	for _, trailing := range []string{` trailing`, `}`, `]`, `{}`, `x`} {
+		if _, err := ParseConfig([]byte(`{"backends":{}}` + trailing)); err == nil {
+			t.Fatalf("trailing data %q accepted", trailing)
+		}
 	}
 	if _, err := ParseConfig([]byte(`{`)); err == nil {
 		t.Fatalf("malformed JSON accepted")

@@ -18,21 +18,18 @@
 //
 // When a route's admission queue is full, the gateway sheds the request
 // with 503 Service Unavailable, a Retry-After header in delta-seconds,
-// and an llmserve-shaped JSON error body ({"error": {"message", "type",
+// and a wire.ErrorResponse body ({"error": {"message", "type",
 // "request_id"}}). This mirrors internal/llmserve's 429 semantics on
-// purpose: llmclient's retry loop — ParseRetryAfter, jittered backoff,
-// the zero-seconds-is-no-guidance rule — interoperates with both
-// services unchanged.
+// purpose: both go through wire.Shed, so llmclient's retry loop —
+// ParseRetryAfter, jittered backoff, the zero-seconds-is-no-guidance
+// rule — interoperates with both services unchanged.
 package serve
 
 import (
 	"bytes"
 	"context"
-	"encoding/base64"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"image/png"
 	"net/http"
 	"sort"
 	"sync"
@@ -42,11 +39,12 @@ import (
 	"nbhd/internal/backend"
 	"nbhd/internal/dataset"
 	"nbhd/internal/geoindex"
-	"nbhd/internal/llmserve"
 	"nbhd/internal/prompt"
 	"nbhd/internal/render"
 	"nbhd/internal/scene"
 	"nbhd/internal/tensor"
+	"nbhd/internal/vlm"
+	"nbhd/internal/wire"
 )
 
 // Config is the gateway's JSON-loadable configuration. The zero value of
@@ -98,19 +96,28 @@ type Config struct {
 	DefaultRenderSize int `json:"default_render_size,omitempty"`
 }
 
-// ParseConfig decodes a JSON config, rejecting unknown fields so typos
-// fail loudly at boot instead of silently serving defaults.
+// ParseConfig decodes a JSON config under the strict wire rule (no
+// unknown fields, no trailing data), so typos fail loudly at boot
+// instead of silently serving defaults.
 func ParseConfig(data []byte) (Config, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var cfg Config
-	if err := dec.Decode(&cfg); err != nil {
+	if err := wire.DecodeStrict(bytes.NewReader(data), &cfg); err != nil {
 		return Config{}, fmt.Errorf("serve: parse config: %w", err)
 	}
-	if dec.More() {
-		return Config{}, fmt.Errorf("serve: parse config: trailing data after JSON object")
-	}
 	return cfg, nil
+}
+
+// DefaultBackends is the paper's route set: the four simulated models
+// plus the top-three committee of Gemini, Claude and Grok.
+func DefaultBackends() map[string]backend.Spec {
+	routes := make(map[string]backend.Spec, len(vlm.AllModels())+1)
+	for _, id := range vlm.AllModels() {
+		routes[string(id)] = backend.Spec{Kind: "vlm", Model: string(id)}
+	}
+	routes["committee"] = backend.Spec{Kind: "committee", Models: []string{
+		string(vlm.Gemini15Pro), string(vlm.Claude37), string(vlm.Grok2),
+	}}
+	return routes
 }
 
 func (c Config) withDefaults() Config {
@@ -165,7 +172,7 @@ type Server struct {
 	// results is the shared LRU answer cache; nil when disabled.
 	results *lru
 	start   time.Time
-	reqSeq  atomic.Int64
+	ids     *wire.IDs
 
 	draining atomic.Bool
 	// baseCtx outlives any single request: dispatched batches answer
@@ -199,6 +206,7 @@ func New(ctx context.Context, cfg Config, opts Options) (*Server, error) {
 		frames: opts.Frames,
 		routes: make(map[string]*route, len(cfg.Backends)+len(opts.Backends)),
 		start:  time.Now(),
+		ids:    wire.NewIDs("srv"),
 	}
 	s.baseCtx, s.cancel = context.WithCancel(context.Background())
 	if cfg.CacheSize > 0 {
@@ -308,85 +316,31 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// httpError is a request failure destined for an llmserve-shaped error
-// body.
-type httpError struct {
-	status int
-	typ    string
-	msg    string
-}
-
-func badRequest(format string, args ...any) *httpError {
-	return &httpError{status: http.StatusBadRequest, typ: "invalid_request_error", msg: fmt.Sprintf(format, args...)}
-}
-
-// decodeBody decodes a JSON request body of at most limit bytes. A body
-// over the limit is a 413; one that fails to decode is a 400.
-func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) *httpError {
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			return &httpError{status: http.StatusRequestEntityTooLarge, typ: "invalid_request_error",
-				msg: fmt.Sprintf("request body exceeds limit of %d bytes", limit)}
-		}
-		return badRequest("empty or malformed JSON body: %v", err)
-	}
-	return nil
-}
-
-func writeError(w http.ResponseWriter, status int, typ, msg, reqID string) {
-	var body llmserve.ErrorResponse
-	body.Error.Message = msg
-	body.Error.Type = typ
-	body.Error.RequestID = reqID
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(body)
-}
-
-// write503 sheds a request, advertising the configured Retry-After (the
-// contract documented in the package comment).
-func (s *Server) write503(w http.ResponseWriter, msg, reqID string) {
-	if secs := s.cfg.RetryAfterSeconds; secs > 0 {
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", secs))
-	}
-	writeError(w, http.StatusServiceUnavailable, "overloaded", msg, reqID)
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
 func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
-	reqID := fmt.Sprintf("srv-%06d", s.reqSeq.Add(1))
+	reqID := s.ids.Next()
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "invalid_request_error", "use POST", reqID)
+		wire.WriteError(w, http.StatusMethodNotAllowed, "invalid_request_error", "use POST", reqID)
 		return
 	}
 	var req ClassifyRequest
-	// Body bound: the largest legal request is one max-size image in
-	// base64 (4/3 expansion) plus small JSON scaffolding.
-	limit := int64(s.cfg.MaxImageBytes)*2 + 1<<20
-	if herr := decodeBody(w, r, limit, &req); herr != nil {
-		writeError(w, herr.status, herr.typ, herr.msg, reqID)
+	if herr := wire.DecodeBody(w, r, render.UploadBodyLimit(s.cfg.MaxImageBytes), &req); herr != nil {
+		herr.Write(w, reqID)
 		return
 	}
 	rt, ok := s.routes[req.Backend]
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown_backend",
+		wire.WriteError(w, http.StatusNotFound, "unknown_backend",
 			fmt.Sprintf("unknown backend %q (serving: %v)", req.Backend, s.names), reqID)
 		return
 	}
 	opts, herr := requestOptions(&req)
 	if herr != nil {
-		writeError(w, herr.status, herr.typ, herr.msg, reqID)
+		herr.Write(w, reqID)
 		return
 	}
 	item, frameKey, herr := s.resolveFrame(rt, &req)
 	if herr != nil {
-		writeError(w, herr.status, herr.typ, herr.msg, reqID)
+		herr.Write(w, reqID)
 		return
 	}
 
@@ -397,7 +351,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	case rt.admit <- struct{}{}:
 	default:
 		rt.met.shedOne()
-		s.write503(w, fmt.Sprintf("backend %q queue full (%d in flight)", rt.name, cap(rt.admit)), reqID)
+		wire.Shed(w, http.StatusServiceUnavailable, "overloaded", fmt.Sprintf("backend %q queue full (%d in flight)", rt.name, cap(rt.admit)), reqID, s.cfg.RetryAfterSeconds)
 		return
 	}
 	defer func() { <-rt.admit }()
@@ -408,7 +362,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		if ans, ok := s.results.get(key); ok {
 			rt.met.cacheHit()
 			rt.met.okOne(time.Since(start))
-			writeJSON(w, http.StatusOK, ClassifyResponse{
+			wire.WriteJSON(w, http.StatusOK, ClassifyResponse{
 				Backend:    rt.name,
 				Frame:      item.ID,
 				Indicators: indicatorNames(opts.Indicators),
@@ -430,17 +384,17 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		}
 		rt.met.failOne()
 		if s.baseCtx.Err() != nil {
-			s.write503(w, "server is shutting down", reqID)
+			wire.Shed(w, http.StatusServiceUnavailable, "overloaded", "server is shutting down", reqID, s.cfg.RetryAfterSeconds)
 			return
 		}
-		writeError(w, http.StatusInternalServerError, "backend_error", err.Error(), reqID)
+		wire.WriteError(w, http.StatusInternalServerError, "backend_error", err.Error(), reqID)
 		return
 	}
 	if s.results != nil {
 		s.results.add(key, res.answers)
 	}
 	rt.met.okOne(time.Since(start))
-	writeJSON(w, http.StatusOK, ClassifyResponse{
+	wire.WriteJSON(w, http.StatusOK, ClassifyResponse{
 		Backend:    rt.name,
 		Frame:      item.ID,
 		Indicators: indicatorNames(opts.Indicators),
@@ -454,7 +408,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 // defaults so semantically identical requests share a coalescer key. It
 // is deliberately free of server state: the fleet router runs the same
 // canonicalization through RequestShardKey.
-func requestOptions(req *ClassifyRequest) (backend.Options, *httpError) {
+func requestOptions(req *ClassifyRequest) (backend.Options, *wire.Error) {
 	var opts backend.Options
 	if len(req.Indicators) == 0 {
 		inds := scene.Indicators()
@@ -464,7 +418,7 @@ func requestOptions(req *ClassifyRequest) (backend.Options, *httpError) {
 		for i, name := range req.Indicators {
 			ind, err := scene.ParseIndicator(name)
 			if err != nil {
-				return backend.Options{}, badRequest("%v", err)
+				return backend.Options{}, wire.BadRequest("%v", err)
 			}
 			opts.Indicators[i] = ind
 		}
@@ -473,7 +427,7 @@ func requestOptions(req *ClassifyRequest) (backend.Options, *httpError) {
 	if req.Language != "" {
 		lang, err := prompt.ParseLanguage(req.Language)
 		if err != nil {
-			return backend.Options{}, badRequest("%v", err)
+			return backend.Options{}, wire.BadRequest("%v", err)
 		}
 		opts.Language = lang
 	}
@@ -481,7 +435,7 @@ func requestOptions(req *ClassifyRequest) (backend.Options, *httpError) {
 	if req.Mode != "" {
 		mode, err := prompt.ParseMode(req.Mode)
 		if err != nil {
-			return backend.Options{}, badRequest("%v", err)
+			return backend.Options{}, wire.BadRequest("%v", err)
 		}
 		opts.Mode = mode
 	}
@@ -493,7 +447,7 @@ func requestOptions(req *ClassifyRequest) (backend.Options, *httpError) {
 
 // resolveFrame turns the request's frame reference into a backend item
 // plus the frame part of its cache key.
-func (s *Server) resolveFrame(rt *route, req *ClassifyRequest) (backend.Item, string, *httpError) {
+func (s *Server) resolveFrame(rt *route, req *ClassifyRequest) (backend.Item, string, *wire.Error) {
 	refs := 0
 	if req.Frame.Index != nil {
 		refs++
@@ -505,12 +459,12 @@ func (s *Server) resolveFrame(rt *route, req *ClassifyRequest) (backend.Item, st
 		refs++
 	}
 	if refs != 1 {
-		return backend.Item{}, "", badRequest("frame needs exactly one of index, image_f32_base64, image_png_base64 (got %d)", refs)
+		return backend.Item{}, "", wire.BadRequest("frame needs exactly one of index, image_f32_base64, image_png_base64 (got %d)", refs)
 	}
 	switch {
 	case req.Frame.Index != nil:
 		if s.frames == nil {
-			return backend.Item{}, "", badRequest("this gateway serves no dataset; address frames by image payload")
+			return backend.Item{}, "", wire.BadRequest("this gateway serves no dataset; address frames by image payload")
 		}
 		size := rt.caps.RenderSize
 		if size == 0 {
@@ -518,61 +472,31 @@ func (s *Server) resolveFrame(rt *route, req *ClassifyRequest) (backend.Item, st
 		}
 		ex, err := s.frames.Example(*req.Frame.Index, size)
 		if err != nil {
-			return backend.Item{}, "", badRequest("%v", err)
+			return backend.Item{}, "", wire.BadRequest("%v", err)
 		}
 		return backend.Item{ID: ex.ID, Image: ex.Image}, fmt.Sprintf("idx:%d@%d", *req.Frame.Index, size), nil
 	case req.Frame.ImageF32Base64 != "":
-		raw, herr := s.decodeImagePayload(req.Frame.ImageF32Base64)
-		if herr != nil {
-			return backend.Item{}, "", herr
-		}
-		img, err := render.DecodeRawF32(req.Frame.Width, req.Frame.Height, raw)
+		img, err := render.DecodeBase64RawF32(req.Frame.ImageF32Base64, req.Frame.Width, req.Frame.Height, s.cfg.MaxImageBytes)
 		if err != nil {
-			return backend.Item{}, "", badRequest("image is not a valid raw f32 buffer: %v", err)
+			return backend.Item{}, "", uploadError(err)
 		}
 		return backend.Item{ID: "upload", Image: img}, "img:" + pixelHash(img), nil
 	default:
-		raw, herr := s.decodeImagePayload(req.Frame.ImagePNGBase64)
-		if herr != nil {
-			return backend.Item{}, "", herr
-		}
-		// A tiny compressed PNG can declare enormous dimensions, so
-		// bound the decoded pixel buffer (W·H·3 float32) by the same
-		// cap the raw-f32 path implies before png.Decode allocates it.
-		cfgPNG, err := png.DecodeConfig(bytes.NewReader(raw))
+		img, err := render.DecodeBase64PNG(req.Frame.ImagePNGBase64, s.cfg.MaxImageBytes)
 		if err != nil {
-			return backend.Item{}, "", badRequest("image is not valid PNG: %v", err)
-		}
-		if decoded := int64(cfgPNG.Width) * int64(cfgPNG.Height) * render.Channels * 4; cfgPNG.Width <= 0 || cfgPNG.Height <= 0 || decoded > int64(s.cfg.MaxImageBytes) {
-			return backend.Item{}, "", &httpError{
-				status: http.StatusRequestEntityTooLarge,
-				typ:    "payload_too_large",
-				msg:    fmt.Sprintf("decoded image %dx%d exceeds limit of %d bytes", cfgPNG.Width, cfgPNG.Height, s.cfg.MaxImageBytes),
-			}
-		}
-		img, err := render.DecodePNG(bytes.NewReader(raw))
-		if err != nil {
-			return backend.Item{}, "", badRequest("image is not valid PNG: %v", err)
+			return backend.Item{}, "", uploadError(err)
 		}
 		return backend.Item{ID: "upload", Image: img}, "img:" + pixelHash(img), nil
 	}
 }
 
-// decodeImagePayload base64-decodes an image payload, enforcing the size
-// cap before allocating the decoded buffer.
-func (s *Server) decodeImagePayload(b64 string) ([]byte, *httpError) {
-	if base64.StdEncoding.DecodedLen(len(b64)) > s.cfg.MaxImageBytes {
-		return nil, &httpError{
-			status: http.StatusRequestEntityTooLarge,
-			typ:    "payload_too_large",
-			msg:    fmt.Sprintf("image payload exceeds limit of %d bytes", s.cfg.MaxImageBytes),
-		}
+// uploadError maps an image upload failure to its response: 413
+// payload_too_large over the size cap, 400 otherwise.
+func uploadError(err error) *wire.Error {
+	if errors.Is(err, render.ErrTooLarge) {
+		return &wire.Error{Status: http.StatusRequestEntityTooLarge, Type: "payload_too_large", Message: err.Error()}
 	}
-	raw, err := base64.StdEncoding.DecodeString(b64)
-	if err != nil {
-		return nil, badRequest("image is not valid base64: %v", err)
-	}
-	return raw, nil
+	return wire.BadRequest("%v", err)
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -589,11 +513,11 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		h.Status = "draining"
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, h)
+	wire.WriteJSON(w, status, h)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Metrics())
+	wire.WriteJSON(w, http.StatusOK, s.Metrics())
 }
 
 // Metrics snapshots the gateway's counters — what /metricsz serves.

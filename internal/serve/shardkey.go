@@ -10,6 +10,7 @@ package serve
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 
 	"nbhd/internal/backend"
@@ -51,7 +52,7 @@ func ShardKey(backendName string, quantized bool, opts backend.Options, frameKey
 func RequestShardKey(req *ClassifyRequest, quantized bool) (string, error) {
 	opts, herr := requestOptions(req)
 	if herr != nil {
-		return "", fmt.Errorf("%s", herr.msg)
+		return "", errors.New(herr.Message)
 	}
 	fk, err := frameRefKey(&req.Frame)
 	if err != nil {
@@ -79,7 +80,7 @@ func NeighborhoodShardKey(req *NeighborhoodRequest, quantized bool) (string, err
 		Nonce:       req.Nonce,
 	})
 	if herr != nil {
-		return "", fmt.Errorf("%s", herr.msg)
+		return "", errors.New(herr.Message)
 	}
 	fk := fmt.Sprintf("nbhd:%g,%g@%g", *req.Lat, *req.Lng, req.RadiusFeet)
 	return ShardKey(req.Backend, quantized, opts, fk), nil

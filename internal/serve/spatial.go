@@ -25,6 +25,7 @@ import (
 	"nbhd/internal/backend"
 	"nbhd/internal/geo"
 	"nbhd/internal/geoindex"
+	"nbhd/internal/wire"
 )
 
 // framesPerCoordinate mirrors the corpus layout: dataset.BuildStudy
@@ -64,31 +65,31 @@ func groupFrames(g int) []int {
 }
 
 func (s *Server) handleNearest(w http.ResponseWriter, r *http.Request) {
-	reqID := fmt.Sprintf("srv-%06d", s.reqSeq.Add(1))
+	reqID := s.ids.Next()
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "invalid_request_error", "use GET", reqID)
+		wire.WriteError(w, http.StatusMethodNotAllowed, "invalid_request_error", "use GET", reqID)
 		return
 	}
 	if s.frames == nil {
-		writeError(w, http.StatusBadRequest, "invalid_request_error", "this gateway serves no dataset; spatial queries are unavailable", reqID)
+		wire.WriteError(w, http.StatusBadRequest, "invalid_request_error", "this gateway serves no dataset; spatial queries are unavailable", reqID)
 		return
 	}
 	q := r.URL.Query()
 	lat, err := strconv.ParseFloat(q.Get("lat"), 64)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid_request_error", "lat must be a float: "+q.Get("lat"), reqID)
+		wire.WriteError(w, http.StatusBadRequest, "invalid_request_error", "lat must be a float: "+q.Get("lat"), reqID)
 		return
 	}
 	lng, err := strconv.ParseFloat(q.Get("lng"), 64)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid_request_error", "lng must be a float: "+q.Get("lng"), reqID)
+		wire.WriteError(w, http.StatusBadRequest, "invalid_request_error", "lng must be a float: "+q.Get("lng"), reqID)
 		return
 	}
 	k := 1
 	if ks := q.Get("k"); ks != "" {
 		k, err = strconv.Atoi(ks)
 		if err != nil || k < 1 {
-			writeError(w, http.StatusBadRequest, "invalid_request_error", "k must be a positive integer: "+ks, reqID)
+			wire.WriteError(w, http.StatusBadRequest, "invalid_request_error", "k must be a positive integer: "+ks, reqID)
 			return
 		}
 	}
@@ -109,36 +110,36 @@ func (s *Server) handleNearest(w http.ResponseWriter, r *http.Request) {
 			Frames:       groupFrames(h.ID),
 		})
 	}
-	writeJSON(w, http.StatusOK, resp)
+	wire.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleNeighborhood(w http.ResponseWriter, r *http.Request) {
-	reqID := fmt.Sprintf("srv-%06d", s.reqSeq.Add(1))
+	reqID := s.ids.Next()
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "invalid_request_error", "use POST", reqID)
+		wire.WriteError(w, http.StatusMethodNotAllowed, "invalid_request_error", "use POST", reqID)
 		return
 	}
 	var req NeighborhoodRequest
-	if herr := decodeBody(w, r, 1<<20, &req); herr != nil {
-		writeError(w, herr.status, herr.typ, herr.msg, reqID)
+	if herr := wire.DecodeBody(w, r, 1<<20, &req); herr != nil {
+		herr.Write(w, reqID)
 		return
 	}
 	rt, ok := s.routes[req.Backend]
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown_backend",
+		wire.WriteError(w, http.StatusNotFound, "unknown_backend",
 			fmt.Sprintf("unknown backend %q (serving: %v)", req.Backend, s.names), reqID)
 		return
 	}
 	if s.frames == nil {
-		writeError(w, http.StatusBadRequest, "invalid_request_error", "this gateway serves no dataset; spatial queries are unavailable", reqID)
+		wire.WriteError(w, http.StatusBadRequest, "invalid_request_error", "this gateway serves no dataset; spatial queries are unavailable", reqID)
 		return
 	}
 	if req.Lat == nil || req.Lng == nil {
-		writeError(w, http.StatusBadRequest, "invalid_request_error", "lat and lng are required", reqID)
+		wire.WriteError(w, http.StatusBadRequest, "invalid_request_error", "lat and lng are required", reqID)
 		return
 	}
 	if req.RadiusFeet <= 0 {
-		writeError(w, http.StatusBadRequest, "invalid_request_error", fmt.Sprintf("radius_feet must be positive, got %v", req.RadiusFeet), reqID)
+		wire.WriteError(w, http.StatusBadRequest, "invalid_request_error", fmt.Sprintf("radius_feet must be positive, got %v", req.RadiusFeet), reqID)
 		return
 	}
 	opts, herr := requestOptions(&ClassifyRequest{
@@ -150,7 +151,7 @@ func (s *Server) handleNeighborhood(w http.ResponseWriter, r *http.Request) {
 		Nonce:       req.Nonce,
 	})
 	if herr != nil {
-		writeError(w, herr.status, herr.typ, herr.msg, reqID)
+		herr.Write(w, reqID)
 		return
 	}
 	center := geo.Coordinate{Lat: *req.Lat, Lng: *req.Lng}
@@ -174,7 +175,7 @@ func (s *Server) handleNeighborhood(w http.ResponseWriter, r *http.Request) {
 	case rt.admit <- struct{}{}:
 	default:
 		rt.met.shedOne()
-		s.write503(w, fmt.Sprintf("backend %q queue full (%d in flight)", rt.name, cap(rt.admit)), reqID)
+		wire.Shed(w, http.StatusServiceUnavailable, "overloaded", fmt.Sprintf("backend %q queue full (%d in flight)", rt.name, cap(rt.admit)), reqID, s.cfg.RetryAfterSeconds)
 		return
 	}
 	defer func() { <-rt.admit }()
@@ -191,10 +192,10 @@ func (s *Server) handleNeighborhood(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if s.baseCtx.Err() != nil {
-			s.write503(w, "server is shutting down", reqID)
+			wire.Shed(w, http.StatusServiceUnavailable, "overloaded", "server is shutting down", reqID, s.cfg.RetryAfterSeconds)
 			return
 		}
-		writeError(w, http.StatusInternalServerError, "backend_error", err.Error(), reqID)
+		wire.WriteError(w, http.StatusInternalServerError, "backend_error", err.Error(), reqID)
 		return
 	}
 	counts := make(map[string]int, len(opts.Indicators))
@@ -204,7 +205,7 @@ func (s *Server) handleNeighborhood(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	rt.met.okOne(time.Since(start))
-	writeJSON(w, http.StatusOK, NeighborhoodResponse{
+	wire.WriteJSON(w, http.StatusOK, NeighborhoodResponse{
 		Backend:    rt.name,
 		Query:      WireCoordinate{Lat: center.Lat, Lng: center.Lng},
 		RadiusFeet: req.RadiusFeet,

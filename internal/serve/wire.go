@@ -1,8 +1,8 @@
 package serve
 
-// Wire types for the gateway's JSON API. Error bodies reuse
-// llmserve.ErrorResponse so one client-side decoder handles both
-// services.
+// Wire types for the gateway's JSON API. Error bodies are
+// wire.ErrorResponse, the one shape every service in the repository
+// writes, so one client-side decoder handles them all.
 
 import (
 	"nbhd/internal/backend"
