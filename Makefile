@@ -13,12 +13,14 @@ build:
 test:
 	$(GO) test ./...
 
-# The simulated models' answer draw does 64-bit modular arithmetic, and
-# the renderer and perception index flat pixel planes; running the vlm
-# and render tests (with their answer, perception and frame goldens) on
-# a 32-bit target catches any of it slipping into 32-bit int.
+# The math/rand copy in randsrc and the simulated models' answer draw
+# do 64-bit modular arithmetic, and the renderer, scene generator and
+# perception index flat pixel planes or draw from seeded sources;
+# running their tests (with the answer, perception and frame goldens
+# and the math/rand equivalence tables) on a 32-bit target catches any
+# of it slipping into 32-bit int.
 test-386:
-	GOARCH=386 $(GO) test ./internal/vlm ./internal/render
+	GOARCH=386 $(GO) test ./internal/randsrc ./internal/vlm ./internal/render ./internal/scene
 
 # Race overhead is ~10-20x; the root integration tests need more than
 # the default 10m package timeout on small runners.
@@ -40,23 +42,25 @@ bench:
 # backend sweep against an in-process llmserve, the compute layer
 # (batched GEMM convolution, the zero-allocation training step, the
 # f32-vs-int8 inference pairs and the GEMM size sweep), the quantization
-# drift recorder, the spatial index and warm-start store serving, and
-# the degradation ops. -benchmem keeps allocation counts visible.
+# drift recorder, the spatial index and warm-start store serving, the
+# degradation ops, a 96×96 frame render, perception and source seeding.
+# -benchmem keeps allocation counts visible.
 # Performance numbers come from nbhdbench (see BENCHMARK.json), not
 # from this target.
 bench-smoke:
-	$(GO) test -run=NONE -bench='MatMul128|HTTPBackend_Sweep|ConvForward|ConvBackward|TrainEpoch|DetectorForward|PredictBatch|QuantDrift|GEMMSizes|Nearest|WarmStart|DegradationOps' -benchtime=1x -benchmem . ./internal/tensor
+	$(GO) test -run=NONE -bench='MatMul128|HTTPBackend_Sweep|ConvForward|ConvBackward|TrainEpoch|DetectorForward|PredictBatch|QuantDrift|GEMMSizes|Nearest|WarmStart|DegradationOps|RenderFrame96|Perceive|Seed' -benchtime=1x -benchmem . ./internal/tensor ./internal/randsrc
 
 # Runs each fuzz target for ten seconds past its seed corpus (plain
 # `go test` already replays the seeds under testdata/fuzz/). The
-# targets cover the strict-JSON spec and gateway config parsers and the
-# packed GEMM kernel. `go test -fuzz` takes one package and one target
+# targets cover the strict-JSON spec and gateway config parsers, the
+# packed GEMM kernel and the math/rand copy in randsrc. `go test -fuzz` takes one package and one target
 # per run; capping minimization at 100 runs per new input keeps the
 # ten seconds spent fuzzing rather than shrinking inputs.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzParseSpec$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/experiment
 	$(GO) test -run=NONE -fuzz='^FuzzParseConfig$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/serve
 	$(GO) test -run=NONE -fuzz='^FuzzPackedGEMM$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/tensor
+	$(GO) test -run=NONE -fuzz='^FuzzSource$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/randsrc
 
 fmt:
 	gofmt -w .

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"nbhd/internal/randsrc"
 	"nbhd/internal/render"
 	"nbhd/internal/scene"
 )
@@ -59,7 +60,7 @@ func FlippingAndCroppingOps() []AugmentOp {
 func Augment(examples []Example, ops []AugmentOp, seed int64) ([]Example, error) {
 	out := make([]Example, 0, len(examples)*(1+len(ops)))
 	out = append(out, examples...)
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(randsrc.New(seed))
 	for _, ex := range examples {
 		for _, op := range ops {
 			aug, err := applyOp(&ex, op, rng)

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"nbhd/internal/randsrc"
 	"nbhd/internal/render"
 )
 
@@ -89,7 +90,7 @@ func ConditionSeed(seed int64, frameID, condition string) int64 {
 // gain jitter per frame within a narrow band so a night corpus is not
 // one uniform filter.
 func nightOp(img *render.Image, seed int64) *render.Image {
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(randsrc.New(seed))
 	gamma := 1.8 + 0.4*rng.Float64()
 	gain := float32(0.30 + 0.10*rng.Float64())
 	// Per-channel cast: dim red, hold green, lift blue.
@@ -111,7 +112,7 @@ func nightOp(img *render.Image, seed int64) *render.Image {
 // mode. Rect placement may cover the whole frame in the degenerate
 // small-image case; pixels stay in range regardless.
 func occlusionOp(img *render.Image, seed int64) *render.Image {
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(randsrc.New(seed))
 	out := img.Clone()
 	n := 1 + rng.Intn(3)
 	for k := 0; k < n; k++ {
@@ -135,7 +136,7 @@ func occlusionOp(img *render.Image, seed int64) *render.Image {
 // [0.05,0.10] — a fixed-sigma sensor model, unlike the Fig. 3 AddNoise
 // path which targets an SNR relative to signal power.
 func noiseOp(img *render.Image, seed int64) *render.Image {
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(randsrc.New(seed))
 	sigma := 0.05 + 0.05*rng.Float64()
 	out := img.Clone()
 	for i, v := range out.Pix {

@@ -8,6 +8,7 @@ package experiment_test
 import (
 	"context"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -94,6 +95,39 @@ func TestValidateRejectsUnknownBackendKind(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "quantum") {
 		t.Errorf("error does not name the unknown kind: %v", err)
+	}
+}
+
+// TestValidateRejectsSamplingOutOfRange: a sweep's temperature and
+// top-p are held to the models' ranges before any corpus is built, NaN
+// and the infinities included; zero means the default.
+func TestValidateRejectsSamplingOutOfRange(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		temperature, topP float64
+		want              string
+	}{
+		{5, 0, `experiment: sweep "models": temperature 5.000000 outside [0,2]`},
+		{-1, 0, `experiment: sweep "models": temperature -1.000000 outside [0,2]`},
+		{nan, 0, `experiment: sweep "models": temperature NaN outside [0,2]`},
+		{inf, 0, `experiment: sweep "models": temperature +Inf outside [0,2]`},
+		{0, 1.01, `experiment: sweep "models": top-p 1.010000 outside (0,1]`},
+		{0, -0.5, `experiment: sweep "models": top-p -0.500000 outside (0,1]`},
+		{0, nan, `experiment: sweep "models": top-p NaN outside (0,1]`},
+		{0, -inf, `experiment: sweep "models": top-p -Inf outside (0,1]`},
+		{0, 0, ""},
+		{2, 1, ""},
+	} {
+		spec := demoSpec()
+		spec.Sweeps[0].Options.Temperature = tc.temperature
+		spec.Sweeps[0].Options.TopP = tc.topP
+		got := ""
+		if err := spec.Validate(); err != nil {
+			got = err.Error()
+		}
+		if got != tc.want {
+			t.Errorf("temperature %v, top-p %v: Validate error %q, want %q", tc.temperature, tc.topP, got, tc.want)
+		}
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"nbhd/internal/core"
 	"nbhd/internal/dataset"
 	"nbhd/internal/prompt"
+	"nbhd/internal/vlm"
 	"nbhd/internal/wire"
 	"nbhd/internal/world"
 )
@@ -115,7 +116,7 @@ type OptionsSpec struct {
 	// empty defaults to parallel.
 	Mode string `json:"mode,omitempty"`
 	// Temperature and TopP forward to the models (zero = provider
-	// defaults).
+	// defaults); Validate takes the models' ranges, [0,2] and (0,1].
 	Temperature float64 `json:"temperature,omitempty"`
 	TopP        float64 `json:"top_p,omitempty"`
 	// FrameLimit caps the number of frames evaluated (0 = all).
@@ -137,6 +138,9 @@ func (o OptionsSpec) llmOptions() (core.LLMOptions, error) {
 	}
 	if !dataset.ValidCondition(o.Condition) {
 		return core.LLMOptions{}, fmt.Errorf("unknown capture condition %q (have %v)", o.Condition, dataset.Conditions())
+	}
+	if err := vlm.CheckSampling(o.Temperature, o.TopP); err != nil {
+		return core.LLMOptions{}, err
 	}
 	if o.Language != "" {
 		lang, err := prompt.ParseLanguage(o.Language)

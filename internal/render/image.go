@@ -17,6 +17,8 @@ import (
 	"io"
 	"math"
 	"math/rand"
+
+	"nbhd/internal/randsrc"
 )
 
 // Channels is the number of color channels in a rendered image.
@@ -353,7 +355,7 @@ func (m *Image) AddGaussianNoiseSNR(snrDB float64, seed int64) *Image {
 	signal := m.SignalPower()
 	noisePower := signal / math.Pow(10, snrDB/10)
 	sigma := float32(math.Sqrt(noisePower))
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(randsrc.New(seed))
 	out := m.Clone()
 	for i, v := range out.Pix {
 		out.Pix[i] = clampF32(v + sigma*float32(rng.NormFloat64()))

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 
+	"nbhd/internal/randsrc"
 	"nbhd/internal/scene"
 )
 
@@ -48,6 +49,11 @@ var (
 	colHorizonHaze = rgb{0.82, 0.84, 0.86}
 )
 
+// groundJitter is the width of the uniform brightness jitter on each
+// ground pixel: colGrassBase ± groundJitter/2 stays inside [0,1], so the
+// ground pass needs no clamp.
+const groundJitter = 0.05
+
 // Render rasterizes a scene. Rendering is deterministic in the scene
 // (including its Seed and per-object StyleSeeds).
 func Render(s *scene.Scene, cfg Config) (*Image, error) {
@@ -65,7 +71,7 @@ func Render(s *scene.Scene, cfg Config) (*Image, error) {
 	if err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(s.Seed ^ 0x5ce9e))
+	rng := randsrc.New(s.Seed ^ 0x5ce9e)
 
 	drawSky(img, s.SkyTone)
 	drawGround(img, rng)
@@ -131,20 +137,21 @@ func drawSky(img *Image, tone float64) {
 	}
 }
 
-func drawGround(img *Image, rng *rand.Rand) {
+func drawGround(img *Image, rng *randsrc.Source) {
 	horizon := int(0.46*float64(img.H)) + img.H/60 + 1
 	for y := horizon; y < img.H; y++ {
 		r, g, b := img.Row(y)
+		g, b = g[:len(r)], b[:len(r)] // one bounds check per row
 		for x := range r {
-			jitter := float32(rng.Float64()-0.5) * 0.05
-			r[x] = clampF32(colGrassBase.r + jitter)
-			g[x] = clampF32(colGrassBase.g + jitter)
-			b[x] = clampF32(colGrassBase.b + jitter)
+			jitter := float32(rng.Float64()-0.5) * groundJitter
+			r[x] = colGrassBase.r + jitter
+			g[x] = colGrassBase.g + jitter
+			b[x] = colGrassBase.b + jitter
 		}
 	}
 }
 
-func drawVegetation(img *Image, rng *rand.Rand, density float64) {
+func drawVegetation(img *Image, rng *randsrc.Source, density float64) {
 	blobs := int(density * 14)
 	for i := 0; i < blobs; i++ {
 		cx := rng.Float64()
@@ -260,7 +267,7 @@ func drawStreetlight(img *Image, o scene.Object) {
 
 func drawPowerline(img *Image, o scene.Object) {
 	b := o.BBox
-	rng := rand.New(rand.NewSource(o.StyleSeed))
+	rng := randsrc.New(o.StyleSeed)
 	// Two wooden poles near the frame edges carrying the wires.
 	for _, xc := range []float64{0.08 + rng.Float64()*0.06, 0.86 + rng.Float64()*0.06} {
 		pole := scene.Rect{X0: xc, Y0: b.Y0, X1: xc + 0.015, Y1: b.Y1 + 0.35}
@@ -295,7 +302,7 @@ func drawCatenary(img *Image, base, sag, halfThick float64) {
 
 func drawApartment(img *Image, o scene.Object) {
 	b := o.BBox
-	rng := rand.New(rand.NewSource(o.StyleSeed))
+	rng := rand.New(randsrc.New(o.StyleSeed))
 	body := colBrick
 	// Vary the facade slightly per building.
 	body.r = clampF32(body.r + float32(rng.Float64()-0.5)*0.1)

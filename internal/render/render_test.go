@@ -312,6 +312,22 @@ func TestRenderRoadDarkensGround(t *testing.T) {
 	}
 }
 
+// TestGroundJitterInRange: drawGround writes colGrassBase plus a jitter
+// without clamping, so every channel must stay inside [0,1] at both
+// extremes of the jitter, Float64 = 0 and Float64 → 1 (whose
+// float32(f−0.5) rounds to 0.5).
+func TestGroundJitterInRange(t *testing.T) {
+	lo, hi := float32(0-0.5)*groundJitter, float32(0.5)*groundJitter
+	for _, c := range []float32{colGrassBase.r, colGrassBase.g, colGrassBase.b} {
+		if c+lo < 0 || c+hi > 1 {
+			t.Errorf("ground channel %v jitters to [%v, %v], outside [0,1]", c, c+lo, c+hi)
+		}
+	}
+	if got := float32(math.Nextafter(1, 0) - 0.5); got != 0.5 {
+		t.Errorf("float32(largest Float64 - 0.5) = %v, want 0.5", got)
+	}
+}
+
 func TestRenderDistinctObjectsChangePixels(t *testing.T) {
 	base := &scene.Scene{
 		ID:      "plain",

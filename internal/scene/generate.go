@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"nbhd/internal/geo"
+	"nbhd/internal/randsrc"
 )
 
 // Priors holds the urbanicity-conditioned presence probabilities used by
@@ -85,7 +86,7 @@ func (g *Generator) Generate(id string, point geo.SamplePoint, heading geo.Headi
 	if id == "" {
 		return nil, fmt.Errorf("scene: generate needs a non-empty id")
 	}
-	rng := rand.New(rand.NewSource(mixSeed(seed, point, heading)))
+	rng := rand.New(randsrc.New(mixSeed(seed, point, heading)))
 	u := point.Urbanicity
 
 	s := &Scene{

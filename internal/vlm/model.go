@@ -98,6 +98,20 @@ func (m *Model) ClassifyPerceived(req Request, feats Features) ([]bool, error) {
 	return m.answer(req, feats)
 }
 
+// CheckSampling rejects sampling parameters the models do not take: a
+// temperature outside [0,2] or a top-p outside (0,1], NaN and the
+// infinities included. A zero top-p means the provider default and is
+// accepted.
+func CheckSampling(temperature, topP float64) error {
+	if !(temperature >= 0 && temperature <= 2) {
+		return fmt.Errorf("temperature %f outside [0,2]", temperature)
+	}
+	if topP != 0 && !(topP > 0 && topP <= 1) {
+		return fmt.Errorf("top-p %f outside (0,1]", topP)
+	}
+	return nil
+}
+
 func (m *Model) validate(req Request) error {
 	if req.Image == nil {
 		return fmt.Errorf("vlm: %s: request has no image", m.profile.ID)
@@ -105,11 +119,8 @@ func (m *Model) validate(req Request) error {
 	if len(req.Indicators) == 0 {
 		return fmt.Errorf("vlm: %s: request asks about no indicators", m.profile.ID)
 	}
-	if req.Temperature < 0 || req.Temperature > 2 {
-		return fmt.Errorf("vlm: %s: temperature %f outside [0,2]", m.profile.ID, req.Temperature)
-	}
-	if req.TopP <= 0 || req.TopP > 1 {
-		return fmt.Errorf("vlm: %s: top-p %f outside (0,1]", m.profile.ID, req.TopP)
+	if err := CheckSampling(req.Temperature, req.TopP); err != nil {
+		return fmt.Errorf("vlm: %s: %w", m.profile.ID, err)
 	}
 	if req.Shots < 0 || req.Shots > 64 {
 		return fmt.Errorf("vlm: %s: shots %d outside [0,64]", m.profile.ID, req.Shots)

@@ -81,15 +81,13 @@ func wellFormed(img *render.Image) bool {
 }
 
 // pixel predicates over the renderer's palette, with generous tolerances
-// so noise and resampling do not break them.
+// so noise and resampling do not break them. isAsphalt and isBrick test
+// first a condition that the grass and sky filling most of a frame fail.
 
 func isAsphalt(r, g, b float32) bool {
-	// Mid gray, channels close together.
+	// Mid gray: channels close together, at a moderate mean.
 	mean := (r + g + b) / 3
-	if mean < 0.18 || mean > 0.48 {
-		return false
-	}
-	return absf(r-g) < 0.07 && absf(g-b) < 0.07 && absf(r-b) < 0.09
+	return absf(g-b) < 0.07 && absf(r-g) < 0.07 && absf(r-b) < 0.09 && mean >= 0.18 && mean <= 0.48
 }
 
 func isWhiteLine(r, g, b float32) bool {
@@ -114,7 +112,7 @@ func isDark(r, g, b float32) bool {
 }
 
 func isBrick(r, g, b float32) bool {
-	return r > 0.4 && r < 0.78 && g > 0.15 && g < 0.4 && b > 0.1 && b < 0.35 && r-g > 0.2
+	return r-g > 0.2 && g < 0.4 && r > 0.4 && r < 0.78 && g > 0.15 && b > 0.1 && b < 0.35
 }
 
 func absf(v float32) float32 {
@@ -125,7 +123,8 @@ func absf(v float32) float32 {
 }
 
 // perceive probes a view of at most perceptionSize×perceptionSize
-// pixels in one pass over its rows:
+// pixels, one row at a time, running over each row only the probes
+// whose band contains it:
 //   - road: asphalt rows and lane-marking pixels in the lower half;
 //   - sidewalk: pavement tone in the lower half;
 //   - streetlight: the bright lamp head in the upper third;
@@ -144,32 +143,45 @@ func perceive(img *render.Image) Features {
 	firstAsphaltRow := h
 	for y := 0; y < h; y++ {
 		rs, gs, bs := img.Row(y)
-		lower := y >= h/2
+		gs, bs = gs[:len(rs)], bs[:len(rs)] // one bounds check per row
+		if y < lampRows {
+			for x, r := range rs {
+				if isLamp(r, gs[x], bs[x]) {
+					lampPx++
+				}
+			}
+		}
+		if y < skyRows {
+			for x, r := range rs {
+				if !darkCol[x] && isDark(r, gs[x], bs[x]) {
+					darkCol[x] = true
+					darkCols++
+				}
+			}
+		}
+		if y < facadeRows {
+			for x, r := range rs {
+				if isBrick(r, gs[x], bs[x]) {
+					brickPx++
+				}
+			}
+		}
+		if y < h/2 {
+			continue
+		}
 		rowAsphalt := 0
 		for x, r := range rs {
 			g, b := gs[x], bs[x]
-			if lower {
-				switch {
-				case isAsphalt(r, g, b):
-					rowAsphalt++
-				case isWhiteLine(r, g, b):
-					whiteLinePx++
-				case isYellowLine(r, g, b):
-					yellowLinePx++
-				}
-				if isSidewalkTone(r, g, b) {
-					sidewalkPx++
-				}
+			switch {
+			case isAsphalt(r, g, b):
+				rowAsphalt++
+			case isWhiteLine(r, g, b):
+				whiteLinePx++
+			case isYellowLine(r, g, b):
+				yellowLinePx++
 			}
-			if y < lampRows && isLamp(r, g, b) {
-				lampPx++
-			}
-			if y < skyRows && !darkCol[x] && isDark(r, g, b) {
-				darkCol[x] = true
-				darkCols++
-			}
-			if y < facadeRows && isBrick(r, g, b) {
-				brickPx++
+			if isSidewalkTone(r, g, b) {
+				sidewalkPx++
 			}
 		}
 		if rowAsphalt > w/8 {

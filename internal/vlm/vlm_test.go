@@ -144,15 +144,58 @@ func TestClassifyValidation(t *testing.T) {
 	if _, err := m.Classify(Request{Image: ex[0].Image}); err == nil {
 		t.Error("empty indicator list accepted")
 	}
-	if _, err := m.Classify(Request{Image: ex[0].Image, Indicators: inds[:], Temperature: 3}); err == nil {
-		t.Error("temperature 3 accepted")
-	}
-	if _, err := m.Classify(Request{Image: ex[0].Image, Indicators: inds[:], TopP: 1.5}); err == nil {
-		t.Error("top-p 1.5 accepted")
-	}
 	if _, err := m.Classify(Request{Image: ex[0].Image, Indicators: []scene.Indicator{scene.Indicator(99)}}); err == nil {
 		t.Error("unknown indicator accepted")
 	}
+}
+
+// TestClassifySamplingErrors: sampling parameters outside the models'
+// ranges, NaN and the infinities included, are rejected with exact
+// messages, and CheckSampling takes a zero top-p as the default.
+func TestClassifySamplingErrors(t *testing.T) {
+	m, err := NewModel(mustProfile(t, Gemini15Pro))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ex := studyExamples(t, 1)
+	inds := scene.Indicators()
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		temperature, topP float64
+		want              string
+	}{
+		{3, 0, "vlm: gemini-1.5-pro: temperature 3.000000 outside [0,2]"},
+		{-0.1, 0, "vlm: gemini-1.5-pro: temperature -0.100000 outside [0,2]"},
+		{nan, 0, "vlm: gemini-1.5-pro: temperature NaN outside [0,2]"},
+		{inf, 0, "vlm: gemini-1.5-pro: temperature +Inf outside [0,2]"},
+		{-inf, 0, "vlm: gemini-1.5-pro: temperature -Inf outside [0,2]"},
+		{0, 1.5, "vlm: gemini-1.5-pro: top-p 1.500000 outside (0,1]"},
+		{0, -0.5, "vlm: gemini-1.5-pro: top-p -0.500000 outside (0,1]"},
+		{0, nan, "vlm: gemini-1.5-pro: top-p NaN outside (0,1]"},
+		{0, inf, "vlm: gemini-1.5-pro: top-p +Inf outside (0,1]"},
+		{2, 1, ""},
+		{0.01, 0.01, ""},
+	} {
+		req := Request{Image: ex[0].Image, Indicators: inds[:], Temperature: tc.temperature, TopP: tc.topP}
+		_, err := m.Classify(req)
+		if got := errString(err); got != tc.want {
+			t.Errorf("temperature %v, top-p %v: error %q, want %q", tc.temperature, tc.topP, got, tc.want)
+		}
+		if _, err := m.ClassifyPerceived(req, Features{}); errString(err) != tc.want {
+			t.Errorf("temperature %v, top-p %v: ClassifyPerceived error %q, want %q", tc.temperature, tc.topP, errString(err), tc.want)
+		}
+	}
+	if err := CheckSampling(0, 0); err != nil {
+		t.Errorf("CheckSampling(0, 0) = %v, want nil (zeros mean the defaults)", err)
+	}
+}
+
+// errString is err's message, or "" for nil.
+func errString(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
 }
 
 func mustProfile(t *testing.T, id ModelID) Profile {
