@@ -43,12 +43,13 @@ bench:
 # (batched GEMM convolution, the zero-allocation training step, the
 # f32-vs-int8 inference pairs and the GEMM size sweep), the quantization
 # drift recorder, the spatial index and warm-start store serving, the
-# degradation ops, a 96×96 frame render, perception and source seeding.
+# degradation ops, a 96×96 frame render, perception, source seeding and
+# the evaluator's four-model sweep, keeping frames and keeping nothing.
 # -benchmem keeps allocation counts visible.
 # Performance numbers come from nbhdbench (see BENCHMARK.json), not
 # from this target.
 bench-smoke:
-	$(GO) test -run=NONE -bench='MatMul128|HTTPBackend_Sweep|ConvForward|ConvBackward|TrainEpoch|DetectorForward|PredictBatch|QuantDrift|GEMMSizes|Nearest|WarmStart|DegradationOps|RenderFrame96|Perceive|Seed' -benchtime=1x -benchmem . ./internal/tensor ./internal/randsrc
+	$(GO) test -run=NONE -bench='MatMul128|HTTPBackend_Sweep|ConvForward|ConvBackward|TrainEpoch|DetectorForward|PredictBatch|QuantDrift|GEMMSizes|Nearest|WarmStart|DegradationOps|RenderFrame96|Perceive|Seed|EvaluatorSweep' -benchtime=1x -benchmem . ./internal/tensor ./internal/randsrc
 
 # Runs each fuzz target for ten seconds past its seed corpus (plain
 # `go test` already replays the seeds under testdata/fuzz/). The

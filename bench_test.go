@@ -584,6 +584,43 @@ func BenchmarkPerceive(b *testing.B) {
 	}
 }
 
+// BenchmarkEvaluatorSweep sweeps the four builtin models over 40
+// coordinates in one frame-major walk, once keeping the frames in the
+// pipeline's caches and once keeping nothing (each worker renders into
+// buffers it reuses); -benchmem shows what each path allocates per
+// sweep. Every iteration builds a fresh pipeline, outside the timer, so
+// the kept path never finds the previous iteration's frames.
+func BenchmarkEvaluatorSweep(b *testing.B) {
+	ctx := context.Background()
+	for _, keep := range []bool{true, false} {
+		name := "keep-frames"
+		if !keep {
+			name = "keep-nothing"
+		}
+		b.Run(name, func(b *testing.B) {
+			backends := make([]backend.Backend, 0, len(vlm.AllModels()))
+			for _, id := range vlm.AllModels() {
+				bk, err := backend.Open(ctx, backend.Spec{Kind: "vlm", Model: string(id)})
+				if err != nil {
+					b.Fatal(err)
+				}
+				backends = append(backends, bk)
+			}
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				pipe, err := core.NewPipeline(core.Config{Coordinates: 40, Seed: benchSeed})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if _, err := pipe.NewEvaluator(core.EvalConfig{}).SweepBackendSet(ctx, backends, core.LLMOptions{}, keep); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // benchWideChannels are paper-realistic backbone widths for the
 // quantization benchmark pair. The repo's training default ([8 16 32])
 // is deliberately tiny for fast CI training, which leaves its GEMMs

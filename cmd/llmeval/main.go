@@ -16,9 +16,10 @@
 //	llmeval -run-dir runs -experiment f5      # leave a diffable run-artifact trail
 //
 // Every experiment is a declarative spec (experiment.Builtin) executed
-// by the streaming runner on the concurrent evaluation engine: frames
-// render once into a shared cache, sweeps fan out across workers shaped
-// by each backend's capability hints, and Ctrl-C cancels cleanly
+// by the streaming runner on the concurrent evaluation engine: each
+// sweep walks the corpus once, rendering every frame once and asking
+// all its backends in batches shaped by their capability hints; frames
+// stay cached only for later sweeps that need them. Ctrl-C cancels cleanly
 // mid-sweep (including mid-training for the supervised backends). The
 // http backend uses the lossless image encoding, so its reports are
 // bit-identical to -backend local. The yolo and cnn backends first

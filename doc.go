@@ -22,11 +22,13 @@
 // byte-identical to checked-in report JSON.
 //
 // Evaluation sweeps run on the concurrent engine in internal/core: a
-// shared render cache rasterizes each frame once per resolution, a
-// shared perception cache extracts features once per frame, and a
-// worker-pool Evaluator fans classification out across GOMAXPROCS
-// workers with context cancellation — bit-identical to the serial path
-// (see README.md for the API and guarantees).
+// sweep walks the corpus once, frame batch by frame batch, across
+// GOMAXPROCS workers with context cancellation; each worker renders and
+// perceives a frame once and asks every backend of the sweep while the
+// frame is in cache. Frames stay in the shared render and perception
+// caches only when a later step walks the corpus again; otherwise each
+// worker renders into buffers it reuses. Reports are bit-identical to
+// the serial path (see README.md for the API and guarantees).
 //
 // Every classifier family flows into that engine through the pluggable
 // backend layer in internal/backend: one Backend interface (batched

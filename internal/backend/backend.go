@@ -4,8 +4,8 @@
 // models behind the chat-completions HTTP API, the YOLO-style detector's
 // presence predictions, and the scene-classification CNN baseline — is
 // adapted to one Backend interface, so a single engine (core.Evaluator)
-// drives them all over the same shared render and perception caches and
-// merges their confusion reports through the same path.
+// drives them all through the same frame-major walk over the corpus and
+// scores their answers through the same path.
 //
 // A Backend classifies frames in batches and advertises capability hints
 // the engine uses to shape the sweep: whether it consumes precomputed
@@ -28,7 +28,9 @@ type Item struct {
 	// ID identifies the frame (for error messages and tracing).
 	ID string
 	// Image is the rendered frame; backends must treat the pixels as
-	// read-only (cached images are shared across sweeps).
+	// read-only and must not keep the image (or Feats) after Classify
+	// returns: cached images are shared across sweeps, and a sweep that
+	// keeps no frames renders the next batch into the same buffers.
 	Image *render.Image
 	// Feats holds precomputed perception features. The engine fills it
 	// only for backends whose Capabilities report PerceivedFeatures;
@@ -68,8 +70,8 @@ type BatchResult struct {
 // Capabilities are the hints a backend gives the engine about how it
 // wants to be driven.
 type Capabilities struct {
-	// PerceivedFeatures reports whether the backend consumes the shared
-	// perception cache (Item.Feats). Only in-process classifiers with a
+	// PerceivedFeatures reports whether the backend consumes the
+	// engine's precomputed perception features (Item.Feats). Only in-process classifiers with a
 	// ClassifyPerceived fast path support this.
 	PerceivedFeatures bool
 	// PreferredBatch is the batch size the backend wants per Classify

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -30,20 +31,19 @@ type EvalConfig struct {
 // Evaluator sweeps classifier backends over the pipeline's corpus
 // concurrently. Every backend family — builtin VLMs, committees, remote
 // HTTP models, the YOLO detector, the CNN baseline — flows through the
-// same path: frames come from the shared render cache at the backend's
-// resolution, perception features come from the shared perception cache
-// when the backend consumes them, batches fan out across a worker pool
-// shaped by the backend's capability hints, and per-worker partial
-// ClassReports are merged at the end. Results are bit-identical to a
-// serial sweep: answers are deterministic in (backend, frame content,
-// request), renders are deterministic in the scene, and confusion
-// counts are order-independent under merge.
+// same frame-major walk (see walk): each frame is rendered at each
+// backend resolution and perceived once per walk, every backend of the
+// sweep is asked about it in batches shaped by its capability hints,
+// and each answer lands in its frame's slot, scored in frame order at
+// the end. Results are bit-identical to a serial sweep: answers are
+// deterministic in (backend, frame content, request) and renders are
+// deterministic in the scene.
 type Evaluator struct {
 	pipe    *Pipeline
 	workers int
 }
 
-// NewEvaluator builds an evaluator over the pipeline's shared caches.
+// NewEvaluator builds an evaluator over the pipeline's corpus and caches.
 func (p *Pipeline) NewEvaluator(cfg EvalConfig) *Evaluator {
 	w := cfg.Workers
 	if w <= 0 {
@@ -59,10 +59,13 @@ type featEntry struct {
 	err   error
 }
 
-// features returns the cached perception features for a rendered frame,
+// features returns the cached perception features for a kept frame,
 // perceiving it exactly once across all concurrent sweeps.
 func (p *Pipeline) features(img *render.Image) (vlm.Features, error) {
-	v, _ := p.featCache.LoadOrStore(img, &featEntry{})
+	v, ok := p.featCache.Load(img)
+	if !ok {
+		v, _ = p.featCache.LoadOrStore(img, &featEntry{})
+	}
 	e := v.(*featEntry)
 	e.once.Do(func() { e.feats, e.err = vlm.Perceive(img) })
 	return e.feats, e.err
@@ -77,30 +80,6 @@ func (p *Pipeline) renderSizeFor(caps backend.Capabilities) int {
 	return p.cfg.LLMRenderSize
 }
 
-// frameItems builds backend items for corpus frames [start,end) from the
-// shared render and perception caches at the given resolution and capture
-// condition — the one batch-assembly path every sweep (classification and
-// neighborhood analysis alike) goes through.
-func (p *Pipeline) frameItems(start, end, size int, cond string, wantFeats bool) ([]backend.Item, error) {
-	items := make([]backend.Item, 0, end-start)
-	for i := start; i < end; i++ {
-		ex, err := p.cache.CondExample(i, size, cond)
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		item := backend.Item{ID: ex.ID, Image: ex.Image}
-		if wantFeats {
-			feats, err := p.features(ex.Image)
-			if err != nil {
-				return nil, fmt.Errorf("core: perceive %s: %w", ex.ID, err)
-			}
-			item.Feats = &feats
-		}
-		items = append(items, item)
-	}
-	return items, nil
-}
-
 // BackendSweep is one backend's sweep over the corpus: its confusion
 // report and the answer vectors it was scored from, indexed by corpus
 // frame (Answers[i] is frame i's; the FrameLimit cuts the slice short).
@@ -112,43 +91,53 @@ type BackendSweep struct {
 // EvaluateBackend sweeps any classifier backend over the corpus with the
 // evaluator's worker pool. The backend's capability hints shape the
 // sweep: frames render (once, cached) at its preferred resolution,
-// perception features are precomputed only when it consumes them,
-// classification happens in batches of its preferred size, and
+// perception features are computed (once, cached) only when it consumes
+// them, classification happens in batches of its preferred size, and
 // concurrent Classify calls are bounded by its maximum concurrency —
 // rendering and perception stay fully parallel even for single-file
-// backends. The context cancels the sweep: the first error (or
+// backends. The frames and features stay in the pipeline's caches for
+// later sweeps. The context cancels the sweep: the first error (or
 // cancellation) stops all workers and is returned.
 func (e *Evaluator) EvaluateBackend(ctx context.Context, b backend.Backend, opts LLMOptions) (*metrics.ClassReport, error) {
-	sw, err := e.sweepBackend(ctx, b, opts, 0, 1)
+	sweeps, _, err := e.sweep(ctx, []backend.Backend{b}, opts, true)
 	if err != nil {
 		return nil, err
 	}
-	return sw.Report, nil
+	return sweeps[0].Report, nil
 }
 
-// sweepBackend is EvaluateBackend for sweep i of k running concurrently
-// over the shared caches, keeping the answers: it starts at batch
-// i·nBatches/k and wraps around, so concurrent sweeps spread over the
-// corpus instead of queuing on the same frame's render and perception.
-// The result is the same from any start, since every answer lands in
-// its frame's slot.
-func (e *Evaluator) sweepBackend(ctx context.Context, b backend.Backend, opts LLMOptions, i, k int) (BackendSweep, error) {
+// sweep walks the corpus once for every backend under opts and returns
+// their sweeps in input order, or the first error with the index of the
+// backend it belongs to (see walk).
+func (e *Evaluator) sweep(ctx context.Context, backends []backend.Backend, opts LLMOptions, keep bool) ([]BackendSweep, int, error) {
 	p := e.pipe
 	if !dataset.ValidCondition(opts.Condition) {
-		return BackendSweep{}, fmt.Errorf("core: unknown capture condition %q (have %v)", opts.Condition, dataset.Conditions())
+		return nil, 0, fmt.Errorf("core: unknown capture condition %q (have %v)", opts.Condition, dataset.Conditions())
 	}
 	n := p.Study.Len()
 	if opts.FrameLimit > 0 && opts.FrameLimit < n {
 		n = opts.FrameLimit
 	}
-	batch := max(1, b.Capabilities().PreferredBatch)
-	nBatches := (n + batch - 1) / batch
-	span := func(bi int) (int, int) {
-		start := bi * batch
-		return start, min(start+batch, n)
+	answers := make([][][scene.NumIndicators]bool, len(backends))
+	jobs := make([]frameJob, len(backends))
+	for i, b := range backends {
+		answers[i] = make([][scene.NumIndicators]bool, n)
+		jobs[i] = e.answerJob(b, opts, answers[i])
 	}
-	answers := make([][scene.NumIndicators]bool, n)
-	err := e.classifyBatches(ctx, b, opts, nBatches, i*nBatches/k, span, func(_, start int, items []backend.Item, got [][]bool) error {
+	if culprit, err := e.walk(ctx, jobs, func(batches []int) [][2]int { return frameSpans(n, batches) }, keep); err != nil {
+		return nil, culprit, err
+	}
+	sweeps := make([]BackendSweep, len(backends))
+	for i := range sweeps {
+		sweeps[i] = BackendSweep{Report: p.score(answers[i]), Answers: answers[i]}
+	}
+	return sweeps, 0, nil
+}
+
+// answerJob is backend b's part in a sweep under opts: each frame's
+// answer vector lands in its slot, answers[i] for corpus frame i.
+func (e *Evaluator) answerJob(b backend.Backend, opts LLMOptions, answers [][scene.NumIndicators]bool) frameJob {
+	return e.newJob(b, opts, func(_, start int, items []backend.Item, got [][]bool) error {
 		for k := range items {
 			if len(got[k]) != scene.NumIndicators {
 				return fmt.Errorf("core: backend %s answered %d indicators for %s, want %d", b.Name(), len(got[k]), items[k].ID, scene.NumIndicators)
@@ -157,10 +146,6 @@ func (e *Evaluator) sweepBackend(ctx context.Context, b backend.Backend, opts LL
 		}
 		return nil
 	})
-	if err != nil {
-		return BackendSweep{}, err
-	}
-	return BackendSweep{Report: p.score(answers), Answers: answers}, nil
 }
 
 // score builds the confusion report of per-frame answer vectors against
@@ -203,11 +188,11 @@ func (e *Evaluator) Vote(members []BackendSweep) (*metrics.ClassReport, error) {
 	return e.pipe.score(voted), nil
 }
 
-// EvaluateBackendSet evaluates several backends concurrently over the
-// shared caches and returns their reports in input order; it is
-// SweepBackendSet without the answers.
+// EvaluateBackendSet evaluates several backends over one walk of the
+// corpus and returns their reports in input order; it is
+// SweepBackendSet without the answers, keeping the frames.
 func (e *Evaluator) EvaluateBackendSet(ctx context.Context, backends []backend.Backend, opts LLMOptions) ([]*metrics.ClassReport, error) {
-	sweeps, err := e.SweepBackendSet(ctx, backends, opts)
+	sweeps, err := e.SweepBackendSet(ctx, backends, opts, true)
 	if err != nil {
 		return nil, err
 	}
@@ -218,75 +203,31 @@ func (e *Evaluator) EvaluateBackendSet(ctx context.Context, backends []backend.B
 	return reports, nil
 }
 
-// SweepBackendSet sweeps several backends concurrently over the shared
-// caches and returns their reports and answers in input order. The
-// evaluator's worker budget is divided among the sweeps (see
-// sweepWorkers) so the total fan-out stays at e.workers rather than
-// backends × workers, and each sweep starts at its own batch. The first
-// backend error cancels the others.
-func (e *Evaluator) SweepBackendSet(ctx context.Context, backends []backend.Backend, opts LLMOptions) ([]BackendSweep, error) {
+// SweepBackendSet sweeps several backends over one frame-major walk of
+// the corpus (see walk) and returns their reports and answers in input
+// order. keepFrames says whether a later sweep needs this one's frames:
+// with it the frames and perception features come from, and stay in,
+// the pipeline's caches (and its persistent frame store, if any);
+// without it each worker renders into buffers it owns and reuses, and
+// nothing outlives the sweep. The reports are the same either way. The
+// first backend error cancels the others and is returned, prefixed with
+// the backend's name.
+func (e *Evaluator) SweepBackendSet(ctx context.Context, backends []backend.Backend, opts LLMOptions, keepFrames bool) ([]BackendSweep, error) {
 	if len(backends) == 0 {
 		return nil, fmt.Errorf("core: no backends to evaluate")
 	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	sweeps := make([]BackendSweep, len(backends))
-	errs := make([]error, len(backends))
-	var wg sync.WaitGroup
-	for i := range backends {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sub := &Evaluator{pipe: e.pipe, workers: sweepWorkers(e.workers, len(backends), i)}
-			sw, err := sub.sweepBackend(ctx, backends[i], opts, i, len(backends))
-			if err != nil {
-				errs[i] = fmt.Errorf("core: %s: %w", backends[i].Name(), err)
-				cancel()
-				return
-			}
-			sweeps[i] = sw
-		}(i)
-	}
-	wg.Wait()
-	// Report errors in input order so failures are deterministic even
-	// when several backends fail at once — but skip the secondary
-	// cancellations our own cancel() induced in sibling sweeps, so the
-	// root cause isn't masked.
-	var canceled error
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		if errors.Is(err, context.Canceled) {
-			if canceled == nil {
-				canceled = err
-			}
-			continue
-		}
-		return nil, err
-	}
-	if canceled != nil {
-		return nil, canceled
+	sweeps, culprit, err := e.sweep(ctx, backends, opts, keepFrames)
+	if err != nil {
+		return nil, fmt.Errorf("core: %s: %w", backends[culprit].Name(), err)
 	}
 	return sweeps, nil
-}
-
-// sweepWorkers is sweep i's share of a budget of workers split over k
-// concurrent sweeps: workers/k, one more for the first workers%k sweeps,
-// and never less than one, so the shares sum to max(workers, k).
-func sweepWorkers(workers, k, i int) int {
-	n := workers / k
-	if i < workers%k {
-		n++
-	}
-	return max(1, n)
 }
 
 // AnalyzeNeighborhood runs a backend over the whole corpus, fuses the
 // four headings of each coordinate with any-vote fusion, and produces
 // tract-level environment scores and health-outcome associations.
 // Coordinate groups fan out across the worker pool (each group is one
-// backend batch fed from the shared caches); results are bit-identical
+// backend batch over kept frames); results are bit-identical
 // to the serial sweep because fused locations land at their coordinate's
 // index regardless of completion order. The context cancels mid-sweep.
 func (e *Evaluator) AnalyzeNeighborhood(ctx context.Context, b backend.Backend, tractFeet float64) (*NeighborhoodResult, error) {
@@ -332,20 +273,20 @@ func (e *Evaluator) NeighborhoodAt(ctx context.Context, b backend.Backend, cente
 
 // classifyGroups classifies the given coordinate groups (group g covers
 // corpus frames [g*FramesPerCoordinate, (g+1)*FramesPerCoordinate)) and
-// fuses each group's headings with any-vote fusion. Groups fan out
-// across the worker pool, one backend batch per group fed from the
-// shared caches; locations[i] is groups[i]'s fused profile regardless of
-// completion order. This is the one classification path under both
+// fuses each group's headings with any-vote fusion. Each group is one
+// span of the walk and one backend batch, over kept frames;
+// locations[i] is groups[i]'s fused profile regardless of completion
+// order. This is the one classification path under both
 // AnalyzeNeighborhood (all groups) and NeighborhoodAt (index-selected
 // groups).
 func (e *Evaluator) classifyGroups(ctx context.Context, b backend.Backend, groups []int) ([]analysis.LocationProfile, error) {
 	p := e.pipe
-	span := func(gi int) (int, int) {
-		start := groups[gi] * FramesPerCoordinate
-		return start, start + FramesPerCoordinate
+	spans := make([][2]int, len(groups))
+	for i, g := range groups {
+		spans[i] = [2]int{g * FramesPerCoordinate, (g + 1) * FramesPerCoordinate}
 	}
 	locations := make([]analysis.LocationProfile, len(groups))
-	err := e.classifyBatches(ctx, b, LLMOptions{}, len(groups), 0, span, func(gi, start int, _ []backend.Item, answers [][]bool) error {
+	job := e.newJob(b, LLMOptions{}, func(gi, start int, _ []backend.Item, answers [][]bool) error {
 		perHeading := make([][scene.NumIndicators]bool, len(answers))
 		for k := range answers {
 			copy(perHeading[k][:], answers[k])
@@ -362,99 +303,343 @@ func (e *Evaluator) classifyGroups(ctx context.Context, b backend.Backend, group
 		}
 		return nil
 	})
-	if err != nil {
+	job.batch = FramesPerCoordinate
+	if _, err := e.walk(ctx, []frameJob{job}, func([]int) [][2]int { return spans }, true); err != nil {
 		return nil, err
 	}
 	return locations, nil
 }
 
-// width is the worker count for a sweep of n batches: the evaluator's
-// fan-out, capped at n but at least one.
-func (e *Evaluator) width(n int) int { return max(1, min(e.workers, n)) }
+// frameJob is one backend's part in a frame-major walk: the walk asks b
+// about the frames of each span in chunks of batch (a chunk starts batch
+// frames after the previous one, at the span's start for the first),
+// on frames rendered at size and degraded under the resolved capture
+// condition cond, and hands every answer to take.
+type frameJob struct {
+	b       backend.Backend
+	caps    backend.Capabilities
+	size    int
+	cond    string
+	batch   int
+	options backend.Options
+	// take consumes the answers to the chunk whose first frame is corpus
+	// frame start, in the walk's span si; it runs concurrently on
+	// distinct chunks.
+	take func(si, start int, items []backend.Item, answers [][]bool) error
+	// Set by walk: cond's index in the job's group, and the semaphore
+	// bounding concurrent Classify calls (nil when unbounded).
+	ci  int
+	sem chan struct{}
+}
 
-// classifyBatches is the worker pool under every corpus sweep. Workers
-// claim batch indices in order from first, wrapping past nBatches-1 to
-// 0 until every batch is claimed once; batch bi covers the corpus
-// frames [span(bi)), assembled from the shared caches under opts'
-// capture condition and classified by b. body consumes each batch's
-// answers; it runs concurrently on distinct batches.
-// The first error — from assembly, classification or body — cancels
-// the remaining workers and is returned; otherwise a canceled context
-// returns its error.
-func (e *Evaluator) classifyBatches(ctx context.Context, b backend.Backend, opts LLMOptions, nBatches, first int, span func(bi int) (start, end int), body func(bi, start int, items []backend.Item, answers [][]bool) error) error {
-	p := e.pipe
+// newJob builds backend b's frame job under opts, in chunks of its
+// preferred batch.
+func (e *Evaluator) newJob(b backend.Backend, opts LLMOptions, take func(si, start int, items []backend.Item, answers [][]bool) error) frameJob {
 	caps := b.Capabilities()
-	size := p.renderSizeFor(caps)
-	options := opts.backendOptions()
-	workers := e.width(nBatches)
-	// A semaphore bounds concurrent Classify calls to the backend's
-	// limit; workers above the cap still render and perceive in parallel
-	// (the caches' main win), queuing only for classification.
-	var classifySem chan struct{}
-	if caps.MaxConcurrency > 0 && caps.MaxConcurrency < workers {
-		classifySem = make(chan struct{}, caps.MaxConcurrency)
+	return frameJob{
+		b:       b,
+		caps:    caps,
+		size:    e.pipe.renderSizeFor(caps),
+		cond:    dataset.ResolveCondition(e.pipe.Study.Condition, opts.Condition),
+		batch:   max(1, caps.PreferredBatch),
+		options: opts.backendOptions(),
+		take:    take,
+	}
+}
+
+// frameSpans splits corpus frames [0,n) into the frame batches of a walk
+// whose backends ask for the given batch sizes: runs of the sizes' least
+// common multiple, capped at n, so each backend's chunks are exactly
+// the batches a walk of its own would make — its own size, each
+// starting at a multiple of it.
+func frameSpans(n int, batches []int) [][2]int {
+	span := 1
+	for _, b := range batches {
+		if span = span / gcd(span, b) * b; span >= n {
+			span = max(n, 1)
+			break
+		}
+	}
+	spans := make([][2]int, 0, (n+span-1)/span)
+	for start := 0; start < n; start += span {
+		spans = append(spans, [2]int{start, min(start+span, n)})
+	}
+	return spans
+}
+
+func gcd(a, b int) int {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
+}
+
+// frameGroup is the jobs of a walk that share a render size: the
+// distinct capture conditions they ask under, whether any job under each
+// consumes perception features, and the spans of frames the walk's
+// workers claim for them.
+type frameGroup struct {
+	size     int
+	jobs     []int
+	conds    []string
+	perceive []bool
+	spans    [][2]int
+}
+
+// walk is the worker pool under every corpus sweep. It groups the jobs
+// by render size, asks spans(batches) for each group's spans given its
+// jobs' batch sizes, and runs max(workers, jobs) workers (capped at the
+// number of spans) that claim spans in order. For each span a worker
+// gets each frame once at the group's size — from the pipeline's caches
+// when keep is set, otherwise rendered into a buffer the worker owns —
+// derives each capture condition once, perceives each (frame,
+// condition) once if some job consumes features, then asks every job in
+// input order, each Classify under the job's MaxConcurrency, while the
+// span's frames are still in cache.
+//
+// The first error cancels the rest. Errors are kept per job and the
+// first in input order is returned with its job's index, skipping the
+// cancellations the first error induced in other jobs; an error in
+// getting or perceiving a frame belongs to its group's first job.
+// Otherwise a canceled context returns its error.
+func (e *Evaluator) walk(ctx context.Context, jobs []frameJob, spans func(batches []int) [][2]int, keep bool) (int, error) {
+	var groups []*frameGroup
+	for j := range jobs {
+		job := &jobs[j]
+		var g *frameGroup
+		for _, h := range groups {
+			if h.size == job.size {
+				g = h
+				break
+			}
+		}
+		if g == nil {
+			g = &frameGroup{size: job.size}
+			groups = append(groups, g)
+		}
+		g.jobs = append(g.jobs, j)
+		c := slices.Index(g.conds, job.cond)
+		if c < 0 {
+			c = len(g.conds)
+			g.conds = append(g.conds, job.cond)
+			g.perceive = append(g.perceive, false)
+		}
+		g.perceive[c] = g.perceive[c] || job.caps.PerceivedFeatures
+		job.ci = c
+	}
+	type unit struct {
+		g  *frameGroup
+		si int
+	}
+	var units []unit
+	for _, g := range groups {
+		batches := make([]int, len(g.jobs))
+		for k, j := range g.jobs {
+			batches[k] = jobs[j].batch
+		}
+		g.spans = spans(batches)
+		for si := range g.spans {
+			units = append(units, unit{g, si})
+		}
+	}
+	workers := max(1, min(max(e.workers, len(jobs)), len(units)))
+	// A semaphore bounds a job's concurrent Classify calls to its
+	// backend's limit; workers above the cap queue only for that
+	// backend's classification.
+	for j := range jobs {
+		if mc := jobs[j].caps.MaxConcurrency; mc > 0 && mc < workers {
+			jobs[j].sem = make(chan struct{}, mc)
+		}
 	}
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var (
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-		next     atomic.Int64
+		wg   sync.WaitGroup
+		mu   sync.Mutex
+		errs = make([]error, len(jobs))
+		next atomic.Int64
 	)
-	fail := func(err error) {
-		errOnce.Do(func() {
-			firstErr = err
-			cancel()
-		})
+	fail := func(j int, err error) {
+		mu.Lock()
+		if errs[j] == nil {
+			errs[j] = err
+		}
+		mu.Unlock()
+		cancel()
 	}
 	next.Store(-1)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var fr frames
 			for ctx.Err() == nil {
 				claimed := int(next.Add(1))
-				if claimed >= nBatches {
+				if claimed >= len(units) {
 					return
 				}
-				bi := (first + claimed) % nBatches
-				start, end := span(bi)
-				items, err := p.frameItems(start, end, size, opts.Condition, caps.PerceivedFeatures)
-				if err != nil {
-					fail(err)
-					return
-				}
-				if classifySem != nil {
-					select {
-					case classifySem <- struct{}{}:
-					case <-ctx.Done():
-						return
-					}
-				}
-				res, err := b.Classify(ctx, backend.BatchRequest{Items: items, Options: options})
-				if classifySem != nil {
-					<-classifySem
-				}
-				if err != nil {
-					fail(fmt.Errorf("core: %w", err))
-					return
-				}
-				if len(res.Answers) != len(items) {
-					fail(fmt.Errorf("core: backend %s returned %d answer vectors for %d items", b.Name(), len(res.Answers), len(items)))
-					return
-				}
-				if err := body(bi, start, items, res.Answers); err != nil {
-					fail(err)
+				u := units[claimed]
+				if j, err := e.visit(ctx, &fr, u.g, u.si, jobs, keep); err != nil {
+					fail(j, err)
 					return
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	if firstErr != nil {
-		return firstErr
+	canceled := -1
+	for j, err := range errs {
+		if err == nil {
+			continue
+		}
+		if !errors.Is(err, context.Canceled) {
+			return j, err
+		}
+		if canceled < 0 {
+			canceled = j
+		}
 	}
-	return ctx.Err()
+	if canceled >= 0 {
+		return canceled, errs[canceled]
+	}
+	return 0, ctx.Err()
+}
+
+// frames is one walk worker's reusable state: the buffers it renders
+// and degrades frames into when frames are not kept, and per condition
+// the span's frames and their perception features, plus the items of
+// one Classify call.
+type frames struct {
+	bufs  map[bufKey][]*render.Image
+	imgs  [][]*render.Image
+	feats [][]vlm.Features
+	items []backend.Item
+}
+
+// bufKey names a run of a worker's buffers: a render size and a plane,
+// 0 for clean frames and c+1 for the group's condition c.
+type bufKey struct{ size, plane int }
+
+// prepare sizes the per-condition slots for a span of m frames.
+func (f *frames) prepare(conds, m int) {
+	for len(f.imgs) < conds {
+		f.imgs = append(f.imgs, nil)
+		f.feats = append(f.feats, nil)
+	}
+	for c := 0; c < conds; c++ {
+		if len(f.imgs[c]) < m {
+			f.imgs[c] = make([]*render.Image, m)
+			f.feats[c] = make([]vlm.Features, m)
+		}
+	}
+}
+
+// buffer returns the worker's k-th buffer of a size and plane,
+// allocating it on first use.
+func (f *frames) buffer(size, plane, k int) (*render.Image, error) {
+	if f.bufs == nil {
+		f.bufs = make(map[bufKey][]*render.Image)
+	}
+	key := bufKey{size, plane}
+	bufs := f.bufs[key]
+	for len(bufs) <= k {
+		img, err := render.NewImage(size, size)
+		if err != nil {
+			return nil, err
+		}
+		bufs = append(bufs, img)
+	}
+	f.bufs[key] = bufs
+	return bufs[k], nil
+}
+
+// visit runs span si of group g on one worker (see walk); on failure it
+// returns the error with the index of the job it belongs to.
+func (e *Evaluator) visit(ctx context.Context, fr *frames, g *frameGroup, si int, jobs []frameJob, keep bool) (int, error) {
+	p := e.pipe
+	start, end := g.spans[si][0], g.spans[si][1]
+	first := g.jobs[0]
+	fr.prepare(len(g.conds), end-start)
+	for idx := start; idx < end; idx++ {
+		k := idx - start
+		if keep {
+			for c, cond := range g.conds {
+				ex, err := p.cache.CondExample(idx, g.size, cond)
+				if err != nil {
+					return first, fmt.Errorf("core: %w", err)
+				}
+				fr.imgs[c][k] = ex.Image
+			}
+		} else {
+			clean, err := fr.buffer(g.size, 0, k)
+			if err != nil {
+				return first, fmt.Errorf("core: %w", err)
+			}
+			if err := p.cache.RenderInto(idx, clean); err != nil {
+				return first, fmt.Errorf("core: %w", err)
+			}
+			for c, cond := range g.conds {
+				dst := clean
+				if cond != dataset.ConditionClean {
+					if dst, err = fr.buffer(g.size, c+1, k); err != nil {
+						return first, fmt.Errorf("core: %w", err)
+					}
+				}
+				if fr.imgs[c][k], err = p.cache.ConditionInto(idx, cond, clean, dst); err != nil {
+					return first, fmt.Errorf("core: %w", err)
+				}
+			}
+		}
+		for c := range g.conds {
+			if !g.perceive[c] {
+				continue
+			}
+			var err error
+			if keep {
+				fr.feats[c][k], err = p.features(fr.imgs[c][k])
+			} else {
+				fr.feats[c][k], err = vlm.Perceive(fr.imgs[c][k])
+			}
+			if err != nil {
+				return first, fmt.Errorf("core: perceive %s: %w", p.Study.Frames[idx].Scene.ID, err)
+			}
+		}
+	}
+	for _, j := range g.jobs {
+		job := &jobs[j]
+		c := job.ci
+		for cs := start; cs < end; cs += job.batch {
+			items := fr.items[:0]
+			for idx := cs; idx < min(cs+job.batch, end); idx++ {
+				it := backend.Item{ID: p.Study.Frames[idx].Scene.ID, Image: fr.imgs[c][idx-start]}
+				if job.caps.PerceivedFeatures {
+					it.Feats = &fr.feats[c][idx-start]
+				}
+				items = append(items, it)
+			}
+			fr.items = items
+			if job.sem != nil {
+				select {
+				case job.sem <- struct{}{}:
+				case <-ctx.Done():
+					return j, ctx.Err()
+				}
+			}
+			res, err := job.b.Classify(ctx, backend.BatchRequest{Items: items, Options: job.options})
+			if job.sem != nil {
+				<-job.sem
+			}
+			if err != nil {
+				return j, fmt.Errorf("core: %w", err)
+			}
+			if len(res.Answers) != len(items) {
+				return j, fmt.Errorf("core: backend %s returned %d answer vectors for %d items", job.b.Name(), len(res.Answers), len(items))
+			}
+			if err := job.take(si, cs, items, res.Answers); err != nil {
+				return j, err
+			}
+		}
+	}
+	return 0, nil
 }

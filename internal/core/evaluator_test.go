@@ -196,11 +196,13 @@ func (b batchedBackend) Capabilities() backend.Capabilities {
 	return caps
 }
 
-// TestEvaluateBackendSetMatchesSerial asserts the concurrent
-// multi-backend sweep — each sweep starting at its own batch — matches
-// per-backend serial references across worker budgets, frame limits
-// (7 is not a multiple of any batch size used) and backend sets with
-// mixed batch sizes, and that every frame still renders exactly once.
+// TestEvaluateBackendSetMatchesSerial asserts the frame-major walk over
+// a backend set matches per-backend serial references, on the path
+// that keeps frames and on the one that keeps nothing, across worker
+// budgets, frame limits (7 is not a multiple of any batch size used)
+// and sets with mixed batch sizes — {1, 3, 7, 16} has an lcm of 336,
+// above the 40-frame corpus — and that every frame renders exactly once
+// per walk that keeps nothing and once overall when frames are kept.
 func TestEvaluateBackendSetMatchesSerial(t *testing.T) {
 	type entry struct {
 		classifier backend.Classifier
@@ -212,6 +214,7 @@ func TestEvaluateBackendSetMatchesSerial(t *testing.T) {
 		{{claude, 3}},
 		{{gemini, 1}, {testCommittee(t), 4}, {grok, 0}},
 		{{chatgpt, 2}, {gemini, 0}, {claude, 5}, {grok, 3}, {testCommittee(t), 1}},
+		{{gemini, 1}, {chatgpt, 3}, {claude, 7}, {grok, 16}},
 	}
 	ref := smallPipeline(t, 10)
 	for _, limit := range []int{0, 7} {
@@ -229,88 +232,39 @@ func TestEvaluateBackendSetMatchesSerial(t *testing.T) {
 				wants[en.classifier] = want
 			}
 		}
-		for _, workers := range []int{1, 2, 3, 8} {
-			p := smallPipeline(t, 10)
-			ev := p.NewEvaluator(EvalConfig{Workers: workers})
-			for _, set := range sets {
-				backends := make([]backend.Backend, len(set))
-				for i, en := range set {
-					backends[i] = batchedBackend{Backend: wrap(t, en.classifier), batch: en.batch}
-				}
-				got, err := ev.EvaluateBackendSet(context.Background(), backends, opts)
-				if err != nil {
-					t.Fatalf("limit=%d workers=%d set of %d: %v", limit, workers, len(set), err)
-				}
-				if len(got) != len(set) {
-					t.Fatalf("limit=%d workers=%d: reports = %d, want %d", limit, workers, len(got), len(set))
-				}
-				for i, en := range set {
-					if *got[i] != *wants[en.classifier] {
-						t.Errorf("limit=%d workers=%d set of %d: backend %d (batch %d) diverges from serial", limit, workers, len(set), i, en.batch)
+		for _, keep := range []bool{true, false} {
+			for _, workers := range []int{1, 2, 3, 8} {
+				p := smallPipeline(t, 10)
+				ev := p.NewEvaluator(EvalConfig{Workers: workers})
+				for _, set := range sets {
+					backends := make([]backend.Backend, len(set))
+					for i, en := range set {
+						backends[i] = batchedBackend{Backend: wrap(t, en.classifier), batch: en.batch}
+					}
+					got, err := ev.SweepBackendSet(context.Background(), backends, opts, keep)
+					if err != nil {
+						t.Fatalf("limit=%d keep=%v workers=%d set of %d: %v", limit, keep, workers, len(set), err)
+					}
+					if len(got) != len(set) {
+						t.Fatalf("limit=%d keep=%v workers=%d: reports = %d, want %d", limit, keep, workers, len(got), len(set))
+					}
+					for i, en := range set {
+						if *got[i].Report != *wants[en.classifier] {
+							t.Errorf("limit=%d keep=%v workers=%d set of %d: backend %d (batch %d) diverges from serial", limit, keep, workers, len(set), i, en.batch)
+						}
 					}
 				}
-			}
-			frames := int64(p.Study.Len())
-			if limit > 0 {
-				frames = int64(limit)
-			}
-			if got := p.RenderCache().Renders(); got != frames {
-				t.Errorf("limit=%d workers=%d: renders = %d, want %d (one per frame)", limit, workers, got, frames)
-			}
-		}
-	}
-}
-
-// TestEvaluateBackendSetStaggersStarts: with one worker per sweep,
-// sweep i of k begins at batch i·nBatches/k.
-func TestEvaluateBackendSetStaggersStarts(t *testing.T) {
-	p := smallPipeline(t, 8) // 32 frames: 11 batches of 3
-	hbs := make([]*hintedBackend, 4)
-	backends := make([]backend.Backend, len(hbs))
-	for i := range hbs {
-		hbs[i] = &hintedBackend{caps: backend.Capabilities{PreferredBatch: 3}}
-		backends[i] = hbs[i]
-	}
-	if _, err := p.NewEvaluator(EvalConfig{Workers: len(hbs)}).EvaluateBackendSet(context.Background(), backends, LLMOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	for i, hb := range hbs {
-		want := p.Study.Frames[3*(i*11/4)].Scene.ID
-		if hb.firstID != want {
-			t.Errorf("sweep %d started at %s, want %s", i, hb.firstID, want)
-		}
-	}
-}
-
-// TestSweepWorkersSplit: every concurrent sweep gets at least one
-// worker, none of the budget is dropped, and shares differ by at most
-// one.
-func TestSweepWorkersSplit(t *testing.T) {
-	for workers := 1; workers <= 12; workers++ {
-		for k := 1; k <= 6; k++ {
-			total, lo, hi := 0, workers+k, 0
-			for i := 0; i < k; i++ {
-				n := sweepWorkers(workers, k, i)
-				if n < 1 {
-					t.Errorf("workers=%d k=%d: sweep %d gets %d workers", workers, k, i, n)
+				frames := int64(p.Study.Len())
+				if limit > 0 {
+					frames = int64(limit)
 				}
-				total += n
-				lo, hi = min(lo, n), max(hi, n)
+				if !keep {
+					frames *= int64(len(sets))
+				}
+				if got := p.RenderCache().Renders(); got != frames {
+					t.Errorf("limit=%d keep=%v workers=%d: renders = %d, want %d", limit, keep, workers, got, frames)
+				}
 			}
-			if want := max(workers, k); total != want {
-				t.Errorf("workers=%d k=%d: shares sum to %d, want %d", workers, k, total, want)
-			}
-			if hi-lo > 1 {
-				t.Errorf("workers=%d k=%d: shares range %d..%d", workers, k, lo, hi)
-			}
-		}
-	}
-	for _, tc := range []struct{ workers, k, first, last int }{{6, 4, 2, 1}, {4, 3, 2, 1}} {
-		if got := sweepWorkers(tc.workers, tc.k, 0); got != tc.first {
-			t.Errorf("sweepWorkers(%d, %d, 0) = %d, want %d", tc.workers, tc.k, got, tc.first)
-		}
-		if got := sweepWorkers(tc.workers, tc.k, tc.k-1); got != tc.last {
-			t.Errorf("sweepWorkers(%d, %d, %d) = %d, want %d", tc.workers, tc.k, tc.k-1, got, tc.last)
 		}
 	}
 }
@@ -352,7 +306,7 @@ func TestVoteMatchesVotingBackend(t *testing.T) {
 	p := smallPipeline(t, 10)
 	ev := p.NewEvaluator(EvalConfig{Workers: 3})
 	for _, opts := range []LLMOptions{{}, {FrameLimit: 7}, {Language: prompt.Bengali, Mode: prompt.Sequential, Temperature: 1.2}} {
-		sweeps, err := ev.SweepBackendSet(context.Background(), modelBackends(t), opts)
+		sweeps, err := ev.SweepBackendSet(context.Background(), modelBackends(t), opts, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -507,16 +461,14 @@ func TestEvaluateBackendCNNMatchesEvaluate(t *testing.T) {
 	}
 }
 
-// hintedBackend records how the engine drives it: batch sizes seen,
-// the maximum number of concurrent Classify calls and the first frame
-// it was asked about.
+// hintedBackend records how the engine drives it: the item IDs of
+// each Classify call and the maximum number of concurrent calls.
 type hintedBackend struct {
-	caps       backend.Capabilities
-	mu         sync.Mutex
-	inFlight   int
-	maxSeen    int
-	batchSizes []int
-	firstID    string
+	caps     backend.Capabilities
+	mu       sync.Mutex
+	inFlight int
+	maxSeen  int
+	calls    [][]string
 }
 
 func (h *hintedBackend) Name() string                       { return "hinted" }
@@ -527,10 +479,11 @@ func (h *hintedBackend) Classify(_ context.Context, req backend.BatchRequest) (b
 	if h.inFlight > h.maxSeen {
 		h.maxSeen = h.inFlight
 	}
-	h.batchSizes = append(h.batchSizes, len(req.Items))
-	if h.firstID == "" {
-		h.firstID = req.Items[0].ID
+	ids := make([]string, len(req.Items))
+	for i := range req.Items {
+		ids[i] = req.Items[i].ID
 	}
+	h.calls = append(h.calls, ids)
 	h.mu.Unlock()
 	time.Sleep(time.Millisecond)
 	h.mu.Lock()
@@ -557,11 +510,11 @@ func TestEvaluateBackendHonorsCapabilityHints(t *testing.T) {
 		t.Errorf("max concurrent Classify calls = %d, want 1", hb.maxSeen)
 	}
 	total := 0
-	for _, s := range hb.batchSizes {
-		if s > 5 {
-			t.Errorf("batch of %d exceeds preferred 5", s)
+	for _, call := range hb.calls {
+		if len(call) > 5 {
+			t.Errorf("batch of %d exceeds preferred 5", len(call))
 		}
-		total += s
+		total += len(call)
 	}
 	if total != p.Study.Len() {
 		t.Errorf("classified %d frames, want %d", total, p.Study.Len())

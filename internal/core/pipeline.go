@@ -69,7 +69,7 @@ func (c Config) withDefaults() Config {
 }
 
 // Pipeline holds the assembled corpus and its derived artifacts, plus
-// the render and perception caches every evaluation sweep shares.
+// the render and perception caches for the frames sweeps keep.
 type Pipeline struct {
 	cfg   Config
 	Study *dataset.Study
@@ -77,9 +77,10 @@ type Pipeline struct {
 	Annotations *labelme.Store
 
 	// cache memoizes rendered frames per resolution; featCache memoizes
-	// perception features per rendered image. Together they guarantee
-	// each frame is rendered and perceived exactly once no matter how
-	// many models, committees, languages, or sweeps run over it.
+	// perception features per rendered image. Together they render and
+	// perceive each kept frame exactly once no matter how many models,
+	// committees, languages, or sweeps run over it. A sweep that keeps
+	// nothing bypasses both (see Evaluator.SweepBackendSet).
 	cache     *dataset.RenderCache
 	featCache sync.Map // *render.Image -> *featEntry
 

@@ -115,15 +115,10 @@ func (c *RenderCache) slot(idx int, key slotKey) (*renderSlot, error) {
 }
 
 // resolveCondition maps a caller's condition override to the cache
-// plane: "" inherits the study's corpus-level condition, ConditionClean
-// forces the clean plane (overriding a degraded corpus), anything else
-// names its own plane.
+// plane: the clean plane is "", any other condition names its own.
 func (c *RenderCache) resolveCondition(cond string) string {
-	if cond == "" {
-		cond = c.study.Condition
-	}
-	if cond == ConditionClean {
-		cond = ""
+	if cond = ResolveCondition(c.study.Condition, cond); cond == ConditionClean {
+		return ""
 	}
 	return cond
 }
@@ -161,7 +156,7 @@ func (c *RenderCache) CondExample(idx, size int, cond string) (Example, error) {
 			s.err = err
 			return
 		}
-		img, err := c.study.conditioned(base.ID, eff, base.Image)
+		img, err := c.study.conditioned(base.ID, eff, base.Image, nil)
 		if err != nil {
 			s.err = err
 			return
@@ -208,6 +203,35 @@ func (c *RenderCache) cleanExample(idx, size int) (Example, error) {
 		s.ex = &Example{ID: fr.Scene.ID, Image: img, Objects: fr.Scene.Objects}
 	})
 	return s.example()
+}
+
+// RenderInto renders frame idx's clean view into dst at dst's size,
+// bypassing both cache tiers: nothing is kept or persisted, but the
+// render counts toward Renders. It is for sweeps that keep no frames
+// and reuse one buffer per frame; the pixels equal the cached clean
+// render's at the same size.
+func (c *RenderCache) RenderInto(idx int, dst *render.Image) error {
+	if idx < 0 || idx >= len(c.study.Frames) {
+		return fmt.Errorf("dataset: frame index %d out of range [0,%d)", idx, len(c.study.Frames))
+	}
+	sc := c.study.Frames[idx].Scene
+	if err := render.RenderInto(sc, dst); err != nil {
+		return fmt.Errorf("dataset: render %s: %w", sc.ID, err)
+	}
+	c.renders.Add(1)
+	return nil
+}
+
+// ConditionInto degrades frame idx's clean render under a capture
+// condition resolved by ResolveCondition into dst, which must match
+// clean's size, with the same per-frame seed CondExample uses, and
+// returns dst; the clean condition returns clean itself and leaves dst
+// alone. clean is never mutated.
+func (c *RenderCache) ConditionInto(idx int, cond string, clean, dst *render.Image) (*render.Image, error) {
+	if idx < 0 || idx >= len(c.study.Frames) {
+		return nil, fmt.Errorf("dataset: frame index %d out of range [0,%d)", idx, len(c.study.Frames))
+	}
+	return c.study.conditioned(c.study.Frames[idx].Scene.ID, cond, clean, dst)
 }
 
 // example snapshots a resolved slot for a caller: shared Image, fresh

@@ -27,10 +27,10 @@ import (
 // corpus back to clean frames.
 const ConditionClean = "clean"
 
-// conditionOps maps condition names to their pure (frame, seed) ops.
-// ConditionClean is registered separately (it is the identity and skips
-// the clone).
-var conditionOps = map[string]func(img *render.Image, seed int64) *render.Image{
+// conditionOps maps condition names to their (frame, seed) ops, each
+// degrading a copy of the clean frame in place. ConditionClean is
+// registered separately (it is the identity and skips the copy).
+var conditionOps = map[string]func(out *render.Image, seed int64){
 	"night":     nightOp,
 	"occlusion": occlusionOp,
 	"noise":     noiseOp,
@@ -57,11 +57,32 @@ func ValidCondition(name string) bool {
 	return ok
 }
 
+// ResolveCondition names the capture condition an evaluation-time
+// override cond selects on a corpus built under the corpus condition:
+// empty inherits the corpus's condition, and the result is
+// ConditionClean for clean frames, never empty. Two overrides select
+// the same frames exactly when they resolve to the same name.
+func ResolveCondition(corpus, cond string) string {
+	if cond == "" {
+		cond = corpus
+	}
+	if cond == "" {
+		return ConditionClean
+	}
+	return cond
+}
+
 // ApplyCondition returns the frame degraded under the named capture
 // condition, deterministic in (frame, seed). The input image is never
 // mutated; clean (or empty) returns it unchanged without copying. An
 // unknown name is an error listing the supported conditions.
 func ApplyCondition(name string, img *render.Image, seed int64) (*render.Image, error) {
+	return applyCondition(name, img, nil, seed)
+}
+
+// applyCondition is ApplyCondition writing into dst, which must match
+// img's size; a nil dst allocates the output.
+func applyCondition(name string, img, dst *render.Image, seed int64) (*render.Image, error) {
 	if name == "" || name == ConditionClean {
 		return img, nil
 	}
@@ -69,7 +90,15 @@ func ApplyCondition(name string, img *render.Image, seed int64) (*render.Image, 
 	if !ok {
 		return nil, fmt.Errorf("dataset: unknown capture condition %q (have %v)", name, Conditions())
 	}
-	return op(img, seed), nil
+	if dst == nil {
+		dst = img.Clone()
+	} else if dst.W != img.W || dst.H != img.H || len(dst.Pix) != len(img.Pix) {
+		return nil, fmt.Errorf("dataset: condition %s: %dx%d output for a %dx%d frame", name, dst.W, dst.H, img.W, img.H)
+	} else {
+		copy(dst.Pix, img.Pix)
+	}
+	op(dst, seed)
+	return dst, nil
 }
 
 // ConditionSeed derives the per-frame degradation seed from the study
@@ -89,13 +118,12 @@ func ConditionSeed(seed int64, frameID, condition string) int64 {
 // detail, a strong exposure drop, and a cool blue cast. The gamma and
 // gain jitter per frame within a narrow band so a night corpus is not
 // one uniform filter.
-func nightOp(img *render.Image, seed int64) *render.Image {
+func nightOp(out *render.Image, seed int64) {
 	rng := rand.New(randsrc.New(seed))
 	gamma := 1.8 + 0.4*rng.Float64()
 	gain := float32(0.30 + 0.10*rng.Float64())
 	// Per-channel cast: dim red, hold green, lift blue.
 	cast := [render.Channels]float32{0.88, 0.96, 1.14}
-	out := img.Clone()
 	plane := out.W * out.H
 	for c := 0; c < render.Channels; c++ {
 		cg := gain * cast[c]
@@ -104,16 +132,14 @@ func nightOp(img *render.Image, seed int64) *render.Image {
 			out.Pix[i] = clampPix(cg * float32(pow(v, gamma)))
 		}
 	}
-	return out
 }
 
 // occlusionOp drops 1-3 seeded dark rectangles over the frame, each
 // covering 15-40% of a side — the passing-truck / smudged-lens failure
 // mode. Rect placement may cover the whole frame in the degenerate
 // small-image case; pixels stay in range regardless.
-func occlusionOp(img *render.Image, seed int64) *render.Image {
+func occlusionOp(out *render.Image, seed int64) {
 	rng := rand.New(randsrc.New(seed))
-	out := img.Clone()
 	n := 1 + rng.Intn(3)
 	for k := 0; k < n; k++ {
 		w := int(float64(out.W) * (0.15 + 0.25*rng.Float64()))
@@ -129,20 +155,17 @@ func occlusionOp(img *render.Image, seed int64) *render.Image {
 		shade := float32(0.08 + 0.08*rng.Float64())
 		out.FillRect(x0, y0, x0+w, y0+h, shade, shade, shade*1.1)
 	}
-	return out
 }
 
 // noiseOp adds Gaussian sensor noise with a per-frame sigma in
 // [0.05,0.10] — a fixed-sigma sensor model, unlike the Fig. 3 AddNoise
 // path which targets an SNR relative to signal power.
-func noiseOp(img *render.Image, seed int64) *render.Image {
+func noiseOp(out *render.Image, seed int64) {
 	rng := rand.New(randsrc.New(seed))
 	sigma := 0.05 + 0.05*rng.Float64()
-	out := img.Clone()
 	for i, v := range out.Pix {
 		out.Pix[i] = clampPix(v + float32(sigma*rng.NormFloat64()))
 	}
-	return out
 }
 
 // clampPix clamps a pixel value to [0,1].

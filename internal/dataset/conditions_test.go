@@ -368,3 +368,65 @@ func TestPersistentStoreHoldsCleanFrames(t *testing.T) {
 		t.Error("warm-start degraded frame diverges from cold-start")
 	}
 }
+
+// TestResolveCondition: an override resolves against the corpus's
+// condition to the name of the frames it selects, never empty.
+func TestResolveCondition(t *testing.T) {
+	for _, tc := range []struct{ corpus, cond, want string }{
+		{"", "", ConditionClean},
+		{"", ConditionClean, ConditionClean},
+		{"", "night", "night"},
+		{"night", "", "night"},
+		{"night", ConditionClean, ConditionClean},
+		{"night", "noise", "noise"},
+		{ConditionClean, "", ConditionClean},
+	} {
+		if got := ResolveCondition(tc.corpus, tc.cond); got != tc.want {
+			t.Errorf("ResolveCondition(%q, %q) = %q, want %q", tc.corpus, tc.cond, got, tc.want)
+		}
+	}
+}
+
+// TestCacheRenderIntoMatchesCondExample: the buffer path — RenderInto a
+// reused buffer, then ConditionInto another — reproduces CondExample
+// for every condition, counts each render and caches nothing.
+func TestCacheRenderIntoMatchesCondExample(t *testing.T) {
+	const size = 24
+	study := testStudyWith(t, StudyConfig{Coordinates: 2, Seed: 11})
+	cached := NewRenderCache(study)
+	buffered := NewRenderCache(study)
+	clean, dst := render.MustNewImage(size, size), render.MustNewImage(size, size)
+	for i := 0; i < study.Len(); i++ {
+		if err := buffered.RenderInto(i, clean); err != nil {
+			t.Fatal(err)
+		}
+		for _, cond := range Conditions() {
+			want, err := cached.CondExample(i, size, cond)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := buffered.ConditionInto(i, cond, clean, dst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.EncodeRawF32(), want.Image.EncodeRawF32()) {
+				t.Fatalf("frame %d %s: buffered frame diverges from CondExample", i, cond)
+			}
+		}
+	}
+	if got := buffered.Renders(); got != int64(study.Len()) {
+		t.Errorf("RenderInto counted %d renders, want %d", got, study.Len())
+	}
+	if _, err := buffered.Example(0, size); err != nil {
+		t.Fatal(err)
+	}
+	if got := buffered.Renders(); got != int64(study.Len())+1 {
+		t.Errorf("Example after RenderInto rendered %d frames in all, want %d (RenderInto caches nothing)", got, study.Len()+1)
+	}
+	if _, err := buffered.ConditionInto(0, "night", clean, render.MustNewImage(size, size+1)); err == nil {
+		t.Error("ConditionInto accepted an output of another size")
+	}
+	if err := buffered.RenderInto(study.Len(), clean); err == nil {
+		t.Error("RenderInto accepted a frame index past the corpus")
+	}
+}

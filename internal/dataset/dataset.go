@@ -269,7 +269,7 @@ func (s *Study) RenderExamples(indices []int, size int) ([]Example, error) {
 		if err != nil {
 			return nil, fmt.Errorf("dataset: render %s: %w", fr.Scene.ID, err)
 		}
-		img, err = s.conditioned(fr.Scene.ID, s.Condition, img)
+		img, err = s.conditioned(fr.Scene.ID, s.Condition, img, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -283,12 +283,14 @@ func (s *Study) RenderExamples(indices []int, size int) ([]Example, error) {
 // conditioned degrades one rendered frame under the named capture
 // condition with the study's deterministic per-frame seed — the single
 // seed-derivation point shared by RenderExamples and the render cache,
-// so every tier produces byte-identical degraded frames.
-func (s *Study) conditioned(frameID, condition string, img *render.Image) (*render.Image, error) {
+// so every tier produces byte-identical degraded frames. The output
+// goes into dst (which must match img's size), or a new image when dst
+// is nil.
+func (s *Study) conditioned(frameID, condition string, img, dst *render.Image) (*render.Image, error) {
 	if condition == "" || condition == ConditionClean {
 		return img, nil
 	}
-	out, err := ApplyCondition(condition, img, ConditionSeed(s.seed, frameID, condition))
+	out, err := applyCondition(condition, img, dst, ConditionSeed(s.seed, frameID, condition))
 	if err != nil {
 		return nil, fmt.Errorf("dataset: condition %s for %s: %w", condition, frameID, err)
 	}

@@ -3,6 +3,7 @@ package experiment
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"nbhd/internal/backend"
@@ -235,6 +236,7 @@ func (r *Runner) Run(ctx context.Context, spec Spec, sink Sink) (*Result, error)
 	}
 	// Each regular sweep's fresh answers, for vote sweeps over it.
 	drawn := make(map[string]drawnAnswers, len(spec.Sweeps))
+	keep := keepFrames(&spec, r.cfg.Checkpoint)
 
 	sink(Event{Kind: RunStarted, Spec: spec.Name})
 	for i := range spec.Sweeps {
@@ -243,17 +245,17 @@ func (r *Runner) Run(ctx context.Context, spec Spec, sink Sink) (*Result, error)
 			return fail(err)
 		}
 		sink(Event{Kind: SweepStarted, Spec: spec.Name, Step: sw.Name})
-		opts, err := sw.Options.llmOptions()
+		opts, err := spec.Dataset.sweepOptions(sw.Options)
 		if err != nil {
 			return fail(fmt.Errorf("experiment: %s: sweep %q: %w", spec.Name, sw.Name, err))
 		}
 		var sr SweepResult
 		var restored []bool
 		if sw.VoteTopOf != "" {
-			sr, restored, err = r.runVoteSweep(ctx, ev, res, sw, opts, drawn[sw.VoteTopOf], open)
+			sr, restored, err = r.runVoteSweep(ctx, ev, res, sw, opts, drawn[sw.VoteTopOf], open, keep[i])
 		} else {
 			d := drawnAnswers{opts: opts}
-			sr, restored, d.sweeps, err = r.runSweep(ctx, ev, sw, opts, open)
+			sr, restored, d.sweeps, err = r.runSweep(ctx, ev, sw, opts, open, keep[i])
 			drawn[sw.Name] = d
 		}
 		if err != nil {
@@ -310,8 +312,8 @@ func (r *Runner) Run(ctx context.Context, spec Spec, sink Sink) (*Result, error)
 }
 
 // drawnAnswers is what a regular sweep's freshly evaluated cells drew:
-// the options they ran under and each backend's sweep by name. Restored
-// cells have no entry.
+// the options they ran under (condition resolved) and each backend's
+// sweep by name. Restored cells have no entry.
 type drawnAnswers struct {
 	opts   core.LLMOptions
 	sweeps map[string]core.BackendSweep
@@ -322,8 +324,9 @@ type drawnAnswers struct {
 // the checkpoint, and the evaluated cells' sweeps by backend name.
 // Restored cells splice in their journaled report; only the missing
 // backends open (and, for supervised kinds, train) and evaluate — the
-// resume property the lab daemon's journal leans on.
-func (r *Runner) runSweep(ctx context.Context, ev *core.Evaluator, sw *SweepSpec, opts core.LLMOptions, open func(string) (backend.Backend, error)) (SweepResult, []bool, map[string]core.BackendSweep, error) {
+// resume property the lab daemon's journal leans on. keep says whether
+// a later step needs the sweep's frames (see keepFrames).
+func (r *Runner) runSweep(ctx context.Context, ev *core.Evaluator, sw *SweepSpec, opts core.LLMOptions, open func(string) (backend.Backend, error), keep bool) (SweepResult, []bool, map[string]core.BackendSweep, error) {
 	sr := SweepResult{Name: sw.Name, Reports: make([]BackendReport, len(sw.Backends))}
 	restored := make([]bool, len(sw.Backends))
 	var missing []int
@@ -350,7 +353,7 @@ func (r *Runner) runSweep(ctx context.Context, ev *core.Evaluator, sw *SweepSpec
 		// bit-identity the golden serial-vs-concurrent tests pin — so
 		// evaluating the missing subset reproduces the uninterrupted
 		// run's reports exactly.
-		sweeps, err := ev.SweepBackendSet(ctx, backends, opts)
+		sweeps, err := ev.SweepBackendSet(ctx, backends, opts, keep)
 		if err != nil {
 			return SweepResult{}, nil, nil, err
 		}
@@ -366,12 +369,13 @@ func (r *Runner) runSweep(ctx context.Context, ev *core.Evaluator, sw *SweepSpec
 // members are ranked by ensemble.SelectTop (average accuracy, ties
 // broken by backend name — the paper's deterministic top-three
 // selection) and their answers are voted frame by frame. A member the
-// source sweep evaluated under this sweep's options contributes the
-// answers it already drew; the others (the options differ, or the
-// source cell was restored from a checkpoint) are swept again under
-// this sweep's options first. Either way the report equals a
-// backend.NewVoting committee's.
-func (r *Runner) runVoteSweep(ctx context.Context, ev *core.Evaluator, res *Result, sw *SweepSpec, opts core.LLMOptions, src drawnAnswers, open func(string) (backend.Backend, error)) (SweepResult, []bool, error) {
+// source sweep evaluated under this sweep's options (compared with the
+// capture condition resolved, so spelling the corpus's own condition
+// out changes nothing) contributes the answers it already drew; the
+// others (the options differ, or the source cell was restored from a
+// checkpoint) are swept again under this sweep's options first. Either
+// way the report equals a backend.NewVoting committee's.
+func (r *Runner) runVoteSweep(ctx context.Context, ev *core.Evaluator, res *Result, sw *SweepSpec, opts core.LLMOptions, src drawnAnswers, open func(string) (backend.Backend, error), keep bool) (SweepResult, []bool, error) {
 	// A vote sweep is one cell, named after the sweep itself.
 	if cr, ok := r.cfg.Checkpoint.report(SweepCellID(sw.Name, sw.Name)); ok {
 		return SweepResult{
@@ -415,7 +419,7 @@ func (r *Runner) runVoteSweep(ctx context.Context, ev *core.Evaluator, res *Resu
 			}
 			members[j] = b
 		}
-		swept, err := ev.SweepBackendSet(ctx, members, opts)
+		swept, err := ev.SweepBackendSet(ctx, members, opts, keep)
 		if err != nil {
 			return SweepResult{}, nil, err
 		}
@@ -435,4 +439,58 @@ func (r *Runner) runVoteSweep(ctx context.Context, ev *core.Evaluator, res *Resu
 			Report:  report,
 		}},
 	}, []bool{false}, nil
+}
+
+// keepFrames reports, for each of the spec's sweeps, whether it must
+// keep the frames it walks (render them into the pipeline's caches and
+// keep their perception features) because a later step will walk the
+// corpus again: a later regular sweep with a fresh cell, a later vote
+// sweep that must ask members again (its resolved options differ from
+// its source's, or a source cell was restored), or an analysis that is
+// not restored. With a store_dir every sweep keeps its frames, so the
+// store serves and persists them. A sweep that keeps nothing renders
+// into buffers its workers reuse. The checkpoint decides which cells
+// are restored.
+func keepFrames(spec *Spec, cp *Checkpoint) []bool {
+	later := spec.Dataset.StoreDir != ""
+	for _, a := range spec.Analyses {
+		if _, ok := cp.analysis(AnalysisCellID(a.Name)); !ok {
+			later = true
+		}
+	}
+	keep := make([]bool, len(spec.Sweeps))
+	for i := len(spec.Sweeps) - 1; i >= 0; i-- {
+		keep[i] = later
+		later = later || walksCorpus(spec, i, cp)
+	}
+	return keep
+}
+
+// walksCorpus reports whether sweep i asks any backend about frames
+// when run against the checkpoint.
+func walksCorpus(spec *Spec, i int, cp *Checkpoint) bool {
+	sw := &spec.Sweeps[i]
+	if sw.VoteTopOf == "" {
+		for _, name := range sw.Backends {
+			if _, ok := cp.report(SweepCellID(sw.Name, name)); !ok {
+				return true
+			}
+		}
+		return false
+	}
+	if _, ok := cp.report(SweepCellID(sw.Name, sw.Name)); ok {
+		return false
+	}
+	src := slices.IndexFunc(spec.Sweeps[:i], func(s SweepSpec) bool { return s.Name == sw.VoteTopOf })
+	if src < 0 {
+		return true
+	}
+	for _, name := range spec.Sweeps[src].Backends {
+		if _, ok := cp.report(SweepCellID(sw.VoteTopOf, name)); ok {
+			return true
+		}
+	}
+	opts, err := spec.Dataset.sweepOptions(sw.Options)
+	srcOpts, srcErr := spec.Dataset.sweepOptions(spec.Sweeps[src].Options)
+	return err != nil || srcErr != nil || opts != srcOpts
 }

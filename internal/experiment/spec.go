@@ -86,6 +86,19 @@ func (d DatasetSpec) coreConfig() core.Config {
 	}
 }
 
+// sweepOptions parses a sweep's options for a run over this dataset,
+// with the capture condition resolved against the dataset's (see
+// dataset.ResolveCondition): options that select the same frames and
+// requests compare equal however the condition is spelled.
+func (d DatasetSpec) sweepOptions(o OptionsSpec) (core.LLMOptions, error) {
+	opts, err := o.llmOptions()
+	if err != nil {
+		return core.LLMOptions{}, err
+	}
+	opts.Condition = dataset.ResolveCondition(d.Condition, opts.Condition)
+	return opts, nil
+}
+
 // SweepSpec is one evaluation pass over the corpus. A regular sweep
 // evaluates every named backend concurrently under one set of options.
 // A vote sweep (VoteTopOf set) instead majority-votes the top VoteTopK

@@ -174,6 +174,25 @@ func TestVoteReusesDrawnAnswers(t *testing.T) {
 	checkVote(t, spec, res, during, core.LLMOptions{Language: prompt.Spanish, Temperature: 0.5})
 }
 
+// TestVoteReusesAnswersUnderSpelledOutCondition: a vote that names the
+// condition its source sweep inherited (clean on a clean corpus, the
+// corpus's own condition on a degraded one) runs on the same frames, so
+// it asks no member anything and reports what a committee would.
+func TestVoteReusesAnswersUnderSpelledOutCondition(t *testing.T) {
+	for _, corpus := range []string{"", "night"} {
+		t.Run("corpus="+corpus, func(t *testing.T) {
+			voteCond := corpus
+			if voteCond == "" {
+				voteCond = "clean"
+			}
+			spec := voteSpec(t, experiment.OptionsSpec{}, experiment.OptionsSpec{Condition: voteCond})
+			spec.Dataset.Condition = corpus
+			res, during := runCountingVote(t, spec, nil)
+			checkVote(t, spec, res, during, core.LLMOptions{Condition: voteCond})
+		})
+	}
+}
+
 // TestVoteResweepsUnderOwnOptions: a vote under other options than its
 // source sweep's sweeps each member once under its own.
 func TestVoteResweepsUnderOwnOptions(t *testing.T) {

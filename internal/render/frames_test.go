@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 	"testing"
@@ -172,4 +173,87 @@ func TestFramesGolden(t *testing.T) {
 		}
 	}
 	t.Fatalf("frames have %d lines, testdata/frames.json has %d", len(gotLines), len(wantLines))
+}
+
+// TestRenderIntoDirtyMatchesGolden renders every golden scene at every
+// golden size into dirty buffers — first one filled with NaN, then one
+// still holding the previous scene's frame — and checks each against
+// the frame's row in testdata/frames.json.
+func TestRenderIntoDirtyMatchesGolden(t *testing.T) {
+	data, err := os.ReadFile("testdata/frames.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []string
+	if err := json.Unmarshal(data, &rows); err != nil {
+		t.Fatal(err)
+	}
+	// A row is "<name> <W>x<H> <hash>"; scene names contain spaces.
+	want := make(map[string]string, len(rows))
+	for _, row := range rows {
+		cut := strings.LastIndexByte(row, ' ')
+		want[row[:cut]] = row[cut+1:]
+	}
+	sizes := [][2]int{{1, 1}, {7, 5}, {37, 23}, {96, 96}, {640, 640}}
+	prev := make([]*Image, len(sizes))
+	for i, sz := range sizes {
+		prev[i] = MustNewImage(sz[0], sz[1])
+	}
+	checked := 0
+	for _, s := range goldenScenes(t) {
+		for i, sz := range sizes {
+			key := fmt.Sprintf("%s %dx%d", s.ID, sz[0], sz[1])
+			hash, ok := want[key]
+			if !ok {
+				t.Fatalf("testdata/frames.json has no row %q", key)
+			}
+			nan := MustNewImage(sz[0], sz[1])
+			for k := range nan.Pix {
+				nan.Pix[k] = float32(math.NaN())
+			}
+			for _, dirty := range []struct {
+				name string
+				dst  *Image
+			}{{"NaN", nan}, {"previous frame", prev[i]}} {
+				if err := RenderInto(s, dirty.dst); err != nil {
+					t.Fatal(err)
+				}
+				if got := frameHash(dirty.dst); got != hash {
+					t.Errorf("%s into a %s buffer hashes %s, golden %s", key, dirty.name, got, hash)
+				}
+				checked++
+			}
+		}
+	}
+	if checked != 2*len(goldenScenes(t))*len(sizes) {
+		t.Fatalf("checked %d renders", checked)
+	}
+}
+
+// TestRenderIntoErrors: a buffer whose size is not positive or does not
+// match its pixels is an error, and an invalid scene fails exactly as
+// it does under Render.
+func TestRenderIntoErrors(t *testing.T) {
+	s := goldenScenes(t)[0]
+	for _, dst := range []*Image{
+		{W: 0, H: 4, Pix: make([]float32, 12)},
+		{W: 4, H: -1},
+		{W: -2, H: -2},
+		{},
+		{W: 2, H: 2, Pix: make([]float32, 11)},
+	} {
+		if err := RenderInto(s, dst); err == nil {
+			t.Errorf("RenderInto(%dx%d, %d pixel values) succeeded", dst.W, dst.H, len(dst.Pix))
+		}
+	}
+	bad := *s
+	bad.ID = ""
+	_, renderErr := Render(&bad, Config{Width: 8, Height: 8})
+	if renderErr == nil {
+		t.Fatal("Render accepted a scene without an ID")
+	}
+	err := RenderInto(&bad, MustNewImage(8, 8))
+	if err == nil || err.Error() != renderErr.Error() {
+		t.Errorf("RenderInto(invalid scene) = %v, want Render's %v", err, renderErr)
+	}
 }

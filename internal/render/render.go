@@ -54,8 +54,9 @@ var (
 // ground pass needs no clamp.
 const groundJitter = 0.05
 
-// Render rasterizes a scene. Rendering is deterministic in the scene
-// (including its Seed and per-object StyleSeeds).
+// Render rasterizes a scene into a new image. Rendering is
+// deterministic in the scene (including its Seed and per-object
+// StyleSeeds).
 func Render(s *scene.Scene, cfg Config) (*Image, error) {
 	if err := s.Validate(); err != nil {
 		return nil, fmt.Errorf("render: %w", err)
@@ -71,6 +72,32 @@ func Render(s *scene.Scene, cfg Config) (*Image, error) {
 	if err != nil {
 		return nil, err
 	}
+	draw(s, img)
+	return img, nil
+}
+
+// RenderInto rasterizes a scene into dst at dst's size, overwriting
+// every pixel: the sky, the horizon haze and the ground between them
+// cover every row, so dst's previous contents never show through and a
+// reused buffer needs no clearing. The pixels equal Render's at the same
+// size. An invalid scene, or a dst whose size is not positive or whose
+// pixel slice does not match its size, is an error.
+func RenderInto(s *scene.Scene, dst *Image) error {
+	if err := s.Validate(); err != nil {
+		return fmt.Errorf("render: %w", err)
+	}
+	if dst.W <= 0 || dst.H <= 0 {
+		return fmt.Errorf("render: image size must be positive, got %dx%d", dst.W, dst.H)
+	}
+	if len(dst.Pix) != Channels*dst.W*dst.H {
+		return fmt.Errorf("render: %dx%d image has %d pixel values, want %d", dst.W, dst.H, len(dst.Pix), Channels*dst.W*dst.H)
+	}
+	draw(s, dst)
+	return nil
+}
+
+// draw paints a validated scene over every pixel of img.
+func draw(s *scene.Scene, img *Image) {
 	rng := randsrc.New(s.Seed ^ 0x5ce9e)
 
 	drawSky(img, s.SkyTone)
@@ -97,7 +124,6 @@ func Render(s *scene.Scene, cfg Config) (*Image, error) {
 	for _, o := range s.ObjectsOf(scene.Streetlight) {
 		drawStreetlight(img, o)
 	}
-	return img, nil
 }
 
 // px converts a normalized coordinate to a pixel index along an axis.
