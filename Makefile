@@ -18,9 +18,11 @@ test:
 # perception index flat pixel planes or draw from seeded sources;
 # running their tests (with the answer, perception and frame goldens
 # and the math/rand equivalence tables) on a 32-bit target catches any
-# of it slipping into 32-bit int.
+# of it slipping into 32-bit int. The tensor and nn suites run the
+# packed GEMM's row and column splits through the pure-Go microkernels
+# (microKernel4x4Go, microKernelEdge), which amd64 replaces with SSE.
 test-386:
-	GOARCH=386 $(GO) test ./internal/randsrc ./internal/vlm ./internal/render ./internal/scene
+	GOARCH=386 $(GO) test ./internal/randsrc ./internal/vlm ./internal/render ./internal/scene ./internal/tensor ./internal/nn
 
 # Race overhead is ~10-20x; the root integration tests need more than
 # the default 10m package timeout on small runners.
@@ -41,10 +43,12 @@ bench:
 # Runs every Go microbenchmark once so none of them can rot: the HTTP
 # backend sweep against an in-process llmserve, the compute layer
 # (batched GEMM convolution, the zero-allocation training step, the
-# f32-vs-int8 inference pairs and the GEMM size sweep), the quantization
-# drift recorder, the spatial index and warm-start store serving, the
-# degradation ops, a 96×96 frame render, perception, source seeding and
-# the evaluator's four-model sweep, keeping frames and keeping nothing.
+# f32-vs-int8 inference pairs, the CNN at the shape the gateway's cnn
+# route serves — 16 frames, channels [8, 16, 32] — and the GEMM size
+# sweep), the quantization drift recorder, the spatial index and
+# warm-start store serving, the degradation ops, a 96×96 frame render,
+# perception, source seeding and the evaluator's four-model sweep,
+# keeping frames and keeping nothing.
 # -benchmem keeps allocation counts visible.
 # Performance numbers come from nbhdbench (see BENCHMARK.json), not
 # from this target.

@@ -672,43 +672,54 @@ func BenchmarkDetectorForward(b *testing.B) {
 }
 
 // BenchmarkPredictBatch pairs the f32 and int8 paths on the CNN
-// baseline's batched presence prediction (8 frames).
+// baseline's batched presence prediction: 8 frames through the wide
+// [32, 64, 128] backbone, and (served/f32) the 16-frame batches of the
+// default [8, 16, 32] backbone that the gateway's cnn route serves.
 func BenchmarkPredictBatch(b *testing.B) {
-	const batch = 8
-	model, err := classify.New(classify.Config{Channels: benchWideChannels, Seed: benchSeed})
-	if err != nil {
-		b.Fatal(err)
-	}
-	pipe := detectorPipeline(b, 2, model.InputSize())
-	idx := make([]int, batch)
-	for i := range idx {
-		idx[i] = i
-	}
-	examples, err := pipe.Study.RenderExamples(idx, model.InputSize())
-	if err != nil {
-		b.Fatal(err)
-	}
-	imgs := make([]*render.Image, batch)
-	for i := range examples {
-		imgs[i] = examples[i].Image
-	}
-	for _, quant := range []bool{false, true} {
-		name := "f32"
-		if quant {
-			name = "int8"
+	for _, c := range []struct {
+		name     string
+		channels [3]int
+		batch    int
+		quant    []bool
+	}{
+		{"", benchWideChannels, 8, []bool{false, true}},
+		{"served/", [3]int{}, 16, []bool{false}},
+	} {
+		model, err := classify.New(classify.Config{Channels: c.channels, Seed: benchSeed})
+		if err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			if err := model.SetQuantized(quant); err != nil {
-				b.Fatal(err)
+		pipe := detectorPipeline(b, (c.batch+3)/4, model.InputSize())
+		idx := make([]int, c.batch)
+		for i := range idx {
+			idx[i] = i
+		}
+		examples, err := pipe.Study.RenderExamples(idx, model.InputSize())
+		if err != nil {
+			b.Fatal(err)
+		}
+		imgs := make([]*render.Image, c.batch)
+		for i := range examples {
+			imgs[i] = examples[i].Image
+		}
+		for _, quant := range c.quant {
+			name := c.name + "f32"
+			if quant {
+				name = c.name + "int8"
 			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := model.PredictBatch(imgs); err != nil {
+			b.Run(name, func(b *testing.B) {
+				if err := model.SetQuantized(quant); err != nil {
 					b.Fatal(err)
 				}
-			}
-			b.ReportMetric(float64(batch)*float64(b.N)/b.Elapsed().Seconds(), "frames/s")
-		})
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := model.PredictBatch(imgs); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(c.batch)*float64(b.N)/b.Elapsed().Seconds(), "frames/s")
+			})
+		}
 	}
 }
 

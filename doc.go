@@ -51,10 +51,10 @@
 //
 // Beneath the detector sits the fast NN compute layer
 // (internal/tensor + internal/nn): register-blocked parallel GEMM
-// kernels, batched im2col convolution (one GEMM per batch), a size-keyed
-// scratch pool that makes steady-state training steps allocation-free,
-// and a stateless Infer path that lets the engine run detector/CNN
-// inference concurrently. Kernel partitioning preserves per-element
+// kernels, im2col convolution (one GEMM per batch in training, one per
+// sample in inference), a size-keyed scratch pool that makes
+// steady-state training steps allocation-free, and a stateless Infer
+// path that lets the engine run detector/CNN inference concurrently. Kernel partitioning preserves per-element
 // accumulation order, so training curves and every reported metric are
 // bit-identical to the reference implementation (see README.md's
 // performance section and the golden-curve tests).

@@ -1,0 +1,97 @@
+package classify
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"os"
+	"strings"
+	"testing"
+
+	"nbhd/internal/render"
+)
+
+// predictGolden runs PredictBatch at the served shape — InputSize 64,
+// the default channels [8, 16, 32] — on batches of 16 and of 1, first
+// on an untrained model and then after one epoch on a small corpus, and
+// returns the encoded file: one JSON string per frame, naming the case
+// and frame and listing its probabilities at %.17g.
+func predictGolden(t *testing.T) []byte {
+	t.Helper()
+	ex := examples(t, 17, 64)
+	m, err := New(Config{Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.InputSize() != 64 || m.cfg.Channels != [3]int{8, 16, 32} {
+		t.Fatalf("golden model is %d px %v, want the served 64 px [8 16 32]", m.InputSize(), m.cfg.Channels)
+	}
+	imgs := make([]*render.Image, len(ex))
+	for i := range ex {
+		imgs[i] = ex[i].Image
+	}
+	var lines []string
+	add := func(state string) {
+		for _, c := range []struct {
+			name  string
+			batch []*render.Image
+			first int
+		}{{"b16", imgs[:16], 0}, {"b1", imgs[16:], 16}} {
+			probs, err := m.PredictBatch(c.batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, p := range probs {
+				line := fmt.Sprintf("%s %s f%d", state, c.name, c.first+i)
+				for _, v := range p {
+					line += fmt.Sprintf(" %.17g", v)
+				}
+				lines = append(lines, line)
+			}
+		}
+	}
+	add("untrained")
+	if err := m.Train(ex[:16], TrainConfig{Epochs: 1, BatchSize: 8, Seed: 3}); err != nil {
+		t.Fatal(err)
+	}
+	add("epoch1")
+
+	var buf bytes.Buffer
+	buf.WriteString("[\n")
+	for i, line := range lines {
+		enc, err := json.Marshal(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf.Write(enc)
+		if i < len(lines)-1 {
+			buf.WriteByte(',')
+		}
+		buf.WriteByte('\n')
+	}
+	buf.WriteString("]\n")
+	return buf.Bytes()
+}
+
+// TestPredictGolden pins the CNN's f32 answers at the shape the gateway
+// serves, bit for bit, against testdata/predict.json. There is no
+// -update flag: the file is regenerated only from a commit whose
+// answers are known good.
+func TestPredictGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/predict.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := predictGolden(t)
+	if bytes.Equal(got, want) {
+		return
+	}
+	gotLines := strings.Split(string(got), "\n")
+	wantLines := strings.Split(string(want), "\n")
+	for i := range min(len(gotLines), len(wantLines)) {
+		if gotLines[i] != wantLines[i] {
+			t.Fatalf("predictions diverge from testdata/predict.json at line %d:\ngot:  %s\nwant: %s", i+1, gotLines[i], wantLines[i])
+		}
+	}
+	t.Fatalf("predictions have %d lines, testdata/predict.json has %d", len(gotLines), len(wantLines))
+}

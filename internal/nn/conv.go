@@ -3,17 +3,20 @@ package nn
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"nbhd/internal/tensor"
 )
 
 // Conv2D is a 2-D convolution over NCHW tensors, implemented with
-// batched im2col: the whole batch unrolls into ONE (Cin*K*K, N*outH*outW)
-// matrix and the forward pass is a single GEMM against the weight matrix,
-// instead of N small per-sample multiplies. im2col, col2im, and the
-// output scatter fan across workers per sample; all scratch comes from
-// the shared tensor pool and is released when Backward completes, so
-// nothing im2col-sized survives the training step.
+// im2col. In training, the whole batch unrolls into ONE (Cin*K*K,
+// N*outH*outW) matrix and Forward is a single GEMM against the weight
+// matrix; Backward's segmented-fold weight gradient reads that matrix
+// back. im2col, col2im, and the output scatter fan across workers per
+// sample; all scratch comes from the shared tensor pool and is released
+// when Backward completes, so nothing im2col-sized survives the training
+// step. Infer needs no such cache: it runs im2col and the GEMM one
+// sample at a time, straight into the sample's slice of the output.
 //
 // Bit-identity: each output element's dot product walks the Cin*K*K
 // (forward) or OutChannels (input-gradient) axis in the same order as the
@@ -96,26 +99,8 @@ func (c *Conv2D) checkInput(x *tensor.Tensor) (convDims, error) {
 	return convDims{n: n, h: h, w: w, outH: outH, outW: outW}, nil
 }
 
-// forwardCompute runs the batched im2col + GEMM + bias pipeline and
-// returns the output and the im2col matrix (both scratch tensors).
-func (c *Conv2D) forwardCompute(x *tensor.Tensor, d convDims) (out, cols *tensor.Tensor, err error) {
-	k := c.KernelSize
-	cols = tensor.GetScratch(c.InChannels*k*k, d.n*d.outH*d.outW)
-	c.im2colBatch(x, cols, d)
-	gemm := tensor.GetScratch(c.OutChannels, d.n*d.outH*d.outW)
-	if err := tensor.MatMulInto(gemm, c.weight.Value, cols); err != nil {
-		tensor.PutScratch(cols)
-		tensor.PutScratch(gemm)
-		return nil, nil, fmt.Errorf("nn: conv forward: %w", err)
-	}
-	out = tensor.GetScratch(d.n, c.OutChannels, d.outH, d.outW)
-	c.scatterOutput(gemm, out, d)
-	tensor.PutScratch(gemm)
-	return out, cols, nil
-}
-
-// Forward computes the convolution for a batch (N, Cin, H, W), caching
-// the im2col matrix for Backward.
+// Forward computes the convolution for a batch (N, Cin, H, W) as one
+// batched im2col + GEMM, caching the im2col matrix for Backward.
 func (c *Conv2D) Forward(x *tensor.Tensor, _ bool) (*tensor.Tensor, error) {
 	d, err := c.checkInput(x)
 	if err != nil {
@@ -127,10 +112,18 @@ func (c *Conv2D) Forward(x *tensor.Tensor, _ bool) (*tensor.Tensor, error) {
 		tensor.PutScratch(c.cols)
 		c.cols = nil
 	}
-	out, cols, err := c.forwardCompute(x, d)
-	if err != nil {
-		return nil, err
+	k := c.KernelSize
+	cols := tensor.GetScratch(c.InChannels*k*k, d.n*d.outH*d.outW)
+	c.im2colBatch(x, cols, d)
+	gemm := tensor.GetScratch(c.OutChannels, d.n*d.outH*d.outW)
+	if err := tensor.MatMulInto(gemm, c.weight.Value, cols); err != nil {
+		tensor.PutScratch(cols)
+		tensor.PutScratch(gemm)
+		return nil, fmt.Errorf("nn: conv forward: %w", err)
 	}
+	out := tensor.GetScratch(d.n, c.OutChannels, d.outH, d.outW)
+	c.scatterOutput(gemm, out, d)
+	tensor.PutScratch(gemm)
 	c.cols = cols
 	c.inN, c.inH, c.inW = d.n, d.h, d.w
 	c.outH, c.outW = d.outH, d.outW
@@ -139,16 +132,54 @@ func (c *Conv2D) Forward(x *tensor.Tensor, _ bool) (*tensor.Tensor, error) {
 
 // Infer computes the convolution without touching the training cache; it
 // is safe for concurrent use and releases all scratch before returning.
+//
+// Samples fan across workers, and each worker unrolls and multiplies one
+// sample at a time: its im2col scratch is one sample's (Cin*K*K,
+// outH*outW) matrix, and the GEMM writes straight into that sample's
+// NCHW slice of the output, where the bias is added in place. Every
+// output element is the same dot product, in the same k order, as in
+// the batched Forward, so the two paths agree bit for bit.
 func (c *Conv2D) Infer(x *tensor.Tensor) (*tensor.Tensor, error) {
 	d, err := c.checkInput(x)
 	if err != nil {
 		return nil, err
 	}
-	out, cols, err := c.forwardCompute(x, d)
-	if err != nil {
-		return nil, err
+	k := c.KernelSize
+	oHW := d.outH * d.outW
+	inPer := c.InChannels * d.h * d.w
+	outPer := c.OutChannels * oHW
+	one := d
+	one.n = 1
+	out := tensor.GetScratch(d.n, c.OutChannels, d.outH, d.outW)
+	var mu sync.Mutex
+	var firstErr error
+	parallelSamples(d.n, len(out.Data), func(s0, s1 int) {
+		cols := tensor.GetScratch(c.InChannels*k*k, oHW)
+		defer tensor.PutScratch(cols)
+		dst := &tensor.Tensor{Shape: []int{c.OutChannels, oHW}}
+		for s := s0; s < s1; s++ {
+			im2colInto(x.Data[s*inPer:(s+1)*inPer], cols.Data, c.InChannels, k, c.Stride, c.Pad, one)
+			dst.Data = out.Data[s*outPer : (s+1)*outPer]
+			if err := tensor.MatMulInto(dst, c.weight.Value, cols); err != nil {
+				mu.Lock()
+				if firstErr == nil {
+					firstErr = err
+				}
+				mu.Unlock()
+				return
+			}
+			for oc, bv := range c.bias.Value.Data {
+				row := dst.Data[oc*oHW : (oc+1)*oHW]
+				for i := range row {
+					row[i] += bv
+				}
+			}
+		}
+	})
+	if firstErr != nil {
+		tensor.PutScratch(out)
+		return nil, fmt.Errorf("nn: conv infer: %w", firstErr)
 	}
-	tensor.PutScratch(cols)
 	return out, nil
 }
 

@@ -45,6 +45,36 @@ func testNet(t *testing.T) *Sequential {
 	return NewSequential(conv1, relu, pool, conv2, pool2, drop, lin)
 }
 
+// servedConv is one of the scene CNN's convolutions at the shape the
+// gateway serves: 64×64 frames through channels [8, 16, 32], in batches
+// of 16.
+type servedConv struct {
+	conv    *Conv2D
+	inC, hw int
+}
+
+// servedConvs builds the three served convolutions. Their per-sample
+// GEMMs (8×4096×27, 16×1024×72, 32×256×144) are large enough for the
+// packed kernel and wide enough for its column split, unlike testNet's
+// 10×10 inputs, whose GEMMs all stay on the streaming kernels.
+func servedConvs(t *testing.T) []servedConv {
+	t.Helper()
+	rng := rand.New(rand.NewSource(36))
+	var out []servedConv
+	for _, s := range []struct{ in, out, hw int }{{3, 8, 64}, {8, 16, 32}, {16, 32, 16}} {
+		conv, err := NewConv2D(s.in, s.out, 3, 1, 1, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conv.bias.Value.UniformInit(0.5, rng)
+		out = append(out, servedConv{conv: conv, inC: s.in, hw: s.hw})
+	}
+	return out
+}
+
+// servedBatch is the gateway's batch size.
+const servedBatch = 16
+
 // TestInferMatchesForward pins the train/infer split's core guarantee:
 // the stateless Infer path produces bit-identical outputs to the
 // training-mode Forward with train=false.
@@ -70,6 +100,26 @@ func TestInferMatchesForward(t *testing.T) {
 		for i := range wantData {
 			if got.Data[i] != wantData[i] {
 				t.Fatalf("trial %d: Infer[%d] = %g, Forward = %g", trial, i, got.Data[i], wantData[i])
+			}
+		}
+	}
+	for _, sc := range servedConvs(t) {
+		x := tensor.MustNew(servedBatch, sc.inC, sc.hw, sc.hw)
+		x.UniformInit(1, rng)
+		want, err := sc.conv.Forward(x, false)
+		if err != nil {
+			t.Fatalf("Forward: %v", err)
+		}
+		got, err := sc.conv.Infer(x)
+		if err != nil {
+			t.Fatalf("Infer: %v", err)
+		}
+		if !got.SameShape(want) {
+			t.Fatalf("conv %d->%d: Infer shape %v, Forward shape %v", sc.inC, sc.conv.OutChannels, got.Shape, want.Shape)
+		}
+		for i := range want.Data {
+			if got.Data[i] != want.Data[i] {
+				t.Fatalf("conv %d->%d at %d²: Infer[%d] = %g, Forward = %g", sc.inC, sc.conv.OutChannels, sc.hw, i, got.Data[i], want.Data[i])
 			}
 		}
 	}
@@ -101,6 +151,29 @@ func TestInferBatchMatchesSingle(t *testing.T) {
 		for i := 0; i < per; i++ {
 			if single.Data[i] != gotData[s*per+i] {
 				t.Fatalf("sample %d elem %d: single %g vs batched %g", s, i, single.Data[i], gotData[s*per+i])
+			}
+		}
+	}
+	for _, sc := range servedConvs(t) {
+		x := tensor.MustNew(servedBatch, sc.inC, sc.hw, sc.hw)
+		x.UniformInit(1, rng)
+		got, err := sc.conv.Infer(x)
+		if err != nil {
+			t.Fatalf("batched Infer: %v", err)
+		}
+		per := got.NumElems() / servedBatch
+		inPer := x.NumElems() / servedBatch
+		for s := 0; s < servedBatch; s++ {
+			one := tensor.MustNew(1, sc.inC, sc.hw, sc.hw)
+			copy(one.Data, x.Data[s*inPer:(s+1)*inPer])
+			single, err := sc.conv.Infer(one)
+			if err != nil {
+				t.Fatalf("single Infer %d: %v", s, err)
+			}
+			for i := 0; i < per; i++ {
+				if single.Data[i] != got.Data[s*per+i] {
+					t.Fatalf("conv %d->%d at %d² sample %d elem %d: single %g vs batched %g", sc.inC, sc.conv.OutChannels, sc.hw, s, i, single.Data[i], got.Data[s*per+i])
+				}
 			}
 		}
 	}

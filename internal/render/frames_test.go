@@ -257,3 +257,35 @@ func TestRenderIntoErrors(t *testing.T) {
 		t.Errorf("RenderInto(invalid scene) = %v, want Render's %v", err, renderErr)
 	}
 }
+
+// TestRenderIntoAllocs checks that drawing a scene's objects allocates
+// nothing: RenderInto into a reused buffer, on the golden scene with the
+// most object classes, makes at most the one allocation of its seeded
+// source.
+func TestRenderIntoAllocs(t *testing.T) {
+	var s *scene.Scene
+	most := 0
+	for _, g := range goldenScenes(t) {
+		classes := 0
+		for _, c := range g.CountByIndicator() {
+			if c > 0 {
+				classes++
+			}
+		}
+		if classes > most {
+			s, most = g, classes
+		}
+	}
+	if most < 3 {
+		t.Fatalf("the golden scenes draw at most %d object classes, want at least 3", most)
+	}
+	dst := MustNewImage(37, 23)
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := RenderInto(s, dst); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1 {
+		t.Errorf("RenderInto allocates %v objects per frame, want at most 1", allocs)
+	}
+}

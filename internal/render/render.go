@@ -104,25 +104,44 @@ func draw(s *scene.Scene, img *Image) {
 	drawGround(img, rng)
 	drawVegetation(img, rng, s.VegetationDensity)
 
-	// Fixed z-order: buildings behind road surface, wires and lights on
-	// top, so occlusion looks plausible.
-	for _, o := range s.ObjectsOf(scene.Apartment) {
-		drawApartment(img, o)
+	// One walk over the objects per class keeps placement order within
+	// a class and allocates nothing.
+	for _, ind := range zOrder {
+		for i := range s.Objects {
+			if o := &s.Objects[i]; o.Indicator == ind {
+				drawObject(img, o, s.View)
+			}
+		}
 	}
-	for _, o := range s.ObjectsOf(scene.SingleLaneRoad) {
-		drawRoad(img, o, s.View, 1)
-	}
-	for _, o := range s.ObjectsOf(scene.MultilaneRoad) {
-		drawRoad(img, o, s.View, 2)
-	}
-	for _, o := range s.ObjectsOf(scene.Sidewalk) {
-		drawSidewalk(img, o, s.View)
-	}
-	for _, o := range s.ObjectsOf(scene.Powerline) {
-		drawPowerline(img, o)
-	}
-	for _, o := range s.ObjectsOf(scene.Streetlight) {
-		drawStreetlight(img, o)
+}
+
+// zOrder is the fixed drawing order of the object classes: buildings
+// behind road surface, wires and lights on top, so occlusion looks
+// plausible.
+var zOrder = [...]scene.Indicator{
+	scene.Apartment,
+	scene.SingleLaneRoad,
+	scene.MultilaneRoad,
+	scene.Sidewalk,
+	scene.Powerline,
+	scene.Streetlight,
+}
+
+// drawObject draws one object with its class's painter.
+func drawObject(img *Image, o *scene.Object, view scene.ViewKind) {
+	switch o.Indicator {
+	case scene.Apartment:
+		drawApartment(img, *o)
+	case scene.SingleLaneRoad:
+		drawRoad(img, *o, view, 1)
+	case scene.MultilaneRoad:
+		drawRoad(img, *o, view, 2)
+	case scene.Sidewalk:
+		drawSidewalk(img, *o, view)
+	case scene.Powerline:
+		drawPowerline(img, *o)
+	case scene.Streetlight:
+		drawStreetlight(img, *o)
 	}
 }
 

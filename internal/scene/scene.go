@@ -285,17 +285,6 @@ func (s *Scene) CountByIndicator() [NumIndicators]int {
 	return out
 }
 
-// ObjectsOf returns all objects of one indicator, in placement order.
-func (s *Scene) ObjectsOf(ind Indicator) []Object {
-	var out []Object
-	for i := range s.Objects {
-		if s.Objects[i].Indicator == ind {
-			out = append(out, s.Objects[i])
-		}
-	}
-	return out
-}
-
 // Validate checks structural invariants: valid boxes, known indicators,
 // at most one road class present, and road class consistent with the
 // sample point when a road is visible.

@@ -298,9 +298,6 @@ func TestScenePresenceAndCounts(t *testing.T) {
 	if c[Streetlight.Index()] != 2 || c[Powerline.Index()] != 1 || c[Apartment.Index()] != 0 {
 		t.Errorf("CountByIndicator = %v", c)
 	}
-	if got := len(s.ObjectsOf(Streetlight)); got != 2 {
-		t.Errorf("ObjectsOf(Streetlight) = %d objects", got)
-	}
 	if !s.Has(Powerline) || s.Has(Apartment) {
 		t.Error("Has() wrong")
 	}

@@ -6,13 +6,16 @@ import (
 	"sync"
 )
 
-// The three matrix-multiply kernels below share one contract: the work is
-// partitioned ONLY across independent output rows, and every output
-// element accumulates its products in the same order as the reference
-// triple loop (the shared inner dimension is always walked 0..k-1 with a
-// single accumulator). Parallelism and register blocking therefore change
-// which elements are computed when, but never the floating-point result:
-// optimized and reference kernels are bit-identical.
+// The matrix-multiply kernels below share one contract: the work is
+// partitioned ONLY across independent output elements — by rows in the
+// streaming kernels here, and by rows or by columns in the packed kernel
+// (pack.go splits whichever output dimension is larger), never along the
+// shared dimension — and every output element accumulates its products
+// in the same order as the reference triple loop (the shared inner
+// dimension is always walked 0..k-1 with a single accumulator).
+// Parallelism and register blocking therefore change which elements are
+// computed when, but never the floating-point result: optimized and
+// reference kernels are bit-identical.
 //
 // The historical kernels skipped multiplications where the A element was
 // zero. On dense training data that branch mispredicts once per multiply

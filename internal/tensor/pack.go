@@ -89,11 +89,11 @@ func probeBlocks() gemmBlocks {
 	for _, cand := range blockCandidates {
 		// One warm-up fills the panel pool so every candidate pays the
 		// same allocation cost; then time the better of two runs.
-		packedSerial(dst, a, b, 0, probeDim, cand, false, false)
+		packedSerial(dst, a, b, 0, probeDim, 0, probeDim, cand, false, false)
 		elapsed := time.Duration(1<<63 - 1)
 		for rep := 0; rep < 2; rep++ {
 			start := time.Now()
-			packedSerial(dst, a, b, 0, probeDim, cand, false, false)
+			packedSerial(dst, a, b, 0, probeDim, 0, probeDim, cand, false, false)
 			if d := time.Since(start); d < elapsed {
 				elapsed = d
 			}
@@ -112,47 +112,58 @@ func usePacked(m, n, k int) bool {
 }
 
 // matMulPacked computes dst += 0-initialized A·B (with optional logical
-// transposes) through the packed tiled kernel, partitioning output rows
-// across GOMAXPROCS workers. A is m x k after transA, B is k x n after
-// transB, dst is m x n and is fully overwritten.
+// transposes) through the packed tiled kernel. A is m x k after transA,
+// B is k x n after transB, dst is m x n and is fully overwritten.
+//
+// Workers split the larger output dimension, so every B panel is packed
+// by exactly one worker: columns in gemmNR-aligned chunks when n > m (a
+// convolution's few output channels against its many pixels), rows in
+// gemmMR-aligned chunks otherwise. The rule reads the shape alone, and
+// either split leaves each element's k order untouched.
 func matMulPacked(dst, a, b *Tensor, m, n, k int, transA, transB bool) {
 	bs := gemmBlockSizes()
-	parallelRowsAligned(m, m*n*k, gemmMR, func(r0, r1 int) {
-		packedSerial(dst, a, b, r0, r1, bs, transA, transB)
+	if n > m {
+		parallelAligned(n, m*n*k, gemmNR, func(j0, j1 int) {
+			packedSerial(dst, a, b, 0, m, j0, j1, bs, transA, transB)
+		})
+		return
+	}
+	parallelAligned(m, m*n*k, gemmMR, func(r0, r1 int) {
+		packedSerial(dst, a, b, r0, r1, 0, n, bs, transA, transB)
 	})
 }
 
-// parallelRowsAligned is parallelRows with worker chunks rounded up to a
-// multiple of align, so only the final worker sees a ragged strip edge.
-func parallelRowsAligned(m, flops, align int, kernel func(r0, r1 int)) {
-	parallelRows((m+align-1)/align, flops, func(c0, c1 int) {
-		r0, r1 := c0*align, c1*align
-		if r1 > m {
-			r1 = m
+// parallelAligned is parallelRows over [0, size) with worker chunks
+// rounded up to a multiple of align, so only the final worker sees a
+// ragged strip edge.
+func parallelAligned(size, flops, align int, kernel func(lo, hi int)) {
+	parallelRows((size+align-1)/align, flops, func(c0, c1 int) {
+		lo, hi := c0*align, c1*align
+		if hi > size {
+			hi = size
 		}
-		if r0 < r1 {
-			kernel(r0, r1)
+		if lo < hi {
+			kernel(lo, hi)
 		}
 	})
 }
 
-// packedSerial runs the blocked loop nest over output rows [r0, r1).
-// Loop order is the BLIS nest: jc (N blocks) → pc (K blocks, ascending —
-// the bit-identity requirement) → pack B → ic (M blocks) → pack A →
-// microkernel sweep. Each call owns its packed panels, so concurrent
-// workers never share pack buffers.
-func packedSerial(dst, a, b *Tensor, r0, r1 int, bs gemmBlocks, transA, transB bool) {
-	m := r1 - r0
-	n := dst.Shape[1]
+// packedSerial runs the blocked loop nest over output rows [r0, r1) and
+// columns [j0, j1). Loop order is the BLIS nest: jc (N blocks) → pc (K
+// blocks, ascending — the bit-identity requirement) → pack B → ic (M
+// blocks) → pack A → microkernel sweep. Each call owns its packed
+// panels, so concurrent workers never share pack buffers.
+func packedSerial(dst, a, b *Tensor, r0, r1, j0, j1 int, bs gemmBlocks, transA, transB bool) {
+	m, n := r1-r0, j1-j0
+	ldc := dst.Shape[1]
 	var k int
 	if transA {
 		k = a.Shape[0]
 	} else {
 		k = a.Shape[1]
 	}
-	seg := dst.Data[r0*n : r1*n]
-	for i := range seg {
-		seg[i] = 0
+	for i := r0; i < r1; i++ {
+		clear(dst.Data[i*ldc+j0 : i*ldc+j1])
 	}
 	if k == 0 {
 		return
@@ -172,8 +183,8 @@ func packedSerial(dst, a, b *Tensor, r0, r1 int, bs gemmBlocks, transA, transB b
 	defer putPanel(apBox)
 	defer putPanel(bpBox)
 	ap, bp := apBox.buf, bpBox.buf
-	for jc := 0; jc < n; jc += nc {
-		ncEff := min(nc, n-jc)
+	for jc := j0; jc < j1; jc += nc {
+		ncEff := min(nc, j1-jc)
 		for pc := 0; pc < k; pc += kc {
 			kcEff := min(kc, k-pc)
 			if transB {
@@ -188,7 +199,7 @@ func packedSerial(dst, a, b *Tensor, r0, r1 int, bs gemmBlocks, transA, transB b
 				} else {
 					packANormal(ap, a, ic, mcEff, pc, kcEff)
 				}
-				packedCompute(dst, ic, jc, n, ap, bp, mcEff, ncEff, kcEff)
+				packedCompute(dst, ic, jc, ldc, ap, bp, mcEff, ncEff, kcEff)
 			}
 		}
 	}
@@ -340,23 +351,35 @@ func packATrans(dst []float32, a *Tensor, i0, mc, p0, kc int) {
 }
 
 // packBNormal packs rows [p0,p0+kc) x cols [j0,j0+nc) of row-major B
-// (ldb = B.Shape[1]) into gemmNR-column strips, k-major.
+// (ldb = B.Shape[1]) into gemmNR-column strips, k-major. It streams
+// each source row once, front to back, dropping each gemmNR run into
+// its strip with one fixed-size copy; a ragged final strip pads with
+// zeros.
 func packBNormal(dst []float32, b *Tensor, p0, kc, j0, nc int) {
 	ldb := b.Shape[1]
-	di := 0
-	for jr := 0; jr < nc; jr += gemmNR {
-		cols := min(gemmNR, nc-jr)
-		for p := 0; p < kc; p++ {
-			src := b.Data[(p0+p)*ldb+j0+jr : (p0+p)*ldb+j0+jr+cols]
-			d := di + p*gemmNR
-			for j, v := range src {
-				dst[d+j] = v
-			}
-			for j := cols; j < gemmNR; j++ {
-				dst[d+j] = 0
-			}
+	full := nc / gemmNR * gemmNR
+	stripLen := gemmNR * kc
+	for p := 0; p < kc; p++ {
+		src := b.Data[(p0+p)*ldb+j0 : (p0+p)*ldb+j0+nc]
+		packBRow(dst[p*gemmNR:], src[:full], stripLen)
+		if full < nc {
+			var tail [gemmNR]float32
+			copy(tail[:], src[full:])
+			*(*[gemmNR]float32)(dst[full*kc+p*gemmNR:]) = tail
 		}
-		di += gemmNR * kc
+	}
+}
+
+// packBRow copies src, a multiple of gemmNR long, into consecutive
+// strips stripLen apart. It stays out of line: inlined into
+// packBNormal, the loop's counters spill to the stack and the copy
+// measured slower.
+//
+//go:noinline
+func packBRow(dst, src []float32, stripLen int) {
+	for d := 0; len(src) >= gemmNR; d += stripLen {
+		*(*[gemmNR]float32)(dst[d:]) = [gemmNR]float32(src)
+		src = src[gemmNR:]
 	}
 }
 

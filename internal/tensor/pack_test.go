@@ -3,6 +3,7 @@ package tensor
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -27,7 +28,7 @@ var tinyBlocks = []gemmBlocks{
 // packedVariant runs the packed core serially over all rows with the
 // given blocking, mirroring what matMulPacked does per worker.
 func packedVariant(dst, a, b *Tensor, bs gemmBlocks, transA, transB bool) {
-	packedSerial(dst, a, b, 0, dst.Shape[0], bs, transA, transB)
+	packedSerial(dst, a, b, 0, dst.Shape[0], 0, dst.Shape[1], bs, transA, transB)
 }
 
 func randFilled(rng *rand.Rand, dims ...int) *Tensor {
@@ -85,34 +86,111 @@ func TestPackedGEMMPropertyBitIdentical(t *testing.T) {
 // TestPackedGEMMPublicRoutingBitIdentical checks the public entry points
 // (which route between the streaming and packed kernels by shape) on the
 // same adversarial dimensions, so whichever kernel the router picks must
-// match the reference bit for bit.
+// match the reference bit for bit. Besides the square shapes it covers
+// wide ones (n >= 4m, where matMulPacked splits columns across workers,
+// up to n = 4099 so chunk ends land off the gemmNR grid) and their tall
+// transposes (where it splits rows), all under 1, 2, 3 and 8 workers.
 func TestPackedGEMMPublicRoutingBitIdentical(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	rng := rand.New(rand.NewSource(11))
+	type shape struct{ m, n, k int }
+	var shapes []shape
 	for _, d := range propertyDims {
 		for _, k := range []int{1, 7, 64, 129} {
-			a := randFilled(rng, d, k)
-			b := randFilled(rng, k, d)
-			at := randFilled(rng, k, d)
-			bt := randFilled(rng, d, k)
-			got := MustNew(d, d)
-
-			want := refMatMul(a, b)
+			shapes = append(shapes, shape{d, d, k})
+		}
+	}
+	wide, tall := 0, 0
+	for _, m := range []int{1, 4, 8, 13} {
+		for _, n := range []int{4 * m, 4*m + 3, 257, 4099} {
+			for _, k := range []int{33, 130} {
+				shapes = append(shapes, shape{m, n, k}, shape{n, m, k})
+				if usePacked(m, n, k) {
+					wide++
+				}
+				if usePacked(n, m, k) {
+					tall++
+				}
+			}
+		}
+	}
+	if wide < 4 || tall < 4 {
+		t.Fatalf("only %d wide and %d tall shapes take the packed kernel", wide, tall)
+	}
+	for _, s := range shapes {
+		a := randFilled(rng, s.m, s.k)
+		b := randFilled(rng, s.k, s.n)
+		at := randFilled(rng, s.k, s.m)
+		bt := randFilled(rng, s.n, s.k)
+		wantN := refMatMul(a, b)
+		wantA := refMatMulTransA(at, b)
+		wantB := refMatMulTransB(a, bt)
+		got := MustNew(s.m, s.n)
+		for _, procs := range []int{1, 2, 3, 8} {
+			runtime.GOMAXPROCS(procs)
+			name := fmt.Sprintf("%dx%dx%d procs %d", s.m, s.n, s.k, procs)
+			got.Fill(42)
 			if err := MatMulInto(got, a, b); err != nil {
-				t.Fatalf("MatMulInto %dx%dx%d: %v", d, d, k, err)
+				t.Fatalf("MatMulInto %s: %v", name, err)
 			}
-			assertBitIdentical(t, fmt.Sprintf("route MatMul %dx%dx%d", d, d, k), got, want)
-
-			want = refMatMulTransA(at, b)
+			assertBitIdentical(t, "route MatMul "+name, got, wantN)
+			got.Fill(42)
 			if err := MatMulTransAInto(got, at, b); err != nil {
-				t.Fatalf("MatMulTransAInto %dx%dx%d: %v", d, d, k, err)
+				t.Fatalf("MatMulTransAInto %s: %v", name, err)
 			}
-			assertBitIdentical(t, fmt.Sprintf("route TransA %dx%dx%d", d, d, k), got, want)
-
-			want = refMatMulTransB(a, bt)
+			assertBitIdentical(t, "route TransA "+name, got, wantA)
+			got.Fill(42)
 			if err := MatMulTransBInto(got, a, bt); err != nil {
-				t.Fatalf("MatMulTransBInto %dx%dx%d: %v", d, d, k, err)
+				t.Fatalf("MatMulTransBInto %s: %v", name, err)
 			}
-			assertBitIdentical(t, fmt.Sprintf("route TransB %dx%dx%d", d, d, k), got, want)
+			assertBitIdentical(t, "route TransB "+name, got, wantB)
+		}
+	}
+}
+
+// TestPackedSerialRanges drives the packed core over the output blocks
+// matMulPacked's workers own — column ranges whose ends are and are not
+// multiples of gemmNR, and row ranges likewise off the gemmMR grid —
+// with every tiny blocking: the block must match the reference bit for
+// bit, and every element outside it must keep its stale value.
+func TestPackedSerialRanges(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	const m, n, k = 13, 37, 29
+	a := randFilled(rng, m, k)
+	b := randFilled(rng, k, n)
+	at := randFilled(rng, k, m)
+	bt := randFilled(rng, n, k)
+	variants := []struct {
+		name           string
+		a, b, want     *Tensor
+		transA, transB bool
+	}{
+		{"packed", a, b, refMatMul(a, b), false, false},
+		{"packedTransA", at, b, refMatMulTransA(at, b), true, false},
+		{"packedTransB", a, bt, refMatMulTransB(a, bt), false, true},
+	}
+	rows := [][2]int{{0, m}, {4, 12}, {1, 6}}
+	cols := [][2]int{{0, n}, {0, 16}, {4, 20}, {8, n}, {3, 17}, {5, 6}, {36, n}}
+	got := MustNew(m, n)
+	for _, v := range variants {
+		for _, bs := range tinyBlocks {
+			for _, r := range rows {
+				for _, c := range cols {
+					got.Fill(42)
+					packedSerial(got, v.a, v.b, r[0], r[1], c[0], c[1], bs, v.transA, v.transB)
+					for i := 0; i < m; i++ {
+						for j := 0; j < n; j++ {
+							want := float32(42)
+							if i >= r[0] && i < r[1] && j >= c[0] && j < c[1] {
+								want = v.want.Data[i*n+j]
+							}
+							if g := got.Data[i*n+j]; g != want {
+								t.Fatalf("%s rows %v cols %v blocks %+v: [%d][%d] = %x, want %x", v.name, r, c, bs, i, j, g, want)
+							}
+						}
+					}
+				}
+			}
 		}
 	}
 }

@@ -144,7 +144,7 @@ func QMatMulInto(dst *Tensor, a, b *QTensor) error {
 	// workers share it read-only and pack only their own A rows.
 	bpBuf := GetScratchI16(roundUp(n, gemmNR) * kp * 2)
 	packQB(bpBuf, b.Data, k, n)
-	parallelRowsAligned(m, m*n*k, gemmMR, func(r0, r1 int) {
+	parallelAligned(m, m*n*k, gemmMR, func(r0, r1 int) {
 		apBuf := GetScratchI16(roundUp(r1-r0, gemmMR) * kp * 2)
 		packQA(apBuf, a.Data, r0, r1-r0, k)
 		for jr := 0; jr < n; jr += gemmNR {
