@@ -737,7 +737,7 @@ func BenchmarkConvForward(b *testing.B) {
 	x.UniformInit(1, rng)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, err := conv.Forward(x, true)
+		out, err := conv.Forward(x)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -760,7 +760,7 @@ func BenchmarkConvBackward(b *testing.B) {
 	grad.UniformInit(1, rng)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, err := conv.Forward(x, true)
+		out, err := conv.Forward(x)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -857,13 +857,14 @@ func BenchmarkQuantDrift(b *testing.B) {
 func BenchmarkMatMul128(b *testing.B) {
 	a := tensor.MustNew(128, 128)
 	c := tensor.MustNew(128, 128)
+	dst := tensor.MustNew(128, 128)
 	for i := range a.Data {
 		a.Data[i] = float32(i%13) * 0.1
 		c.Data[i] = float32(i%7) * 0.2
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tensor.MatMul(a, c); err != nil {
+		if err := tensor.MatMulInto(dst, a, c); err != nil {
 			b.Fatal(err)
 		}
 	}

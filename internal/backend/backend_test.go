@@ -8,6 +8,7 @@ import (
 	"nbhd/internal/classify"
 	"nbhd/internal/dataset"
 	"nbhd/internal/ensemble"
+	"nbhd/internal/render"
 	"nbhd/internal/scene"
 	"nbhd/internal/vlm"
 	"nbhd/internal/yolo"
@@ -189,12 +190,12 @@ func TestYOLOAdapterMatchesDetect(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, it := range items {
-		dets, err := m.Detect(it.Image, 0.25, 0.45)
+		dets, err := m.DetectBatch([]*render.Image{it.Image}, 0.25, 0.45)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var want [scene.NumIndicators]bool
-		for _, d := range dets {
+		for _, d := range dets[0] {
 			if idx := d.Class.Index(); idx >= 0 {
 				want[idx] = true
 			}

@@ -267,7 +267,7 @@ func (m *Model) trainStep(batch []dataset.Example, images []*render.Image, opt n
 		tensor.PutScratch(x)
 		tensor.PutScratch(y)
 	}
-	out, err := m.net.Forward(x, true)
+	out, err := m.net.Forward(x)
 	if err != nil {
 		release()
 		return 0, fmt.Errorf("classify: forward: %w", err)

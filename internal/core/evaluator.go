@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -14,7 +13,6 @@ import (
 	"nbhd/internal/backend"
 	"nbhd/internal/dataset"
 	"nbhd/internal/ensemble"
-	"nbhd/internal/geo"
 	"nbhd/internal/metrics"
 	"nbhd/internal/render"
 	"nbhd/internal/scene"
@@ -226,67 +224,20 @@ func (e *Evaluator) SweepBackendSet(ctx context.Context, backends []backend.Back
 // AnalyzeNeighborhood runs a backend over the whole corpus, fuses the
 // four headings of each coordinate with any-vote fusion, and produces
 // tract-level environment scores and health-outcome associations.
-// Coordinate groups fan out across the worker pool (each group is one
-// backend batch over kept frames); results are bit-identical
-// to the serial sweep because fused locations land at their coordinate's
-// index regardless of completion order. The context cancels mid-sweep.
+// Coordinate groups (group g covers corpus frames
+// [g*FramesPerCoordinate, (g+1)*FramesPerCoordinate)) fan out across the
+// worker pool, each group one span of the walk and one backend batch
+// over kept frames; results are bit-identical to the serial sweep
+// because fused locations land at their coordinate's index regardless
+// of completion order. The context cancels mid-sweep.
 func (e *Evaluator) AnalyzeNeighborhood(ctx context.Context, b backend.Backend, tractFeet float64) (*NeighborhoodResult, error) {
-	nGroups := e.pipe.Study.Len() / FramesPerCoordinate
-	groups := make([]int, nGroups)
-	for i := range groups {
-		groups[i] = i
-	}
-	locations, err := e.classifyGroups(ctx, b, groups)
-	if err != nil {
-		return nil, err
-	}
-	return e.pipe.neighborhoodAnalysis(locations, tractFeet)
-}
-
-// NeighborhoodAt runs the same downstream analysis over only the corpus
-// coordinates within radiusFeet of center, selected in O(log n) through
-// the pipeline's spatial index instead of classifying the whole corpus.
-// Selection is exact (bit-identical to a linear distance scan) and the
-// chosen groups are classified in ascending coordinate-group order, so
-// the result is deterministic in (backend, center, radius).
-func (e *Evaluator) NeighborhoodAt(ctx context.Context, b backend.Backend, center geo.Coordinate, radiusFeet, tractFeet float64) (*NeighborhoodResult, error) {
-	hits := e.pipe.FrameIndex().Radius(center, radiusFeet)
-	seen := make(map[int]bool, len(hits)/FramesPerCoordinate)
-	groups := make([]int, 0, len(hits)/FramesPerCoordinate)
-	for _, h := range hits {
-		g := h.ID / FramesPerCoordinate
-		if !seen[g] {
-			seen[g] = true
-			groups = append(groups, g)
-		}
-	}
-	if len(groups) == 0 {
-		return nil, fmt.Errorf("core: no corpus coordinates within %.0f ft of (%.5f, %.5f)", radiusFeet, center.Lat, center.Lng)
-	}
-	sort.Ints(groups)
-	locations, err := e.classifyGroups(ctx, b, groups)
-	if err != nil {
-		return nil, err
-	}
-	return e.pipe.neighborhoodAnalysis(locations, tractFeet)
-}
-
-// classifyGroups classifies the given coordinate groups (group g covers
-// corpus frames [g*FramesPerCoordinate, (g+1)*FramesPerCoordinate)) and
-// fuses each group's headings with any-vote fusion. Each group is one
-// span of the walk and one backend batch, over kept frames;
-// locations[i] is groups[i]'s fused profile regardless of completion
-// order. This is the one classification path under both
-// AnalyzeNeighborhood (all groups) and NeighborhoodAt (index-selected
-// groups).
-func (e *Evaluator) classifyGroups(ctx context.Context, b backend.Backend, groups []int) ([]analysis.LocationProfile, error) {
 	p := e.pipe
-	spans := make([][2]int, len(groups))
-	for i, g := range groups {
-		spans[i] = [2]int{g * FramesPerCoordinate, (g + 1) * FramesPerCoordinate}
+	spans := make([][2]int, p.Study.Len()/FramesPerCoordinate)
+	for g := range spans {
+		spans[g] = [2]int{g * FramesPerCoordinate, (g + 1) * FramesPerCoordinate}
 	}
-	locations := make([]analysis.LocationProfile, len(groups))
-	job := e.newJob(b, LLMOptions{}, func(gi, start int, _ []backend.Item, answers [][]bool) error {
+	locations := make([]analysis.LocationProfile, len(spans))
+	job := e.newJob(b, LLMOptions{}, func(g, start int, _ []backend.Item, answers [][]bool) error {
 		perHeading := make([][scene.NumIndicators]bool, len(answers))
 		for k := range answers {
 			copy(perHeading[k][:], answers[k])
@@ -296,7 +247,7 @@ func (e *Evaluator) classifyGroups(ctx context.Context, b backend.Backend, group
 			return fmt.Errorf("core: %w", err)
 		}
 		fr := p.Study.Frames[start]
-		locations[gi] = analysis.LocationProfile{
+		locations[g] = analysis.LocationProfile{
 			Coordinate: fr.Scene.Point.Coordinate,
 			County:     fr.County,
 			Presence:   fused,
@@ -307,7 +258,7 @@ func (e *Evaluator) classifyGroups(ctx context.Context, b backend.Backend, group
 	if _, err := e.walk(ctx, []frameJob{job}, func([]int) [][2]int { return spans }, true); err != nil {
 		return nil, err
 	}
-	return locations, nil
+	return p.neighborhoodAnalysis(locations, tractFeet)
 }
 
 // frameJob is one backend's part in a frame-major walk: the walk asks b
@@ -565,11 +516,11 @@ func (e *Evaluator) visit(ctx context.Context, fr *frames, g *frameGroup, si int
 		k := idx - start
 		if keep {
 			for c, cond := range g.conds {
-				ex, err := p.cache.CondExample(idx, g.size, cond)
+				img, err := p.cache.CondImage(idx, g.size, cond)
 				if err != nil {
 					return first, fmt.Errorf("core: %w", err)
 				}
-				fr.imgs[c][k] = ex.Image
+				fr.imgs[c][k] = img
 			}
 		} else {
 			clean, err := fr.buffer(g.size, 0, k)

@@ -15,7 +15,6 @@ import (
 	"nbhd/internal/backend"
 	"nbhd/internal/classify"
 	"nbhd/internal/dataset"
-	"nbhd/internal/geoindex"
 	"nbhd/internal/labelme"
 	"nbhd/internal/metrics"
 	"nbhd/internal/prompt"
@@ -87,10 +86,6 @@ type Pipeline struct {
 	// frameStore is the persistent render tier (nil without a StoreDir);
 	// the cache above consults it before rendering.
 	frameStore *store.Store
-
-	// geo is the lazily built spatial index over the corpus frames.
-	geoOnce sync.Once
-	geo     *geoindex.Index
 }
 
 // NewPipeline assembles the corpus and annotations.
@@ -149,21 +144,6 @@ func (p *Pipeline) RenderCache() *dataset.RenderCache { return p.cache }
 // FrameStore exposes the persistent render tier, or nil when the
 // pipeline was built without a StoreDir.
 func (p *Pipeline) FrameStore() *store.Store { return p.frameStore }
-
-// FrameIndex returns the spatial index over the corpus frames (entry ID
-// = frame index in Study.Frames), building it on first use. Queries are
-// exact: nearest and radius results are bit-identical to a linear scan
-// with geo.Coordinate.DistanceFeet.
-func (p *Pipeline) FrameIndex() *geoindex.Index {
-	p.geoOnce.Do(func() {
-		entries := make([]geoindex.Entry, len(p.Study.Frames))
-		for i, fr := range p.Study.Frames {
-			entries[i] = geoindex.Entry{Coord: fr.Scene.Point.Coordinate, ID: i}
-		}
-		p.geo = geoindex.Build(entries)
-	})
-	return p.geo
-}
 
 // BaselineResult is the trained-detector evaluation (Table I).
 type BaselineResult struct {

@@ -139,40 +139,63 @@ func (c *RenderCache) Example(idx, size int) (Example, error) {
 // condition). The clean base render — and only it — flows through the
 // persistent store tier.
 func (c *RenderCache) CondExample(idx, size int, cond string) (Example, error) {
+	s, err := c.condSlot(idx, size, cond)
+	if err != nil {
+		return Example{}, err
+	}
+	objs := make([]scene.Object, len(s.ex.Objects))
+	copy(objs, s.ex.Objects)
+	return Example{ID: s.ex.ID, Image: s.ex.Image, Objects: objs}, nil
+}
+
+// CondImage is CondExample's image alone: the cached pixels (shared,
+// read-only), without the Objects copy CondExample makes for its caller.
+func (c *RenderCache) CondImage(idx, size int, cond string) (*render.Image, error) {
+	s, err := c.condSlot(idx, size, cond)
+	if err != nil {
+		return nil, err
+	}
+	return s.ex.Image, nil
+}
+
+// condSlot resolves the slot of one frame at size×size under a condition
+// override (see CondExample), deriving a degraded rendition from the
+// clean one on first use.
+func (c *RenderCache) condSlot(idx, size int, cond string) (*renderSlot, error) {
 	eff := c.resolveCondition(cond)
 	if eff == "" {
-		return c.cleanExample(idx, size)
+		return c.cleanSlot(idx, size)
 	}
 	if !ValidCondition(eff) {
-		return Example{}, fmt.Errorf("dataset: unknown capture condition %q (have %v)", eff, Conditions())
+		return nil, fmt.Errorf("dataset: unknown capture condition %q (have %v)", eff, Conditions())
 	}
 	s, err := c.slot(idx, slotKey{size: size, cond: eff})
 	if err != nil {
-		return Example{}, err
+		return nil, err
 	}
 	s.once.Do(func() {
-		base, err := c.cleanExample(idx, size)
+		base, err := c.cleanSlot(idx, size)
 		if err != nil {
 			s.err = err
 			return
 		}
-		img, err := c.study.conditioned(base.ID, eff, base.Image, nil)
+		img, err := c.study.conditioned(base.ex.ID, eff, base.ex.Image, nil)
 		if err != nil {
 			s.err = err
 			return
 		}
-		s.ex = &Example{ID: base.ID, Image: img, Objects: c.study.Frames[idx].Scene.Objects}
+		s.ex = &Example{ID: base.ex.ID, Image: img, Objects: c.study.Frames[idx].Scene.Objects}
 	})
-	return s.example()
+	return s, s.err
 }
 
-// cleanExample serves the clean rendition plane: persistent store first,
+// cleanSlot resolves the clean rendition plane: persistent store first,
 // then a fresh render (persisted for the next process when a store is
 // attached).
-func (c *RenderCache) cleanExample(idx, size int) (Example, error) {
+func (c *RenderCache) cleanSlot(idx, size int) (*renderSlot, error) {
 	s, err := c.slot(idx, slotKey{size: size})
 	if err != nil {
-		return Example{}, err
+		return nil, err
 	}
 	s.once.Do(func() {
 		fr := c.study.Frames[idx]
@@ -202,7 +225,7 @@ func (c *RenderCache) cleanExample(idx, size int) (Example, error) {
 		}
 		s.ex = &Example{ID: fr.Scene.ID, Image: img, Objects: fr.Scene.Objects}
 	})
-	return s.example()
+	return s, s.err
 }
 
 // RenderInto renders frame idx's clean view into dst at dst's size,
@@ -232,17 +255,6 @@ func (c *RenderCache) ConditionInto(idx int, cond string, clean, dst *render.Ima
 		return nil, fmt.Errorf("dataset: frame index %d out of range [0,%d)", idx, len(c.study.Frames))
 	}
 	return c.study.conditioned(c.study.Frames[idx].Scene.ID, cond, clean, dst)
-}
-
-// example snapshots a resolved slot for a caller: shared Image, fresh
-// Objects copy.
-func (s *renderSlot) example() (Example, error) {
-	if s.err != nil {
-		return Example{}, s.err
-	}
-	objs := make([]scene.Object, len(s.ex.Objects))
-	copy(objs, s.ex.Objects)
-	return Example{ID: s.ex.ID, Image: s.ex.Image, Objects: objs}, nil
 }
 
 // Examples returns cached renders for the given frame indices, in order —

@@ -61,9 +61,6 @@ func (s *Store) Close() error {
 	return lock.Release()
 }
 
-// Root returns the store's root directory.
-func (s *Store) Root() string { return s.root }
-
 // RunDir returns the directory Save uses for the run name (which may
 // not exist yet).
 func (s *Store) RunDir(runName string) string {

@@ -251,15 +251,6 @@ func (c *County) Validate() error {
 	return nil
 }
 
-// TotalRoadFeet returns the summed roadway length of the county.
-func (c *County) TotalRoadFeet() float64 {
-	var total float64
-	for i := range c.Roads {
-		total += c.Roads[i].LengthFeet()
-	}
-	return total
-}
-
 // Road returns the road with the given ID, or nil if absent.
 func (c *County) Road(id int) *Road {
 	for i := range c.Roads {

@@ -2,7 +2,6 @@ package geo
 
 import (
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -543,66 +542,5 @@ func TestGeneratedRoadsValidProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestGeoJSONRoundTrip(t *testing.T) {
-	county, err := GenerateCounty(NetworkConfig{
-		Name:       "Json",
-		Setting:    SettingUrban,
-		Origin:     Coordinate{Lat: 35.9, Lng: -78.9},
-		ExtentFeet: 8000,
-		RoadCount:  6,
-		Seed:       17,
-	})
-	if err != nil {
-		t.Fatalf("GenerateCounty: %v", err)
-	}
-	var buf strings.Builder
-	if err := county.WriteGeoJSON(&buf); err != nil {
-		t.Fatalf("WriteGeoJSON: %v", err)
-	}
-	text := buf.String()
-	if !strings.Contains(text, `"FeatureCollection"`) || !strings.Contains(text, `"LineString"`) {
-		t.Error("output missing GeoJSON structure")
-	}
-	back, err := ReadGeoJSON(strings.NewReader(text))
-	if err != nil {
-		t.Fatalf("ReadGeoJSON: %v", err)
-	}
-	if back.Name != county.Name || back.Setting != county.Setting {
-		t.Errorf("county identity drifted: %s/%v", back.Name, back.Setting)
-	}
-	if len(back.Roads) != len(county.Roads) {
-		t.Fatalf("roads = %d, want %d", len(back.Roads), len(county.Roads))
-	}
-	for i := range county.Roads {
-		orig, got := &county.Roads[i], &back.Roads[i]
-		if got.ID != orig.ID || got.Class != orig.Class || got.LanesPerDirection != orig.LanesPerDirection {
-			t.Errorf("road %d metadata drifted", i)
-		}
-		if len(got.Points) != len(orig.Points) {
-			t.Fatalf("road %d points = %d, want %d", i, len(got.Points), len(orig.Points))
-		}
-		for p := range orig.Points {
-			if math.Abs(got.Points[p].Lat-orig.Points[p].Lat) > 1e-9 {
-				t.Fatalf("road %d point %d drifted", i, p)
-			}
-		}
-	}
-}
-
-func TestReadGeoJSONErrors(t *testing.T) {
-	cases := map[string]string{
-		"garbage":      "{",
-		"wrong type":   `{"type":"Feature","features":[]}`,
-		"empty":        `{"type":"FeatureCollection","features":[]}`,
-		"bad geometry": `{"type":"FeatureCollection","features":[{"type":"Feature","geometry":{"type":"Point","coordinates":[]},"properties":{"id":1}}]}`,
-		"missing id":   `{"type":"FeatureCollection","features":[{"type":"Feature","geometry":{"type":"LineString","coordinates":[[-79,35],[-79,35.01]]},"properties":{}}]}`,
-	}
-	for name, blob := range cases {
-		if _, err := ReadGeoJSON(strings.NewReader(blob)); err == nil {
-			t.Errorf("%s accepted", name)
-		}
 	}
 }

@@ -196,9 +196,6 @@ func (l *Lab) logf(format string, args ...any) {
 	}
 }
 
-// Workspace returns the workspace directory.
-func (l *Lab) Workspace() string { return l.dir }
-
 // persistLocked writes state.json unless a simulated kill is in
 // progress (after Kill, the on-disk state must stay exactly what a real
 // SIGKILL would leave).

@@ -138,18 +138,6 @@ func (r *Record) Encode(w io.Writer) error {
 	return nil
 }
 
-// Decode reads a LabelMe JSON record.
-func Decode(rd io.Reader) (*Record, error) {
-	var rec Record
-	if err := json.NewDecoder(rd).Decode(&rec); err != nil {
-		return nil, fmt.Errorf("labelme: decode: %w", err)
-	}
-	if err := rec.Validate(); err != nil {
-		return nil, err
-	}
-	return &rec, nil
-}
-
 // LabelerConfig models the human annotator's error process.
 type LabelerConfig struct {
 	// MissRate is the probability a true object goes unlabeled.

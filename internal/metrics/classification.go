@@ -1,14 +1,11 @@
 // Package metrics implements the paper's evaluation arithmetic: binary
 // classification metrics (precision, recall, F1, accuracy) for the LLM
 // presence/absence experiments, object-detection metrics (greedy IoU
-// matching, AP and mAP50) for the YOLO baseline, and bootstrap confidence
-// intervals for reporting.
+// matching, AP and mAP50) for the YOLO baseline.
 package metrics
 
 import (
 	"fmt"
-	"math"
-	"math/rand"
 
 	"nbhd/internal/scene"
 )
@@ -71,14 +68,6 @@ func (c Confusion) Accuracy() float64 {
 	return float64(c.TP+c.TN) / float64(n)
 }
 
-// Merge adds another confusion matrix into this one.
-func (c *Confusion) Merge(o Confusion) {
-	c.TP += o.TP
-	c.FP += o.FP
-	c.TN += o.TN
-	c.FN += o.FN
-}
-
 // ClassReport aggregates per-indicator confusions — the layout of the
 // paper's Tables III-VI.
 type ClassReport struct {
@@ -99,19 +88,6 @@ func (r *ClassReport) Add(ind scene.Indicator, pred, truth bool) error {
 func (r *ClassReport) AddVector(pred, truth [scene.NumIndicators]bool) {
 	for i := 0; i < scene.NumIndicators; i++ {
 		r.PerClass[i].Add(pred[i], truth[i])
-	}
-}
-
-// Merge adds another report's confusions into this one. Because the
-// cells are plain counts, merging per-worker partial reports in any
-// order yields the same totals as serial accumulation — the property
-// the concurrent evaluator relies on.
-func (r *ClassReport) Merge(o *ClassReport) {
-	if o == nil {
-		return
-	}
-	for i := 0; i < scene.NumIndicators; i++ {
-		r.PerClass[i].Merge(o.PerClass[i])
 	}
 }
 
@@ -141,69 +117,4 @@ func (r *ClassReport) Averages() (precision, recall, f1, accuracy float64) {
 func (r *ClassReport) Row(ind scene.Indicator) string {
 	c := r.Of(ind)
 	return fmt.Sprintf("%-18s %.3f %.3f %.3f %.3f", ind.String(), c.Precision(), c.Recall(), c.F1(), c.Accuracy())
-}
-
-// BootstrapCI estimates a percentile confidence interval for a statistic
-// over resampled indices. n is the sample count, statistic evaluates a
-// resample given its index multiset, rounds is the bootstrap repetition
-// count, and level is the coverage (e.g. 0.95). Deterministic in seed.
-func BootstrapCI(n int, statistic func(indices []int) float64, rounds int, level float64, seed int64) (lo, hi float64, err error) {
-	if n <= 0 {
-		return 0, 0, fmt.Errorf("metrics: bootstrap needs n > 0, got %d", n)
-	}
-	if rounds <= 0 {
-		return 0, 0, fmt.Errorf("metrics: bootstrap needs rounds > 0, got %d", rounds)
-	}
-	if level <= 0 || level >= 1 {
-		return 0, 0, fmt.Errorf("metrics: bootstrap level %f outside (0,1)", level)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	vals := make([]float64, rounds)
-	idx := make([]int, n)
-	for r := 0; r < rounds; r++ {
-		for i := range idx {
-			idx[i] = rng.Intn(n)
-		}
-		vals[r] = statistic(idx)
-	}
-	sortFloats(vals)
-	alpha := (1 - level) / 2
-	loIdx := int(alpha * float64(rounds))
-	hiIdx := int((1 - alpha) * float64(rounds))
-	if hiIdx >= rounds {
-		hiIdx = rounds - 1
-	}
-	return vals[loIdx], vals[hiIdx], nil
-}
-
-// sortFloats is an insertion-free quicksort for float64 slices (avoids
-// pulling in sort for a hot loop; NaNs sort to the front).
-func sortFloats(v []float64) {
-	if len(v) < 2 {
-		return
-	}
-	pivot := v[len(v)/2]
-	left, right := 0, len(v)-1
-	for left <= right {
-		for lessFloat(v[left], pivot) {
-			left++
-		}
-		for lessFloat(pivot, v[right]) {
-			right--
-		}
-		if left <= right {
-			v[left], v[right] = v[right], v[left]
-			left++
-			right--
-		}
-	}
-	sortFloats(v[:right+1])
-	sortFloats(v[left:])
-}
-
-func lessFloat(a, b float64) bool {
-	if math.IsNaN(a) {
-		return !math.IsNaN(b)
-	}
-	return a < b
 }

@@ -54,15 +54,6 @@ func TestConfusionEdgeCases(t *testing.T) {
 	}
 }
 
-func TestConfusionMerge(t *testing.T) {
-	a := Confusion{TP: 1, FP: 2, TN: 3, FN: 4}
-	b := Confusion{TP: 10, FP: 20, TN: 30, FN: 40}
-	a.Merge(b)
-	if a.TP != 11 || a.FP != 22 || a.TN != 33 || a.FN != 44 {
-		t.Errorf("merge = %+v", a)
-	}
-}
-
 func TestF1HarmonicMean(t *testing.T) {
 	c := Confusion{TP: 8, FP: 2, FN: 8} // P=0.8, R=0.5
 	want := 2 * 0.8 * 0.5 / 1.3
@@ -135,76 +126,6 @@ func TestClassReportRow(t *testing.T) {
 	row := r.Row(scene.Powerline)
 	if len(row) == 0 || row[:9] != "powerline" {
 		t.Errorf("Row = %q", row)
-	}
-}
-
-func TestBootstrapCI(t *testing.T) {
-	// Statistic: mean of a fixed 0/1 vector resample.
-	data := make([]float64, 100)
-	for i := 0; i < 60; i++ {
-		data[i] = 1
-	}
-	stat := func(idx []int) float64 {
-		var sum float64
-		for _, i := range idx {
-			sum += data[i]
-		}
-		return sum / float64(len(idx))
-	}
-	lo, hi, err := BootstrapCI(len(data), stat, 500, 0.95, 1)
-	if err != nil {
-		t.Fatalf("BootstrapCI: %v", err)
-	}
-	if lo > 0.6 || hi < 0.6 {
-		t.Errorf("CI [%f,%f] excludes true mean 0.6", lo, hi)
-	}
-	if hi-lo > 0.3 {
-		t.Errorf("CI [%f,%f] too wide for n=100", lo, hi)
-	}
-	// Deterministic in seed.
-	lo2, hi2, err := BootstrapCI(len(data), stat, 500, 0.95, 1)
-	if err != nil {
-		t.Fatalf("BootstrapCI: %v", err)
-	}
-	if lo != lo2 || hi != hi2 {
-		t.Error("bootstrap not deterministic in seed")
-	}
-}
-
-func TestBootstrapCIValidation(t *testing.T) {
-	stat := func([]int) float64 { return 0 }
-	if _, _, err := BootstrapCI(0, stat, 10, 0.95, 1); err == nil {
-		t.Error("n=0 accepted")
-	}
-	if _, _, err := BootstrapCI(10, stat, 0, 0.95, 1); err == nil {
-		t.Error("rounds=0 accepted")
-	}
-	if _, _, err := BootstrapCI(10, stat, 10, 1.5, 1); err == nil {
-		t.Error("level=1.5 accepted")
-	}
-}
-
-func TestSortFloats(t *testing.T) {
-	v := []float64{3, 1, 2, -5, 0, 2}
-	sortFloats(v)
-	for i := 1; i < len(v); i++ {
-		if v[i-1] > v[i] {
-			t.Fatalf("not sorted: %v", v)
-		}
-	}
-	// Property: sorting any slice yields a non-decreasing sequence.
-	f := func(in []float64) bool {
-		c := append([]float64(nil), in...)
-		sortFloats(c)
-		for i := 1; i < len(c); i++ {
-			if lessFloat(c[i], c[i-1]) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -421,99 +342,5 @@ func TestAPRangeProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestMCC(t *testing.T) {
-	perfect := Confusion{TP: 10, TN: 10}
-	if got := perfect.MCC(); math.Abs(got-1) > 1e-12 {
-		t.Errorf("perfect MCC = %f", got)
-	}
-	inverted := Confusion{FP: 10, FN: 10}
-	if got := inverted.MCC(); math.Abs(got+1) > 1e-12 {
-		t.Errorf("inverted MCC = %f", got)
-	}
-	var empty Confusion
-	if got := empty.MCC(); got != 0 {
-		t.Errorf("empty MCC = %f", got)
-	}
-	random := Confusion{TP: 5, FP: 5, TN: 5, FN: 5}
-	if got := random.MCC(); math.Abs(got) > 1e-12 {
-		t.Errorf("chance MCC = %f", got)
-	}
-}
-
-func TestBalancedAccuracy(t *testing.T) {
-	c := Confusion{TP: 9, FN: 1, TN: 5, FP: 5} // TPR .9, TNR .5
-	if got := c.BalancedAccuracy(); math.Abs(got-0.7) > 1e-12 {
-		t.Errorf("balanced accuracy = %f", got)
-	}
-	onlyNeg := Confusion{TN: 8, FP: 2}
-	if got := onlyNeg.BalancedAccuracy(); math.Abs(got-0.8) > 1e-12 {
-		t.Errorf("neg-only balanced accuracy = %f", got)
-	}
-	var empty Confusion
-	if got := empty.BalancedAccuracy(); got != 0 {
-		t.Errorf("empty balanced accuracy = %f", got)
-	}
-}
-
-func TestMicroAverages(t *testing.T) {
-	var r ClassReport
-	r.PerClass[0] = Confusion{TP: 10, FP: 0, TN: 10, FN: 0}
-	r.PerClass[1] = Confusion{TP: 0, FP: 10, TN: 0, FN: 10}
-	p, rec, _, acc := r.MicroAverages()
-	if math.Abs(p-0.5) > 1e-12 || math.Abs(rec-0.5) > 1e-12 {
-		t.Errorf("micro P/R = %f/%f", p, rec)
-	}
-	if math.Abs(acc-0.5) > 1e-12 {
-		t.Errorf("micro accuracy = %f", acc)
-	}
-}
-
-func TestPRCurve(t *testing.T) {
-	images := []ImageEval{{
-		ImageID: "a",
-		Truth: []scene.Object{
-			{Indicator: scene.Powerline, BBox: box(0, 0, 1, 0.3)},
-			{Indicator: scene.Powerline, BBox: box(0, 0.4, 1, 0.7)},
-		},
-		Dets: []Detection{
-			{Class: scene.Powerline, BBox: box(0, 0, 1, 0.3), Score: 0.9},    // TP
-			{Class: scene.Powerline, BBox: box(0, 0.8, 1, 0.95), Score: 0.5}, // FP
-			{Class: scene.Powerline, BBox: box(0, 0.4, 1, 0.7), Score: 0.3},  // TP
-		},
-	}}
-	curve, err := PRCurve(images, scene.Powerline, IoU50)
-	if err != nil {
-		t.Fatalf("PRCurve: %v", err)
-	}
-	if len(curve) != 3 {
-		t.Fatalf("curve points = %d", len(curve))
-	}
-	// Recall non-decreasing, thresholds decreasing.
-	for i := 1; i < len(curve); i++ {
-		if curve[i].Recall < curve[i-1].Recall {
-			t.Error("recall decreased along curve")
-		}
-		if curve[i].Threshold > curve[i-1].Threshold {
-			t.Error("thresholds not decreasing")
-		}
-	}
-	// First point: 1 TP of 2 GT at precision 1.
-	if curve[0].Precision != 1 || curve[0].Recall != 0.5 {
-		t.Errorf("first point = %+v", curve[0])
-	}
-	// Last point: 2 TP, 1 FP.
-	last := curve[len(curve)-1]
-	if math.Abs(last.Precision-2.0/3) > 1e-12 || last.Recall != 1 {
-		t.Errorf("last point = %+v", last)
-	}
-	// No ground truth -> error.
-	if _, err := PRCurve(images, scene.Apartment, IoU50); err == nil {
-		t.Error("no-GT class accepted")
-	}
-	if _, err := PRCurve(images, scene.Powerline, 0); err == nil {
-		t.Error("bad IoU accepted")
 	}
 }

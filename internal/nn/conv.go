@@ -101,7 +101,7 @@ func (c *Conv2D) checkInput(x *tensor.Tensor) (convDims, error) {
 
 // Forward computes the convolution for a batch (N, Cin, H, W) as one
 // batched im2col + GEMM, caching the im2col matrix for Backward.
-func (c *Conv2D) Forward(x *tensor.Tensor, _ bool) (*tensor.Tensor, error) {
+func (c *Conv2D) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 	d, err := c.checkInput(x)
 	if err != nil {
 		return nil, err

@@ -234,7 +234,7 @@ func TestConvBitIdenticalToReference(t *testing.T) {
 				x.Data[i] = 0
 			}
 
-			got, err := conv.Forward(x, true)
+			got, err := conv.Forward(x)
 			if err != nil {
 				t.Fatal(err)
 			}

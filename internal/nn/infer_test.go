@@ -34,15 +34,11 @@ func testNet(t *testing.T) *Sequential {
 	if err != nil {
 		t.Fatal(err)
 	}
-	drop, err := NewDropout(0.4, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
 	lin, err := NewLinear(3, 5, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewSequential(conv1, relu, pool, conv2, pool2, drop, lin)
+	return NewSequential(conv1, relu, pool, conv2, pool2, lin)
 }
 
 // servedConv is one of the scene CNN's convolutions at the shape the
@@ -77,7 +73,7 @@ const servedBatch = 16
 
 // TestInferMatchesForward pins the train/infer split's core guarantee:
 // the stateless Infer path produces bit-identical outputs to the
-// training-mode Forward with train=false.
+// training-path Forward.
 func TestInferMatchesForward(t *testing.T) {
 	net := testNet(t)
 	rng := rand.New(rand.NewSource(32))
@@ -85,7 +81,7 @@ func TestInferMatchesForward(t *testing.T) {
 		n := 1 + trial
 		x := tensor.MustNew(n, 2, 10, 10)
 		x.UniformInit(1, rng)
-		want, err := net.Forward(x, false)
+		want, err := net.Forward(x)
 		if err != nil {
 			t.Fatalf("Forward: %v", err)
 		}
@@ -106,7 +102,7 @@ func TestInferMatchesForward(t *testing.T) {
 	for _, sc := range servedConvs(t) {
 		x := tensor.MustNew(servedBatch, sc.inC, sc.hw, sc.hw)
 		x.UniformInit(1, rng)
-		want, err := sc.conv.Forward(x, false)
+		want, err := sc.conv.Forward(x)
 		if err != nil {
 			t.Fatalf("Forward: %v", err)
 		}
@@ -236,7 +232,7 @@ func TestTrainingStepsSteadyStateAllocations(t *testing.T) {
 	x := tensor.MustNew(4, 2, 10, 10)
 	x.UniformInit(1, rng)
 	step := func() {
-		out, err := net.Forward(x, true)
+		out, err := net.Forward(x)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -49,7 +49,7 @@ func (p *MaxPool2D) outDims(x *tensor.Tensor) (n, c, outH, outW int, err error) 
 }
 
 // Forward computes max pooling and records the argmax for Backward.
-func (p *MaxPool2D) Forward(x *tensor.Tensor, _ bool) (*tensor.Tensor, error) {
+func (p *MaxPool2D) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 	n, c, outH, outW, err := p.outDims(x)
 	if err != nil {
 		return nil, err
@@ -202,7 +202,7 @@ func (r *LeakyReLU) apply(x *tensor.Tensor) *tensor.Tensor {
 
 // Forward applies the activation elementwise, caching the input for
 // Backward.
-func (r *LeakyReLU) Forward(x *tensor.Tensor, _ bool) (*tensor.Tensor, error) {
+func (r *LeakyReLU) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 	r.input = x
 	return r.apply(x), nil
 }
@@ -300,7 +300,7 @@ func (l *Linear) flatShape(x *tensor.Tensor) (n, per int, err error) {
 
 // Forward computes x·W + b. Inputs of higher rank are flattened to
 // (N, In).
-func (l *Linear) Forward(x *tensor.Tensor, _ bool) (*tensor.Tensor, error) {
+func (l *Linear) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 	n, per, err := l.flatShape(x)
 	if err != nil {
 		return nil, err

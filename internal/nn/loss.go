@@ -7,15 +7,6 @@ import (
 	"nbhd/internal/tensor"
 )
 
-// Sigmoid applies the logistic function elementwise into a new tensor.
-func Sigmoid(x *tensor.Tensor) *tensor.Tensor {
-	out := x.Clone()
-	for i, v := range out.Data {
-		out.Data[i] = sigmoid32(v)
-	}
-	return out
-}
-
 // SigmoidInto applies the logistic function elementwise into dst, which
 // must have the same element count as x (its contents are overwritten).
 func SigmoidInto(dst, x *tensor.Tensor) error {
@@ -36,23 +27,11 @@ func sigmoid32(v float32) float32 {
 	return float32(1 / (1 + math.Exp(-float64(v))))
 }
 
-// BCEWithLogits computes the mean binary cross entropy between logits and
-// 0/1 targets with an optional per-element weight (nil means uniform).
-// It returns the scalar loss and the gradient w.r.t. the logits — the
-// numerically stable fused form used for the detector's objectness and
-// class heads.
-func BCEWithLogits(logits, targets, weights *tensor.Tensor) (float64, *tensor.Tensor, error) {
-	grad := tensor.MustNew(logits.Shape...)
-	loss, err := BCEWithLogitsInto(grad, logits, targets, weights)
-	if err != nil {
-		return 0, nil, err
-	}
-	return loss, grad, nil
-}
-
-// BCEWithLogitsInto is BCEWithLogits writing the gradient into gradDst
-// (same shape as logits, contents overwritten) — the zero-allocation
-// form for training loops.
+// BCEWithLogitsInto computes the mean binary cross entropy between
+// logits and 0/1 targets with an optional per-element weight (nil means
+// uniform), and writes its gradient w.r.t. the logits into gradDst (same
+// shape as logits, contents overwritten). It is the numerically stable
+// fused form used for the detector's objectness and class heads.
 func BCEWithLogitsInto(gradDst, logits, targets, weights *tensor.Tensor) (float64, error) {
 	if !logits.SameShape(targets) {
 		return 0, fmt.Errorf("nn: bce shape mismatch %v vs %v", logits.Shape, targets.Shape)
@@ -80,19 +59,9 @@ func BCEWithLogitsInto(gradDst, logits, targets, weights *tensor.Tensor) (float6
 	return loss / n, nil
 }
 
-// MSE computes the mean squared error and its gradient w.r.t. the
-// predictions, with an optional per-element weight (nil means uniform).
-func MSE(pred, target, weights *tensor.Tensor) (float64, *tensor.Tensor, error) {
-	grad := tensor.MustNew(pred.Shape...)
-	loss, err := MSEInto(grad, pred, target, weights)
-	if err != nil {
-		return 0, nil, err
-	}
-	return loss, grad, nil
-}
-
-// MSEInto is MSE writing the gradient into gradDst (same shape as pred,
-// contents overwritten) — the zero-allocation form for training loops.
+// MSEInto computes the mean squared error with an optional per-element
+// weight (nil means uniform), and writes its gradient w.r.t. the
+// predictions into gradDst (same shape as pred, contents overwritten).
 func MSEInto(gradDst, pred, target, weights *tensor.Tensor) (float64, error) {
 	if !pred.SameShape(target) {
 		return 0, fmt.Errorf("nn: mse shape mismatch %v vs %v", pred.Shape, target.Shape)

@@ -1,7 +1,7 @@
 // Package nn is a compact neural-network layer library with hand-written
 // backpropagation: 2-D convolution (batched im2col + one GEMM per batch),
 // max pooling, ReLU-family activations, fully connected layers, binary
-// cross-entropy and mean-squared-error losses, and SGD/Adam optimizers.
+// cross-entropy and mean-squared-error losses, and the Adam optimizer.
 // It is the training substrate for the YOLO-style detector standing in
 // for the paper's YOLOv11-Nano baseline. Every layer's analytic gradient
 // is verified against central differences in the tests.
@@ -50,11 +50,10 @@ func newParam(name string, shape ...int) (*Param, error) {
 // concurrent calls on one layer (as long as nothing mutates the
 // parameters underneath it).
 type Layer interface {
-	// Forward computes the layer output for training. train enables
-	// training-only behavior (dropout masking; other layers ignore it).
-	// The returned tensor comes from the shared scratch pool and is
-	// recycled by Sequential.Backward.
-	Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error)
+	// Forward computes the layer output for training. The returned
+	// tensor comes from the shared scratch pool and is recycled by
+	// Sequential.Backward.
+	Forward(x *tensor.Tensor) (*tensor.Tensor, error)
 	// Backward consumes the gradient w.r.t. the layer's output,
 	// accumulates parameter gradients, releases the layer's forward
 	// caches, and returns the gradient w.r.t. the layer's input.
@@ -97,11 +96,11 @@ func NewSequential(layers ...Layer) *Sequential {
 // intermediate INCLUDING the returned output, so callers must finish
 // consuming the result (e.g. compute the loss gradient) before calling
 // Backward.
-func (s *Sequential) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
+func (s *Sequential) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 	s.acts = s.acts[:0]
 	cur := x
 	for i, l := range s.Layers {
-		y, err := l.Forward(cur, train)
+		y, err := l.Forward(cur)
 		if err != nil {
 			return nil, fmt.Errorf("nn: layer %d forward: %w", i, err)
 		}

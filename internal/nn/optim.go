@@ -14,49 +14,6 @@ type Optimizer interface {
 	Step(params []*Param) error
 }
 
-// SGD is stochastic gradient descent with momentum and weight decay.
-type SGD struct {
-	LR          float64
-	Momentum    float64
-	WeightDecay float64
-
-	velocity map[*Param]*tensor.Tensor
-}
-
-// NewSGD constructs the optimizer.
-func NewSGD(lr, momentum, weightDecay float64) (*SGD, error) {
-	if lr <= 0 {
-		return nil, fmt.Errorf("nn: sgd lr must be positive, got %f", lr)
-	}
-	if momentum < 0 || momentum >= 1 {
-		return nil, fmt.Errorf("nn: sgd momentum %f outside [0,1)", momentum)
-	}
-	if weightDecay < 0 {
-		return nil, fmt.Errorf("nn: sgd weight decay must be non-negative, got %f", weightDecay)
-	}
-	return &SGD{LR: lr, Momentum: momentum, WeightDecay: weightDecay, velocity: make(map[*Param]*tensor.Tensor)}, nil
-}
-
-// Step applies v = m*v - lr*(g + wd*w); w += v.
-func (s *SGD) Step(params []*Param) error {
-	for _, p := range params {
-		v, ok := s.velocity[p]
-		if !ok {
-			v = tensor.MustNew(p.Value.Shape...)
-			s.velocity[p] = v
-		}
-		lr := float32(s.LR)
-		mom := float32(s.Momentum)
-		wd := float32(s.WeightDecay)
-		for i := range p.Value.Data {
-			g := p.Grad.Data[i] + wd*p.Value.Data[i]
-			v.Data[i] = mom*v.Data[i] - lr*g
-			p.Value.Data[i] += v.Data[i]
-		}
-	}
-	return nil
-}
-
 // Adam is the Adam optimizer with bias correction.
 type Adam struct {
 	LR, Beta1, Beta2, Eps float64

@@ -105,20 +105,6 @@ func fill(s []float32, v float32) {
 	}
 }
 
-// BlendRGB mixes the existing pixel with (r,g,b) at alpha in [0,1].
-func (m *Image) BlendRGB(x, y int, r, g, b, alpha float32) {
-	if alpha <= 0 {
-		return
-	}
-	if alpha >= 1 {
-		m.SetRGB(x, y, r, g, b)
-		return
-	}
-	m.Set(x, y, 0, m.At(x, y, 0)*(1-alpha)+r*alpha)
-	m.Set(x, y, 1, m.At(x, y, 1)*(1-alpha)+g*alpha)
-	m.Set(x, y, 2, m.At(x, y, 2)*(1-alpha)+b*alpha)
-}
-
 // Clone deep-copies the image.
 func (m *Image) Clone() *Image {
 	out := &Image{W: m.W, H: m.H, Pix: make([]float32, len(m.Pix))}
@@ -361,38 +347,4 @@ func (m *Image) AddGaussianNoiseSNR(snrDB float64, seed int64) *Image {
 		out.Pix[i] = clampF32(v + sigma*float32(rng.NormFloat64()))
 	}
 	return out
-}
-
-// MeanRGB returns the average color inside a normalized-coordinate box.
-// Degenerate boxes return zeros. The VLM simulator's weak perception and
-// the render tests both use this to probe regions.
-func (m *Image) MeanRGB(x0, y0, x1, y1 float64) (r, g, b float32) {
-	px0, py0 := int(x0*float64(m.W)), int(y0*float64(m.H))
-	px1, py1 := int(x1*float64(m.W)), int(y1*float64(m.H))
-	if px1 > m.W {
-		px1 = m.W
-	}
-	if py1 > m.H {
-		py1 = m.H
-	}
-	if px0 < 0 {
-		px0 = 0
-	}
-	if py0 < 0 {
-		py0 = 0
-	}
-	var sr, sg, sb float64
-	n := 0
-	for y := py0; y < py1; y++ {
-		for x := px0; x < px1; x++ {
-			sr += float64(m.At(x, y, 0))
-			sg += float64(m.At(x, y, 1))
-			sb += float64(m.At(x, y, 2))
-			n++
-		}
-	}
-	if n == 0 {
-		return 0, 0, 0
-	}
-	return float32(sr / float64(n)), float32(sg / float64(n)), float32(sb / float64(n))
 }

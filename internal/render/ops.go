@@ -39,19 +39,6 @@ func (m *Image) Rotate90(k int) *Image {
 	return out
 }
 
-// FlipHorizontal mirrors the image left-right.
-func (m *Image) FlipHorizontal() *Image {
-	out := MustNewImage(m.W, m.H)
-	for y := 0; y < m.H; y++ {
-		for x := 0; x < m.W; x++ {
-			for c := 0; c < Channels; c++ {
-				out.Set(m.W-1-x, y, c, m.At(x, y, c))
-			}
-		}
-	}
-	return out
-}
-
 // Crop extracts the normalized-coordinate region and returns it as a new
 // image at the region's pixel size. The region must be valid and
 // non-degenerate in pixels.
@@ -100,10 +87,4 @@ func RotateRect(r scene.Rect, k int) scene.Rect {
 	default:
 		return r
 	}
-}
-
-// FlipRectHorizontal mirrors a normalized bbox left-right, matching
-// FlipHorizontal.
-func FlipRectHorizontal(r scene.Rect) scene.Rect {
-	return scene.Rect{X0: 1 - r.X1, Y0: r.Y0, X1: 1 - r.X0, Y1: r.Y1}
 }

@@ -67,23 +67,6 @@ func TestRowAliasesPlanes(t *testing.T) {
 	}
 }
 
-func TestBlendRGB(t *testing.T) {
-	img := MustNewImage(2, 2)
-	img.SetRGB(0, 0, 1, 0, 0)
-	img.BlendRGB(0, 0, 0, 1, 0, 0.5)
-	if r, g := img.At(0, 0, 0), img.At(0, 0, 1); math.Abs(float64(r)-0.5) > 1e-6 || math.Abs(float64(g)-0.5) > 1e-6 {
-		t.Errorf("blend = (%f,%f), want (0.5,0.5)", r, g)
-	}
-	img.BlendRGB(0, 0, 1, 1, 1, 0) // alpha 0: no-op
-	if r := img.At(0, 0, 0); math.Abs(float64(r)-0.5) > 1e-6 {
-		t.Errorf("alpha-0 blend changed pixel to %f", r)
-	}
-	img.BlendRGB(0, 0, 0.25, 0.25, 0.25, 1) // alpha 1: overwrite
-	if r := img.At(0, 0, 0); r != 0.25 {
-		t.Errorf("alpha-1 blend = %f", r)
-	}
-}
-
 func TestPNGRoundTrip(t *testing.T) {
 	img := MustNewImage(8, 6)
 	img.SetRGB(3, 2, 0.2, 0.4, 0.6)
@@ -193,32 +176,6 @@ func TestSignalPower(t *testing.T) {
 	}
 }
 
-func TestMeanRGB(t *testing.T) {
-	img := MustNewImage(10, 10)
-	// Top half red, bottom half blue.
-	for y := 0; y < 10; y++ {
-		for x := 0; x < 10; x++ {
-			if y < 5 {
-				img.SetRGB(x, y, 1, 0, 0)
-			} else {
-				img.SetRGB(x, y, 0, 0, 1)
-			}
-		}
-	}
-	r, _, b := img.MeanRGB(0, 0, 1, 0.5)
-	if r < 0.99 || b > 0.01 {
-		t.Errorf("top half mean = r%f b%f", r, b)
-	}
-	r, _, b = img.MeanRGB(0, 0.5, 1, 1)
-	if b < 0.99 || r > 0.01 {
-		t.Errorf("bottom half mean = r%f b%f", r, b)
-	}
-	// Degenerate box.
-	if r, g, b := img.MeanRGB(0.5, 0.5, 0.5, 0.5); r != 0 || g != 0 || b != 0 {
-		t.Error("degenerate box should return zeros")
-	}
-}
-
 func testScene(t *testing.T, u float64) *scene.Scene {
 	t.Helper()
 	g := scene.NewGenerator(nil)
@@ -236,6 +193,27 @@ func testScene(t *testing.T, u float64) *scene.Scene {
 	return s
 }
 
+// meanRGB is the average color inside a normalized-coordinate box, the
+// probe the render tests use to check what a region looks like.
+func meanRGB(m *Image, x0, y0, x1, y1 float64) (r, g, b float32) {
+	px0, py0 := max(int(x0*float64(m.W)), 0), max(int(y0*float64(m.H)), 0)
+	px1, py1 := min(int(x1*float64(m.W)), m.W), min(int(y1*float64(m.H)), m.H)
+	var sr, sg, sb float64
+	n := 0
+	for y := py0; y < py1; y++ {
+		for x := px0; x < px1; x++ {
+			sr += float64(m.At(x, y, 0))
+			sg += float64(m.At(x, y, 1))
+			sb += float64(m.At(x, y, 2))
+			n++
+		}
+	}
+	if n == 0 {
+		return 0, 0, 0
+	}
+	return float32(sr / float64(n)), float32(sg / float64(n)), float32(sb / float64(n))
+}
+
 func TestRenderBasics(t *testing.T) {
 	s := testScene(t, 0.8)
 	img, err := Render(s, Config{Width: 96, Height: 96})
@@ -246,7 +224,7 @@ func TestRenderBasics(t *testing.T) {
 		t.Fatalf("render dims %dx%d", img.W, img.H)
 	}
 	// Sky region should be brighter than the road region.
-	_, _, skyB := img.MeanRGB(0.3, 0.0, 0.7, 0.2)
+	_, _, skyB := meanRGB(img, 0.3, 0.0, 0.7, 0.2)
 	if skyB < 0.3 {
 		t.Errorf("sky too dark: blue=%f", skyB)
 	}
@@ -306,7 +284,7 @@ func TestRenderRoadDarkensGround(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Render: %v", err)
 	}
-	r, g, b := img.MeanRGB(0.45, 0.85, 0.55, 0.98)
+	r, g, b := meanRGB(img, 0.45, 0.85, 0.55, 0.98)
 	if g > r+0.15 {
 		t.Errorf("road region looks like grass: r=%f g=%f b=%f", r, g, b)
 	}
@@ -397,18 +375,6 @@ func TestRotate90(t *testing.T) {
 	}
 }
 
-func TestFlipHorizontal(t *testing.T) {
-	img := MustNewImage(3, 1)
-	img.SetRGB(0, 0, 1, 0, 0)
-	f := img.FlipHorizontal()
-	if f.At(2, 0, 0) != 1 || f.At(0, 0, 0) != 0 {
-		t.Error("flip misplaced marker")
-	}
-	if ff := f.FlipHorizontal(); ff.At(0, 0, 0) != 1 {
-		t.Error("double flip did not restore")
-	}
-}
-
 func TestCrop(t *testing.T) {
 	img := MustNewImage(10, 10)
 	img.SetRGB(5, 5, 1, 1, 1)
@@ -444,17 +410,6 @@ func TestRotateRect(t *testing.T) {
 	}
 	if !r1.Valid() {
 		t.Errorf("rotated rect invalid: %+v", r1)
-	}
-}
-
-func TestFlipRectHorizontal(t *testing.T) {
-	r := scene.Rect{X0: 0.1, Y0: 0.2, X1: 0.3, Y1: 0.6}
-	f := FlipRectHorizontal(r)
-	if math.Abs(f.X0-0.7) > 1e-12 || math.Abs(f.X1-0.9) > 1e-12 || f.Y0 != r.Y0 {
-		t.Errorf("flipped rect = %+v", f)
-	}
-	if ff := FlipRectHorizontal(f); math.Abs(ff.X0-r.X0) > 1e-12 {
-		t.Error("double flip did not restore rect")
 	}
 }
 

@@ -1,6 +1,5 @@
 // Package report renders evaluation results as terminal-friendly
-// artifacts: ASCII bar charts for the paper's figure-style comparisons,
-// line charts for sweeps, and CSV export for downstream plotting.
+// artifacts: ASCII bar charts for the paper's figure-style comparisons.
 package report
 
 import (
@@ -90,93 +89,6 @@ func GroupedBarChart(title string, labels []string, seriesNames []string, series
 			}
 			bar := strings.Repeat("█", int(v*float64(maxWidth)+0.5))
 			fmt.Fprintf(&b, "%s %-*s │%-*s %6.1f%%\n", prefix, nameWidth, name, maxWidth, bar, v*100)
-		}
-	}
-	return b.String(), nil
-}
-
-// LineChart renders an x/y sweep (like Fig. 3's SNR curve) on a
-// character grid of the given size. Y values must be in [0,1].
-func LineChart(title string, xs, ys []float64, width, height int) (string, error) {
-	if len(xs) != len(ys) {
-		return "", fmt.Errorf("report: %d xs vs %d ys", len(xs), len(ys))
-	}
-	if len(xs) < 2 {
-		return "", fmt.Errorf("report: line chart needs >= 2 points")
-	}
-	if width < 8 || height < 3 {
-		return "", fmt.Errorf("report: grid %dx%d too small", width, height)
-	}
-	xMin, xMax := xs[0], xs[0]
-	for _, x := range xs {
-		if x < xMin {
-			xMin = x
-		}
-		if x > xMax {
-			xMax = x
-		}
-	}
-	if xMax == xMin {
-		return "", fmt.Errorf("report: degenerate x range")
-	}
-	grid := make([][]byte, height)
-	for r := range grid {
-		grid[r] = []byte(strings.Repeat(" ", width))
-	}
-	for i := range xs {
-		if ys[i] < 0 || ys[i] > 1 {
-			return "", fmt.Errorf("report: y value %f outside [0,1]", ys[i])
-		}
-		col := int((xs[i] - xMin) / (xMax - xMin) * float64(width-1))
-		row := height - 1 - int(ys[i]*float64(height-1)+0.5)
-		grid[row][col] = '*'
-	}
-	var b strings.Builder
-	if title != "" {
-		b.WriteString(title)
-		b.WriteByte('\n')
-	}
-	for r, line := range grid {
-		yTick := 1 - float64(r)/float64(height-1)
-		fmt.Fprintf(&b, "%5.2f │%s\n", yTick, string(line))
-	}
-	fmt.Fprintf(&b, "      └%s\n", strings.Repeat("─", width))
-	fmt.Fprintf(&b, "       %-8.4g%*.4g\n", xMin, width-8, xMax)
-	return b.String(), nil
-}
-
-// CSV renders a header plus rows as RFC-4180-ish CSV (quoting fields that
-// contain commas or quotes).
-func CSV(header []string, rows [][]string) (string, error) {
-	if len(header) == 0 {
-		return "", fmt.Errorf("report: CSV needs a header")
-	}
-	var b strings.Builder
-	writeRow := func(fields []string) error {
-		if len(fields) != len(header) {
-			return fmt.Errorf("report: row has %d fields, header has %d", len(fields), len(header))
-		}
-		for i, f := range fields {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			if strings.ContainsAny(f, ",\"\n") {
-				b.WriteByte('"')
-				b.WriteString(strings.ReplaceAll(f, `"`, `""`))
-				b.WriteByte('"')
-			} else {
-				b.WriteString(f)
-			}
-		}
-		b.WriteByte('\n')
-		return nil
-	}
-	if err := writeRow(header); err != nil {
-		return "", err
-	}
-	for _, row := range rows {
-		if err := writeRow(row); err != nil {
-			return "", err
 		}
 	}
 	return b.String(), nil

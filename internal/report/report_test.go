@@ -73,81 +73,3 @@ func TestGroupedBarChartValidation(t *testing.T) {
 		t.Error("empty chart accepted")
 	}
 }
-
-func TestLineChart(t *testing.T) {
-	xs := []float64{5, 10, 15, 20, 25, 30}
-	ys := []float64{0.2, 0.4, 0.6, 0.8, 0.9, 0.95}
-	out, err := LineChart("Fig. 3", xs, ys, 30, 8)
-	if err != nil {
-		t.Fatalf("LineChart: %v", err)
-	}
-	if strings.Count(out, "*") != len(xs) {
-		t.Errorf("points plotted = %d, want %d:\n%s", strings.Count(out, "*"), len(xs), out)
-	}
-	if !strings.Contains(out, "Fig. 3") {
-		t.Error("missing title")
-	}
-	// Monotone series: the first point (lowest y) sits on a lower row
-	// than the last point.
-	lines := strings.Split(out, "\n")
-	firstRow, lastRow := -1, -1
-	for r, line := range lines {
-		if i := strings.IndexByte(line, '*'); i >= 0 {
-			if firstRow == -1 {
-				firstRow = r
-			}
-			lastRow = r
-		}
-	}
-	if firstRow >= lastRow {
-		t.Errorf("monotone series not rendered with vertical spread (rows %d..%d)", firstRow, lastRow)
-	}
-}
-
-func TestLineChartValidation(t *testing.T) {
-	if _, err := LineChart("", []float64{1}, []float64{0.5}, 30, 8); err == nil {
-		t.Error("single point accepted")
-	}
-	if _, err := LineChart("", []float64{1, 1}, []float64{0.5, 0.6}, 30, 8); err == nil {
-		t.Error("degenerate x range accepted")
-	}
-	if _, err := LineChart("", []float64{1, 2}, []float64{0.5, 1.6}, 30, 8); err == nil {
-		t.Error("out-of-range y accepted")
-	}
-	if _, err := LineChart("", []float64{1, 2}, []float64{0.5, 0.6}, 4, 2); err == nil {
-		t.Error("tiny grid accepted")
-	}
-}
-
-func TestCSV(t *testing.T) {
-	out, err := CSV([]string{"model", "accuracy"}, [][]string{
-		{"gemini", "0.88"},
-		{`with "quote"`, "0.5"},
-		{"with,comma", "0.6"},
-	})
-	if err != nil {
-		t.Fatalf("CSV: %v", err)
-	}
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("lines = %d", len(lines))
-	}
-	if lines[0] != "model,accuracy" {
-		t.Errorf("header = %q", lines[0])
-	}
-	if lines[2] != `"with ""quote""",0.5` {
-		t.Errorf("quoted row = %q", lines[2])
-	}
-	if lines[3] != `"with,comma",0.6` {
-		t.Errorf("comma row = %q", lines[3])
-	}
-}
-
-func TestCSVValidation(t *testing.T) {
-	if _, err := CSV(nil, nil); err == nil {
-		t.Error("empty header accepted")
-	}
-	if _, err := CSV([]string{"a", "b"}, [][]string{{"x"}}); err == nil {
-		t.Error("ragged row accepted")
-	}
-}

@@ -40,7 +40,8 @@ func TestMetricszReportsQuantizedCompute(t *testing.T) {
 	// Drive one int8 GEMM so the process-wide counter provably covers
 	// kernel activity from this test, not just earlier packages.
 	before := tensor.Stats().QuantizedGEMMCalls
-	a, b := tensor.NewQ(2, 3), tensor.NewQ(3, 2)
+	a := &tensor.QTensor{Shape: []int{2, 3}, Data: make([]int8, 6), Scale: 1}
+	b := &tensor.QTensor{Shape: []int{3, 2}, Data: make([]int8, 6), Scale: 1}
 	dst, err := tensor.New(2, 2)
 	if err != nil {
 		t.Fatalf("tensor.New: %v", err)

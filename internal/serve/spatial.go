@@ -3,10 +3,11 @@ package serve
 // Spatial endpoints: GET /v1/nearest answers "which corpus coordinates
 // are closest to here" from the gateway's spatial index, and POST
 // /v1/neighborhood classifies every coordinate within a radius and
-// fuses each coordinate's four headings — the serving-time counterpart
-// of the core evaluator's NeighborhoodAt. Both require a dataset
-// (Options.Frames); index queries are exact, bit-identical to a linear
-// scan with geo.Coordinate.DistanceFeet (see internal/geoindex).
+// fuses each coordinate's four headings with any-vote fusion, as the
+// core evaluator's AnalyzeNeighborhood does over the whole corpus. Both
+// require a dataset (Options.Frames); index queries are exact,
+// bit-identical to a linear scan with geo.Coordinate.DistanceFeet (see
+// internal/geoindex).
 //
 // /v1/neighborhood rides the classify path's shell: the whole request
 // takes one admission slot, its frames flow through the same coalescer

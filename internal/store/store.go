@@ -291,21 +291,6 @@ func (s *Store) Len() int {
 	return len(s.index)
 }
 
-// Has reports whether the key is stored.
-func (s *Store) Has(k Key) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	_, ok := s.index[k]
-	return ok
-}
-
-// Keys returns every stored key in insertion order.
-func (s *Store) Keys() []Key {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return append([]Key(nil), s.order...)
-}
-
 // Get returns the stored frame for the key, or ok=false when absent.
 // The payload is CRC-verified before decoding; the returned image is a
 // fresh copy, valid past Close.

@@ -256,7 +256,6 @@ func TestConcurrentReadersAndWriter(t *testing.T) {
 					return
 				}
 				s.Len()
-				s.Has(testKey(i))
 			}
 		}()
 	}
@@ -299,32 +298,6 @@ func TestFrameKeyIsContentAddressed(t *testing.T) {
 	for i, v := range variants {
 		if v == base {
 			t.Fatalf("variant %d (coordinate/heading/resolution/seed change) did not change the key", i)
-		}
-	}
-}
-
-func TestKeysInsertionOrder(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	var want []Key
-	for i := 0; i < 6; i++ {
-		k := testKey(i)
-		want = append(want, k)
-		if err := s.Put(k, testImage(t, 8, int64(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := s.Keys()
-	if len(got) != len(want) {
-		t.Fatalf("Keys len = %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Keys[%d] = %s, want %s", i, got[i], want[i])
 		}
 	}
 }

@@ -29,8 +29,8 @@ func BenchmarkGEMMSizes(b *testing.B) {
 			}
 			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 		})
-		qa := NewQ(n, n)
-		qb := NewQ(n, n)
+		qa := &QTensor{Shape: []int{n, n}, Data: make([]int8, n*n), Scale: 1}
+		qb := &QTensor{Shape: []int{n, n}, Data: make([]int8, n*n), Scale: 1}
 		for i := range qa.Data {
 			qa.Data[i] = int8(i%255 - 127)
 			qb.Data[i] = int8((i*7)%255 - 127)

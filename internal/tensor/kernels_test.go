@@ -146,11 +146,12 @@ func TestMatMulBitIdenticalToReference(t *testing.T) {
 		b := MustNew(s.k, s.n)
 		fillMixed(a, rng)
 		fillMixed(b, rng)
-		got, err := MatMul(a, b)
-		if err != nil {
-			t.Fatalf("MatMul %v: %v", s, err)
+		want := refMatMul(a, b)
+		got := MustNew(s.m, s.n)
+		if err := MatMulInto(got, a, b); err != nil {
+			t.Fatalf("MatMulInto %v: %v", s, err)
 		}
-		assertBitIdentical(t, "MatMul", got, refMatMul(a, b))
+		assertBitIdentical(t, "MatMulInto", got, want)
 		// The Into form on a dirty destination must agree too.
 		dst := MustNew(s.m, s.n)
 		dst.Fill(42)
@@ -168,11 +169,12 @@ func TestMatMulTransABitIdenticalToReference(t *testing.T) {
 		b := MustNew(s.k, s.n)
 		fillMixed(a, rng)
 		fillMixed(b, rng)
-		got, err := MatMulTransA(a, b)
-		if err != nil {
-			t.Fatalf("MatMulTransA %v: %v", s, err)
+		want := refMatMulTransA(a, b)
+		got := MustNew(s.m, s.n)
+		if err := MatMulTransAInto(got, a, b); err != nil {
+			t.Fatalf("MatMulTransAInto %v: %v", s, err)
 		}
-		assertBitIdentical(t, "MatMulTransA", got, refMatMulTransA(a, b))
+		assertBitIdentical(t, "MatMulTransAInto", got, want)
 		dst := MustNew(s.m, s.n)
 		dst.Fill(-7)
 		if err := MatMulTransAInto(dst, a, b); err != nil {
@@ -189,11 +191,12 @@ func TestMatMulTransBBitIdenticalToReference(t *testing.T) {
 		b := MustNew(s.n, s.k)
 		fillMixed(a, rng)
 		fillMixed(b, rng)
-		got, err := MatMulTransB(a, b)
-		if err != nil {
-			t.Fatalf("MatMulTransB %v: %v", s, err)
+		want := refMatMulTransB(a, b)
+		got := MustNew(s.m, s.n)
+		if err := MatMulTransBInto(got, a, b); err != nil {
+			t.Fatalf("MatMulTransBInto %v: %v", s, err)
 		}
-		assertBitIdentical(t, "MatMulTransB", got, refMatMulTransB(a, b))
+		assertBitIdentical(t, "MatMulTransBInto", got, want)
 		dst := MustNew(s.m, s.n)
 		dst.Fill(3)
 		if err := MatMulTransBInto(dst, a, b); err != nil {
@@ -263,8 +266,8 @@ func TestZeroSkipRemovalBitIdentical(t *testing.T) {
 	for j := 0; j < 21; j++ {
 		b.Data[7*21+j] = 0 // zero row of B
 	}
-	got, err := MatMul(a, b)
-	if err != nil {
+	got := MustNew(16, 21)
+	if err := MatMulInto(got, a, b); err != nil {
 		t.Fatal(err)
 	}
 	assertBitIdentical(t, "MatMul with zeros", got, refMatMul(a, b))

@@ -59,19 +59,6 @@ func parallelRows(m, flops int, kernel func(r0, r1 int)) {
 	wg.Wait()
 }
 
-// MatMul computes C = A·B for 2-D tensors A (m×k) and B (k×n), returning
-// a new m×n tensor.
-func MatMul(a, b *Tensor) (*Tensor, error) {
-	if len(a.Shape) != 2 || len(b.Shape) != 2 {
-		return nil, fmt.Errorf("tensor: MatMul needs 2-D operands, got %v × %v", a.Shape, b.Shape)
-	}
-	c := MustNew(a.Shape[0], b.Shape[1])
-	if err := MatMulInto(c, a, b); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
 // MatMulInto computes C = A·B into dst, which must be m×n and must not
 // overlap A or B. The inner loops stream rows of B with four output rows
 // blocked in registers, and rows of the output are distributed across
@@ -134,20 +121,6 @@ func MatMulInto(dst, a, b *Tensor) error {
 	return nil
 }
 
-// MatMulTransA computes C = Aᵀ·B where A is (k×m) and B is (k×n): the
-// backward-pass shape for computing weight gradients without
-// materializing transposes.
-func MatMulTransA(a, b *Tensor) (*Tensor, error) {
-	if len(a.Shape) != 2 || len(b.Shape) != 2 {
-		return nil, fmt.Errorf("tensor: MatMulTransA needs 2-D operands, got %v × %v", a.Shape, b.Shape)
-	}
-	c := MustNew(a.Shape[1], b.Shape[1])
-	if err := MatMulTransAInto(c, a, b); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
 // MatMulTransAInto computes C = Aᵀ·B into dst, which must be m×n and must
 // not overlap A or B. The shared dimension stays the outer loop (as in
 // the reference kernel) so B rows stream sequentially; output rows are
@@ -201,19 +174,6 @@ func MatMulTransAInto(dst, a, b *Tensor) error {
 		}
 	})
 	return nil
-}
-
-// MatMulTransB computes C = A·Bᵀ where A is (m×k) and B is (n×k): the
-// backward-pass shape for propagating gradients to a layer's input.
-func MatMulTransB(a, b *Tensor) (*Tensor, error) {
-	if len(a.Shape) != 2 || len(b.Shape) != 2 {
-		return nil, fmt.Errorf("tensor: MatMulTransB needs 2-D operands, got %v × %v", a.Shape, b.Shape)
-	}
-	c := MustNew(a.Shape[0], b.Shape[0])
-	if err := MatMulTransBInto(c, a, b); err != nil {
-		return nil, err
-	}
-	return c, nil
 }
 
 // MatMulTransBInto computes C = A·Bᵀ into dst, which must be m×n and must

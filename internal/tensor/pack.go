@@ -67,13 +67,6 @@ func gemmBlockSizes() gemmBlocks {
 	return chosenBlock
 }
 
-// GEMMBlocks reports the cache-blocking sizes the packed kernels are
-// using (probing on first call): the mc x kc A panel, kc x nc B panel.
-func GEMMBlocks() (mc, kc, nc int) {
-	b := gemmBlockSizes()
-	return b.mc, b.kc, b.nc
-}
-
 // probeBlocks times one mid-sized packed multiply per candidate.
 func probeBlocks() gemmBlocks {
 	const probeDim = 160

@@ -118,7 +118,6 @@ func (p *SlicePool[T]) Put(s []T) {
 var (
 	scratchI8  SlicePool[int8]
 	scratchI16 SlicePool[int16]
-	scratchI32 SlicePool[int32]
 )
 
 // GetScratchI8 returns pooled int8 scratch of length n (undefined contents).
@@ -132,9 +131,3 @@ func GetScratchI16(n int) []int16 { return scratchI16.Get(n) }
 
 // PutScratchI16 recycles int16 scratch obtained from GetScratchI16.
 func PutScratchI16(s []int16) { scratchI16.Put(s) }
-
-// GetScratchI32 returns pooled int32 scratch of length n (undefined contents).
-func GetScratchI32(n int) []int32 { return scratchI32.Get(n) }
-
-// PutScratchI32 recycles int32 scratch obtained from GetScratchI32.
-func PutScratchI32(s []int32) { scratchI32.Put(s) }

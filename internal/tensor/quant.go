@@ -22,18 +22,6 @@ type QTensor struct {
 	Scale float32
 }
 
-// NewQ allocates a zero QTensor with the given shape and scale 1.
-func NewQ(dims ...int) *QTensor {
-	n := 1
-	for _, d := range dims {
-		if d <= 0 {
-			panic("tensor: NewQ needs positive dims")
-		}
-		n *= d
-	}
-	return &QTensor{Shape: append([]int(nil), dims...), Data: make([]int8, n), Scale: 1}
-}
-
 // ScaleFor returns the symmetric quantization scale for xs: maxAbs/QMax,
 // or 1 when every element is zero (any scale represents all-zeros
 // exactly; 1 keeps dequantization well-defined).
@@ -100,17 +88,6 @@ func quantizeSlice(dst []int8, src []float32, scale float32) {
 		}
 		dst[i] = int8(q)
 	}
-}
-
-// DequantizeInto expands src back to float32: dst[i] = Scale * q[i].
-func DequantizeInto(dst *Tensor, src *QTensor) error {
-	if len(dst.Data) != len(src.Data) {
-		return fmt.Errorf("tensor: DequantizeInto size %d, want %d", len(dst.Data), len(src.Data))
-	}
-	for i, q := range src.Data {
-		dst.Data[i] = src.Scale * float32(q)
-	}
-	return nil
 }
 
 // QMatMulInto computes dst = (a.Scale*b.Scale) * (qa · qb) for int8

@@ -29,8 +29,8 @@ func refQMatMul(a, b *QTensor) *Tensor {
 	return c
 }
 
-func randQ(rng *rand.Rand, dims ...int) *QTensor {
-	q := NewQ(dims...)
+func randQ(rng *rand.Rand, m, n int) *QTensor {
+	q := &QTensor{Shape: []int{m, n}, Data: make([]int8, m*n)}
 	for i := range q.Data {
 		q.Data[i] = int8(rng.Intn(255) - 127)
 	}
@@ -44,19 +44,16 @@ func TestQuantizeRoundTrip(t *testing.T) {
 	for i := range src.Data {
 		src.Data[i] = float32(rng.NormFloat64()) * 3
 	}
-	q := NewQ(37, 19)
+	q := &QTensor{Data: make([]int8, 37*19)}
 	if err := QuantizeInto(q, src); err != nil {
-		t.Fatal(err)
-	}
-	back := MustNew(37, 19)
-	if err := DequantizeInto(back, q); err != nil {
 		t.Fatal(err)
 	}
 	// Symmetric round-to-nearest: per-element error is at most scale/2.
 	tol := q.Scale/2 + 1e-7
 	for i := range src.Data {
-		if diff := float64(src.Data[i] - back.Data[i]); math.Abs(diff) > float64(tol) {
-			t.Fatalf("element %d: %g -> %g, err %g > %g", i, src.Data[i], back.Data[i], diff, tol)
+		back := q.Scale * float32(q.Data[i])
+		if diff := float64(src.Data[i] - back); math.Abs(diff) > float64(tol) {
+			t.Fatalf("element %d: %g -> %g, err %g > %g", i, src.Data[i], back, diff, tol)
 		}
 	}
 }
@@ -80,7 +77,7 @@ func TestQuantizeExactValues(t *testing.T) {
 
 	// All-zero input: scale defaults to 1, everything quantizes to 0.
 	zero := MustNew(3)
-	qz := NewQ(3)
+	qz := &QTensor{Data: make([]int8, 3)}
 	if err := QuantizeInto(qz, zero); err != nil {
 		t.Fatal(err)
 	}
@@ -119,13 +116,13 @@ func TestQMatMulMatchesReference(t *testing.T) {
 }
 
 func TestQMatMulShapeErrors(t *testing.T) {
-	a := NewQ(2, 3)
-	b := NewQ(4, 2) // inner mismatch
+	a := &QTensor{Shape: []int{2, 3}, Data: make([]int8, 6), Scale: 1}
+	b := &QTensor{Shape: []int{4, 2}, Data: make([]int8, 8), Scale: 1} // inner mismatch
 	dst := MustNew(2, 2)
 	if err := QMatMulInto(dst, a, b); err == nil {
 		t.Fatal("inner-dim mismatch not rejected")
 	}
-	b = NewQ(3, 5)
+	b = &QTensor{Shape: []int{3, 5}, Data: make([]int8, 15), Scale: 1}
 	if err := QMatMulInto(dst, a, b); err == nil {
 		t.Fatal("dst shape mismatch not rejected")
 	}

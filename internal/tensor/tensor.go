@@ -112,19 +112,6 @@ func (t *Tensor) Clone() *Tensor {
 	return out
 }
 
-// Reshape returns a view-copy with a new shape of equal element count.
-func (t *Tensor) Reshape(shape ...int) (*Tensor, error) {
-	out, err := New(shape...)
-	if err != nil {
-		return nil, err
-	}
-	if len(out.Data) != len(t.Data) {
-		return nil, fmt.Errorf("tensor: cannot reshape %v (%d elems) to %v (%d elems)", t.Shape, len(t.Data), shape, len(out.Data))
-	}
-	copy(out.Data, t.Data)
-	return out, nil
-}
-
 // Zero sets all elements to 0.
 func (t *Tensor) Zero() {
 	for i := range t.Data {
@@ -155,18 +142,6 @@ func (t *Tensor) Scale(alpha float32) {
 	for i := range t.Data {
 		t.Data[i] *= alpha
 	}
-}
-
-// Dot returns the flat inner product of two same-shaped tensors.
-func (t *Tensor) Dot(o *Tensor) (float64, error) {
-	if !t.SameShape(o) {
-		return 0, fmt.Errorf("tensor: Dot shape mismatch %v vs %v", t.Shape, o.Shape)
-	}
-	var sum float64
-	for i := range t.Data {
-		sum += float64(t.Data[i]) * float64(o.Data[i])
-	}
-	return sum, nil
 }
 
 // L2Norm returns the Euclidean norm of the flattened tensor.

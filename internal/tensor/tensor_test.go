@@ -89,23 +89,6 @@ func TestCloneIndependent(t *testing.T) {
 	}
 }
 
-func TestReshape(t *testing.T) {
-	a, err := FromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
-	if err != nil {
-		t.Fatalf("FromSlice: %v", err)
-	}
-	b, err := a.Reshape(3, 2)
-	if err != nil {
-		t.Fatalf("Reshape: %v", err)
-	}
-	if b.At(2, 1) != 6 {
-		t.Errorf("reshaped At(2,1) = %f", b.At(2, 1))
-	}
-	if _, err := a.Reshape(4, 2); err == nil {
-		t.Error("size-changing reshape accepted")
-	}
-}
-
 func TestZeroFillScale(t *testing.T) {
 	a := MustNew(3)
 	a.Fill(2)
@@ -136,22 +119,10 @@ func TestAddScaled(t *testing.T) {
 	}
 }
 
-func TestDotAndNorm(t *testing.T) {
+func TestL2Norm(t *testing.T) {
 	a, _ := FromSlice([]float32{3, 4}, 2)
-	b, _ := FromSlice([]float32{1, 2}, 2)
-	d, err := a.Dot(b)
-	if err != nil {
-		t.Fatalf("Dot: %v", err)
-	}
-	if math.Abs(d-11) > 1e-9 {
-		t.Errorf("Dot = %f", d)
-	}
 	if n := a.L2Norm(); math.Abs(n-5) > 1e-6 {
 		t.Errorf("L2Norm = %f", n)
-	}
-	c := MustNew(3)
-	if _, err := a.Dot(c); err == nil {
-		t.Error("shape mismatch accepted")
 	}
 }
 
@@ -194,9 +165,9 @@ func TestUniformInit(t *testing.T) {
 func TestMatMulSmall(t *testing.T) {
 	a, _ := FromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
 	b, _ := FromSlice([]float32{7, 8, 9, 10, 11, 12}, 3, 2)
-	c, err := MatMul(a, b)
-	if err != nil {
-		t.Fatalf("MatMul: %v", err)
+	c := MustNew(2, 2)
+	if err := MatMulInto(c, a, b); err != nil {
+		t.Fatalf("MatMulInto: %v", err)
 	}
 	want := [][]float32{{58, 64}, {139, 154}}
 	for i := 0; i < 2; i++ {
@@ -211,11 +182,12 @@ func TestMatMulSmall(t *testing.T) {
 func TestMatMulValidation(t *testing.T) {
 	a := MustNew(2, 3)
 	b := MustNew(4, 2)
-	if _, err := MatMul(a, b); err == nil {
+	dst := MustNew(2, 2)
+	if err := MatMulInto(dst, a, b); err == nil {
 		t.Error("inner-dim mismatch accepted")
 	}
 	c := MustNew(6)
-	if _, err := MatMul(a, c); err == nil {
+	if err := MatMulInto(dst, a, c); err == nil {
 		t.Error("1-D operand accepted")
 	}
 }
@@ -229,9 +201,9 @@ func TestMatMulIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := MustNew(n, n)
 	a.UniformInit(1, rng)
-	c, err := MatMul(a, id)
-	if err != nil {
-		t.Fatalf("MatMul: %v", err)
+	c := MustNew(n, n)
+	if err := MatMulInto(c, a, id); err != nil {
+		t.Fatalf("MatMulInto: %v", err)
 	}
 	for i := range a.Data {
 		if math.Abs(float64(c.Data[i]-a.Data[i])) > 1e-6 {
@@ -249,9 +221,9 @@ func TestMatMulParallelMatchesSerial(t *testing.T) {
 	a.UniformInit(1, rng)
 	b := MustNew(k, n)
 	b.UniformInit(1, rng)
-	c, err := MatMul(a, b)
-	if err != nil {
-		t.Fatalf("MatMul: %v", err)
+	c := MustNew(m, n)
+	if err := MatMulInto(c, a, b); err != nil {
+		t.Fatalf("MatMulInto: %v", err)
 	}
 	for trial := 0; trial < 20; trial++ {
 		i, j := rng.Intn(m), rng.Intn(n)
@@ -269,9 +241,9 @@ func TestMatMulTransA(t *testing.T) {
 	// A is k×m; result should equal Aᵀ·B.
 	a, _ := FromSlice([]float32{1, 2, 3, 4}, 2, 2) // [[1,2],[3,4]]
 	b, _ := FromSlice([]float32{5, 6, 7, 8}, 2, 2) // [[5,6],[7,8]]
-	c, err := MatMulTransA(a, b)
-	if err != nil {
-		t.Fatalf("MatMulTransA: %v", err)
+	c := MustNew(2, 2)
+	if err := MatMulTransAInto(c, a, b); err != nil {
+		t.Fatalf("MatMulTransAInto: %v", err)
 	}
 	// Aᵀ = [[1,3],[2,4]]; Aᵀ·B = [[26,30],[38,44]].
 	want := [][]float32{{26, 30}, {38, 44}}
@@ -283,7 +255,7 @@ func TestMatMulTransA(t *testing.T) {
 		}
 	}
 	bad := MustNew(3, 2)
-	if _, err := MatMulTransA(a, bad); err == nil {
+	if err := MatMulTransAInto(c, a, bad); err == nil {
 		t.Error("outer-dim mismatch accepted")
 	}
 }
@@ -291,9 +263,9 @@ func TestMatMulTransA(t *testing.T) {
 func TestMatMulTransB(t *testing.T) {
 	a, _ := FromSlice([]float32{1, 2, 3, 4}, 2, 2)
 	b, _ := FromSlice([]float32{5, 6, 7, 8}, 2, 2)
-	c, err := MatMulTransB(a, b)
-	if err != nil {
-		t.Fatalf("MatMulTransB: %v", err)
+	c := MustNew(2, 2)
+	if err := MatMulTransBInto(c, a, b); err != nil {
+		t.Fatalf("MatMulTransBInto: %v", err)
 	}
 	// Bᵀ = [[5,7],[6,8]]; A·Bᵀ = [[17,23],[39,53]].
 	want := [][]float32{{17, 23}, {39, 53}}
@@ -305,13 +277,13 @@ func TestMatMulTransB(t *testing.T) {
 		}
 	}
 	bad := MustNew(2, 3)
-	if _, err := MatMulTransB(a, bad); err == nil {
+	if err := MatMulTransBInto(c, a, bad); err == nil {
 		t.Error("inner-dim mismatch accepted")
 	}
 }
 
-// Property: (A·B)ᵀ computed via MatMulTransA/B identities agrees with
-// direct MatMul on random matrices.
+// Property: A·B computed via MatMulTransAInto on a transposed copy of A
+// agrees with direct MatMulInto on random matrices.
 func TestMatMulTransposeIdentityProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -320,19 +292,19 @@ func TestMatMulTransposeIdentityProperty(t *testing.T) {
 		a.UniformInit(1, rng)
 		b := MustNew(k, n)
 		b.UniformInit(1, rng)
-		direct, err := MatMul(a, b)
-		if err != nil {
+		direct := MustNew(m, n)
+		if err := MatMulInto(direct, a, b); err != nil {
 			return false
 		}
-		// MatMulTransA(Aᵀ-stored, B) == A·B when we store A transposed.
+		// MatMulTransAInto(Aᵀ-stored, B) == A·B when we store A transposed.
 		aT := MustNew(k, m)
 		for i := 0; i < m; i++ {
 			for p := 0; p < k; p++ {
 				aT.Set(a.At(i, p), p, i)
 			}
 		}
-		viaTrans, err := MatMulTransA(aT, b)
-		if err != nil {
+		viaTrans := MustNew(m, n)
+		if err := MatMulTransAInto(viaTrans, aT, b); err != nil {
 			return false
 		}
 		for i := range direct.Data {

@@ -317,17 +317,3 @@ func (m *Model) answerSeeds(req Request) [scene.NumIndicators]uint64 {
 	}
 	return lanes
 }
-
-// AnswerText runs Classify and formats the reply in the paper's
-// comma-separated Yes/No format in the request language.
-func (m *Model) AnswerText(req Request) (string, error) {
-	answers, err := m.Classify(req)
-	if err != nil {
-		return "", err
-	}
-	lang := req.Language
-	if lang == 0 {
-		lang = prompt.English
-	}
-	return prompt.FormatAnswers(answers, lang), nil
-}

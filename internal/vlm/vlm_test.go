@@ -437,34 +437,6 @@ func TestSamplingParametersNearFlat(t *testing.T) {
 	}
 }
 
-func TestAnswerText(t *testing.T) {
-	m, err := NewModel(mustProfile(t, Grok2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, ex := studyExamples(t, 1)
-	inds := scene.Indicators()
-	text, err := m.AnswerText(Request{Image: ex[0].Image, Indicators: inds[:]})
-	if err != nil {
-		t.Fatalf("AnswerText: %v", err)
-	}
-	answers, err := prompt.ParseAnswers(text, 6, prompt.English)
-	if err != nil {
-		t.Fatalf("reply %q unparseable: %v", text, err)
-	}
-	if len(answers) != 6 {
-		t.Errorf("answers = %d", len(answers))
-	}
-	// Spanish reply uses Spanish tokens.
-	text, err = m.AnswerText(Request{Image: ex[0].Image, Indicators: inds[:], Language: prompt.Spanish})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := prompt.ParseAnswers(text, 6, prompt.Spanish); err != nil {
-		t.Errorf("Spanish reply %q unparseable: %v", text, err)
-	}
-}
-
 func TestSamplingFlip(t *testing.T) {
 	if f := samplingFlip(DefaultTemperature, DefaultTopP); f != 0 {
 		t.Errorf("default sampling flip = %f, want 0", f)

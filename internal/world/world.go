@@ -55,7 +55,6 @@ type World struct {
 // from different morphologies never collide in a shared content-
 // addressed frame store.
 type family struct {
-	description            string
 	ruralOrigin            geo.Coordinate
 	urbanOrigin            geo.Coordinate
 	ruralRoads, urbanRoads int
@@ -77,7 +76,6 @@ const CoastalDefaultWaterFraction = 0.35
 
 var families = map[string]*family{
 	"grid": {
-		description: "planned street grid: axis-aligned roads, urban core fading to the edges",
 		ruralOrigin: geo.Coordinate{Lat: 35.10, Lng: -80.25},
 		urbanOrigin: geo.Coordinate{Lat: 35.45, Lng: -80.02},
 		ruralRoads:  24,
@@ -86,7 +84,6 @@ var families = map[string]*family{
 		priors:      gridPriors,
 	},
 	"radial": {
-		description: "hub-and-spoke town: radial arterials plus ring roads, densest at the hub",
 		ruralOrigin: geo.Coordinate{Lat: 36.10, Lng: -77.65},
 		urbanOrigin: geo.Coordinate{Lat: 36.32, Lng: -77.42},
 		ruralRoads:  24,
@@ -95,7 +92,6 @@ var families = map[string]*family{
 		priors:      radialPriors,
 	},
 	"organic": {
-		description: "organic sprawl: meandering roads grown by random walk around a town center",
 		ruralOrigin: geo.Coordinate{Lat: 34.85, Lng: -77.40},
 		urbanOrigin: geo.Coordinate{Lat: 35.12, Lng: -77.18},
 		ruralRoads:  24,
@@ -104,7 +100,6 @@ var families = map[string]*family{
 		priors:      organicPriors,
 	},
 	"coastal": {
-		description: "coastal strip: shore-parallel roads and perpendicular connectors on the land side of a sinuous coastline",
 		ruralOrigin: geo.Coordinate{Lat: 34.15, Lng: -77.98},
 		urbanOrigin: geo.Coordinate{Lat: 34.42, Lng: -77.72},
 		ruralRoads:  24,
@@ -128,14 +123,6 @@ func Names() []string {
 func Valid(name string) bool {
 	_, ok := families[name]
 	return ok
-}
-
-// Describe returns the family's one-line description, or "".
-func Describe(name string) string {
-	if f, ok := families[name]; ok {
-		return f.description
-	}
-	return ""
 }
 
 // Generate builds the named morphology's two study counties and priors,
@@ -176,25 +163,6 @@ func Generate(cfg Config) (*World, error) {
 		return nil, fmt.Errorf("world: %s: %w", cfg.Family, err)
 	}
 	return &World{Family: cfg.Family, Rural: rural, Urban: urban, Priors: f.priors()}, nil
-}
-
-// Counties is the StudyCounties-shaped convenience: the named family's
-// rural and urban counties at the given seed with default budgets.
-func Counties(familyName string, seed int64) (rural, urban *geo.County, err error) {
-	w, err := Generate(Config{Family: familyName, Seed: seed})
-	if err != nil {
-		return nil, nil, err
-	}
-	return w.Rural, w.Urban, nil
-}
-
-// PriorsFor returns the named family's scene priors.
-func PriorsFor(familyName string) (scene.Priors, error) {
-	f, ok := families[familyName]
-	if !ok {
-		return scene.Priors{}, fmt.Errorf("world: unknown morphology family %q (have %v)", familyName, Names())
-	}
-	return f.priors(), nil
 }
 
 // clamp01 clamps to [0,1].
@@ -350,18 +318,6 @@ const (
 	coastalAmplitude = 0.08
 	coastalMargin    = 0.03
 )
-
-// CoastalBounds returns the west-most and east-most positions (in feet
-// east of the origin) the coastline can reach across the extent for a
-// given water fraction — the land/water split bounds the distribution
-// test asserts roads against.
-func CoastalBounds(extentFeet, waterFraction float64) (minCoastFeet, maxCoastFeet float64) {
-	if waterFraction == 0 {
-		waterFraction = CoastalDefaultWaterFraction
-	}
-	base := (1 - waterFraction) * extentFeet
-	return base - coastalAmplitude*extentFeet, base + coastalAmplitude*extentFeet
-}
 
 // coastalLayout lays shore-parallel roads that follow the coastline's
 // sinusoid at increasing depths inland, plus straight east-west

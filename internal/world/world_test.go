@@ -23,15 +23,9 @@ func TestNamesSortedAndValid(t *testing.T) {
 		if !Valid(n) {
 			t.Errorf("Valid(%q) = false, want true", n)
 		}
-		if Describe(n) == "" {
-			t.Errorf("Describe(%q) is empty", n)
-		}
 	}
 	if Valid("suburbia") {
 		t.Error("Valid(suburbia) = true, want false")
-	}
-	if Describe("suburbia") != "" {
-		t.Error("Describe of unknown family should be empty")
 	}
 }
 
@@ -42,12 +36,6 @@ func TestUnknownFamilyError(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "suburbia") || !strings.Contains(err.Error(), "coastal") {
 		t.Errorf("error should name the bad family and list valid ones: %v", err)
-	}
-	if _, err := PriorsFor("suburbia"); err == nil {
-		t.Error("PriorsFor with unknown family succeeded")
-	}
-	if _, _, err := Counties("suburbia", 1); err == nil {
-		t.Error("Counties with unknown family succeeded")
 	}
 }
 
@@ -204,7 +192,7 @@ func northFeetOf(c *geo.County, p geo.Coordinate) float64 {
 // TestCoastalLandWaterBounds asserts every coastal road vertex stays
 // strictly on the land side of the coastline — reconstructed from the
 // seed, since the sinusoid's phase is the layout's first random draw —
-// and that the whole network stays inside the CoastalBounds envelope.
+// and that the whole network stays inside the coastline's envelope.
 func TestCoastalLandWaterBounds(t *testing.T) {
 	const seed = 2
 	w, err := Generate(Config{Family: "coastal", Seed: seed})
@@ -216,18 +204,15 @@ func TestCoastalLandWaterBounds(t *testing.T) {
 		extent  float64
 		netSeed int64
 	}{{w.Rural, ruralExtentFeet, seed}, {w.Urban, urbanExtentFeet, seed + 1}} {
-		minCoast, maxCoast := CoastalBounds(tc.extent, 0)
-		if minCoast >= maxCoast {
-			t.Fatalf("CoastalBounds(%g, 0) = %g, %g", tc.extent, minCoast, maxCoast)
-		}
-		if maxCoast >= tc.extent {
-			t.Errorf("coastline extreme %g exceeds extent %g", maxCoast, tc.extent)
-		}
 		// The phase is the first draw from the network's seeded stream —
 		// exactly how coastalLayout consumes it.
 		phase := rand.New(rand.NewSource(tc.netSeed)).Float64() * 2 * math.Pi
 		base := (1 - CoastalDefaultWaterFraction) * tc.extent
 		amp := coastalAmplitude * tc.extent
+		minCoast, maxCoast := base-amp, base+amp
+		if maxCoast >= tc.extent {
+			t.Errorf("coastline extreme %g exceeds extent %g", maxCoast, tc.extent)
+		}
 		coast := func(n float64) float64 {
 			return base + amp*math.Sin(2*math.Pi*n/tc.extent+phase)
 		}
@@ -303,10 +288,7 @@ func TestCoastalAllWater(t *testing.T) {
 
 func TestPriorsStayInUnitInterval(t *testing.T) {
 	for _, fam := range Names() {
-		pr, err := PriorsFor(fam)
-		if err != nil {
-			t.Fatal(err)
-		}
+		pr := families[fam].priors()
 		for u := 0.0; u <= 1.0; u += 0.125 {
 			for name, f := range map[string]func(float64) float64{
 				"streetlight": pr.Streetlight,

@@ -52,7 +52,7 @@ func TestTrainingLossCurveUnchangedFromSeed(t *testing.T) {
 			t.Errorf("epoch %d loss = %s, seed produced %s", i, got, goldenLosses[i])
 		}
 	}
-	dets, err := m.Detect(ex[0].Image, 0.05, 0.45)
+	dets, err := detectOne(m, ex[0].Image, 0.05, 0.45)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestDetectBatchMatchesDetect(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, img := range imgs {
-		single, err := m.Detect(img, 0.05, 0.45)
+		single, err := detectOne(m, img, 0.05, 0.45)
 		if err != nil {
 			t.Fatal(err)
 		}

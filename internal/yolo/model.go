@@ -182,19 +182,10 @@ func (m *Model) batchTensor(images []*render.Image) (*tensor.Tensor, error) {
 // Detection re-exports the metrics detection type for callers.
 type Detection = metrics.Detection
 
-// Detect runs inference on one image and returns NMS-filtered detections
-// with scores above scoreThresh. It is safe for concurrent use.
-func (m *Model) Detect(img *render.Image, scoreThresh, nmsIoU float64) ([]Detection, error) {
-	res, err := m.DetectBatch([]*render.Image{img}, scoreThresh, nmsIoU)
-	if err != nil {
-		return nil, err
-	}
-	return res[0], nil
-}
-
 // DetectBatch runs one batched forward pass over several images and
-// returns each image's NMS-filtered detections, bit-identical to calling
-// Detect per image but paying for a single batched GEMM per layer. It
+// returns each image's NMS-filtered detections with scores above
+// scoreThresh, bit-identical to one call per image but paying for a
+// single batched GEMM per layer. It
 // runs on the stateless inference path, so concurrent DetectBatch calls
 // on one model are safe — the evaluation engine fans them across its
 // worker pool.

@@ -333,7 +333,7 @@ func (m *Model) trainStep(batch []dataset.Example, images []*render.Image, cfg T
 	if err != nil {
 		return 0, err
 	}
-	out, err := m.net.Forward(x, true)
+	out, err := m.net.Forward(x)
 	if err != nil {
 		tensor.PutScratch(x)
 		return 0, err

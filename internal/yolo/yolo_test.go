@@ -6,6 +6,7 @@ import (
 
 	"nbhd/internal/dataset"
 	"nbhd/internal/metrics"
+	"nbhd/internal/render"
 	"nbhd/internal/scene"
 )
 
@@ -73,17 +74,26 @@ func tinyExamples(t *testing.T, n, size int) []dataset.Example {
 	return ex
 }
 
+// detectOne runs DetectBatch on a batch of one image.
+func detectOne(m *Model, img *render.Image, scoreThresh, nmsIoU float64) ([]Detection, error) {
+	res, err := m.DetectBatch([]*render.Image{img}, scoreThresh, nmsIoU)
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
+}
+
 func TestDetectValidation(t *testing.T) {
 	m, err := New(Config{InputSize: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ex := tinyExamples(t, 1, 16) // wrong size
-	if _, err := m.Detect(ex[0].Image, 0.5, 0.5); err == nil {
+	if _, err := detectOne(m, ex[0].Image, 0.5, 0.5); err == nil {
 		t.Error("wrong image size accepted")
 	}
 	ex32 := tinyExamples(t, 1, 32)
-	if _, err := m.Detect(ex32[0].Image, -0.1, 0.5); err == nil {
+	if _, err := detectOne(m, ex32[0].Image, -0.1, 0.5); err == nil {
 		t.Error("negative threshold accepted")
 	}
 }
@@ -94,7 +104,7 @@ func TestDetectUntrainedRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	ex := tinyExamples(t, 1, 32)
-	dets, err := m.Detect(ex[0].Image, 0.0, 0.5)
+	dets, err := detectOne(m, ex[0].Image, 0.0, 0.5)
 	if err != nil {
 		t.Fatalf("Detect: %v", err)
 	}
@@ -267,11 +277,11 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	// Identical weights -> identical detections.
 	ex := tinyExamples(t, 1, 32)
-	d1, err := m.Detect(ex[0].Image, 0, 0.5)
+	d1, err := detectOne(m, ex[0].Image, 0, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, err := back.Detect(ex[0].Image, 0, 0.5)
+	d2, err := detectOne(back, ex[0].Image, 0, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
