@@ -50,9 +50,9 @@
 // classification.
 //
 // Beneath the detector sits the fast NN compute layer
-// (internal/tensor + internal/nn): register-blocked parallel GEMM
-// kernels, im2col convolution (one GEMM per batch in training, one per
-// sample in inference), a size-keyed scratch pool that makes
+// (internal/tensor + internal/nn): one packed, register-blocked
+// parallel GEMM kernel, im2col convolution (one GEMM per sample, in
+// training and inference alike), a size-keyed scratch pool that makes
 // steady-state training steps allocation-free, and a stateless Infer
 // path that lets the engine run detector/CNN inference concurrently. Kernel partitioning preserves per-element
 // accumulation order, so training curves and every reported metric are

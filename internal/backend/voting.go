@@ -76,9 +76,6 @@ func normBatch(b int) int {
 // Name identifies the backend.
 func (v *Voting) Name() string { return v.name }
 
-// Members returns the member backends in voting order.
-func (v *Voting) Members() []Backend { return append([]Backend(nil), v.members...) }
-
 // Close closes every member that owns resources (e.g. HTTP members'
 // connection pools), joining their errors.
 func (v *Voting) Close() error {

@@ -307,9 +307,9 @@ func (m *Model) Predict(img *render.Image) ([scene.NumIndicators]float64, error)
 }
 
 // PredictBatch returns presence probabilities for several images from
-// one batched forward pass — bit-identical to per-image Predict but a
-// single GEMM per layer. It runs on the stateless inference path, so
-// concurrent calls on one model are safe.
+// one batched forward pass, bit-identical to per-image Predict. It runs
+// on the stateless inference path, so concurrent calls on one model are
+// safe.
 func (m *Model) PredictBatch(images []*render.Image) ([][scene.NumIndicators]float64, error) {
 	if len(images) == 0 {
 		return nil, fmt.Errorf("classify: empty batch")

@@ -251,16 +251,6 @@ func (c *County) Validate() error {
 	return nil
 }
 
-// Road returns the road with the given ID, or nil if absent.
-func (c *County) Road(id int) *Road {
-	for i := range c.Roads {
-		if c.Roads[i].ID == id {
-			return &c.Roads[i]
-		}
-	}
-	return nil
-}
-
 // Segment walks every road in the county at the given interval (feet) and
 // returns one SamplePoint per step, reproducing the paper's "segment all
 // roadways with an interval of 50 feet" sampling frame. An interval <= 0

@@ -194,21 +194,6 @@ func TestCountyValidate(t *testing.T) {
 	}
 }
 
-func TestCountyRoadLookup(t *testing.T) {
-	c := &County{
-		Name:    "Test",
-		Setting: SettingMixed,
-		Origin:  Coordinate{Lat: 35, Lng: -79},
-		Roads:   []Road{validRoad()},
-	}
-	if r := c.Road(1); r == nil || r.Name != "NC-1001" {
-		t.Errorf("Road(1) = %v, want NC-1001", r)
-	}
-	if r := c.Road(99); r != nil {
-		t.Errorf("Road(99) = %v, want nil", r)
-	}
-}
-
 func TestSegmentInterval(t *testing.T) {
 	c := &County{
 		Name:    "Test",

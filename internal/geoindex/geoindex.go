@@ -74,9 +74,6 @@ func Build(entries []Entry) *Index {
 	return ix
 }
 
-// Len returns the number of indexed entries.
-func (ix *Index) Len() int { return len(ix.ents) }
-
 // build arranges [lo,hi) into a subtree split on the given axis
 // (0 = latitude, 1 = longitude) and records its bounding box.
 func (ix *Index) build(lo, hi, axis int) {

@@ -744,13 +744,6 @@ func (l *Lab) Metrics() MetricsSnapshot {
 	return m
 }
 
-// Draining reports whether Drain was called.
-func (l *Lab) Draining() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.draining
-}
-
 // Drain stops scheduling and checkpoints the in-flight run: its context
 // is canceled, it settles as StatusInterrupted with its journal intact,
 // and /healthz flips to 503. Runs already queued stay queued (the next

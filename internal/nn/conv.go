@@ -3,26 +3,30 @@ package nn
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"nbhd/internal/tensor"
 )
 
 // Conv2D is a 2-D convolution over NCHW tensors, implemented with
-// im2col. In training, the whole batch unrolls into ONE (Cin*K*K,
-// N*outH*outW) matrix and Forward is a single GEMM against the weight
-// matrix; Backward's segmented-fold weight gradient reads that matrix
-// back. im2col, col2im, and the output scatter fan across workers per
-// sample; all scratch comes from the shared tensor pool and is released
-// when Backward completes, so nothing im2col-sized survives the training
-// step. Infer needs no such cache: it runs im2col and the GEMM one
-// sample at a time, straight into the sample's slice of the output.
+// im2col one sample at a time. Forward, Infer and InferQuantized share
+// one per-sample loop (convPass): samples fan across workers, each
+// sample's receptive fields unroll into a (Cin*K*K, outH*outW) matrix,
+// and one GEMM multiplies the weights by it straight into the sample's
+// NCHW slice of the output, where the bias is added in place. Forward
+// keeps those matrices, sample-major, for Backward; Infer and
+// InferQuantized unroll into per-worker scratch. Backward is per sample
+// too: each sample's weight gradient goes into its own slot, and its
+// column gradient overwrites the sample's kept matrix before col2im
+// scatters it back. All scratch comes from the shared tensor pool and
+// is released when Backward completes, so nothing im2col-sized survives
+// the training step.
 //
 // Bit-identity: each output element's dot product walks the Cin*K*K
 // (forward) or OutChannels (input-gradient) axis in the same order as the
-// per-sample reference, and the weight gradient uses the segmented-fold
-// GEMM so per-sample partial sums accumulate in sample order — exactly
-// the float ordering of the historical per-sample loop.
+// per-sample reference, and the weight gradient is the per-sample
+// partials, each summed from +0 in ascending pixel order, added to a +0
+// total in sample order — exactly the float ordering of the historical
+// per-sample loop.
 type Conv2D struct {
 	InChannels, OutChannels int
 	KernelSize, Stride, Pad int
@@ -34,16 +38,14 @@ type Conv2D struct {
 	// (empty until PrepareQuantized).
 	qw quantWeights
 
-	// Training cache: the batched im2col matrix (released to the scratch
-	// pool in Backward) and the dims Backward needs. No reference to the
-	// input batch is retained.
-	cols          *tensor.Tensor // (Cin*K*K, N*outH*outW)
-	inN, inH, inW int
-	outH, outW    int
+	// Training cache: the kept im2col matrices (released to the scratch
+	// pool in Backward) and the geometry Backward needs. No reference to
+	// the input batch is retained.
+	cols *tensor.Tensor // (N, Cin*K*K, outH*outW)
+	dims convDims
 }
 
-// convDims carries one pass's geometry so the inference path can share
-// the im2col/scatter kernels without touching the training cache.
+// convDims carries one pass's geometry.
 type convDims struct {
 	n, h, w, outH, outW int
 }
@@ -99,8 +101,117 @@ func (c *Conv2D) checkInput(x *tensor.Tensor) (convDims, error) {
 	return convDims{n: n, h: h, w: w, outH: outH, outW: outW}, nil
 }
 
-// Forward computes the convolution for a batch (N, Cin, H, W) as one
-// batched im2col + GEMM, caching the im2col matrix for Backward.
+// convGEMM is one worker's weight multiply in convPass, for the f32
+// weights or their int8 copy. Each worker builds its own, so the operand
+// headers it re-points at every sample are never shared and the loop
+// allocates nothing per sample.
+type convGEMM[T int8 | float32] interface {
+	// scratch returns n elements of pooled im2col scratch; release
+	// hands it back.
+	scratch(n int) []T
+	// mul writes the weights times cols, one sample's (Cin*K*K,
+	// outH*outW) matrix, into dst, its (OutChannels, outH*outW) output.
+	mul(dst []float32, cols []T) error
+	release()
+}
+
+// convPass is the one per-sample loop behind Forward, Infer and
+// InferQuantized. For every sample of x it unrolls the receptive fields
+// into cols — the sample's slot of kept when kept is non-nil, else the
+// worker's scratch — multiplies the weights by them straight into the
+// sample's slice of out, and adds the bias in place.
+func convPass[T int8 | float32](c *Conv2D, x []T, d convDims, out *tensor.Tensor, kept []T, newGEMM func() convGEMM[T]) error {
+	oHW := d.outH * d.outW
+	colLen := c.InChannels * c.KernelSize * c.KernelSize * oHW
+	inPer := c.InChannels * d.h * d.w
+	outPer := c.OutChannels * oHW
+	return parallelSamples(d.n, len(out.Data), func(s0, s1 int) error {
+		g := newGEMM()
+		defer g.release()
+		var cols []T
+		if kept == nil {
+			cols = g.scratch(colLen)
+		}
+		for s := s0; s < s1; s++ {
+			if kept != nil {
+				cols = kept[s*colLen : (s+1)*colLen]
+			}
+			im2colInto(c, x[s*inPer:(s+1)*inPer], cols, d)
+			dst := out.Data[s*outPer : (s+1)*outPer]
+			if err := g.mul(dst, cols); err != nil {
+				return err
+			}
+			for oc, bv := range c.bias.Value.Data {
+				row := dst[oc*oHW : (oc+1)*oHW]
+				for i := range row {
+					row[i] += bv
+				}
+			}
+		}
+		return nil
+	})
+}
+
+// gemmShapes returns one sample's GEMM dims: its output (OutChannels,
+// outH*outW), then its im2col matrix (Cin*K*K, outH*outW).
+func (c *Conv2D) gemmShapes(d convDims) [4]int {
+	oHW := d.outH * d.outW
+	return [4]int{c.OutChannels, oHW, c.InChannels * c.KernelSize * c.KernelSize, oHW}
+}
+
+// f32GEMM is one worker's f32 operand headers, re-pointed at every
+// sample: convPass's multiply, and Backward's two gradient GEMMs.
+type f32GEMM struct {
+	weight        *tensor.Tensor
+	out, cols, dw tensor.Tensor // out is the output or its gradient
+	shapes        [4]int
+	buf           *tensor.Tensor
+}
+
+// newF32GEMM builds one worker's headers for geometry d.
+func (c *Conv2D) newF32GEMM(d convDims) *f32GEMM {
+	g := &f32GEMM{weight: c.weight.Value, shapes: c.gemmShapes(d)}
+	g.out.Shape, g.cols.Shape, g.dw.Shape = g.shapes[:2], g.shapes[2:], c.weight.Value.Shape
+	return g
+}
+
+func (g *f32GEMM) scratch(n int) []float32 {
+	g.buf = tensor.GetScratch(n)
+	return g.buf.Data
+}
+
+func (g *f32GEMM) mul(dst, cols []float32) error {
+	g.out.Data, g.cols.Data = dst, cols
+	return tensor.MatMulInto(&g.out, g.weight, &g.cols)
+}
+
+func (g *f32GEMM) release() {
+	if g.buf != nil {
+		tensor.PutScratch(g.buf)
+	}
+}
+
+// backward writes one sample's weight-gradient partial gradOut·colsᵀ
+// into dw, then overwrites cols, which that has consumed, with the
+// column gradient Wᵀ·gradOut.
+func (g *f32GEMM) backward(dw, gradOut, cols []float32) error {
+	g.dw.Data, g.out.Data, g.cols.Data = dw, gradOut, cols
+	if err := tensor.MatMulTransBInto(&g.dw, &g.out, &g.cols); err != nil {
+		return fmt.Errorf("nn: conv backward dW: %w", err)
+	}
+	if err := tensor.MatMulTransAInto(&g.cols, g.weight, &g.out); err != nil {
+		return fmt.Errorf("nn: conv backward dcol: %w", err)
+	}
+	return nil
+}
+
+// f32Workers returns convPass's factory for f32 workers.
+func (c *Conv2D) f32Workers(d convDims) func() convGEMM[float32] {
+	return func() convGEMM[float32] { return c.newF32GEMM(d) }
+}
+
+// Forward computes the convolution for a batch (N, Cin, H, W), keeping
+// every sample's im2col matrix for Backward.
 func (c *Conv2D) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 	d, err := c.checkInput(x)
 	if err != nil {
@@ -113,133 +224,79 @@ func (c *Conv2D) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 		c.cols = nil
 	}
 	k := c.KernelSize
-	cols := tensor.GetScratch(c.InChannels*k*k, d.n*d.outH*d.outW)
-	c.im2colBatch(x, cols, d)
-	gemm := tensor.GetScratch(c.OutChannels, d.n*d.outH*d.outW)
-	if err := tensor.MatMulInto(gemm, c.weight.Value, cols); err != nil {
+	cols := tensor.GetScratch(d.n, c.InChannels*k*k, d.outH*d.outW)
+	out := tensor.GetScratch(d.n, c.OutChannels, d.outH, d.outW)
+	if err := convPass(c, x.Data, d, out, cols.Data, c.f32Workers(d)); err != nil {
 		tensor.PutScratch(cols)
-		tensor.PutScratch(gemm)
+		tensor.PutScratch(out)
 		return nil, fmt.Errorf("nn: conv forward: %w", err)
 	}
-	out := tensor.GetScratch(d.n, c.OutChannels, d.outH, d.outW)
-	c.scatterOutput(gemm, out, d)
-	tensor.PutScratch(gemm)
-	c.cols = cols
-	c.inN, c.inH, c.inW = d.n, d.h, d.w
-	c.outH, c.outW = d.outH, d.outW
+	c.cols, c.dims = cols, d
 	return out, nil
 }
 
 // Infer computes the convolution without touching the training cache; it
 // is safe for concurrent use and releases all scratch before returning.
-//
-// Samples fan across workers, and each worker unrolls and multiplies one
-// sample at a time: its im2col scratch is one sample's (Cin*K*K,
-// outH*outW) matrix, and the GEMM writes straight into that sample's
-// NCHW slice of the output, where the bias is added in place. Every
-// output element is the same dot product, in the same k order, as in
-// the batched Forward, so the two paths agree bit for bit.
+// Its im2col scratch is one sample's matrix per worker, and its output
+// matches Forward's bit for bit.
 func (c *Conv2D) Infer(x *tensor.Tensor) (*tensor.Tensor, error) {
 	d, err := c.checkInput(x)
 	if err != nil {
 		return nil, err
 	}
-	k := c.KernelSize
-	oHW := d.outH * d.outW
-	inPer := c.InChannels * d.h * d.w
-	outPer := c.OutChannels * oHW
-	one := d
-	one.n = 1
 	out := tensor.GetScratch(d.n, c.OutChannels, d.outH, d.outW)
-	var mu sync.Mutex
-	var firstErr error
-	parallelSamples(d.n, len(out.Data), func(s0, s1 int) {
-		cols := tensor.GetScratch(c.InChannels*k*k, oHW)
-		defer tensor.PutScratch(cols)
-		dst := &tensor.Tensor{Shape: []int{c.OutChannels, oHW}}
-		for s := s0; s < s1; s++ {
-			im2colInto(x.Data[s*inPer:(s+1)*inPer], cols.Data, c.InChannels, k, c.Stride, c.Pad, one)
-			dst.Data = out.Data[s*outPer : (s+1)*outPer]
-			if err := tensor.MatMulInto(dst, c.weight.Value, cols); err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-				return
-			}
-			for oc, bv := range c.bias.Value.Data {
-				row := dst.Data[oc*oHW : (oc+1)*oHW]
-				for i := range row {
-					row[i] += bv
-				}
-			}
-		}
-	})
-	if firstErr != nil {
+	if err := convPass(c, x.Data, d, out, nil, c.f32Workers(d)); err != nil {
 		tensor.PutScratch(out)
-		return nil, fmt.Errorf("nn: conv infer: %w", firstErr)
+		return nil, fmt.Errorf("nn: conv infer: %w", err)
 	}
 	return out, nil
 }
 
-// im2colBatch unrolls every sample's receptive fields into the batched
-// (Cin*K*K, N*outH*outW) matrix: row r holds kernel-position r, sample
-// s's columns occupy the [s*outH*outW, (s+1)*outH*outW) block of each
-// row. Every element is written (padding positions get explicit zeros),
-// so the destination may be dirty scratch. Samples fan across workers.
-func (c *Conv2D) im2colBatch(x, col *tensor.Tensor, d convDims) {
-	im2colInto(x.Data, col.Data, c.InChannels, c.KernelSize, c.Stride, c.Pad, d)
-}
-
-// im2colInto is the element-type-generic im2col core shared by the f32
-// training/inference path and the int8 quantized path (where unrolling
-// the already-quantized batch moves 4x less memory than f32 would).
-func im2colInto[T int8 | float32](xData, colData []T, inC, k, stride, pad int, d convDims) {
+// im2colInto unrolls one sample's receptive fields, x (Cin, H, W), into
+// col (Cin*K*K, outH*outW): row r holds kernel position r. Every element
+// is written (padding positions get explicit zeros), so col may be
+// dirty scratch. It serves the f32 paths and the int8 one, where
+// unrolling the already-quantized sample moves 4x less memory.
+func im2colInto[T int8 | float32](c *Conv2D, xData, colData []T, d convDims) {
+	k, stride, pad := c.KernelSize, c.Stride, c.Pad
 	oHW := d.outH * d.outW
-	total := d.n * oHW
 	chStride := d.h * d.w
-	parallelSamples(d.n, len(colData), func(s0, s1 int) {
-		for s := s0; s < s1; s++ {
-			base := s * inC * chStride
-			row := 0
-			for ci := 0; ci < inC; ci++ {
-				for ky := 0; ky < k; ky++ {
-					for kx := 0; kx < k; kx++ {
-						dst := colData[row*total+s*oHW : row*total+(s+1)*oHW]
-						// The valid ox range for this kernel column is the
-						// same on every row, so the edge handling hoists out
-						// of the inner loop: zero the out-of-image margins,
-						// then move the interior as one copy (stride 1) or a
-						// branch-free strided gather.
-						oxLo, oxHi := validRange(d.outW, d.w, stride, pad, kx)
-						idx := 0
-						for oy := 0; oy < d.outH; oy++ {
-							iy := oy*stride - pad + ky
-							if iy < 0 || iy >= d.h {
-								clearRow(dst[idx : idx+d.outW])
-								idx += d.outW
-								continue
-							}
-							srcRow := base + ci*chStride + iy*d.w
-							clearRow(dst[idx : idx+oxLo])
-							if stride == 1 {
-								lo := srcRow + oxLo - pad + kx
-								copy(dst[idx+oxLo:idx+oxHi], xData[lo:lo+oxHi-oxLo])
-							} else {
-								for ox := oxLo; ox < oxHi; ox++ {
-									dst[idx+ox] = xData[srcRow+ox*stride-pad+kx]
-								}
-							}
-							clearRow(dst[idx+oxHi : idx+d.outW])
-							idx += d.outW
-						}
-						row++
+	row := 0
+	for ci := 0; ci < c.InChannels; ci++ {
+		for ky := 0; ky < k; ky++ {
+			for kx := 0; kx < k; kx++ {
+				dst := colData[row*oHW : (row+1)*oHW]
+				// The valid ox range for this kernel column is the same on
+				// every row, so the edge handling hoists out of the inner
+				// loop: zero the out-of-image margins, then move the
+				// interior as one copy (stride 1) or a branch-free strided
+				// gather.
+				oxLo, oxHi := validRange(d.outW, d.w, stride, pad, kx)
+				idx := 0
+				for oy := 0; oy < d.outH; oy++ {
+					iy := oy*stride - pad + ky
+					if iy < 0 || iy >= d.h {
+						clearRow(dst[idx : idx+d.outW])
+						idx += d.outW
+						continue
 					}
+					srcRow := ci*chStride + iy*d.w
+					clearRow(dst[idx : idx+oxLo])
+					if stride == 1 {
+						lo := srcRow + oxLo - pad + kx
+						copy(dst[idx+oxLo:idx+oxHi], xData[lo:lo+oxHi-oxLo])
+					} else {
+						for ox := oxLo; ox < oxHi; ox++ {
+							dst[idx+ox] = xData[srcRow+ox*stride-pad+kx]
+						}
+					}
+					clearRow(dst[idx+oxHi : idx+d.outW])
+					idx += d.outW
 				}
+				row++
 			}
 		}
-	})
+	}
 }
 
 // validRange returns the half-open [lo, hi) range of output columns whose
@@ -271,72 +328,60 @@ func clearRow[T int8 | float32](s []T) {
 	}
 }
 
-// scatterOutput relayouts the GEMM result (OutC, N*outH*outW) into NCHW
-// and adds the per-channel bias, writing every destination element.
-func (c *Conv2D) scatterOutput(gemm, out *tensor.Tensor, d convDims) {
-	oHW := d.outH * d.outW
-	total := d.n * oHW
-	parallelSamples(d.n, len(out.Data), func(s0, s1 int) {
-		for s := s0; s < s1; s++ {
-			for oc := 0; oc < c.OutChannels; oc++ {
-				src := gemm.Data[oc*total+s*oHW : oc*total+(s+1)*oHW]
-				dst := out.Data[(s*c.OutChannels+oc)*oHW : (s*c.OutChannels+oc+1)*oHW]
-				bv := c.bias.Value.Data[oc]
-				for i, v := range src {
-					dst[i] = v + bv
-				}
-			}
-		}
-	})
-}
-
-// gatherGrad relayouts an NCHW output gradient into the batched
-// (OutC, N*outH*outW) layout the backward GEMMs consume.
-func (c *Conv2D) gatherGrad(gradOut, gmat *tensor.Tensor, d convDims) {
-	oHW := d.outH * d.outW
-	total := d.n * oHW
-	parallelSamples(d.n, len(gmat.Data), func(s0, s1 int) {
-		for s := s0; s < s1; s++ {
-			for oc := 0; oc < c.OutChannels; oc++ {
-				src := gradOut.Data[(s*c.OutChannels+oc)*oHW : (s*c.OutChannels+oc+1)*oHW]
-				copy(gmat.Data[oc*total+s*oHW:oc*total+(s+1)*oHW], src)
-			}
-		}
-	})
-}
-
 // Backward accumulates weight/bias gradients, returns the input
 // gradient, and releases the forward caches back to the scratch pool —
 // after Backward nothing im2col-sized stays alive on the layer.
+//
+// Samples fan across workers. Each sample's weight gradient g·colᵀ goes
+// into its own slot; its column gradient Wᵀ·g then overwrites the
+// sample's kept matrix, which the slot has consumed, and col2im scatters
+// it into the sample's slice of the input gradient. The slots are summed
+// into dW afterwards, in sample order.
 func (c *Conv2D) Backward(gradOut *tensor.Tensor) (*tensor.Tensor, error) {
 	if c.cols == nil {
 		return nil, fmt.Errorf("nn: conv backward before forward")
 	}
-	d := convDims{n: c.inN, h: c.inH, w: c.inW, outH: c.outH, outW: c.outW}
+	d := c.dims
 	if len(gradOut.Shape) != 4 || gradOut.Shape[0] != d.n || gradOut.Shape[1] != c.OutChannels || gradOut.Shape[2] != d.outH || gradOut.Shape[3] != d.outW {
 		return nil, fmt.Errorf("nn: conv backward got grad shape %v, want %v", gradOut.Shape, []int{d.n, c.OutChannels, d.outH, d.outW})
 	}
-	k := c.KernelSize
 	oHW := d.outH * d.outW
-	total := d.n * oHW
+	colLen := len(c.cols.Data) / d.n
+	outPer := c.OutChannels * oHW
+	inPer := c.InChannels * d.h * d.w
+	wLen := len(c.weight.Value.Data)
 
-	gmat := tensor.GetScratch(c.OutChannels, total)
-	c.gatherGrad(gradOut, gmat, d)
-
-	// dW += g·colᵀ, folded per sample so the accumulation order matches
-	// the per-sample reference bit for bit.
-	dw := tensor.GetScratch(c.OutChannels, c.InChannels*k*k)
-	if err := tensor.MatMulTransBFoldInto(dw, gmat, c.cols, oHW); err != nil {
-		tensor.PutScratch(gmat)
-		tensor.PutScratch(dw)
-		return nil, fmt.Errorf("nn: conv backward dW: %w", err)
-	}
-	if err := c.weight.Grad.AddScaled(dw, 1); err != nil {
-		tensor.PutScratch(gmat)
-		tensor.PutScratch(dw)
+	slots := tensor.GetScratch(d.n, c.OutChannels, c.InChannels*c.KernelSize*c.KernelSize)
+	gradIn := tensor.GetScratch(d.n, c.InChannels, d.h, d.w)
+	gradIn.Zero()
+	err := parallelSamples(d.n, len(c.cols.Data), func(s0, s1 int) error {
+		g := c.newF32GEMM(d)
+		for s := s0; s < s1; s++ {
+			cols := c.cols.Data[s*colLen : (s+1)*colLen]
+			if err := g.backward(slots.Data[s*wLen:(s+1)*wLen], gradOut.Data[s*outPer:(s+1)*outPer], cols); err != nil {
+				return err
+			}
+			c.col2im(cols, gradIn.Data[s*inPer:(s+1)*inPer], d)
+		}
+		return nil
+	})
+	tensor.PutScratch(c.cols)
+	c.cols = nil
+	if err != nil {
+		tensor.PutScratch(slots)
+		tensor.PutScratch(gradIn)
 		return nil, err
 	}
-	tensor.PutScratch(dw)
+
+	// dW += the slots summed from +0 in sample order.
+	for i := range c.weight.Grad.Data {
+		var sum float32
+		for s := 0; s < d.n; s++ {
+			sum += slots.Data[s*wLen+i]
+		}
+		c.weight.Grad.Data[i] += sum
+	}
+	tensor.PutScratch(slots)
 
 	// db += per-channel row sums, folded in sample order.
 	for oc := 0; oc < c.OutChannels; oc++ {
@@ -348,67 +393,45 @@ func (c *Conv2D) Backward(gradOut *tensor.Tensor) (*tensor.Tensor, error) {
 			c.bias.Grad.Data[oc] += sum
 		}
 	}
-
-	// dcol = Wᵀ·g for the whole batch at once. The forward cols were
-	// fully consumed by the dW fold above, so the buffer is reused as the
-	// destination.
-	dcol := c.cols
-	if err := tensor.MatMulTransAInto(dcol, c.weight.Value, gmat); err != nil {
-		tensor.PutScratch(gmat)
-		return nil, fmt.Errorf("nn: conv backward dcol: %w", err)
-	}
-	tensor.PutScratch(gmat)
-
-	gradIn := tensor.GetScratch(d.n, c.InChannels, d.h, d.w)
-	gradIn.Zero()
-	c.col2imBatch(dcol, gradIn, d)
-	tensor.PutScratch(c.cols)
-	c.cols = nil
 	return gradIn, nil
 }
 
-// col2imBatch scatter-adds the batched column-gradient matrix back into
-// image layout, fanning samples across workers.
-func (c *Conv2D) col2imBatch(dcol, gradIn *tensor.Tensor, d convDims) {
+// col2im scatter-adds one sample's (Cin*K*K, outH*outW) column gradient
+// back into its (Cin, H, W) input gradient.
+func (c *Conv2D) col2im(dcol, gradIn []float32, d convDims) {
 	k := c.KernelSize
 	oHW := d.outH * d.outW
-	total := d.n * oHW
 	chStride := d.h * d.w
-	parallelSamples(d.n, len(dcol.Data), func(s0, s1 int) {
-		for s := s0; s < s1; s++ {
-			base := s * c.InChannels * chStride
-			row := 0
-			for ci := 0; ci < c.InChannels; ci++ {
-				for ky := 0; ky < k; ky++ {
-					for kx := 0; kx < k; kx++ {
-						src := dcol.Data[row*total+s*oHW : row*total+(s+1)*oHW]
-						oxLo, oxHi := validRange(d.outW, d.w, c.Stride, c.Pad, kx)
-						idx := 0
-						for oy := 0; oy < d.outH; oy++ {
-							iy := oy*c.Stride - c.Pad + ky
-							if iy < 0 || iy >= d.h {
-								idx += d.outW
-								continue
-							}
-							dstRow := base + ci*chStride + iy*d.w
-							if c.Stride == 1 {
-								off := dstRow - c.Pad + kx
-								for ox := oxLo; ox < oxHi; ox++ {
-									gradIn.Data[off+ox] += src[idx+ox]
-								}
-							} else {
-								for ox := oxLo; ox < oxHi; ox++ {
-									gradIn.Data[dstRow+ox*c.Stride-c.Pad+kx] += src[idx+ox]
-								}
-							}
-							idx += d.outW
-						}
-						row++
+	row := 0
+	for ci := 0; ci < c.InChannels; ci++ {
+		for ky := 0; ky < k; ky++ {
+			for kx := 0; kx < k; kx++ {
+				src := dcol[row*oHW : (row+1)*oHW]
+				oxLo, oxHi := validRange(d.outW, d.w, c.Stride, c.Pad, kx)
+				idx := 0
+				for oy := 0; oy < d.outH; oy++ {
+					iy := oy*c.Stride - c.Pad + ky
+					if iy < 0 || iy >= d.h {
+						idx += d.outW
+						continue
 					}
+					dstRow := ci*chStride + iy*d.w
+					if c.Stride == 1 {
+						off := dstRow - c.Pad + kx
+						for ox := oxLo; ox < oxHi; ox++ {
+							gradIn[off+ox] += src[idx+ox]
+						}
+					} else {
+						for ox := oxLo; ox < oxHi; ox++ {
+							gradIn[dstRow+ox*c.Stride-c.Pad+kx] += src[idx+ox]
+						}
+					}
+					idx += d.outW
 				}
+				row++
 			}
 		}
-	})
+	}
 }
 
 // Params returns the weight and bias.

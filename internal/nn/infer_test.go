@@ -51,8 +51,8 @@ type servedConv struct {
 
 // servedConvs builds the three served convolutions. Their per-sample
 // GEMMs (8×4096×27, 16×1024×72, 32×256×144) are large enough for the
-// packed kernel and wide enough for its column split, unlike testNet's
-// 10×10 inputs, whose GEMMs all stay on the streaming kernels.
+// packed kernel's column split across workers, unlike testNet's 10×10
+// inputs, whose GEMMs all run on one worker.
 func servedConvs(t *testing.T) []servedConv {
 	t.Helper()
 	rng := rand.New(rand.NewSource(36))
@@ -254,5 +254,47 @@ func TestTrainingStepsSteadyStateAllocations(t *testing.T) {
 	// headers) is fine; the seed path allocated hundreds of tensors.
 	if allocs > 30 {
 		t.Errorf("steady-state training step allocates %.0f objects; pooling is not engaging", allocs)
+	}
+}
+
+// TestInferSteadyStateAllocations bounds the allocations of a warm
+// Sequential.Infer and InferQuantized at one P. Each conv pass costs a
+// few fixed objects (its worker closure and operand headers); nothing
+// may be paid per sample, so a batch of 16 must allocate no more than a
+// batch of 1. The fixed code makes 10 per call on both paths.
+func TestInferSteadyStateAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated by race instrumentation")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	net := testNet(t)
+	if err := net.PrepareQuantized(); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(37))
+	for _, path := range []struct {
+		name  string
+		infer func(*tensor.Tensor) (*tensor.Tensor, error)
+	}{{"f32", net.Infer}, {"int8", net.InferQuantized}} {
+		perBatch := map[int]float64{}
+		for _, n := range []int{1, 16} {
+			x := tensor.MustNew(n, 2, 10, 10)
+			x.UniformInit(1, rng)
+			run := func() {
+				out, err := path.infer(x)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tensor.PutScratch(out)
+			}
+			run() // warm the pools
+			perBatch[n] = testing.AllocsPerRun(10, run)
+			if perBatch[n] > 12 {
+				t.Errorf("%s Infer of %d samples allocates %.0f objects, want at most 12", path.name, n, perBatch[n])
+			}
+		}
+		if perBatch[16] > perBatch[1] {
+			t.Errorf("%s Infer allocates %.0f objects for 16 samples but %.0f for 1: something is paid per sample", path.name, perBatch[16], perBatch[1])
+		}
 	}
 }

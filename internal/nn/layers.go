@@ -102,7 +102,8 @@ func (p *MaxPool2D) Infer(x *tensor.Tensor) (*tensor.Tensor, error) {
 	out := tensor.GetScratch(n, c, outH, outW)
 	perSample := c * outH * outW
 	fast2x2 := p.Size == 2 && p.Stride == 2
-	parallelSamples(n, len(x.Data), func(s0, s1 int) {
+	// Pooling cannot fail, so there is no worker error to relay.
+	_ = parallelSamples(n, len(x.Data), func(s0, s1 int) error {
 		for s := s0; s < s1; s++ {
 			oi := s * perSample
 			for ci := 0; ci < c; ci++ {
@@ -151,6 +152,7 @@ func (p *MaxPool2D) Infer(x *tensor.Tensor) (*tensor.Tensor, error) {
 				}
 			}
 		}
+		return nil
 	})
 	return out, nil
 }

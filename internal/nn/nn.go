@@ -1,5 +1,5 @@
 // Package nn is a compact neural-network layer library with hand-written
-// backpropagation: 2-D convolution (batched im2col + one GEMM per batch),
+// backpropagation: 2-D convolution (per-sample im2col + one GEMM per sample),
 // max pooling, ReLU-family activations, fully connected layers, binary
 // cross-entropy and mean-squared-error losses, and the Adam optimizer.
 // It is the training substrate for the YOLO-style detector standing in

@@ -6,24 +6,28 @@ import (
 )
 
 // parallelWorkThreshold is the per-call element count below which
-// im2col/col2im/scatter loops run single-threaded: under it, goroutine
-// startup costs more than the copy.
+// per-sample loops run single-threaded: under it, goroutine startup
+// costs more than the work.
 const parallelWorkThreshold = 1 << 14
 
 // parallelSamples runs f over [0, n) batch samples, fanning contiguous
 // sample ranges across GOMAXPROCS workers when the total element count
-// makes it worthwhile. Each sample's work must touch disjoint memory.
-func parallelSamples(n, elems int, f func(s0, s1 int)) {
+// makes it worthwhile, and returns the first error a worker reports.
+// Each sample's work must touch disjoint memory.
+func parallelSamples(n, elems int, f func(s0, s1 int) error) error {
 	workers := runtime.GOMAXPROCS(0)
 	if elems < parallelWorkThreshold || workers <= 1 || n <= 1 {
-		f(0, n)
-		return
+		return f(0, n)
 	}
 	if workers > n {
 		workers = n
 	}
 	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
+	var (
+		wg       sync.WaitGroup
+		mu       sync.Mutex
+		firstErr error
+	)
 	for w := 0; w < workers; w++ {
 		s0 := w * chunk
 		s1 := s0 + chunk
@@ -36,8 +40,15 @@ func parallelSamples(n, elems int, f func(s0, s1 int)) {
 		wg.Add(1)
 		go func(s0, s1 int) {
 			defer wg.Done()
-			f(s0, s1)
+			if err := f(s0, s1); err != nil {
+				mu.Lock()
+				if firstErr == nil {
+					firstErr = err
+				}
+				mu.Unlock()
+			}
 		}(s0, s1)
 	}
 	wg.Wait()
+	return firstErr
 }

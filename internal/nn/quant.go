@@ -97,10 +97,10 @@ func (q *quantWeights) ready() bool { return len(q.qweight.Data) > 0 }
 func (c *Conv2D) PrepareQuantized() error { return c.qw.prepare(c.weight.Value) }
 
 // InferQuantized runs the convolution on the int8 path: the batch is
-// quantized once with a per-batch scale, unrolled by an int8 im2col
-// (4x less scratch traffic than the f32 one), multiplied against the
-// prequantized weights with exact int32 accumulation, and scattered to
-// NCHW with the f32 bias.
+// quantized once with a per-batch scale, and convPass unrolls each
+// sample with the int8 im2col (4x less scratch traffic than the f32
+// one) and multiplies it against the prequantized weights with exact
+// int32 accumulation, adding the f32 bias in place.
 func (c *Conv2D) InferQuantized(x *tensor.Tensor) (*tensor.Tensor, error) {
 	if !c.qw.ready() {
 		return nil, fmt.Errorf("nn: conv InferQuantized before PrepareQuantized")
@@ -109,31 +109,52 @@ func (c *Conv2D) InferQuantized(x *tensor.Tensor) (*tensor.Tensor, error) {
 	if err != nil {
 		return nil, err
 	}
-	k := c.KernelSize
 	scale := tensor.ScaleFor(x.Data)
 	qx := tensor.GetScratchI8(len(x.Data))
 	if err := tensor.QuantizeSlice(qx, x.Data, scale); err != nil {
 		tensor.PutScratchI8(qx)
 		return nil, fmt.Errorf("nn: conv quantize input: %w", err)
 	}
-	total := d.n * d.outH * d.outW
-	qcols := tensor.GetScratchI8(c.InChannels * k * k * total)
-	im2colInto(qx, qcols, c.InChannels, k, c.Stride, c.Pad, d)
+	out := tensor.GetScratch(d.n, c.OutChannels, d.outH, d.outW)
+	err = convPass(c, qx, d, out, nil, c.i8Workers(d, scale))
 	tensor.PutScratchI8(qx)
-
-	qcolsT := tensor.QTensor{Shape: []int{c.InChannels * k * k, total}, Data: qcols, Scale: scale}
-	gemm := tensor.GetScratch(c.OutChannels, total)
-	if err := tensor.QMatMulInto(gemm, &c.qw.qweight, &qcolsT); err != nil {
-		tensor.PutScratchI8(qcols)
-		tensor.PutScratch(gemm)
+	if err != nil {
+		tensor.PutScratch(out)
 		return nil, fmt.Errorf("nn: conv quantized gemm: %w", err)
 	}
-	tensor.PutScratchI8(qcols)
-	out := tensor.GetScratch(d.n, c.OutChannels, d.outH, d.outW)
-	c.scatterOutput(gemm, out, d)
-	tensor.PutScratch(gemm)
 	return out, nil
 }
+
+// i8GEMM is one worker's int8 operand headers for convPass, re-pointed
+// at every sample; the columns carry the batch's activation scale.
+type i8GEMM struct {
+	weight *tensor.QTensor
+	dst    tensor.Tensor
+	cols   tensor.QTensor
+	shapes [4]int
+	buf    []int8
+}
+
+// i8Workers returns convPass's factory for int8 workers.
+func (c *Conv2D) i8Workers(d convDims, scale float32) func() convGEMM[int8] {
+	return func() convGEMM[int8] {
+		g := &i8GEMM{weight: &c.qw.qweight, shapes: c.gemmShapes(d)}
+		g.dst.Shape, g.cols.Shape, g.cols.Scale = g.shapes[:2], g.shapes[2:], scale
+		return g
+	}
+}
+
+func (g *i8GEMM) scratch(n int) []int8 {
+	g.buf = tensor.GetScratchI8(n)
+	return g.buf
+}
+
+func (g *i8GEMM) mul(dst []float32, cols []int8) error {
+	g.dst.Data, g.cols.Data = dst, cols
+	return tensor.QMatMulInto(&g.dst, g.weight, &g.cols)
+}
+
+func (g *i8GEMM) release() { tensor.PutScratchI8(g.buf) }
 
 // PrepareQuantized quantizes the linear weights per-tensor.
 func (l *Linear) PrepareQuantized() error { return l.qw.prepare(l.weight.Value) }

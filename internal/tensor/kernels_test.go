@@ -69,31 +69,6 @@ func refMatMulTransB(a, b *Tensor) *Tensor {
 	return c
 }
 
-// refMatMulTransBFold is the per-sample backward reference: compute A·Bᵀ
-// over each segment separately and accumulate the partial products in
-// segment order — the float ordering of the seed conv backward's
-// per-sample GEMM + AddScaled loop.
-func refMatMulTransBFold(a, b *Tensor, segLen int) *Tensor {
-	m, k := a.Shape[0], a.Shape[1]
-	n := b.Shape[0]
-	c := MustNew(m, n)
-	for off := 0; off < k; off += segLen {
-		for i := 0; i < m; i++ {
-			ai := a.Data[i*k : (i+1)*k]
-			ci := c.Data[i*n : (i+1)*n]
-			for j := 0; j < n; j++ {
-				bj := b.Data[j*k : (j+1)*k]
-				var sum float32
-				for p := off; p < off+segLen; p++ {
-					sum += ai[p] * bj[p]
-				}
-				ci[j] += sum
-			}
-		}
-	}
-	return c
-}
-
 // fillMixed fills a tensor with a mix of random values and exact zeros so
 // the bit-identity tests also cover the removed zero-skip branch.
 func fillMixed(t *Tensor, rng *rand.Rand) {
@@ -203,47 +178,6 @@ func TestMatMulTransBBitIdenticalToReference(t *testing.T) {
 			t.Fatalf("MatMulTransBInto %v: %v", s, err)
 		}
 		assertBitIdentical(t, "MatMulTransBInto", dst, got)
-	}
-}
-
-func TestMatMulTransBFoldBitIdenticalToReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	cases := []struct{ m, n, segLen, segs int }{
-		{1, 1, 1, 1},
-		{1, 3, 4, 5},
-		{3, 1, 5, 4},
-		{4, 6, 9, 3},
-		{8, 27, 16, 16}, // conv dW shape: (outC, Cin*K*K) over N samples
-		{16, 72, 64, 16},
-		{5, 7, 1, 13},
-	}
-	for _, s := range cases {
-		k := s.segLen * s.segs
-		a := MustNew(s.m, k)
-		b := MustNew(s.n, k)
-		fillMixed(a, rng)
-		fillMixed(b, rng)
-		dst := MustNew(s.m, s.n)
-		dst.Fill(9)
-		if err := MatMulTransBFoldInto(dst, a, b, s.segLen); err != nil {
-			t.Fatalf("MatMulTransBFoldInto %v: %v", s, err)
-		}
-		assertBitIdentical(t, "MatMulTransBFoldInto", dst, refMatMulTransBFold(a, b, s.segLen))
-	}
-}
-
-func TestMatMulTransBFoldValidation(t *testing.T) {
-	a := MustNew(2, 6)
-	b := MustNew(3, 6)
-	dst := MustNew(2, 3)
-	if err := MatMulTransBFoldInto(dst, a, b, 4); err == nil {
-		t.Error("segment length not dividing inner dim accepted")
-	}
-	if err := MatMulTransBFoldInto(dst, a, b, 0); err == nil {
-		t.Error("zero segment length accepted")
-	}
-	if err := MatMulTransBFoldInto(MustNew(3, 3), a, b, 3); err == nil {
-		t.Error("wrong dst shape accepted")
 	}
 }
 

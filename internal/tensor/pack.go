@@ -5,12 +5,13 @@ import (
 	"time"
 )
 
-// Cache-tiled packed GEMM. The three public MatMul*Into kernels route
-// large problems here: A and B panels are repacked into contiguous
-// microkernel-order buffers sized to the cache blocking chosen by a
-// one-shot runtime probe, and an MRxNR register-blocked microkernel
-// walks the packed strips. Packing buffers cycle through a dedicated
-// panel pool (see panelbuf.go), so steady-state GEMMs allocate nothing.
+// Cache-tiled packed GEMM: the one f32 kernel behind MatMulInto,
+// MatMulTransAInto and MatMulTransBInto, whatever the shape. A and B
+// panels are repacked into contiguous microkernel-order buffers sized to
+// the cache blocking chosen by a one-shot runtime probe, and an MRxNR
+// register-blocked microkernel walks the packed strips. Packing buffers
+// cycle through a dedicated panel pool (see panelbuf.go), so
+// steady-state GEMMs allocate nothing.
 //
 // Bit-identity discipline (the contract shared with matmul.go): every
 // output element owns a single running sum that accumulates its products
@@ -27,14 +28,6 @@ const (
 	// sums held in registers while one packed K block streams through.
 	gemmMR = 4
 	gemmNR = 4
-
-	// packedMinFlops is the M*N*K volume below which the register-blocked
-	// streaming kernels in matmul.go win (packing cost is not amortized).
-	packedMinFlops = 1 << 17
-	// packedMinK and packedMinN gate degenerate shapes where panels would
-	// be all tail: skinny problems stay on the streaming kernels.
-	packedMinK = 8
-	packedMinN = 8
 )
 
 // gemmBlocks are the cache-blocking sizes: the packed A panel is mc x kc
@@ -98,12 +91,6 @@ func probeBlocks() gemmBlocks {
 	return best
 }
 
-// usePacked decides kernel routing from shape alone (deterministic; both
-// paths are bit-identical, so this is purely a performance choice).
-func usePacked(m, n, k int) bool {
-	return k >= packedMinK && n >= packedMinN && m*n*k >= packedMinFlops
-}
-
 // matMulPacked computes dst += 0-initialized A·B (with optional logical
 // transposes) through the packed tiled kernel. A is m x k after transA,
 // B is k x n after transB, dst is m x n and is fully overwritten.
@@ -112,18 +99,22 @@ func usePacked(m, n, k int) bool {
 // by exactly one worker: columns in gemmNR-aligned chunks when n > m (a
 // convolution's few output channels against its many pixels), rows in
 // gemmMR-aligned chunks otherwise. The rule reads the shape alone, and
-// either split leaves each element's k order untouched.
+// either split leaves each element's k order untouched. A problem too
+// small to split runs here, before any closure is built.
 func matMulPacked(dst, a, b *Tensor, m, n, k int, transA, transB bool) {
 	bs := gemmBlockSizes()
-	if n > m {
+	switch {
+	case n > m && !serialWork((n+gemmNR-1)/gemmNR, m*n*k):
 		parallelAligned(n, m*n*k, gemmNR, func(j0, j1 int) {
 			packedSerial(dst, a, b, 0, m, j0, j1, bs, transA, transB)
 		})
-		return
+	case n <= m && !serialWork((m+gemmMR-1)/gemmMR, m*n*k):
+		parallelAligned(m, m*n*k, gemmMR, func(r0, r1 int) {
+			packedSerial(dst, a, b, r0, r1, 0, n, bs, transA, transB)
+		})
+	default:
+		packedSerial(dst, a, b, 0, m, 0, n, bs, transA, transB)
 	}
-	parallelAligned(m, m*n*k, gemmMR, func(r0, r1 int) {
-		packedSerial(dst, a, b, r0, r1, 0, n, bs, transA, transB)
-	})
 }
 
 // parallelAligned is parallelRows over [0, size) with worker chunks
@@ -266,31 +257,18 @@ func microKernel4x4Go(c []float32, ldc int, ap, bp []float32, kc int) {
 	c3[0], c3[1], c3[2], c3[3] = c30, c31, c32, c33
 }
 
-// microKernelEdge handles ragged tiles (rows < gemmMR or cols < gemmNR):
-// valid lanes load their running sum from C, padded lanes run on zeros
-// and are never stored back.
+// microKernelEdge handles ragged tiles (rows < gemmMR or cols < gemmNR)
+// with the full microkernel on a local 4x4 tile: valid lanes carry their
+// running sums from C and are stored back; padded lanes run on the
+// panels' zero padding and are dropped.
 func microKernelEdge(c []float32, ldc int, ap, bp []float32, kc, rows, cols int) {
-	var acc [gemmMR][gemmNR]float32
+	var tile [gemmMR * gemmNR]float32
 	for r := 0; r < rows; r++ {
-		for j := 0; j < cols; j++ {
-			acc[r][j] = c[r*ldc+j]
-		}
+		copy(tile[r*gemmNR:r*gemmNR+cols], c[r*ldc:r*ldc+cols])
 	}
-	for p := 0; p < kc; p++ {
-		a := ap[4*p : 4*p+4 : 4*p+4]
-		bv := bp[4*p : 4*p+4 : 4*p+4]
-		for r := 0; r < gemmMR; r++ {
-			ar := a[r]
-			acc[r][0] += ar * bv[0]
-			acc[r][1] += ar * bv[1]
-			acc[r][2] += ar * bv[2]
-			acc[r][3] += ar * bv[3]
-		}
-	}
+	microKernel4x4(tile[:], gemmNR, ap, bp, kc)
 	for r := 0; r < rows; r++ {
-		for j := 0; j < cols; j++ {
-			c[r*ldc+j] = acc[r][j]
-		}
+		copy(c[r*ldc:r*ldc+cols], tile[r*gemmNR:r*gemmNR+cols])
 	}
 }
 

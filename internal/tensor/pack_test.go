@@ -84,12 +84,13 @@ func TestPackedGEMMPropertyBitIdentical(t *testing.T) {
 }
 
 // TestPackedGEMMPublicRoutingBitIdentical checks the public entry points
-// (which route between the streaming and packed kernels by shape) on the
-// same adversarial dimensions, so whichever kernel the router picks must
-// match the reference bit for bit. Besides the square shapes it covers
-// wide ones (n >= 4m, where matMulPacked splits columns across workers,
-// up to n = 4099 so chunk ends land off the gemmNR grid) and their tall
-// transposes (where it splits rows), all under 1, 2, 3 and 8 workers.
+// on the same adversarial dimensions: every shape must match the
+// reference bit for bit. Besides the square shapes it covers wide ones
+// (n >= 4m, where matMulPacked splits columns across workers, up to
+// n = 4099 so chunk ends land off the gemmNR grid) and their tall
+// transposes (where it splits rows), the linear head's skinny shapes
+// (batch 16 or 1 against 2048 features and 6 outputs, and k of 1 and
+// 6), all under 1, 2, 3 and 8 workers.
 func TestPackedGEMMPublicRoutingBitIdentical(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	rng := rand.New(rand.NewSource(11))
@@ -100,22 +101,34 @@ func TestPackedGEMMPublicRoutingBitIdentical(t *testing.T) {
 			shapes = append(shapes, shape{d, d, k})
 		}
 	}
+	// The wide and tall shapes must reach both worker splits, or the
+	// check above says nothing about them.
+	runtime.GOMAXPROCS(8)
 	wide, tall := 0, 0
 	for _, m := range []int{1, 4, 8, 13} {
 		for _, n := range []int{4 * m, 4*m + 3, 257, 4099} {
 			for _, k := range []int{33, 130} {
 				shapes = append(shapes, shape{m, n, k}, shape{n, m, k})
-				if usePacked(m, n, k) {
+				if !serialWork((n+gemmNR-1)/gemmNR, m*n*k) {
 					wide++
 				}
-				if usePacked(n, m, k) {
+				if !serialWork((n+gemmMR-1)/gemmMR, n*m*k) {
 					tall++
 				}
 			}
 		}
 	}
 	if wide < 4 || tall < 4 {
-		t.Fatalf("only %d wide and %d tall shapes take the packed kernel", wide, tall)
+		t.Fatalf("only %d wide shapes split columns and %d tall shapes split rows", wide, tall)
+	}
+	// The linear head's shapes, and the same outputs over k of 1 and 6.
+	for _, s := range []shape{{16, 6, 2048}, {16, 2048, 6}, {2048, 6, 16}, {1, 6, 2048}} {
+		shapes = append(shapes, s)
+		for _, k := range []int{1, 6} {
+			if k != s.k {
+				shapes = append(shapes, shape{s.m, s.n, k})
+			}
+		}
 	}
 	for _, s := range shapes {
 		a := randFilled(rng, s.m, s.k)

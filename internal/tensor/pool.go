@@ -80,6 +80,9 @@ func PutScratch(t *Tensor) { scratch.Put(t) }
 // UNDEFINED contents sized at least n (sliced to exactly n), Put recycles.
 type SlicePool[T int8 | int16 | int32] struct {
 	buckets sync.Map // rounded capacity -> *sync.Pool of *sliceBox[T]
+	// boxes holds emptied boxes, so Put refills one instead of
+	// allocating a box per call.
+	boxes sync.Pool
 }
 
 type sliceBox[T int8 | int16 | int32] struct{ buf []T }
@@ -100,7 +103,11 @@ func (p *SlicePool[T]) Get(n int) []T {
 	}
 	bcap := roundUp(n, 1024)
 	if v := p.bucket(bcap).Get(); v != nil {
-		return v.(*sliceBox[T]).buf[:n]
+		box := v.(*sliceBox[T])
+		s := box.buf[:n]
+		box.buf = nil
+		p.boxes.Put(box)
+		return s
 	}
 	return make([]T, bcap)[:n]
 }
@@ -111,7 +118,12 @@ func (p *SlicePool[T]) Put(s []T) {
 	if cap(s) == 0 {
 		return
 	}
-	p.bucket(cap(s)).Put(&sliceBox[T]{buf: s[:cap(s)]})
+	box, _ := p.boxes.Get().(*sliceBox[T])
+	if box == nil {
+		box = new(sliceBox[T])
+	}
+	box.buf = s[:cap(s)]
+	p.bucket(cap(s)).Put(box)
 }
 
 // Package-level typed scratch pools for the quantized inference path.

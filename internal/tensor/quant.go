@@ -118,30 +118,42 @@ func QMatMulInto(dst *Tensor, a, b *QTensor) error {
 	kp := (k + 1) / 2 // pair count; odd k zero-pads the final pair
 
 	// Pack all of B once (strips of gemmNR columns, pair-interleaved);
-	// workers share it read-only and pack only their own A rows.
+	// workers share it read-only and pack only their own A rows. A
+	// problem too small to split runs here, before any closure is built.
 	bpBuf := GetScratchI16(roundUp(n, gemmNR) * kp * 2)
 	packQB(bpBuf, b.Data, k, n)
-	parallelAligned(m, m*n*k, gemmMR, func(r0, r1 int) {
-		apBuf := GetScratchI16(roundUp(r1-r0, gemmMR) * kp * 2)
-		packQA(apBuf, a.Data, r0, r1-r0, k)
-		for jr := 0; jr < n; jr += gemmNR {
-			cols := min(gemmNR, n-jr)
-			bstrip := bpBuf[(jr/gemmNR)*2*gemmNR*kp:]
-			for ir := r0; ir < r1; ir += gemmMR {
-				rows := min(gemmMR, r1-ir)
-				astrip := apBuf[((ir-r0)/gemmMR)*2*gemmMR*kp:]
-				dbase := ir*n + jr
-				if rows == gemmMR && cols == gemmNR {
-					qMicroKernel4x4(dst.Data[dbase:], n, astrip, bstrip, kp, scale)
-				} else {
-					qMicroKernelEdge(dst.Data[dbase:], n, astrip, bstrip, kp, scale, rows, cols)
-				}
-			}
-		}
-		PutScratchI16(apBuf)
-	})
+	if serialWork((m+gemmMR-1)/gemmMR, m*n*k) {
+		qPackedRows(dst, a, bpBuf, 0, m, n, k, scale)
+	} else {
+		parallelAligned(m, m*n*k, gemmMR, func(r0, r1 int) {
+			qPackedRows(dst, a, bpBuf, r0, r1, n, k, scale)
+		})
+	}
 	PutScratchI16(bpBuf)
 	return nil
+}
+
+// qPackedRows packs A's rows [r0, r1) and sweeps the int8 microkernel
+// over them against the packed B panel bp, writing dst's rows [r0, r1).
+func qPackedRows(dst *Tensor, a *QTensor, bp []int16, r0, r1, n, k int, scale float32) {
+	kp := (k + 1) / 2
+	apBuf := GetScratchI16(roundUp(r1-r0, gemmMR) * kp * 2)
+	packQA(apBuf, a.Data, r0, r1-r0, k)
+	for jr := 0; jr < n; jr += gemmNR {
+		cols := min(gemmNR, n-jr)
+		bstrip := bp[(jr/gemmNR)*2*gemmNR*kp:]
+		for ir := r0; ir < r1; ir += gemmMR {
+			rows := min(gemmMR, r1-ir)
+			astrip := apBuf[((ir-r0)/gemmMR)*2*gemmMR*kp:]
+			dbase := ir*n + jr
+			if rows == gemmMR && cols == gemmNR {
+				qMicroKernel4x4(dst.Data[dbase:], n, astrip, bstrip, kp, scale)
+			} else {
+				qMicroKernelEdge(dst.Data[dbase:], n, astrip, bstrip, kp, scale, rows, cols)
+			}
+		}
+	}
+	PutScratchI16(apBuf)
 }
 
 // packQA packs rows [i0,i0+mc) of row-major int8 A (width k) into

@@ -184,11 +184,10 @@ type Detection = metrics.Detection
 
 // DetectBatch runs one batched forward pass over several images and
 // returns each image's NMS-filtered detections with scores above
-// scoreThresh, bit-identical to one call per image but paying for a
-// single batched GEMM per layer. It
-// runs on the stateless inference path, so concurrent DetectBatch calls
-// on one model are safe — the evaluation engine fans them across its
-// worker pool.
+// scoreThresh, bit-identical to one call per image. It runs on the
+// stateless inference path, so concurrent DetectBatch calls on one
+// model are safe — the evaluation engine fans them across its worker
+// pool.
 func (m *Model) DetectBatch(imgs []*render.Image, scoreThresh, nmsIoU float64) ([][]Detection, error) {
 	if scoreThresh < 0 || scoreThresh > 1 {
 		return nil, fmt.Errorf("yolo: score threshold %f outside [0,1]", scoreThresh)
