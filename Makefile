@@ -47,13 +47,13 @@ bench:
 # route serves — 16 frames, channels [8, 16, 32] — and the GEMM size
 # sweep), the quantization drift recorder, the spatial index and
 # warm-start store serving, the degradation ops, a 96×96 frame render,
-# perception, source seeding and the evaluator's four-model sweep,
-# keeping frames and keeping nothing.
+# perception, source seeding, the evaluator's four-model walk and a
+# whole f4 run through the experiment runner (two sweeps, one walk).
 # -benchmem keeps allocation counts visible.
 # Performance numbers come from nbhdbench (see BENCHMARK.json), not
 # from this target.
 bench-smoke:
-	$(GO) test -run=NONE -bench='MatMul128|HTTPBackend_Sweep|ConvForward|ConvBackward|TrainEpoch|DetectorForward|PredictBatch|QuantDrift|GEMMSizes|Nearest|WarmStart|DegradationOps|RenderFrame96|Perceive|Seed|EvaluatorSweep' -benchtime=1x -benchmem . ./internal/tensor ./internal/randsrc
+	$(GO) test -run=NONE -bench='MatMul128|HTTPBackend_Sweep|ConvForward|ConvBackward|TrainEpoch|DetectorForward|PredictBatch|QuantDrift|GEMMSizes|Nearest|WarmStart|DegradationOps|RenderFrame96|Perceive|Seed|EvaluatorSweep|RunnerRun' -benchtime=1x -benchmem . ./internal/tensor ./internal/randsrc
 
 # Runs each fuzz target for ten seconds past its seed corpus (plain
 # `go test` already replays the seeds under testdata/fuzz/). The

@@ -585,40 +585,48 @@ func BenchmarkPerceive(b *testing.B) {
 }
 
 // BenchmarkEvaluatorSweep sweeps the four builtin models over 40
-// coordinates in one frame-major walk, once keeping the frames in the
-// pipeline's caches and once keeping nothing (each worker renders into
-// buffers it reuses); -benchmem shows what each path allocates per
-// sweep. Every iteration builds a fresh pipeline, outside the timer, so
-// the kept path never finds the previous iteration's frames.
+// coordinates in one frame-major walk, each worker rendering into
+// buffers it reuses; -benchmem shows what one walk allocates. Every
+// iteration builds a fresh pipeline, outside the timer.
 func BenchmarkEvaluatorSweep(b *testing.B) {
 	ctx := context.Background()
-	for _, keep := range []bool{true, false} {
-		name := "keep-frames"
-		if !keep {
-			name = "keep-nothing"
+	backends := make([]backend.Backend, 0, len(vlm.AllModels()))
+	for _, id := range vlm.AllModels() {
+		bk, err := backend.Open(ctx, backend.Spec{Kind: "vlm", Model: string(id)})
+		if err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			backends := make([]backend.Backend, 0, len(vlm.AllModels()))
-			for _, id := range vlm.AllModels() {
-				bk, err := backend.Open(ctx, backend.Spec{Kind: "vlm", Model: string(id)})
-				if err != nil {
-					b.Fatal(err)
-				}
-				backends = append(backends, bk)
-			}
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				pipe, err := core.NewPipeline(core.Config{Coordinates: 40, Seed: benchSeed})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				if _, err := pipe.NewEvaluator(core.EvalConfig{}).SweepBackendSet(ctx, backends, core.LLMOptions{}, keep); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+		backends = append(backends, bk)
 	}
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		pipe, err := core.NewPipeline(core.Config{Coordinates: 40, Seed: benchSeed})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if _, err := pipe.NewEvaluator(core.EvalConfig{}).EvaluateBackendSet(ctx, backends, core.LLMOptions{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRunnerRun runs the builtin f4 spec at 40 coordinates through
+// Runner.Run, corpus build included: its two sweeps under different
+// prompt modes share one walk of the corpus. -benchmem shows what the
+// whole run allocates.
+func BenchmarkRunnerRun(b *testing.B) {
+	b.Run("f4", func(b *testing.B) {
+		spec, err := experiment.Builtin("f4", experiment.BuiltinConfig{Coordinates: 40, Seed: benchSeed})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i := 0; i < b.N; i++ {
+			if _, err := experiment.NewRunner(experiment.RunnerConfig{}).Run(context.Background(), spec, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // benchWideChannels are paper-realistic backbone widths for the

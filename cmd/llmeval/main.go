@@ -16,10 +16,10 @@
 //	llmeval -run-dir runs -experiment f5      # leave a diffable run-artifact trail
 //
 // Every experiment is a declarative spec (experiment.Builtin) executed
-// by the streaming runner on the concurrent evaluation engine: each
-// sweep walks the corpus once, rendering every frame once and asking
-// all its backends in batches shaped by their capability hints; frames
-// stay cached only for later sweeps that need them. Ctrl-C cancels cleanly
+// by the streaming runner on the concurrent evaluation engine: a run
+// walks the corpus once, rendering every frame once and asking every
+// sweep's backends in batches shaped by their capability hints, and
+// keeps no frame. Ctrl-C cancels cleanly
 // mid-sweep (including mid-training for the supervised backends). The
 // http backend uses the lossless image encoding, so its reports are
 // bit-identical to -backend local. The yolo and cnn backends first
@@ -64,7 +64,7 @@ func run() error {
 	coords := flag.Int("coords", 150, "sampled coordinates (4 frames each)")
 	seed := flag.Int64("seed", 1, "seed")
 	experimentName := flag.String("experiment", "all", "one of: all, tables, f4, f5, f6, params, smoke, or robustness[:family] (local/http backends)")
-	workers := flag.Int("workers", 0, "evaluation worker budget (0 = GOMAXPROCS); multi-model sweeps divide it")
+	workers := flag.Int("workers", 0, "evaluation worker budget (0 = GOMAXPROCS); a run's walk uses one worker per distinct backend if that is more")
 	backendName := flag.String("backend", "local", "classifier backend: local, http, yolo, or cnn")
 	baseURL := flag.String("base-url", "http://127.0.0.1:8080", "llmserve base URL for -backend http")
 	apiKey := flag.String("api-key", "", "bearer token for -backend http")

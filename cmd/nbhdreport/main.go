@@ -5,8 +5,8 @@
 //
 // The run is a declarative experiment spec executed by the streaming
 // runner: coordinate groups fan out across -workers evaluation workers
-// over the shared render/perception caches, and Ctrl-C cancels the
-// sweep cleanly mid-run.
+// in one walk of the corpus, and Ctrl-C cancels the walk cleanly
+// mid-run.
 //
 // Usage:
 //

@@ -33,11 +33,9 @@ var testOnlyAllowed = map[string]string{
 	"nbhd/internal/classify.Model.Predict":               "reference implementation: PredictBatch and the cnn adapter are tested against it",
 	"nbhd/internal/core.Pipeline.DetectorPresenceReport": "paper benchmark: Table I in bench_test.go and ablation_bench_test.go",
 	"nbhd/internal/dataset.ApplyCondition":               "reference implementation: ConditionInto is tested against it",
-	"nbhd/internal/dataset.RenderCache.Examples":         "fixture: cache tests fetch frame lists through it",
 	"nbhd/internal/dataset.RenderCache.StoreHits":        "test seam: counts frames the persistent tier served",
 	"nbhd/internal/ensemble.PaperCommittee":              "paper benchmark: the paper's top-3 committee in the black-box and integration suites",
 	"nbhd/internal/experiment.DiffRuns":                  "test seam: checkpoint and lab black-box tests diff resumed runs byte for byte",
-	"nbhd/internal/experiment.EnvelopeKinds":             "test seam: the robustness test walks every enveloped backend kind",
 	"nbhd/internal/experiment.Store.RunDir":              "test seam: tests reach a saved run's files on disk",
 	"nbhd/internal/experiment.Store.Runs":                "test seam: checkpoint tests list the saved runs",
 	"nbhd/internal/fleet.Ring.Has":                       "test seam: supervisor tests watch ring membership",

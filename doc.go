@@ -21,14 +21,13 @@
 // (experiment.Builtin), and a golden test pins the runner's reports
 // byte-identical to checked-in report JSON.
 //
-// Evaluation sweeps run on the concurrent engine in internal/core: a
-// sweep walks the corpus once, frame batch by frame batch, across
-// GOMAXPROCS workers with context cancellation; each worker renders and
-// perceives a frame once and asks every backend of the sweep while the
-// frame is in cache. Frames stay in the shared render and perception
-// caches only when a later step walks the corpus again; otherwise each
-// worker renders into buffers it reuses. Reports are bit-identical to
-// the serial path (see README.md for the API and guarantees).
+// Evaluation runs on the concurrent engine in internal/core: a run
+// walks the corpus once for every sweep and analysis, frame batch by
+// frame batch, across GOMAXPROCS workers with context cancellation;
+// each worker renders and perceives a frame once, into buffers it
+// reuses, and asks every job while the frame is in cache. Reports are
+// bit-identical to the serial path (see README.md for the API and
+// guarantees).
 //
 // Every classifier family flows into that engine through the pluggable
 // backend layer in internal/backend: one Backend interface (batched

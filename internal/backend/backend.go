@@ -29,8 +29,8 @@ type Item struct {
 	ID string
 	// Image is the rendered frame; backends must treat the pixels as
 	// read-only and must not keep the image (or Feats) after Classify
-	// returns: cached images are shared across sweeps, and a sweep that
-	// keeps no frames renders the next batch into the same buffers.
+	// returns: the evaluation walk renders the next batch into the same
+	// buffers.
 	Image *render.Image
 	// Feats holds precomputed perception features. The engine fills it
 	// only for backends whose Capabilities report PerceivedFeatures;

@@ -103,8 +103,8 @@ func (h *HTTP) Close() error {
 	return nil
 }
 
-// Capabilities: remote models cannot consume the perception cache (the
-// server perceives behind the API); batches amortize engine overhead
+// Capabilities: remote models cannot consume precomputed perception
+// features (the server perceives behind the API); batches amortize engine overhead
 // and MaxConcurrency keeps the engine from queuing more batches than
 // the in-flight budget can serve.
 func (h *HTTP) Capabilities() Capabilities {

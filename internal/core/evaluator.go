@@ -9,7 +9,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"nbhd/internal/analysis"
 	"nbhd/internal/backend"
 	"nbhd/internal/dataset"
 	"nbhd/internal/ensemble"
@@ -21,52 +20,32 @@ import (
 
 // EvalConfig tunes the concurrent evaluator.
 type EvalConfig struct {
-	// Workers is the classification fan-out per sweep; zero defaults to
-	// GOMAXPROCS.
+	// Workers is a walk's worker budget; zero defaults to GOMAXPROCS. A
+	// walk that asks more distinct backends than that runs one worker
+	// per backend instead.
 	Workers int
 }
 
-// Evaluator sweeps classifier backends over the pipeline's corpus
+// Evaluator walks classifier backends over the pipeline's corpus
 // concurrently. Every backend family — builtin VLMs, committees, remote
-// HTTP models, the YOLO detector, the CNN baseline — flows through the
-// same frame-major walk (see walk): each frame is rendered at each
-// backend resolution and perceived once per walk, every backend of the
-// sweep is asked about it in batches shaped by its capability hints,
-// and each answer lands in its frame's slot, scored in frame order at
-// the end. Results are bit-identical to a serial sweep: answers are
-// deterministic in (backend, frame content, request) and renders are
-// deterministic in the scene.
+// HTTP models, the YOLO detector, the CNN baseline — and every job of a
+// run flows through the same frame-major walk (see Walk). Results are
+// bit-identical to a serial sweep: answers are deterministic in
+// (backend, frame content, request) and renders are deterministic in
+// the scene.
 type Evaluator struct {
 	pipe    *Pipeline
 	workers int
 }
 
-// NewEvaluator builds an evaluator over the pipeline's corpus and caches.
+// NewEvaluator builds an evaluator over the pipeline's corpus and render
+// cache.
 func (p *Pipeline) NewEvaluator(cfg EvalConfig) *Evaluator {
 	w := cfg.Workers
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
 	return &Evaluator{pipe: p, workers: w}
-}
-
-// featEntry dedupes concurrent perception of one image.
-type featEntry struct {
-	once  sync.Once
-	feats vlm.Features
-	err   error
-}
-
-// features returns the cached perception features for a kept frame,
-// perceiving it exactly once across all concurrent sweeps.
-func (p *Pipeline) features(img *render.Image) (vlm.Features, error) {
-	v, ok := p.featCache.Load(img)
-	if !ok {
-		v, _ = p.featCache.LoadOrStore(img, &featEntry{})
-	}
-	e := v.(*featEntry)
-	e.once.Do(func() { e.feats, e.err = vlm.Perceive(img) })
-	return e.feats, e.err
 }
 
 // renderSizeFor resolves the resolution a backend's frames render at:
@@ -86,64 +65,101 @@ type BackendSweep struct {
 	Answers [][scene.NumIndicators]bool
 }
 
-// EvaluateBackend sweeps any classifier backend over the corpus with the
-// evaluator's worker pool. The backend's capability hints shape the
-// sweep: frames render (once, cached) at its preferred resolution,
-// perception features are computed (once, cached) only when it consumes
-// them, classification happens in batches of its preferred size, and
-// concurrent Classify calls are bounded by its maximum concurrency —
-// rendering and perception stay fully parallel even for single-file
-// backends. The frames and features stay in the pipeline's caches for
-// later sweeps. The context cancels the sweep: the first error (or
-// cancellation) stops all workers and is returned.
+// SweepJob is one sweep cell of a walk: Backend asked about the corpus
+// frames under Options, the first Options.FrameLimit of them when it is
+// positive.
+type SweepJob struct {
+	Backend backend.Backend
+	Options LLMOptions
+}
+
+// AnalysisJob is one neighborhood analysis of a walk: Backend asked
+// about every corpus frame, the four headings of each coordinate fused
+// with any-vote fusion and the coordinates bucketed into tracts
+// TractFeet wide.
+type AnalysisJob struct {
+	Backend   backend.Backend
+	TractFeet float64
+}
+
+// Walk runs a run's jobs over one frame-major walk of the corpus (see
+// walk) and returns each sweep job's report and answers and each
+// analysis job's tract-level environment scores and health-outcome
+// associations, in input order. A job's result is bit-identical to the
+// one it gets walked alone: each sweep job is asked about its frames in
+// chunks of its backend's preferred batch, each analysis job about one
+// coordinate's four headings at a time.
+//
+// The first failure cancels the walk and is returned, prefixed with its
+// backend's name, with the index of the job it belongs to: the sweep
+// jobs come first, analysis job a is len(sweeps)+a. The context cancels
+// the walk.
+func (e *Evaluator) Walk(ctx context.Context, sweeps []SweepJob, analyses []AnalysisJob) ([]BackendSweep, []*NeighborhoodResult, int, error) {
+	p := e.pipe
+	jobs := make([]frameJob, 0, len(sweeps)+len(analyses))
+	for i, s := range sweeps {
+		if !dataset.ValidCondition(s.Options.Condition) {
+			return nil, nil, i, fmt.Errorf("core: %s: core: unknown capture condition %q (have %v)", s.Backend.Name(), s.Options.Condition, dataset.Conditions())
+		}
+		n := p.Study.Len()
+		if s.Options.FrameLimit > 0 && s.Options.FrameLimit < n {
+			n = s.Options.FrameLimit
+		}
+		jobs = append(jobs, e.newJob(s.Backend, s.Options, n))
+	}
+	for _, an := range analyses {
+		job := e.newJob(an.Backend, LLMOptions{}, p.Study.Len())
+		job.batch = FramesPerCoordinate
+		jobs = append(jobs, job)
+	}
+	if len(jobs) == 0 {
+		return nil, nil, 0, nil
+	}
+	if j, err := e.walk(ctx, jobs); err != nil {
+		return nil, nil, j, fmt.Errorf("core: %s: %w", jobs[j].b.Name(), err)
+	}
+	swept := make([]BackendSweep, len(sweeps))
+	for i := range swept {
+		swept[i] = BackendSweep{Report: p.score(jobs[i].answers), Answers: jobs[i].answers}
+	}
+	analyzed := make([]*NeighborhoodResult, len(analyses))
+	for a, an := range analyses {
+		res, err := p.neighborhoodAnalysis(jobs[len(sweeps)+a].answers, an.TractFeet)
+		if err != nil {
+			return nil, nil, len(sweeps) + a, fmt.Errorf("core: %s: %w", an.Backend.Name(), err)
+		}
+		analyzed[a] = res
+	}
+	return swept, analyzed, 0, nil
+}
+
+// EvaluateBackend sweeps one backend over the corpus under opts: a Walk
+// of one sweep job.
 func (e *Evaluator) EvaluateBackend(ctx context.Context, b backend.Backend, opts LLMOptions) (*metrics.ClassReport, error) {
-	sweeps, _, err := e.sweep(ctx, []backend.Backend{b}, opts, true)
+	reports, err := e.EvaluateBackendSet(ctx, []backend.Backend{b}, opts)
 	if err != nil {
 		return nil, err
 	}
-	return sweeps[0].Report, nil
+	return reports[0], nil
 }
 
-// sweep walks the corpus once for every backend under opts and returns
-// their sweeps in input order, or the first error with the index of the
-// backend it belongs to (see walk).
-func (e *Evaluator) sweep(ctx context.Context, backends []backend.Backend, opts LLMOptions, keep bool) ([]BackendSweep, int, error) {
-	p := e.pipe
-	if !dataset.ValidCondition(opts.Condition) {
-		return nil, 0, fmt.Errorf("core: unknown capture condition %q (have %v)", opts.Condition, dataset.Conditions())
-	}
-	n := p.Study.Len()
-	if opts.FrameLimit > 0 && opts.FrameLimit < n {
-		n = opts.FrameLimit
-	}
-	answers := make([][][scene.NumIndicators]bool, len(backends))
-	jobs := make([]frameJob, len(backends))
+// EvaluateBackendSet sweeps several backends over one walk of the corpus
+// under opts and returns their reports in input order: a Walk of one
+// sweep job per backend.
+func (e *Evaluator) EvaluateBackendSet(ctx context.Context, backends []backend.Backend, opts LLMOptions) ([]*metrics.ClassReport, error) {
+	jobs := make([]SweepJob, len(backends))
 	for i, b := range backends {
-		answers[i] = make([][scene.NumIndicators]bool, n)
-		jobs[i] = e.answerJob(b, opts, answers[i])
+		jobs[i] = SweepJob{Backend: b, Options: opts}
 	}
-	if culprit, err := e.walk(ctx, jobs, func(batches []int) [][2]int { return frameSpans(n, batches) }, keep); err != nil {
-		return nil, culprit, err
+	sweeps, _, _, err := e.Walk(ctx, jobs, nil)
+	if err != nil {
+		return nil, err
 	}
-	sweeps := make([]BackendSweep, len(backends))
+	reports := make([]*metrics.ClassReport, len(sweeps))
 	for i := range sweeps {
-		sweeps[i] = BackendSweep{Report: p.score(answers[i]), Answers: answers[i]}
+		reports[i] = sweeps[i].Report
 	}
-	return sweeps, 0, nil
-}
-
-// answerJob is backend b's part in a sweep under opts: each frame's
-// answer vector lands in its slot, answers[i] for corpus frame i.
-func (e *Evaluator) answerJob(b backend.Backend, opts LLMOptions, answers [][scene.NumIndicators]bool) frameJob {
-	return e.newJob(b, opts, func(_, start int, items []backend.Item, got [][]bool) error {
-		for k := range items {
-			if len(got[k]) != scene.NumIndicators {
-				return fmt.Errorf("core: backend %s answered %d indicators for %s, want %d", b.Name(), len(got[k]), items[k].ID, scene.NumIndicators)
-			}
-			copy(answers[start+k][:], got[k])
-		}
-		return nil
-	})
+	return reports, nil
 }
 
 // score builds the confusion report of per-frame answer vectors against
@@ -186,86 +202,11 @@ func (e *Evaluator) Vote(members []BackendSweep) (*metrics.ClassReport, error) {
 	return e.pipe.score(voted), nil
 }
 
-// EvaluateBackendSet evaluates several backends over one walk of the
-// corpus and returns their reports in input order; it is
-// SweepBackendSet without the answers, keeping the frames.
-func (e *Evaluator) EvaluateBackendSet(ctx context.Context, backends []backend.Backend, opts LLMOptions) ([]*metrics.ClassReport, error) {
-	sweeps, err := e.SweepBackendSet(ctx, backends, opts, true)
-	if err != nil {
-		return nil, err
-	}
-	reports := make([]*metrics.ClassReport, len(sweeps))
-	for i := range sweeps {
-		reports[i] = sweeps[i].Report
-	}
-	return reports, nil
-}
-
-// SweepBackendSet sweeps several backends over one frame-major walk of
-// the corpus (see walk) and returns their reports and answers in input
-// order. keepFrames says whether a later sweep needs this one's frames:
-// with it the frames and perception features come from, and stay in,
-// the pipeline's caches (and its persistent frame store, if any);
-// without it each worker renders into buffers it owns and reuses, and
-// nothing outlives the sweep. The reports are the same either way. The
-// first backend error cancels the others and is returned, prefixed with
-// the backend's name.
-func (e *Evaluator) SweepBackendSet(ctx context.Context, backends []backend.Backend, opts LLMOptions, keepFrames bool) ([]BackendSweep, error) {
-	if len(backends) == 0 {
-		return nil, fmt.Errorf("core: no backends to evaluate")
-	}
-	sweeps, culprit, err := e.sweep(ctx, backends, opts, keepFrames)
-	if err != nil {
-		return nil, fmt.Errorf("core: %s: %w", backends[culprit].Name(), err)
-	}
-	return sweeps, nil
-}
-
-// AnalyzeNeighborhood runs a backend over the whole corpus, fuses the
-// four headings of each coordinate with any-vote fusion, and produces
-// tract-level environment scores and health-outcome associations.
-// Coordinate groups (group g covers corpus frames
-// [g*FramesPerCoordinate, (g+1)*FramesPerCoordinate)) fan out across the
-// worker pool, each group one span of the walk and one backend batch
-// over kept frames; results are bit-identical to the serial sweep
-// because fused locations land at their coordinate's index regardless
-// of completion order. The context cancels mid-sweep.
-func (e *Evaluator) AnalyzeNeighborhood(ctx context.Context, b backend.Backend, tractFeet float64) (*NeighborhoodResult, error) {
-	p := e.pipe
-	spans := make([][2]int, p.Study.Len()/FramesPerCoordinate)
-	for g := range spans {
-		spans[g] = [2]int{g * FramesPerCoordinate, (g + 1) * FramesPerCoordinate}
-	}
-	locations := make([]analysis.LocationProfile, len(spans))
-	job := e.newJob(b, LLMOptions{}, func(g, start int, _ []backend.Item, answers [][]bool) error {
-		perHeading := make([][scene.NumIndicators]bool, len(answers))
-		for k := range answers {
-			copy(perHeading[k][:], answers[k])
-		}
-		fused, err := ensemble.FuseHeadings(perHeading, ensemble.FuseAny)
-		if err != nil {
-			return fmt.Errorf("core: %w", err)
-		}
-		fr := p.Study.Frames[start]
-		locations[g] = analysis.LocationProfile{
-			Coordinate: fr.Scene.Point.Coordinate,
-			County:     fr.County,
-			Presence:   fused,
-		}
-		return nil
-	})
-	job.batch = FramesPerCoordinate
-	if _, err := e.walk(ctx, []frameJob{job}, func([]int) [][2]int { return spans }, true); err != nil {
-		return nil, err
-	}
-	return p.neighborhoodAnalysis(locations, tractFeet)
-}
-
-// frameJob is one backend's part in a frame-major walk: the walk asks b
-// about the frames of each span in chunks of batch (a chunk starts batch
-// frames after the previous one, at the span's start for the first),
-// on frames rendered at size and degraded under the resolved capture
-// condition cond, and hands every answer to take.
+// frameJob is one job's part in a frame-major walk: the walk asks b
+// about corpus frames [0,len(answers)) in chunks of batch (each starting
+// at a multiple of batch, the last cut at the end), on frames rendered
+// at size and degraded under the resolved capture condition cond, and
+// lands each frame's answer vector in its slot of answers.
 type frameJob struct {
 	b       backend.Backend
 	caps    backend.Capabilities
@@ -273,19 +214,16 @@ type frameJob struct {
 	cond    string
 	batch   int
 	options backend.Options
-	// take consumes the answers to the chunk whose first frame is corpus
-	// frame start, in the walk's span si; it runs concurrently on
-	// distinct chunks.
-	take func(si, start int, items []backend.Item, answers [][]bool) error
+	answers [][scene.NumIndicators]bool
 	// Set by walk: cond's index in the job's group, and the semaphore
-	// bounding concurrent Classify calls (nil when unbounded).
+	// its backend's Classify calls share (nil when unbounded).
 	ci  int
 	sem chan struct{}
 }
 
-// newJob builds backend b's frame job under opts, in chunks of its
-// preferred batch.
-func (e *Evaluator) newJob(b backend.Backend, opts LLMOptions, take func(si, start int, items []backend.Item, answers [][]bool) error) frameJob {
+// newJob builds backend b's frame job over the first n frames under
+// opts, in chunks of its preferred batch.
+func (e *Evaluator) newJob(b backend.Backend, opts LLMOptions, n int) frameJob {
 	caps := b.Capabilities()
 	return frameJob{
 		b:       b,
@@ -294,7 +232,7 @@ func (e *Evaluator) newJob(b backend.Backend, opts LLMOptions, take func(si, sta
 		cond:    dataset.ResolveCondition(e.pipe.Study.Condition, opts.Condition),
 		batch:   max(1, caps.PreferredBatch),
 		options: opts.backendOptions(),
-		take:    take,
+		answers: make([][scene.NumIndicators]bool, n),
 	}
 }
 
@@ -325,35 +263,38 @@ func gcd(a, b int) int {
 	return a
 }
 
-// frameGroup is the jobs of a walk that share a render size: the
-// distinct capture conditions they ask under, whether any job under each
-// consumes perception features, and the spans of frames the walk's
-// workers claim for them.
+// frameGroup is the jobs of a walk that share a render size: the frames
+// [0,n) they ask about, the distinct capture conditions they ask under,
+// whether any job under each consumes perception features, and the
+// spans of frames the walk's workers claim for them.
 type frameGroup struct {
 	size     int
+	n        int
 	jobs     []int
 	conds    []string
 	perceive []bool
 	spans    [][2]int
 }
 
-// walk is the worker pool under every corpus sweep. It groups the jobs
-// by render size, asks spans(batches) for each group's spans given its
-// jobs' batch sizes, and runs max(workers, jobs) workers (capped at the
-// number of spans) that claim spans in order. For each span a worker
-// gets each frame once at the group's size — from the pipeline's caches
-// when keep is set, otherwise rendered into a buffer the worker owns —
-// derives each capture condition once, perceives each (frame,
-// condition) once if some job consumes features, then asks every job in
-// input order, each Classify under the job's MaxConcurrency, while the
-// span's frames are still in cache.
+// walk is the worker pool under every Walk. It groups the jobs by
+// render size, splits each group's frames, up to its jobs' largest
+// frame count, into frameSpans of its jobs' batch sizes, and runs as many
+// workers as the budget, or as the distinct backends asked if more
+// (capped at the number of spans), which claim spans in order. For each
+// span a worker gets each frame once at the group's size through
+// RenderCache.RenderInto into buffers it owns, derives each capture
+// condition once, perceives each (frame, condition) once if some job
+// consumes features, then asks every job in input order about its
+// chunks of the span, while the span's frames are still in cache. Jobs
+// that ask one backend share the semaphore bounding its concurrent
+// Classify calls to its MaxConcurrency.
 //
 // The first error cancels the rest. Errors are kept per job and the
 // first in input order is returned with its job's index, skipping the
 // cancellations the first error induced in other jobs; an error in
 // getting or perceiving a frame belongs to its group's first job.
 // Otherwise a canceled context returns its error.
-func (e *Evaluator) walk(ctx context.Context, jobs []frameJob, spans func(batches []int) [][2]int, keep bool) (int, error) {
+func (e *Evaluator) walk(ctx context.Context, jobs []frameJob) (int, error) {
 	var groups []*frameGroup
 	for j := range jobs {
 		job := &jobs[j]
@@ -369,6 +310,7 @@ func (e *Evaluator) walk(ctx context.Context, jobs []frameJob, spans func(batche
 			groups = append(groups, g)
 		}
 		g.jobs = append(g.jobs, j)
+		g.n = max(g.n, len(job.answers))
 		c := slices.Index(g.conds, job.cond)
 		if c < 0 {
 			c = len(g.conds)
@@ -388,21 +330,26 @@ func (e *Evaluator) walk(ctx context.Context, jobs []frameJob, spans func(batche
 		for k, j := range g.jobs {
 			batches[k] = jobs[j].batch
 		}
-		g.spans = spans(batches)
+		g.spans = frameSpans(g.n, batches)
 		for si := range g.spans {
 			units = append(units, unit{g, si})
 		}
 	}
-	workers := max(1, min(max(e.workers, len(jobs)), len(units)))
-	// A semaphore bounds a job's concurrent Classify calls to its
-	// backend's limit; workers above the cap queue only for that
-	// backend's classification.
+	sems := make(map[backend.Backend]chan struct{})
 	for j := range jobs {
-		if mc := jobs[j].caps.MaxConcurrency; mc > 0 && mc < workers {
-			jobs[j].sem = make(chan struct{}, mc)
+		sems[jobs[j].b] = nil
+	}
+	workers := max(1, min(max(e.workers, len(sems)), len(units)))
+	// Workers above a backend's cap queue only for its classification.
+	for j := range jobs {
+		job := &jobs[j]
+		if mc := job.caps.MaxConcurrency; mc > 0 && mc < workers {
+			if sems[job.b] == nil {
+				sems[job.b] = make(chan struct{}, mc)
+			}
+			job.sem = sems[job.b]
 		}
 	}
-
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var (
@@ -431,7 +378,7 @@ func (e *Evaluator) walk(ctx context.Context, jobs []frameJob, spans func(batche
 					return
 				}
 				u := units[claimed]
-				if j, err := e.visit(ctx, &fr, u.g, u.si, jobs, keep); err != nil {
+				if j, err := e.visit(ctx, &fr, u.g, u.si, jobs); err != nil {
 					fail(j, err)
 					return
 				}
@@ -458,9 +405,8 @@ func (e *Evaluator) walk(ctx context.Context, jobs []frameJob, spans func(batche
 }
 
 // frames is one walk worker's reusable state: the buffers it renders
-// and degrades frames into when frames are not kept, and per condition
-// the span's frames and their perception features, plus the items of
-// one Classify call.
+// and degrades frames into, and per condition the span's frames and
+// their perception features, plus the items of one Classify call.
 type frames struct {
 	bufs  map[bufKey][]*render.Image
 	imgs  [][]*render.Image
@@ -507,52 +453,34 @@ func (f *frames) buffer(size, plane, k int) (*render.Image, error) {
 
 // visit runs span si of group g on one worker (see walk); on failure it
 // returns the error with the index of the job it belongs to.
-func (e *Evaluator) visit(ctx context.Context, fr *frames, g *frameGroup, si int, jobs []frameJob, keep bool) (int, error) {
+func (e *Evaluator) visit(ctx context.Context, fr *frames, g *frameGroup, si int, jobs []frameJob) (int, error) {
 	p := e.pipe
 	start, end := g.spans[si][0], g.spans[si][1]
 	first := g.jobs[0]
 	fr.prepare(len(g.conds), end-start)
 	for idx := start; idx < end; idx++ {
 		k := idx - start
-		if keep {
-			for c, cond := range g.conds {
-				img, err := p.cache.CondImage(idx, g.size, cond)
-				if err != nil {
-					return first, fmt.Errorf("core: %w", err)
-				}
-				fr.imgs[c][k] = img
-			}
-		} else {
-			clean, err := fr.buffer(g.size, 0, k)
-			if err != nil {
-				return first, fmt.Errorf("core: %w", err)
-			}
-			if err := p.cache.RenderInto(idx, clean); err != nil {
-				return first, fmt.Errorf("core: %w", err)
-			}
-			for c, cond := range g.conds {
-				dst := clean
-				if cond != dataset.ConditionClean {
-					if dst, err = fr.buffer(g.size, c+1, k); err != nil {
-						return first, fmt.Errorf("core: %w", err)
-					}
-				}
-				if fr.imgs[c][k], err = p.cache.ConditionInto(idx, cond, clean, dst); err != nil {
-					return first, fmt.Errorf("core: %w", err)
-				}
-			}
+		clean, err := fr.buffer(g.size, 0, k)
+		if err != nil {
+			return first, fmt.Errorf("core: %w", err)
 		}
-		for c := range g.conds {
+		if err := p.cache.RenderInto(idx, clean); err != nil {
+			return first, fmt.Errorf("core: %w", err)
+		}
+		for c, cond := range g.conds {
+			dst := clean
+			if cond != dataset.ConditionClean {
+				if dst, err = fr.buffer(g.size, c+1, k); err != nil {
+					return first, fmt.Errorf("core: %w", err)
+				}
+			}
+			if fr.imgs[c][k], err = p.cache.ConditionInto(idx, cond, clean, dst); err != nil {
+				return first, fmt.Errorf("core: %w", err)
+			}
 			if !g.perceive[c] {
 				continue
 			}
-			var err error
-			if keep {
-				fr.feats[c][k], err = p.features(fr.imgs[c][k])
-			} else {
-				fr.feats[c][k], err = vlm.Perceive(fr.imgs[c][k])
-			}
-			if err != nil {
+			if fr.feats[c][k], err = vlm.Perceive(fr.imgs[c][k]); err != nil {
 				return first, fmt.Errorf("core: perceive %s: %w", p.Study.Frames[idx].Scene.ID, err)
 			}
 		}
@@ -560,9 +488,10 @@ func (e *Evaluator) visit(ctx context.Context, fr *frames, g *frameGroup, si int
 	for _, j := range g.jobs {
 		job := &jobs[j]
 		c := job.ci
-		for cs := start; cs < end; cs += job.batch {
+		stop := min(end, len(job.answers))
+		for cs := start; cs < stop; cs += job.batch {
 			items := fr.items[:0]
-			for idx := cs; idx < min(cs+job.batch, end); idx++ {
+			for idx := cs; idx < min(cs+job.batch, stop); idx++ {
 				it := backend.Item{ID: p.Study.Frames[idx].Scene.ID, Image: fr.imgs[c][idx-start]}
 				if job.caps.PerceivedFeatures {
 					it.Feats = &fr.feats[c][idx-start]
@@ -587,8 +516,11 @@ func (e *Evaluator) visit(ctx context.Context, fr *frames, g *frameGroup, si int
 			if len(res.Answers) != len(items) {
 				return j, fmt.Errorf("core: backend %s returned %d answer vectors for %d items", job.b.Name(), len(res.Answers), len(items))
 			}
-			if err := job.take(si, cs, items, res.Answers); err != nil {
-				return j, err
+			for k := range items {
+				if len(res.Answers[k]) != scene.NumIndicators {
+					return j, fmt.Errorf("core: backend %s answered %d indicators for %s, want %d", job.b.Name(), len(res.Answers[k]), items[k].ID, scene.NumIndicators)
+				}
+				copy(job.answers[cs+k][:], res.Answers[k])
 			}
 		}
 	}

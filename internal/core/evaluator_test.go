@@ -197,12 +197,11 @@ func (b batchedBackend) Capabilities() backend.Capabilities {
 }
 
 // TestEvaluateBackendSetMatchesSerial asserts the frame-major walk over
-// a backend set matches per-backend serial references, on the path
-// that keeps frames and on the one that keeps nothing, across worker
+// a backend set matches per-backend serial references across worker
 // budgets, frame limits (7 is not a multiple of any batch size used)
 // and sets with mixed batch sizes — {1, 3, 7, 16} has an lcm of 336,
-// above the 40-frame corpus — and that every frame renders exactly once
-// per walk that keeps nothing and once overall when frames are kept.
+// above the 40-frame corpus — and that every walk renders each frame it
+// asks about exactly once.
 func TestEvaluateBackendSetMatchesSerial(t *testing.T) {
 	type entry struct {
 		classifier backend.Classifier
@@ -232,41 +231,50 @@ func TestEvaluateBackendSetMatchesSerial(t *testing.T) {
 				wants[en.classifier] = want
 			}
 		}
-		for _, keep := range []bool{true, false} {
-			for _, workers := range []int{1, 2, 3, 8} {
-				p := smallPipeline(t, 10)
-				ev := p.NewEvaluator(EvalConfig{Workers: workers})
-				for _, set := range sets {
-					backends := make([]backend.Backend, len(set))
-					for i, en := range set {
-						backends[i] = batchedBackend{Backend: wrap(t, en.classifier), batch: en.batch}
-					}
-					got, err := ev.SweepBackendSet(context.Background(), backends, opts, keep)
-					if err != nil {
-						t.Fatalf("limit=%d keep=%v workers=%d set of %d: %v", limit, keep, workers, len(set), err)
-					}
-					if len(got) != len(set) {
-						t.Fatalf("limit=%d keep=%v workers=%d: reports = %d, want %d", limit, keep, workers, len(got), len(set))
-					}
-					for i, en := range set {
-						if *got[i].Report != *wants[en.classifier] {
-							t.Errorf("limit=%d keep=%v workers=%d set of %d: backend %d (batch %d) diverges from serial", limit, keep, workers, len(set), i, en.batch)
-						}
+		for _, workers := range []int{1, 2, 3, 8} {
+			p := smallPipeline(t, 10)
+			ev := p.NewEvaluator(EvalConfig{Workers: workers})
+			for _, set := range sets {
+				backends := make([]backend.Backend, len(set))
+				for i, en := range set {
+					backends[i] = batchedBackend{Backend: wrap(t, en.classifier), batch: en.batch}
+				}
+				got, err := ev.EvaluateBackendSet(context.Background(), backends, opts)
+				if err != nil {
+					t.Fatalf("limit=%d workers=%d set of %d: %v", limit, workers, len(set), err)
+				}
+				if len(got) != len(set) {
+					t.Fatalf("limit=%d workers=%d: reports = %d, want %d", limit, workers, len(got), len(set))
+				}
+				for i, en := range set {
+					if *got[i] != *wants[en.classifier] {
+						t.Errorf("limit=%d workers=%d set of %d: backend %d (batch %d) diverges from serial", limit, workers, len(set), i, en.batch)
 					}
 				}
-				frames := int64(p.Study.Len())
-				if limit > 0 {
-					frames = int64(limit)
-				}
-				if !keep {
-					frames *= int64(len(sets))
-				}
-				if got := p.RenderCache().Renders(); got != frames {
-					t.Errorf("limit=%d keep=%v workers=%d: renders = %d, want %d", limit, keep, workers, got, frames)
-				}
+			}
+			frames := int64(p.Study.Len())
+			if limit > 0 {
+				frames = int64(limit)
+			}
+			if got, want := p.RenderCache().Renders(), frames*int64(len(sets)); got != want {
+				t.Errorf("limit=%d workers=%d: renders = %d, want %d", limit, workers, got, want)
 			}
 		}
 	}
+}
+
+// sweepSet walks backends under opts, one sweep job each.
+func sweepSet(t *testing.T, ev *Evaluator, backends []backend.Backend, opts LLMOptions) []BackendSweep {
+	t.Helper()
+	jobs := make([]SweepJob, len(backends))
+	for i, b := range backends {
+		jobs[i] = SweepJob{Backend: b, Options: opts}
+	}
+	sweeps, _, _, err := ev.Walk(context.Background(), jobs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sweeps
 }
 
 // TestVotingTopThreeMatchesSerial asserts the committee sweep built from
@@ -306,10 +314,7 @@ func TestVoteMatchesVotingBackend(t *testing.T) {
 	p := smallPipeline(t, 10)
 	ev := p.NewEvaluator(EvalConfig{Workers: 3})
 	for _, opts := range []LLMOptions{{}, {FrameLimit: 7}, {Language: prompt.Bengali, Mode: prompt.Sequential, Temperature: 1.2}} {
-		sweeps, err := ev.SweepBackendSet(context.Background(), modelBackends(t), opts, true)
-		if err != nil {
-			t.Fatal(err)
-		}
+		sweeps := sweepSet(t, ev, modelBackends(t), opts)
 		reports := make([]*metrics.ClassReport, len(sweeps))
 		for i := range sweeps {
 			reports[i] = sweeps[i].Report
@@ -373,18 +378,21 @@ func TestEvaluatorFirstErrorPropagation(t *testing.T) {
 	}
 }
 
-// TestEvaluatorSharesRenders asserts the whole evaluation stack — four
-// models, voting committee, repeat sweeps — renders each frame exactly
-// once at the LLM resolution.
+// TestEvaluatorSharesRenders asserts one walk of the whole evaluation
+// stack — four models, the paper's committee, a repeat sweep under
+// another language and a neighborhood analysis — renders each frame
+// exactly once at the LLM resolution.
 func TestEvaluatorSharesRenders(t *testing.T) {
 	p := smallPipeline(t, 8)
-	ev := p.NewEvaluator(EvalConfig{})
-	reports, err := ev.EvaluateBackendSet(context.Background(), modelBackends(t), LLMOptions{})
-	if err != nil {
-		t.Fatal(err)
+	var jobs []SweepJob
+	for _, b := range modelBackends(t) {
+		jobs = append(jobs, SweepJob{Backend: b})
 	}
-	voteTopThree(t, ev, reports, LLMOptions{})
-	if _, err := ev.EvaluateBackend(context.Background(), wrap(t, testModel(t, vlm.Gemini15Pro)), LLMOptions{Language: prompt.Chinese}); err != nil {
+	jobs = append(jobs,
+		SweepJob{Backend: wrap(t, testCommittee(t))},
+		SweepJob{Backend: wrap(t, testModel(t, vlm.Gemini15Pro)), Options: LLMOptions{Language: prompt.Chinese}})
+	analyses := []AnalysisJob{{Backend: wrap(t, testCommittee(t)), TractFeet: 2000}}
+	if _, _, _, err := p.NewEvaluator(EvalConfig{}).Walk(context.Background(), jobs, analyses); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := p.RenderCache().Renders(), int64(p.Study.Len()); got != want {

@@ -9,12 +9,12 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"nbhd/internal/analysis"
 	"nbhd/internal/backend"
 	"nbhd/internal/classify"
 	"nbhd/internal/dataset"
+	"nbhd/internal/ensemble"
 	"nbhd/internal/labelme"
 	"nbhd/internal/metrics"
 	"nbhd/internal/prompt"
@@ -68,20 +68,19 @@ func (c Config) withDefaults() Config {
 }
 
 // Pipeline holds the assembled corpus and its derived artifacts, plus
-// the render and perception caches for the frames sweeps keep.
+// the render cache its walks draw frames from.
 type Pipeline struct {
 	cfg   Config
 	Study *dataset.Study
 	// Annotations is the LabelMe store built from the corpus.
 	Annotations *labelme.Store
 
-	// cache memoizes rendered frames per resolution; featCache memoizes
-	// perception features per rendered image. Together they render and
-	// perceive each kept frame exactly once no matter how many models,
-	// committees, languages, or sweeps run over it. A sweep that keeps
-	// nothing bypasses both (see Evaluator.SweepBackendSet).
-	cache     *dataset.RenderCache
-	featCache sync.Map // *render.Image -> *featEntry
+	// cache is every walk's frame source (RenderCache.RenderInto): a
+	// walk renders each frame once per resolution into its workers'
+	// buffers and keeps nothing, so a run that makes one walk renders
+	// each frame once no matter how many models, committees, languages
+	// or sweeps it asks.
+	cache *dataset.RenderCache
 
 	// frameStore is the persistent render tier (nil without a StoreDir);
 	// the cache above consults it before rendering.
@@ -375,10 +374,21 @@ type NeighborhoodResult struct {
 	Associations []analysis.Association
 }
 
-// neighborhoodAnalysis runs the downstream analysis chain — tract
-// bucketing, environment scoring, synthetic outcomes, associations —
-// over fused per-coordinate locations.
-func (p *Pipeline) neighborhoodAnalysis(locations []analysis.LocationProfile, tractCellFeet float64) (*NeighborhoodResult, error) {
+// neighborhoodAnalysis fuses the answers to each coordinate's four
+// headings (corpus frames [g*FramesPerCoordinate,
+// (g+1)*FramesPerCoordinate) for coordinate g) with any-vote fusion and
+// runs the downstream analysis chain — tract bucketing, environment
+// scoring, synthetic outcomes, associations — over the fused locations.
+func (p *Pipeline) neighborhoodAnalysis(answers [][scene.NumIndicators]bool, tractCellFeet float64) (*NeighborhoodResult, error) {
+	locations := make([]analysis.LocationProfile, len(answers)/FramesPerCoordinate)
+	for g := range locations {
+		fused, err := ensemble.FuseHeadings(answers[g*FramesPerCoordinate:(g+1)*FramesPerCoordinate], ensemble.FuseAny)
+		if err != nil {
+			return nil, fmt.Errorf("core: %w", err)
+		}
+		fr := p.Study.Frames[g*FramesPerCoordinate]
+		locations[g] = analysis.LocationProfile{Coordinate: fr.Scene.Point.Coordinate, County: fr.County, Presence: fused}
+	}
 	tracts, err := analysis.Tracts(locations, tractCellFeet)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)

@@ -148,10 +148,11 @@ func TestEvaluateBackendLanguagesAndModes(t *testing.T) {
 
 func TestAnalyzeNeighborhood(t *testing.T) {
 	p := smallPipeline(t, 16)
-	res, err := p.NewEvaluator(EvalConfig{}).AnalyzeNeighborhood(context.Background(), wrap(t, testCommittee(t)), 2000)
+	_, analyzed, _, err := p.NewEvaluator(EvalConfig{}).Walk(context.Background(), nil, []AnalysisJob{{Backend: wrap(t, testCommittee(t)), TractFeet: 2000}})
 	if err != nil {
-		t.Fatalf("AnalyzeNeighborhood: %v", err)
+		t.Fatalf("Walk: %v", err)
 	}
+	res := analyzed[0]
 	if len(res.Locations) != 16 {
 		t.Errorf("locations = %d, want 16", len(res.Locations))
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -11,26 +12,25 @@ import (
 	"nbhd/internal/backend"
 	"nbhd/internal/classify"
 	"nbhd/internal/metrics"
+	"nbhd/internal/prompt"
 	"nbhd/internal/scene"
 	"nbhd/internal/vlm"
 )
 
-// walkSet walks the first n corpus frames once for jobs built by
-// answerJob, each backend under its own options, and scores each.
-func walkSet(t *testing.T, ev *Evaluator, backends []backend.Backend, opts []LLMOptions, n int, keep bool) ([]*metrics.ClassReport, error) {
-	t.Helper()
-	answers := make([][][scene.NumIndicators]bool, len(backends))
-	jobs := make([]frameJob, len(backends))
+// walkSet walks the corpus once for backends, each under its own
+// options, and returns their reports.
+func walkSet(ev *Evaluator, backends []backend.Backend, opts []LLMOptions) ([]*metrics.ClassReport, error) {
+	jobs := make([]SweepJob, len(backends))
 	for i, b := range backends {
-		answers[i] = make([][scene.NumIndicators]bool, n)
-		jobs[i] = ev.answerJob(b, opts[i], answers[i])
+		jobs[i] = SweepJob{Backend: b, Options: opts[i]}
 	}
-	if _, err := ev.walk(context.Background(), jobs, func(batches []int) [][2]int { return frameSpans(n, batches) }, keep); err != nil {
+	sweeps, _, _, err := ev.Walk(context.Background(), jobs, nil)
+	if err != nil {
 		return nil, err
 	}
-	reports := make([]*metrics.ClassReport, len(backends))
-	for i := range answers {
-		reports[i] = ev.pipe.score(answers[i])
+	reports := make([]*metrics.ClassReport, len(sweeps))
+	for i := range sweeps {
+		reports[i] = sweeps[i].Report
 	}
 	return reports, nil
 }
@@ -38,7 +38,7 @@ func walkSet(t *testing.T, ev *Evaluator, backends []backend.Backend, opts []LLM
 // TestWalkMixesSizesAndConditions: one walk over backends at two render
 // sizes (96 for the models, 64 for the CNN), each size under two
 // capture conditions, reproduces every backend's serial reference on
-// both paths and renders each frame once per size.
+// every worker budget and renders each frame once per size.
 func TestWalkMixesSizesAndConditions(t *testing.T) {
 	cnn, err := classify.New(classify.Config{InputSize: 64, Seed: 8})
 	if err != nil {
@@ -81,74 +81,73 @@ func TestWalkMixesSizesAndConditions(t *testing.T) {
 	backends := []backend.Backend{wrap(t, gemini), cnnBackend, wrap(t, claude), cnnBackend}
 	opts := []LLMOptions{{}, {Condition: "night"}, {Condition: "night"}, {Condition: "clean"}}
 	wants := []*metrics.ClassReport{vlmRef(gemini, "clean"), cnnRef("night"), vlmRef(claude, "night"), cnnRef("clean")}
-	for _, keep := range []bool{true, false} {
-		for _, workers := range []int{1, 3} {
-			p := smallPipeline(t, 10)
-			got, err := walkSet(t, p.NewEvaluator(EvalConfig{Workers: workers}), backends, opts, p.Study.Len(), keep)
-			if err != nil {
-				t.Fatalf("keep=%v workers=%d: %v", keep, workers, err)
+	for _, workers := range []int{1, 3} {
+		p := smallPipeline(t, 10)
+		got, err := walkSet(p.NewEvaluator(EvalConfig{Workers: workers}), backends, opts)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		for i := range got {
+			if *got[i] != *wants[i] {
+				t.Errorf("workers=%d: backend %d (%+v) diverges from serial", workers, i, opts[i])
 			}
-			for i := range got {
-				if *got[i] != *wants[i] {
-					t.Errorf("keep=%v workers=%d: backend %d (%+v) diverges from serial", keep, workers, i, opts[i])
-				}
-			}
-			if got, want := p.RenderCache().Renders(), int64(2*p.Study.Len()); got != want {
-				t.Errorf("keep=%v workers=%d: renders = %d, want %d (one per frame per size)", keep, workers, got, want)
-			}
+		}
+		if got, want := p.RenderCache().Renders(), int64(2*p.Study.Len()); got != want {
+			t.Errorf("workers=%d: renders = %d, want %d (one per frame per size)", workers, got, want)
 		}
 	}
 }
 
-// TestWalkKeepsBatchPartition: in a set with mixed preferred batches,
-// each backend is asked about exactly the chunks a sweep of its own
-// would make — its own batch size, each starting at a multiple of it,
-// the last cut at the frame limit.
+// TestWalkKeepsBatchPartition: in a walk with mixed preferred batches
+// and frame limits, each job is asked about exactly the chunks a walk of
+// its own would make — its own batch size, each starting at a multiple
+// of it, the last cut at its frame limit.
 func TestWalkKeepsBatchPartition(t *testing.T) {
 	batches := []int{1, 3, 7, 16}
-	for _, limit := range []int{0, 7} {
-		for _, keep := range []bool{true, false} {
-			for _, workers := range []int{1, 2, 8} {
-				p := smallPipeline(t, 10)
-				hbs := make([]*hintedBackend, len(batches))
-				backends := make([]backend.Backend, len(batches))
-				for i, b := range batches {
-					hbs[i] = &hintedBackend{caps: backend.Capabilities{PreferredBatch: b}}
-					backends[i] = hbs[i]
-				}
-				if _, err := p.NewEvaluator(EvalConfig{Workers: workers}).SweepBackendSet(context.Background(), backends, LLMOptions{FrameLimit: limit}, keep); err != nil {
-					t.Fatal(err)
-				}
+	for _, limits := range [][]int{{0, 0, 0, 0}, {7, 7, 7, 7}, {5, 0, 7, 13}} {
+		for _, workers := range []int{1, 2, 8} {
+			p := smallPipeline(t, 10)
+			hbs := make([]*hintedBackend, len(batches))
+			backends := make([]backend.Backend, len(batches))
+			opts := make([]LLMOptions, len(batches))
+			for i, b := range batches {
+				hbs[i] = &hintedBackend{caps: backend.Capabilities{PreferredBatch: b}}
+				backends[i] = hbs[i]
+				opts[i] = LLMOptions{FrameLimit: limits[i]}
+			}
+			if _, err := walkSet(p.NewEvaluator(EvalConfig{Workers: workers}), backends, opts); err != nil {
+				t.Fatal(err)
+			}
+			for i, b := range batches {
 				n := p.Study.Len()
-				if limit > 0 {
-					n = limit
+				if limits[i] > 0 {
+					n = limits[i]
 				}
-				for i, b := range batches {
-					var want []string
-					for start := 0; start < n; start += b {
-						var ids []string
-						for f := start; f < min(start+b, n); f++ {
-							ids = append(ids, p.Study.Frames[f].Scene.ID)
-						}
-						want = append(want, strings.Join(ids, ","))
+				var want []string
+				for start := 0; start < n; start += b {
+					var ids []string
+					for f := start; f < min(start+b, n); f++ {
+						ids = append(ids, p.Study.Frames[f].Scene.ID)
 					}
-					got := make([]string, len(hbs[i].calls))
-					for k, ids := range hbs[i].calls {
-						got[k] = strings.Join(ids, ",")
-					}
-					slices.Sort(got)
-					slices.Sort(want)
-					if !slices.Equal(got, want) {
-						t.Errorf("limit=%d keep=%v workers=%d: batch-%d backend saw %q, want %q", limit, keep, workers, b, got, want)
-					}
+					want = append(want, strings.Join(ids, ","))
+				}
+				got := make([]string, len(hbs[i].calls))
+				for k, ids := range hbs[i].calls {
+					got[k] = strings.Join(ids, ",")
+				}
+				slices.Sort(got)
+				slices.Sort(want)
+				if !slices.Equal(got, want) {
+					t.Errorf("limits=%v workers=%d: batch-%d backend saw %q, want %q", limits, workers, b, got, want)
 				}
 			}
 		}
 	}
 }
 
-// TestWalkHonorsMaxConcurrency: every backend of a set stays within its
-// own MaxConcurrency while the walk runs more workers than that.
+// TestWalkHonorsMaxConcurrency: every backend stays within its own
+// MaxConcurrency while the walk runs more workers than that, also when
+// one backend serves several jobs of the walk.
 func TestWalkHonorsMaxConcurrency(t *testing.T) {
 	p := smallPipeline(t, 8)
 	hbs := []*hintedBackend{
@@ -160,7 +159,7 @@ func TestWalkHonorsMaxConcurrency(t *testing.T) {
 	for i := range hbs {
 		backends[i] = hbs[i]
 	}
-	if _, err := p.NewEvaluator(EvalConfig{Workers: 8}).SweepBackendSet(context.Background(), backends, LLMOptions{}, false); err != nil {
+	if _, err := walkSet(p.NewEvaluator(EvalConfig{Workers: 8}), backends, make([]LLMOptions, len(backends))); err != nil {
 		t.Fatal(err)
 	}
 	for i, limit := range []int{1, 2} {
@@ -170,6 +169,18 @@ func TestWalkHonorsMaxConcurrency(t *testing.T) {
 	}
 	if hbs[2].maxSeen < 2 {
 		t.Errorf("unbounded backend peaked at %d concurrent calls over 8 workers", hbs[2].maxSeen)
+	}
+
+	shared := &hintedBackend{caps: backend.Capabilities{PreferredBatch: 2, MaxConcurrency: 1}}
+	opts := []LLMOptions{{}, {Language: prompt.Spanish}}
+	if _, err := walkSet(p.NewEvaluator(EvalConfig{Workers: 8}), []backend.Backend{shared, shared}, opts); err != nil {
+		t.Fatal(err)
+	}
+	if shared.maxSeen != 1 {
+		t.Errorf("backend serving two jobs: %d concurrent Classify calls, MaxConcurrency 1", shared.maxSeen)
+	}
+	if got, want := len(shared.calls), p.Study.Len(); got != want {
+		t.Errorf("backend serving two jobs of 2-frame chunks got %d calls, want %d", got, want)
 	}
 }
 
@@ -233,58 +244,90 @@ func TestWalkFirstError(t *testing.T) {
 		name     string
 		backends []backend.Backend
 		opts     LLMOptions
+		analysis backend.Backend
 		want     string
+		wantJob  int
 	}{
-		{"input order", []backend.Backend{ok, boomA, boomB}, LLMOptions{}, "core: a: core: boom-a"},
-		{"induced cancellation skipped", []backend.Backend{blocker, lateBoom}, LLMOptions{}, "core: late: core: boom-late"},
-		{"answer count", []backend.Backend{ok, &faultyBackend{name: "short", ids: ids, failOn: all, shape: "count"}}, LLMOptions{},
-			"core: short: core: backend short returned 0 answer vectors for 1 items"},
-		{"answer width", []backend.Backend{&faultyBackend{name: "narrow", ids: ids, failOn: map[int]bool{0: true}, shape: "width"}}, LLMOptions{},
-			fmt.Sprintf("core: narrow: core: backend narrow answered 2 indicators for %s, want %d", id0, scene.NumIndicators)},
-		{"unknown condition", []backend.Backend{ok, boomA}, LLMOptions{Condition: "fog"},
-			`core: ok: core: unknown capture condition "fog" (have [clean night noise occlusion])`},
+		{"input order", []backend.Backend{ok, boomA, boomB}, LLMOptions{}, nil, "core: a: core: boom-a", 1},
+		{"induced cancellation skipped", []backend.Backend{blocker, lateBoom}, LLMOptions{}, nil, "core: late: core: boom-late", 1},
+		{"analysis after the sweeps", []backend.Backend{ok}, LLMOptions{}, boomB, "core: b: core: boom-b", 1},
+		{"answer count", []backend.Backend{ok, &faultyBackend{name: "short", ids: ids, failOn: all, shape: "count"}}, LLMOptions{}, nil,
+			"core: short: core: backend short returned 0 answer vectors for 1 items", 1},
+		{"answer width", []backend.Backend{&faultyBackend{name: "narrow", ids: ids, failOn: map[int]bool{0: true}, shape: "width"}}, LLMOptions{}, nil,
+			fmt.Sprintf("core: narrow: core: backend narrow answered 2 indicators for %s, want %d", id0, scene.NumIndicators), 0},
+		{"unknown condition", []backend.Backend{ok, boomA}, LLMOptions{Condition: "fog"}, nil,
+			`core: ok: core: unknown capture condition "fog" (have [clean night noise occlusion])`, 0},
 	}
 	for _, tc := range cases {
-		for _, keep := range []bool{true, false} {
-			for _, workers := range []int{1, 2, 4} {
-				_, err := p.NewEvaluator(EvalConfig{Workers: workers}).SweepBackendSet(context.Background(), tc.backends, tc.opts, keep)
-				if err == nil || err.Error() != tc.want {
-					t.Errorf("%s keep=%v workers=%d: err = %v, want %s", tc.name, keep, workers, err, tc.want)
-				}
+		jobs := make([]SweepJob, len(tc.backends))
+		for i, b := range tc.backends {
+			jobs[i] = SweepJob{Backend: b, Options: tc.opts}
+		}
+		var analyses []AnalysisJob
+		if tc.analysis != nil {
+			analyses = []AnalysisJob{{Backend: tc.analysis, TractFeet: 2000}}
+		}
+		for _, workers := range []int{1, 2, 4} {
+			_, _, job, err := p.NewEvaluator(EvalConfig{Workers: workers}).Walk(context.Background(), jobs, analyses)
+			if err == nil || err.Error() != tc.want || job != tc.wantJob {
+				t.Errorf("%s workers=%d: job %d err = %v, want job %d %s", tc.name, workers, job, err, tc.wantJob, tc.want)
 			}
 		}
 	}
 }
 
-// TestWalkKeepsNothing: a walk that keeps no frames leaves the render
-// and perception caches empty, so a later walk that keeps them renders
-// every frame again — and reports the same.
-func TestWalkKeepsNothing(t *testing.T) {
-	p := smallPipeline(t, 4)
-	ev := p.NewEvaluator(EvalConfig{Workers: 2})
-	fresh, err := ev.SweepBackendSet(context.Background(), modelBackends(t), LLMOptions{}, false)
+// TestWalkMatchesJobsAlone: one walk of sweep jobs under different
+// languages, capture conditions, render sizes and frame limits, plus an
+// analysis job, gives every job exactly what a walk of that job alone
+// gives it, and renders each frame once per size.
+func TestWalkMatchesJobsAlone(t *testing.T) {
+	cnn, err := classify.New(classify.Config{InputSize: 64, Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries := 0
-	p.featCache.Range(func(any, any) bool { entries++; return true })
-	if entries != 0 {
-		t.Errorf("perception cache holds %d entries after a walk that keeps nothing", entries)
-	}
-	kept, err := ev.SweepBackendSet(context.Background(), modelBackends(t), LLMOptions{}, true)
+	cnnBackend, err := backend.NewCNN(cnn, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := p.RenderCache().Renders(), int64(2*p.Study.Len()); got != want {
-		t.Errorf("renders = %d, want %d (the walk that kept nothing left no frame behind)", got, want)
+	gemini := wrap(t, testModel(t, vlm.Gemini15Pro))
+	sweeps := []SweepJob{
+		{Backend: gemini},
+		{Backend: gemini, Options: LLMOptions{Language: prompt.Spanish, FrameLimit: 13}},
+		{Backend: wrap(t, testModel(t, vlm.Claude37)), Options: LLMOptions{Condition: "night", FrameLimit: 7}},
+		{Backend: cnnBackend},
+		{Backend: cnnBackend, Options: LLMOptions{Condition: "noise", FrameLimit: 21}},
 	}
-	p.featCache.Range(func(any, any) bool { entries++; return true })
-	if entries != p.Study.Len() {
-		t.Errorf("perception cache holds %d entries after a walk that keeps frames, want %d", entries, p.Study.Len())
+	analyses := []AnalysisJob{{Backend: wrap(t, testCommittee(t)), TractFeet: 3000}}
+
+	wantSweeps := make([]BackendSweep, len(sweeps))
+	for i := range sweeps {
+		got, _, _, err := smallPipeline(t, 10).NewEvaluator(EvalConfig{}).Walk(context.Background(), sweeps[i:i+1], nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantSweeps[i] = got[0]
 	}
-	for i := range fresh {
-		if *fresh[i].Report != *kept[i].Report {
-			t.Errorf("backend %d: the two paths report differently", i)
+	_, wantAnalyses, _, err := smallPipeline(t, 10).NewEvaluator(EvalConfig{}).Walk(context.Background(), nil, analyses)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, workers := range []int{1, 3} {
+		p := smallPipeline(t, 10)
+		got, analyzed, _, err := p.NewEvaluator(EvalConfig{Workers: workers}).Walk(context.Background(), sweeps, analyses)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		for i := range sweeps {
+			if *got[i].Report != *wantSweeps[i].Report || !slices.Equal(got[i].Answers, wantSweeps[i].Answers) {
+				t.Errorf("workers=%d: sweep job %d (%+v) diverges from its walk alone", workers, i, sweeps[i].Options)
+			}
+		}
+		if !reflect.DeepEqual(analyzed, wantAnalyses) {
+			t.Errorf("workers=%d: analysis job diverges from its walk alone", workers)
+		}
+		if got, want := p.RenderCache().Renders(), int64(2*p.Study.Len()); got != want {
+			t.Errorf("workers=%d: renders = %d, want %d (every frame once at each of two sizes)", workers, got, want)
 		}
 	}
 }

@@ -11,10 +11,11 @@ import (
 )
 
 // RenderCache memoizes rendered examples per (frame index, size) for one
-// study. The evaluation sweeps render the same corpus once per
-// classifier, language, and sampling setting; the cache collapses all of
-// that to exactly one render per frame per resolution, including under
-// concurrent access (a per-slot sync.Once dedupes simultaneous misses).
+// study, and is the evaluation walk's frame source. Its memory tier
+// (Example, CondExample) renders each (frame, size) exactly once,
+// including under concurrent access (a per-slot sync.Once dedupes
+// simultaneous misses); training and the serving gateway fill it.
+// RenderInto copies a frame into a caller's buffer and keeps nothing.
 //
 // A cache built with NewPersistentRenderCache adds a second, durable
 // tier: misses consult the frame store before rendering (a warm start
@@ -54,7 +55,7 @@ type slotKey struct {
 
 type renderSlot struct {
 	once sync.Once
-	ex   *Example
+	ex   atomic.Pointer[Example]
 	err  error
 }
 
@@ -143,19 +144,10 @@ func (c *RenderCache) CondExample(idx, size int, cond string) (Example, error) {
 	if err != nil {
 		return Example{}, err
 	}
-	objs := make([]scene.Object, len(s.ex.Objects))
-	copy(objs, s.ex.Objects)
-	return Example{ID: s.ex.ID, Image: s.ex.Image, Objects: objs}, nil
-}
-
-// CondImage is CondExample's image alone: the cached pixels (shared,
-// read-only), without the Objects copy CondExample makes for its caller.
-func (c *RenderCache) CondImage(idx, size int, cond string) (*render.Image, error) {
-	s, err := c.condSlot(idx, size, cond)
-	if err != nil {
-		return nil, err
-	}
-	return s.ex.Image, nil
+	ex := s.ex.Load()
+	objs := make([]scene.Object, len(ex.Objects))
+	copy(objs, ex.Objects)
+	return Example{ID: ex.ID, Image: ex.Image, Objects: objs}, nil
 }
 
 // condSlot resolves the slot of one frame at size×size under a condition
@@ -179,12 +171,13 @@ func (c *RenderCache) condSlot(idx, size int, cond string) (*renderSlot, error) 
 			s.err = err
 			return
 		}
-		img, err := c.study.conditioned(base.ex.ID, eff, base.ex.Image, nil)
+		ex := base.ex.Load()
+		img, err := c.study.conditioned(ex.ID, eff, ex.Image, nil)
 		if err != nil {
 			s.err = err
 			return
 		}
-		s.ex = &Example{ID: base.ex.ID, Image: img, Objects: c.study.Frames[idx].Scene.Objects}
+		s.ex.Store(&Example{ID: ex.ID, Image: img, Objects: c.study.Frames[idx].Scene.Objects})
 	})
 	return s, s.err
 }
@@ -198,51 +191,79 @@ func (c *RenderCache) cleanSlot(idx, size int) (*renderSlot, error) {
 		return nil, err
 	}
 	s.once.Do(func() {
-		fr := c.study.Frames[idx]
-		if c.persist != nil {
-			img, ok, err := c.persist.Get(c.frameKey(idx, size))
-			if err != nil {
-				s.err = fmt.Errorf("dataset: store get %s: %w", fr.Scene.ID, err)
-				return
-			}
-			if ok {
-				c.storeHits.Add(1)
-				s.ex = &Example{ID: fr.Scene.ID, Image: img, Objects: fr.Scene.Objects}
-				return
-			}
-		}
-		img, err := render.Render(fr.Scene, render.Config{Width: size, Height: size})
+		img, err := c.load(idx, size, nil)
 		if err != nil {
-			s.err = fmt.Errorf("dataset: render %s: %w", fr.Scene.ID, err)
+			s.err = err
 			return
 		}
-		c.renders.Add(1)
-		if c.persist != nil {
-			if err := c.persist.Put(c.frameKey(idx, size), img); err != nil {
-				s.err = fmt.Errorf("dataset: store put %s: %w", fr.Scene.ID, err)
-				return
-			}
-		}
-		s.ex = &Example{ID: fr.Scene.ID, Image: img, Objects: fr.Scene.Objects}
+		sc := c.study.Frames[idx].Scene
+		s.ex.Store(&Example{ID: sc.ID, Image: img, Objects: sc.Objects})
 	})
 	return s, s.err
 }
 
-// RenderInto renders frame idx's clean view into dst at dst's size,
-// bypassing both cache tiers: nothing is kept or persisted, but the
-// render counts toward Renders. It is for sweeps that keep no frames
-// and reuse one buffer per frame; the pixels equal the cached clean
-// render's at the same size.
-func (c *RenderCache) RenderInto(idx int, dst *render.Image) error {
-	if idx < 0 || idx >= len(c.study.Frames) {
-		return fmt.Errorf("dataset: frame index %d out of range [0,%d)", idx, len(c.study.Frames))
-	}
+// load returns frame idx's clean render at size×size: from the
+// persistent store when it holds the frame, otherwise rendered (and then
+// persisted, when a store is attached). It writes into dst when dst is
+// not nil, and returns a fresh image otherwise.
+func (c *RenderCache) load(idx, size int, dst *render.Image) (*render.Image, error) {
 	sc := c.study.Frames[idx].Scene
+	key := c.frameKey(idx, size)
+	if c.persist != nil {
+		img, ok, err := c.persist.Get(key)
+		if err != nil {
+			return nil, fmt.Errorf("dataset: store get %s: %w", sc.ID, err)
+		}
+		if ok {
+			if img.W != size || img.H != size {
+				return nil, fmt.Errorf("dataset: store holds %s at %dx%d, want %dx%d", sc.ID, img.W, img.H, size, size)
+			}
+			c.storeHits.Add(1)
+			if dst == nil {
+				return img, nil
+			}
+			copy(dst.Pix, img.Pix)
+			return dst, nil
+		}
+	}
+	if dst == nil {
+		var err error
+		if dst, err = render.NewImage(size, size); err != nil {
+			return nil, err
+		}
+	}
 	if err := render.RenderInto(sc, dst); err != nil {
-		return fmt.Errorf("dataset: render %s: %w", sc.ID, err)
+		return nil, fmt.Errorf("dataset: render %s: %w", sc.ID, err)
 	}
 	c.renders.Add(1)
-	return nil
+	if c.persist != nil {
+		if err := c.persist.Put(key, dst); err != nil {
+			return nil, fmt.Errorf("dataset: store put %s: %w", sc.ID, err)
+		}
+	}
+	return dst, nil
+}
+
+// RenderInto writes frame idx's clean view into dst, a square buffer the
+// caller owns, at dst's size, and keeps nothing. It copies the frame
+// from the memory tier when Example or CondExample already holds it,
+// else from the persistent store, else renders it (persisting it when a
+// store is attached); only that render counts toward Renders. The
+// pixels equal the cached clean render's at the same size.
+func (c *RenderCache) RenderInto(idx int, dst *render.Image) error {
+	if dst.W != dst.H {
+		return fmt.Errorf("dataset: render buffer must be square, got %dx%d", dst.W, dst.H)
+	}
+	s, err := c.slot(idx, slotKey{size: dst.W})
+	if err != nil {
+		return err
+	}
+	if ex := s.ex.Load(); ex != nil {
+		copy(dst.Pix, ex.Image.Pix)
+		return nil
+	}
+	_, err = c.load(idx, dst.W, dst)
+	return err
 }
 
 // ConditionInto degrades frame idx's clean render under a capture
@@ -255,18 +276,4 @@ func (c *RenderCache) ConditionInto(idx int, cond string, clean, dst *render.Ima
 		return nil, fmt.Errorf("dataset: frame index %d out of range [0,%d)", idx, len(c.study.Frames))
 	}
 	return c.study.conditioned(c.study.Frames[idx].Scene.ID, cond, clean, dst)
-}
-
-// Examples returns cached renders for the given frame indices, in order —
-// the drop-in counterpart of Study.RenderExamples.
-func (c *RenderCache) Examples(indices []int, size int) ([]Example, error) {
-	out := make([]Example, 0, len(indices))
-	for _, idx := range indices {
-		ex, err := c.Example(idx, size)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ex)
-	}
-	return out, nil
 }

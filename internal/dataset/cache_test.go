@@ -5,6 +5,19 @@ import (
 	"testing"
 )
 
+// examples fetches the cached renders of the given frames, in order.
+func examples(c *RenderCache, indices []int, size int) ([]Example, error) {
+	out := make([]Example, 0, len(indices))
+	for _, idx := range indices {
+		ex, err := c.Example(idx, size)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, ex)
+	}
+	return out, nil
+}
+
 func cacheStudy(t *testing.T) *Study {
 	t.Helper()
 	s, err := BuildStudy(StudyConfig{Coordinates: 6, Seed: 3})
@@ -24,7 +37,7 @@ func TestRenderCacheMatchesRenderExamples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Examples(indices, 48)
+	got, err := examples(c, indices, 48)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +77,7 @@ func TestRenderCacheRendersOnce(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := c.Examples(indices, 32); err != nil {
+			if _, err := examples(c, indices, 32); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -74,11 +87,11 @@ func TestRenderCacheRendersOnce(t *testing.T) {
 		t.Fatalf("renders after concurrent sweeps = %d, want %d", got, want)
 	}
 	// Same size again: fully cached.
-	a, err := c.Examples(indices, 32)
+	a, err := examples(c, indices, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := c.Examples(indices, 32)
+	b, err := examples(c, indices, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +102,7 @@ func TestRenderCacheRendersOnce(t *testing.T) {
 		t.Fatalf("renders after warm lookups = %d, want %d", got, want)
 	}
 	// A new size renders once more per frame.
-	if _, err := c.Examples(indices, 48); err != nil {
+	if _, err := examples(c, indices, 48); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := c.Renders(), int64(2*s.Len()); got != want {

@@ -281,20 +281,6 @@ func TestCacheCondExampleMatchesRenderExamples(t *testing.T) {
 		if !bytes.Equal(ex.Image.EncodeRawF32(), corpusNight[0].Image.EncodeRawF32()) {
 			t.Fatalf("frame %d: cache night override diverges from night corpus", i)
 		}
-		// CondImage serves the same cached pixels, for both planes.
-		for _, cond := range []string{"night", ConditionClean} {
-			img, err := cleanCache.CondImage(i, size, cond)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := cleanCache.CondExample(i, size, cond)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if img != want.Image {
-				t.Fatalf("frame %d %s: CondImage is not CondExample's cached image", i, cond)
-			}
-		}
 		// Inherited condition on a degraded corpus == corpus render.
 		ex, err = nightCache.Example(i, size)
 		if err != nil {
@@ -323,9 +309,6 @@ func TestCacheCondExampleUnknownCondition(t *testing.T) {
 	cache := NewRenderCache(study)
 	if _, err := cache.CondExample(0, 16, "fog"); err == nil {
 		t.Error("CondExample(fog) succeeded")
-	}
-	if _, err := cache.CondImage(0, 16, "fog"); err == nil {
-		t.Error("CondImage(fog) succeeded")
 	}
 }
 

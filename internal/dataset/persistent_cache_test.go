@@ -1,8 +1,10 @@
 package dataset
 
 import (
+	"bytes"
 	"testing"
 
+	"nbhd/internal/render"
 	"nbhd/internal/store"
 )
 
@@ -107,5 +109,59 @@ func TestNilStoreDegradesToRAMOnly(t *testing.T) {
 	}
 	if c.Renders() != 1 || c.StoreHits() != 0 {
 		t.Fatalf("Renders/StoreHits = %d/%d, want 1/0", c.Renders(), c.StoreHits())
+	}
+}
+
+// TestRenderIntoTiers: RenderInto copies a frame the memory tier holds,
+// else reads the store, else renders and persists — and only the render
+// counts toward Renders. Every tier yields the same pixels.
+func TestRenderIntoTiers(t *testing.T) {
+	const size = 24
+	study := buildTestStudy(t)
+	indices := make([]int, study.Len())
+	for i := range indices {
+		indices[i] = i
+	}
+	want, err := study.RenderExamples(indices, size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := render.MustNewImage(size, size)
+	sweep := func(name string, c *RenderCache, renders, hits int64) {
+		t.Helper()
+		for i := range indices {
+			if err := c.RenderInto(i, buf); err != nil {
+				t.Fatalf("%s: RenderInto(%d): %v", name, i, err)
+			}
+			if !bytes.Equal(buf.EncodeRawF32(), want[i].Image.EncodeRawF32()) {
+				t.Fatalf("%s: frame %d diverges from RenderExamples", name, i)
+			}
+		}
+		if c.Renders() != renders || c.StoreHits() != hits {
+			t.Errorf("%s: Renders/StoreHits = %d/%d, want %d/%d", name, c.Renders(), c.StoreHits(), renders, hits)
+		}
+	}
+
+	held := NewRenderCache(study)
+	for i := range indices {
+		if _, err := held.Example(i, size); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sweep("memory tier", held, int64(study.Len()), 0)
+
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	sweep("cold store", NewPersistentRenderCache(study, st), int64(study.Len()), 0)
+	if st.Len() != study.Len() {
+		t.Fatalf("store holds %d frames after a cold sweep, want %d", st.Len(), study.Len())
+	}
+	sweep("warm store", NewPersistentRenderCache(study, st), 0, int64(study.Len()))
+
+	if err := held.RenderInto(0, render.MustNewImage(size, size+1)); err == nil {
+		t.Error("RenderInto accepted a buffer that is not square")
 	}
 }

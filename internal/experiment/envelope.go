@@ -63,15 +63,3 @@ func EnvelopeFloor(backendKind, condition string) float64 {
 	}
 	return envelopeFloors[backendKind][condition]
 }
-
-// EnvelopeKinds lists the backend kinds with envelope contracts, in the
-// matrix's canonical order.
-func EnvelopeKinds() []string {
-	out := make([]string, 0, len(envelopeFloors))
-	for _, k := range RobustnessKinds() {
-		if _, ok := envelopeFloors[k]; ok {
-			out = append(out, k)
-		}
-	}
-	return out
-}

@@ -158,9 +158,9 @@ type RunnerConfig struct {
 // Runner executes specs on the concurrent evaluation engine. A Runner
 // is stateless across runs; each Run assembles the spec's corpus,
 // opens the spec's backends through the registry (training the
-// supervised ones on the corpus split), executes sweeps and analyses
-// in order, and streams Events to the sink. The same spec and seed
-// always produce bit-identical reports.
+// supervised ones on the corpus split), walks the corpus once for every
+// cell the run must evaluate, and streams Events to the sink in spec
+// order. The same spec and seed always produce bit-identical reports.
 type Runner struct {
 	cfg RunnerConfig
 }
@@ -170,10 +170,18 @@ func NewRunner(cfg RunnerConfig) *Runner {
 	return &Runner{cfg: cfg}
 }
 
-// Run executes the spec. The context cancels the run mid-sweep (workers
-// stop) or between steps: the first error is returned, and a RunFailed
-// event closes the stream. On success the returned Result holds every
-// sweep report and analysis output in spec order.
+// Run executes the spec. It evaluates every fresh regular-sweep cell
+// and every unrestored analysis in one frame-major walk of the corpus
+// (core.Evaluator.Walk), which starts right after the start event of the
+// first step that needs it; each step's events follow in spec order.
+// Sweeps that ask one backend under the same options share its answers.
+// Vote sweeps vote the answers that walk recorded; the members it drew
+// no answers for under the vote's options are asked in a second walk,
+// shared by every vote sweep of the run, at the first of them. The
+// context cancels the run mid-walk (workers stop) or between steps: the
+// first error is returned, and a RunFailed event closes the stream. On
+// success the returned Result holds every sweep report and analysis
+// output in spec order.
 func (r *Runner) Run(ctx context.Context, spec Spec, sink Sink) (*Result, error) {
 	if sink == nil {
 		sink = func(Event) {}
@@ -198,45 +206,35 @@ func (r *Runner) Run(ctx context.Context, spec Spec, sink Sink) (*Result, error)
 	if r.cfg.Workers > 0 {
 		workers = r.cfg.Workers
 	}
-	ev := pipe.NewEvaluator(core.EvalConfig{Workers: workers})
-	env := pipe.BackendEnv()
-
-	// Backends open once per run and are shared by every sweep and
-	// analysis that names them — a trained detector trains exactly
-	// once no matter how many steps sweep it.
-	opened := make(map[string]backend.Backend, len(spec.Backends))
+	rn := &run{
+		spec:   &spec,
+		cp:     r.cfg.Checkpoint,
+		ev:     pipe.NewEvaluator(core.EvalConfig{Workers: workers}),
+		env:    pipe.BackendEnv(),
+		opened: make(map[string]backend.Backend, len(spec.Backends)),
+		drawn:  make(map[cell]core.BackendSweep),
+	}
 	defer func() {
 		// Retired backends release what they own (HTTP idle
 		// connections); best-effort — a close failure cannot un-finish
 		// the run.
-		for _, b := range opened {
+		for _, b := range rn.opened {
 			_ = backend.Close(b)
 		}
 	}()
-	open := func(name string) (backend.Backend, error) {
-		if b, ok := opened[name]; ok {
-			return b, nil
-		}
-		b, err := backend.OpenWith(ctx, spec.Backends[name], env)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: %s: backend %q: %w", spec.Name, name, err)
-		}
-		opened[name] = b
-		return b, nil
+	if err := rn.plan(); err != nil {
+		return fail(err)
 	}
 
 	// A step that makes no evaluator call (a vote over recorded answers,
-	// a restored cell) would not notice cancellation, so every step
-	// checks first.
+	// a restored cell, a step the walk already served) would not notice
+	// cancellation, so every step checks first.
 	canceled := func() error {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("experiment: %s: %w", spec.Name, err)
 		}
 		return nil
 	}
-	// Each regular sweep's fresh answers, for vote sweeps over it.
-	drawn := make(map[string]drawnAnswers, len(spec.Sweeps))
-	keep := keepFrames(&spec, r.cfg.Checkpoint)
 
 	sink(Event{Kind: RunStarted, Spec: spec.Name})
 	for i := range spec.Sweeps {
@@ -245,21 +243,15 @@ func (r *Runner) Run(ctx context.Context, spec Spec, sink Sink) (*Result, error)
 			return fail(err)
 		}
 		sink(Event{Kind: SweepStarted, Spec: spec.Name, Step: sw.Name})
-		opts, err := spec.Dataset.sweepOptions(sw.Options)
-		if err != nil {
-			return fail(fmt.Errorf("experiment: %s: sweep %q: %w", spec.Name, sw.Name, err))
-		}
 		var sr SweepResult
 		var restored []bool
 		if sw.VoteTopOf != "" {
-			sr, restored, err = r.runVoteSweep(ctx, ev, res, sw, opts, drawn[sw.VoteTopOf], open, keep[i])
+			sr, restored, err = rn.voteSweep(ctx, i)
 		} else {
-			d := drawnAnswers{opts: opts}
-			sr, restored, d.sweeps, err = r.runSweep(ctx, ev, sw, opts, open, keep[i])
-			drawn[sw.Name] = d
+			sr, restored, err = rn.sweep(ctx, i)
 		}
 		if err != nil {
-			return fail(fmt.Errorf("experiment: %s: sweep %q: %w", spec.Name, sw.Name, err))
+			return fail(err)
 		}
 		res.Sweeps = append(res.Sweeps, sr)
 		for k := range sr.Reports {
@@ -283,25 +275,17 @@ func (r *Runner) Run(ctx context.Context, spec Spec, sink Sink) (*Result, error)
 			return fail(err)
 		}
 		sink(Event{Kind: AnalysisStarted, Spec: spec.Name, Step: a.Name})
-		tractFeet := a.TractFeet
-		if tractFeet == 0 {
-			tractFeet = 5000
-		}
-		out, restored := r.cfg.Checkpoint.analysis(cell)
+		out, restored := rn.cp.analysis(cell)
 		if !restored {
-			b, err := open(a.Backend)
-			if err != nil {
+			if err := rn.execute(ctx, &rn.first); err != nil {
 				return fail(err)
 			}
-			out, err = ev.AnalyzeNeighborhood(ctx, b, tractFeet)
-			if err != nil {
-				return fail(fmt.Errorf("experiment: %s: analysis %q: %w", spec.Name, a.Name, err))
-			}
+			out = rn.first.results[slices.Index(rn.first.analyses, i)]
 		}
 		res.Analyses = append(res.Analyses, AnalysisResult{
 			Name:      a.Name,
 			Backend:   a.Backend,
-			TractFeet: tractFeet,
+			TractFeet: tractFeet(a),
 			Result:    out,
 		})
 		sink(Event{Kind: AnalysisFinished, Spec: spec.Name, Step: a.Name, Cell: cell, Restored: restored, Analysis: out})
@@ -311,81 +295,171 @@ func (r *Runner) Run(ctx context.Context, spec Spec, sink Sink) (*Result, error)
 	return res, nil
 }
 
-// drawnAnswers is what a regular sweep's freshly evaluated cells drew:
-// the options they ran under (condition resolved) and each backend's
-// sweep by name. Restored cells have no entry.
-type drawnAnswers struct {
-	opts   core.LLMOptions
-	sweeps map[string]core.BackendSweep
+// tractFeet is an analysis step's tract cell size, defaulting to 5000.
+func tractFeet(a *AnalysisSpec) float64 {
+	if a.TractFeet == 0 {
+		return 5000
+	}
+	return a.TractFeet
 }
 
-// runSweep evaluates a regular sweep's backends concurrently and
-// returns their reports in spec order, which cells were restored from
-// the checkpoint, and the evaluated cells' sweeps by backend name.
-// Restored cells splice in their journaled report; only the missing
-// backends open (and, for supervised kinds, train) and evaluate — the
-// resume property the lab daemon's journal leans on. keep says whether
-// a later step needs the sweep's frames (see keepFrames).
-func (r *Runner) runSweep(ctx context.Context, ev *core.Evaluator, sw *SweepSpec, opts core.LLMOptions, open func(string) (backend.Backend, error), keep bool) (SweepResult, []bool, map[string]core.BackendSweep, error) {
+// sweepStep labels a sweep in error messages.
+func sweepStep(name string) string { return fmt.Sprintf("sweep %q", name) }
+
+// run is one Run's evaluation state: the sweeps' resolved options, the
+// backends opened so far, the run's two walks, and the answers they
+// drew.
+type run struct {
+	spec   *Spec
+	cp     *Checkpoint
+	ev     *core.Evaluator
+	env    backend.Env
+	opened map[string]backend.Backend
+	opts   []core.LLMOptions
+	// first asks every fresh regular-sweep cell and unrestored analysis;
+	// second, the vote members first drew no answers for.
+	first, second walkPlan
+	drawn         map[cell]core.BackendSweep
+}
+
+// cell is a backend under resolved sweep options. Answers are
+// deterministic in it, so every sweep and vote that asks the same cell
+// shares one evaluation.
+type cell struct {
+	backend string
+	opts    core.LLMOptions
+}
+
+// walkPlan is one walk of a run: its sweep cells, then the indices of
+// its analyses in the spec, with the step each job is planned for, and,
+// once done, the analyses' results.
+type walkPlan struct {
+	cells    []cell
+	analyses []int
+	steps    []string
+	done     bool
+	results  []*core.NeighborhoodResult
+}
+
+// ask plans cell c for step, unless the walk already asks it.
+func (w *walkPlan) ask(c cell, step string) {
+	if !slices.Contains(w.cells, c) {
+		w.cells = append(w.cells, c)
+		w.steps = append(w.steps, step)
+	}
+}
+
+func (rn *run) errorf(step string, err error) error {
+	return fmt.Errorf("experiment: %s: %s: %w", rn.spec.Name, step, err)
+}
+
+// plan resolves the sweeps' options and lays out the first walk from
+// the checkpoint.
+func (rn *run) plan() error {
+	for i, sw := range rn.spec.Sweeps {
+		opts, err := rn.spec.Dataset.sweepOptions(sw.Options)
+		if err != nil {
+			return rn.errorf(sweepStep(sw.Name), err)
+		}
+		rn.opts = append(rn.opts, opts)
+		for _, name := range sw.Backends {
+			if _, ok := rn.cp.report(SweepCellID(sw.Name, name)); !ok {
+				rn.first.ask(cell{name, rn.opts[i]}, sweepStep(sw.Name))
+			}
+		}
+	}
+	for a, an := range rn.spec.Analyses {
+		if _, ok := rn.cp.analysis(AnalysisCellID(an.Name)); !ok {
+			rn.first.analyses = append(rn.first.analyses, a)
+			rn.first.steps = append(rn.first.steps, fmt.Sprintf("analysis %q", an.Name))
+		}
+	}
+	return nil
+}
+
+// open returns the named backend, opening it on first use: backends
+// open once per run and are shared by every job that names them, so a
+// trained detector trains exactly once no matter how many steps sweep
+// it.
+func (rn *run) open(ctx context.Context, name string) (backend.Backend, error) {
+	if b, ok := rn.opened[name]; ok {
+		return b, nil
+	}
+	b, err := backend.OpenWith(ctx, rn.spec.Backends[name], rn.env)
+	if err != nil {
+		return nil, fmt.Errorf("experiment: %s: backend %q: %w", rn.spec.Name, name, err)
+	}
+	rn.opened[name] = b
+	return b, nil
+}
+
+// execute runs walk w once: it opens (and trains) every backend the
+// walk asks, then walks. Later calls return at once.
+func (rn *run) execute(ctx context.Context, w *walkPlan) error {
+	if w.done {
+		return nil
+	}
+	w.done = true
+	sweeps := make([]core.SweepJob, len(w.cells))
+	for k, c := range w.cells {
+		b, err := rn.open(ctx, c.backend)
+		if err != nil {
+			return err
+		}
+		sweeps[k] = core.SweepJob{Backend: b, Options: c.opts}
+	}
+	analyses := make([]core.AnalysisJob, len(w.analyses))
+	for k, a := range w.analyses {
+		b, err := rn.open(ctx, rn.spec.Analyses[a].Backend)
+		if err != nil {
+			return err
+		}
+		analyses[k] = core.AnalysisJob{Backend: b, TractFeet: tractFeet(&rn.spec.Analyses[a])}
+	}
+	swept, results, failed, err := rn.ev.Walk(ctx, sweeps, analyses)
+	if err != nil {
+		return rn.errorf(w.steps[failed], err)
+	}
+	for k, c := range w.cells {
+		rn.drawn[c] = swept[k]
+	}
+	w.results = results
+	return nil
+}
+
+// sweep returns regular sweep i's reports in spec order and which cells
+// were restored from the checkpoint. A report depends only on (spec,
+// seed, backend, options), never on the other jobs of the walk — the
+// bit-identity the golden serial-vs-concurrent tests pin — so a resumed
+// run reproduces the uninterrupted run's reports exactly.
+func (rn *run) sweep(ctx context.Context, i int) (SweepResult, []bool, error) {
+	sw := &rn.spec.Sweeps[i]
 	sr := SweepResult{Name: sw.Name, Reports: make([]BackendReport, len(sw.Backends))}
 	restored := make([]bool, len(sw.Backends))
-	var missing []int
-	for i, name := range sw.Backends {
-		if cr, ok := r.cfg.Checkpoint.report(SweepCellID(sw.Name, name)); ok {
-			sr.Reports[i] = BackendReport{Backend: name, Report: cr.Report}
-			restored[i] = true
-			continue
-		}
-		missing = append(missing, i)
-	}
-	fresh := make(map[string]core.BackendSweep, len(missing))
-	if len(missing) > 0 {
-		backends := make([]backend.Backend, len(missing))
-		for k, i := range missing {
-			b, err := open(sw.Backends[i])
-			if err != nil {
-				return SweepResult{}, nil, nil, err
+	for k, name := range sw.Backends {
+		cr, ok := rn.cp.report(SweepCellID(sw.Name, name))
+		if !ok {
+			if err := rn.execute(ctx, &rn.first); err != nil {
+				return SweepResult{}, nil, err
 			}
-			backends[k] = b
+			cr.Report = rn.drawn[cell{name, rn.opts[i]}].Report
 		}
-		// Each backend's report depends only on (spec, seed, backend),
-		// never on which other backends share the evaluation set — the
-		// bit-identity the golden serial-vs-concurrent tests pin — so
-		// evaluating the missing subset reproduces the uninterrupted
-		// run's reports exactly.
-		sweeps, err := ev.SweepBackendSet(ctx, backends, opts, keep)
-		if err != nil {
-			return SweepResult{}, nil, nil, err
-		}
-		for k, i := range missing {
-			sr.Reports[i] = BackendReport{Backend: sw.Backends[i], Report: sweeps[k].Report}
-			fresh[sw.Backends[i]] = sweeps[k]
-		}
+		sr.Reports[k] = BackendReport{Backend: name, Report: cr.Report}
+		restored[k] = ok
 	}
-	return sr, restored, fresh, nil
+	return sr, restored, nil
 }
 
-// runVoteSweep majority-votes the top backends of an earlier sweep:
-// members are ranked by ensemble.SelectTop (average accuracy, ties
-// broken by backend name — the paper's deterministic top-three
-// selection) and their answers are voted frame by frame. A member the
-// source sweep evaluated under this sweep's options (compared with the
-// capture condition resolved, so spelling the corpus's own condition
-// out changes nothing) contributes the answers it already drew; the
-// others (the options differ, or the source cell was restored from a
-// checkpoint) are swept again under this sweep's options first. Either
-// way the report equals a backend.NewVoting committee's.
-func (r *Runner) runVoteSweep(ctx context.Context, ev *core.Evaluator, res *Result, sw *SweepSpec, opts core.LLMOptions, src drawnAnswers, open func(string) (backend.Backend, error), keep bool) (SweepResult, []bool, error) {
-	// A vote sweep is one cell, named after the sweep itself.
-	if cr, ok := r.cfg.Checkpoint.report(SweepCellID(sw.Name, sw.Name)); ok {
-		return SweepResult{
-			Name:    sw.Name,
-			Reports: []BackendReport{{Backend: sw.Name, Members: cr.Members, Report: cr.Report}},
-		}, []bool{true}, nil
-	}
-	prev := res.Sweep(sw.VoteTopOf)
-	if prev == nil {
-		return SweepResult{}, nil, fmt.Errorf("source sweep %q has no result", sw.VoteTopOf)
+// committee returns vote sweep v's members in rank order:
+// ensemble.SelectTop over its source sweep's reports (average accuracy,
+// ties broken by backend name — the paper's deterministic top-three
+// selection).
+func (rn *run) committee(ctx context.Context, v int) ([]string, error) {
+	sw := &rn.spec.Sweeps[v]
+	src := slices.IndexFunc(rn.spec.Sweeps, func(s SweepSpec) bool { return s.Name == sw.VoteTopOf })
+	prev, _, err := rn.sweep(ctx, src)
+	if err != nil {
+		return nil, err
 	}
 	k := sw.VoteTopK
 	if k == 0 {
@@ -397,100 +471,71 @@ func (r *Runner) runVoteSweep(ctx context.Context, ev *core.Evaluator, res *Resu
 	}
 	top, err := ensemble.SelectTop(reports, k)
 	if err != nil {
-		return SweepResult{}, nil, err
+		return nil, rn.errorf(sweepStep(sw.Name), err)
 	}
 	names := make([]string, len(top))
-	sweeps := make([]core.BackendSweep, len(top))
-	var missing []int
-	for i, s := range top {
-		names[i] = s.ID
-		if d, ok := src.sweeps[s.ID]; ok && src.opts == opts {
-			sweeps[i] = d
+	for m, s := range top {
+		names[m] = s.ID
+	}
+	return names, nil
+}
+
+// walkSecond runs the first walk if it has not run, then asks, in one
+// walk, every member of every vote sweep the run evaluates that the
+// first walk drew no answers for under the vote's options. Later calls
+// return at once.
+func (rn *run) walkSecond(ctx context.Context) error {
+	if err := rn.execute(ctx, &rn.first); err != nil || rn.second.done {
+		return err
+	}
+	for v, sw := range rn.spec.Sweeps {
+		if _, ok := rn.cp.report(SweepCellID(sw.Name, sw.Name)); ok || sw.VoteTopOf == "" {
 			continue
 		}
-		missing = append(missing, i)
-	}
-	if len(missing) > 0 {
-		members := make([]backend.Backend, len(missing))
-		for j, i := range missing {
-			b, err := open(names[i])
-			if err != nil {
-				return SweepResult{}, nil, err
-			}
-			members[j] = b
-		}
-		swept, err := ev.SweepBackendSet(ctx, members, opts, keep)
+		names, err := rn.committee(ctx, v)
 		if err != nil {
-			return SweepResult{}, nil, err
+			return err
 		}
-		for j, i := range missing {
-			sweeps[i] = swept[j]
+		for _, name := range names {
+			if c := (cell{name, rn.opts[v]}); rn.drawn[c].Report == nil {
+				rn.second.ask(c, sweepStep(sw.Name))
+			}
 		}
 	}
-	report, err := ev.Vote(sweeps)
+	return rn.execute(ctx, &rn.second)
+}
+
+// voteSweep majority-votes vote sweep v's committee frame by frame over
+// the answers its members drew under the vote's options (compared with
+// the capture condition resolved, so spelling the corpus's own condition
+// out changes nothing), after the second walk asked the members that had
+// none. Either way the report equals a backend.NewVoting committee's.
+func (rn *run) voteSweep(ctx context.Context, v int) (SweepResult, []bool, error) {
+	sw := &rn.spec.Sweeps[v]
+	// A vote sweep is one cell, named after the sweep itself.
+	if cr, ok := rn.cp.report(SweepCellID(sw.Name, sw.Name)); ok {
+		return SweepResult{
+			Name:    sw.Name,
+			Reports: []BackendReport{{Backend: sw.Name, Members: cr.Members, Report: cr.Report}},
+		}, []bool{true}, nil
+	}
+	if err := rn.walkSecond(ctx); err != nil {
+		return SweepResult{}, nil, err
+	}
+	names, err := rn.committee(ctx, v)
 	if err != nil {
 		return SweepResult{}, nil, err
 	}
+	members := make([]core.BackendSweep, len(names))
+	for m, name := range names {
+		members[m] = rn.drawn[cell{name, rn.opts[v]}]
+	}
+	report, err := rn.ev.Vote(members)
+	if err != nil {
+		return SweepResult{}, nil, rn.errorf(sweepStep(sw.Name), err)
+	}
 	return SweepResult{
-		Name: sw.Name,
-		Reports: []BackendReport{{
-			Backend: sw.Name,
-			Members: names,
-			Report:  report,
-		}},
+		Name:    sw.Name,
+		Reports: []BackendReport{{Backend: sw.Name, Members: names, Report: report}},
 	}, []bool{false}, nil
-}
-
-// keepFrames reports, for each of the spec's sweeps, whether it must
-// keep the frames it walks (render them into the pipeline's caches and
-// keep their perception features) because a later step will walk the
-// corpus again: a later regular sweep with a fresh cell, a later vote
-// sweep that must ask members again (its resolved options differ from
-// its source's, or a source cell was restored), or an analysis that is
-// not restored. With a store_dir every sweep keeps its frames, so the
-// store serves and persists them. A sweep that keeps nothing renders
-// into buffers its workers reuse. The checkpoint decides which cells
-// are restored.
-func keepFrames(spec *Spec, cp *Checkpoint) []bool {
-	later := spec.Dataset.StoreDir != ""
-	for _, a := range spec.Analyses {
-		if _, ok := cp.analysis(AnalysisCellID(a.Name)); !ok {
-			later = true
-		}
-	}
-	keep := make([]bool, len(spec.Sweeps))
-	for i := len(spec.Sweeps) - 1; i >= 0; i-- {
-		keep[i] = later
-		later = later || walksCorpus(spec, i, cp)
-	}
-	return keep
-}
-
-// walksCorpus reports whether sweep i asks any backend about frames
-// when run against the checkpoint.
-func walksCorpus(spec *Spec, i int, cp *Checkpoint) bool {
-	sw := &spec.Sweeps[i]
-	if sw.VoteTopOf == "" {
-		for _, name := range sw.Backends {
-			if _, ok := cp.report(SweepCellID(sw.Name, name)); !ok {
-				return true
-			}
-		}
-		return false
-	}
-	if _, ok := cp.report(SweepCellID(sw.Name, sw.Name)); ok {
-		return false
-	}
-	src := slices.IndexFunc(spec.Sweeps[:i], func(s SweepSpec) bool { return s.Name == sw.VoteTopOf })
-	if src < 0 {
-		return true
-	}
-	for _, name := range spec.Sweeps[src].Backends {
-		if _, ok := cp.report(SweepCellID(sw.VoteTopOf, name)); ok {
-			return true
-		}
-	}
-	opts, err := spec.Dataset.sweepOptions(sw.Options)
-	srcOpts, srcErr := spec.Dataset.sweepOptions(spec.Sweeps[src].Options)
-	return err != nil || srcErr != nil || opts != srcOpts
 }

@@ -40,7 +40,9 @@ type Spec struct {
 	// Analyses are the downstream neighborhood-analysis steps, run in
 	// order after the sweeps.
 	Analyses []AnalysisSpec `json:"analyses,omitempty"`
-	// Workers is the evaluation worker budget; zero means GOMAXPROCS.
+	// Workers is the evaluation worker budget; zero means GOMAXPROCS. A
+	// run's walk runs one worker per distinct backend it asks instead
+	// when that is more.
 	Workers int `json:"workers,omitempty"`
 }
 

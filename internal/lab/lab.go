@@ -26,6 +26,9 @@
 // stream out, each completed cell is appended to the run's journal and
 // fsynced — so a killed daemon reopens the workspace, finds the
 // interrupted run, and resumes it, re-running only the missing cells.
+// The runner evaluates every fresh cell of a run in one walk of the
+// corpus, so they reach the journal when that walk ends, in spec order,
+// not sweep by sweep: a kill during the walk loses all of them.
 // Because evaluation is deterministic in (spec, seed) and cell payloads
 // are exact (integer confusion counts; float64 JSON round-trips), the
 // resumed run's final artifacts are byte-identical to an uninterrupted

@@ -3,8 +3,8 @@ package serve
 // Spatial endpoints: GET /v1/nearest answers "which corpus coordinates
 // are closest to here" from the gateway's spatial index, and POST
 // /v1/neighborhood classifies every coordinate within a radius and
-// fuses each coordinate's four headings with any-vote fusion, as the
-// core evaluator's AnalyzeNeighborhood does over the whole corpus. Both
+// fuses each coordinate's four headings with any-vote fusion, as an
+// analysis job of the core evaluator's Walk does over the whole corpus. Both
 // require a dataset (Options.Frames); index queries are exact,
 // bit-identical to a linear scan with geo.Coordinate.DistanceFeet (see
 // internal/geoindex).
