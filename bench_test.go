@@ -683,6 +683,9 @@ func BenchmarkDetectorForward(b *testing.B) {
 // baseline's batched presence prediction: 8 frames through the wide
 // [32, 64, 128] backbone, and (served/f32) the 16-frame batches of the
 // default [8, 16, 32] backbone that the gateway's cnn route serves.
+// served/inflight2 is the gateway under load: two goroutines each
+// predict a 16-frame batch at once, so a fan-out nested inside another
+// shows here as it does in serve-cnn-miss.
 func BenchmarkPredictBatch(b *testing.B) {
 	for _, c := range []struct {
 		name     string
@@ -728,6 +731,31 @@ func BenchmarkPredictBatch(b *testing.B) {
 				b.ReportMetric(float64(c.batch)*float64(b.N)/b.Elapsed().Seconds(), "frames/s")
 			})
 		}
+		if c.name != "served/" {
+			continue
+		}
+		b.Run(c.name+"inflight2", func(b *testing.B) {
+			if err := model.SetQuantized(false); err != nil {
+				b.Fatal(err)
+			}
+			const inflight = 2
+			errs := make(chan error, inflight)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for g := 0; g < inflight; g++ {
+					go func() {
+						_, err := model.PredictBatch(imgs)
+						errs <- err
+					}()
+				}
+				for g := 0; g < inflight; g++ {
+					if err := <-errs; err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(inflight*c.batch)*float64(b.N)/b.Elapsed().Seconds(), "frames/s")
+		})
 	}
 }
 

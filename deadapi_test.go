@@ -29,7 +29,6 @@ var testOnlyAllowed = map[string]string{
 	"nbhd/internal/analysis.RegressionResult.Predict":    "test seam: tests check a fitted regression by its predictions",
 	"nbhd/internal/backend.Open":                         "paper benchmark: bench_test.go opens the four LLM backends by spec",
 	"nbhd/internal/classify.Model.Evaluate":              "paper benchmark: ablation_bench_test.go scores the CNN baseline with it",
-	"nbhd/internal/classify.Model.ParamCount":            "test seam: tests pin the CNN's size",
 	"nbhd/internal/classify.Model.Predict":               "reference implementation: PredictBatch and the cnn adapter are tested against it",
 	"nbhd/internal/core.Pipeline.DetectorPresenceReport": "paper benchmark: Table I in bench_test.go and ablation_bench_test.go",
 	"nbhd/internal/dataset.ApplyCondition":               "reference implementation: ConditionInto is tested against it",
@@ -59,11 +58,9 @@ var testOnlyAllowed = map[string]string{
 	"nbhd/internal/store.Store.Sync":                     "test seam: store tests flush a writer so a reader sees its records",
 	"nbhd/internal/tensor.FromSlice":                     "fixture: builds tensors at 50+ test sites, bit-identity tests included",
 	"nbhd/internal/tensor.Tensor.Clone":                  "fixture: tensor tests copy a tensor before mutating it",
-	"nbhd/internal/tensor.Tensor.Dim":                    "fixture: tensor and pool tests read shapes through it",
 	"nbhd/internal/tensor.Tensor.UniformInit":            "fixture: seeds test tensors at 50+ sites, bit-identity tests included",
 	"nbhd/internal/yolo.Load":                            "format reader: reads back the weights file cmd/trainyolo writes",
 	"nbhd/internal/yolo.Model.GridSize":                  "test seam: detector tests index the output grid",
-	"nbhd/internal/yolo.Model.ParamCount":                "test seam: tests pin the detector's size",
 }
 
 // scanRoots are the directories whose non-test files count as callers.

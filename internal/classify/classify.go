@@ -123,9 +123,6 @@ func New(cfg Config) (*Model, error) {
 // InputSize returns the expected input resolution.
 func (m *Model) InputSize() int { return m.cfg.InputSize }
 
-// ParamCount returns the number of trainable scalars.
-func (m *Model) ParamCount() int { return m.net.ParamCount() }
-
 // batchInput packs images into a pooled NCHW scratch tensor the caller
 // must hand back via tensor.PutScratch.
 func (m *Model) batchInput(images []*render.Image) (*tensor.Tensor, error) {

@@ -44,8 +44,15 @@ func TestDefaults(t *testing.T) {
 	if m.InputSize() != 64 {
 		t.Errorf("InputSize = %d", m.InputSize())
 	}
-	if m.ParamCount() == 0 {
-		t.Error("ParamCount = 0")
+	// Three 3×3 conv stages 3→8→16→32, then a linear head from the
+	// 32×8×8 grid to the six indicators.
+	want := (3*9*8 + 8) + (8*9*16 + 16) + (16*9*32 + 32) + (32*8*8*6 + 6)
+	got := 0
+	for _, p := range m.net.Params() {
+		got += len(p.Value.Data)
+	}
+	if got != want {
+		t.Errorf("%d trainable scalars, want %d", got, want)
 	}
 }
 

@@ -144,8 +144,13 @@ type OptionsSpec struct {
 }
 
 // llmOptions parses the spec options into the engine's sweep options.
+// An unset language or mode resolves to the default the models apply
+// (English, parallel), so options that send the same requests compare
+// equal, and name the same cell, however they are spelled.
 func (o OptionsSpec) llmOptions() (core.LLMOptions, error) {
 	opts := core.LLMOptions{
+		Language:    prompt.English,
+		Mode:        prompt.Parallel,
 		Temperature: o.Temperature,
 		TopP:        o.TopP,
 		FrameLimit:  o.FrameLimit,

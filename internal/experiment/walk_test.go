@@ -86,26 +86,35 @@ func countingRun(t *testing.T, spec experiment.Spec, cp *experiment.Checkpoint) 
 	return log.steps, res
 }
 
-// f4Vote is the builtin f4 spec over http backends plus a top-two vote
-// over its parallel sweep, under that sweep's options.
+// f4Vote is the builtin f4 spec over http backends plus two top-two
+// votes over its parallel sweep: one under that sweep's options
+// (mode "parallel"), one with the options left empty, which send the
+// same requests.
 func f4Vote(t *testing.T) experiment.Spec {
 	t.Helper()
 	spec, err := experiment.Builtin("f4", experiment.BuiltinConfig{Coordinates: 2, Seed: 3, BaseURL: "http://unused"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec.Sweeps = append(spec.Sweeps, experiment.SweepSpec{Name: "vote", VoteTopOf: "f4:parallel", VoteTopK: 2, Options: spec.Sweeps[0].Options})
+	if spec.Sweeps[0].Options.Mode != "parallel" {
+		t.Fatalf("f4:parallel options %+v, want mode spelled out", spec.Sweeps[0].Options)
+	}
+	spec.Sweeps = append(spec.Sweeps,
+		experiment.SweepSpec{Name: "vote", VoteTopOf: "f4:parallel", VoteTopK: 2, Options: spec.Sweeps[0].Options},
+		experiment.SweepSpec{Name: "vote:default", VoteTopOf: "f4:parallel", VoteTopK: 2})
 	if err := spec.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	return spec
 }
 
-// TestRunnerAsksEachFrameOncePerCell: a fresh f4 run with a vote asks
-// every (backend, options) cell about each frame exactly once, all in
-// one walk that starts at the first sweep; the vote asks nothing. A
-// resume with one source cell restored asks that member again in a
-// second walk, at the vote, and nothing else twice.
+// TestRunnerAsksEachFrameOncePerCell: a fresh f4 run with two votes
+// asks every (backend, options) cell about each frame exactly once, all
+// in one walk that starts at the first sweep; neither vote asks
+// anything, the one with empty options included, since its options
+// resolve to the parallel sweep's. A resume with one source cell
+// restored asks that member again in a second walk, at the first vote,
+// and nothing else twice.
 func TestRunnerAsksEachFrameOncePerCell(t *testing.T) {
 	spec := f4Vote(t)
 	fresh, full := countingRun(t, spec, nil)
@@ -143,7 +152,7 @@ func TestRunnerAsksEachFrameOncePerCell(t *testing.T) {
 			t.Errorf("resumed run: request %s is not one the fresh run made", key[:20])
 		}
 	}
-	for _, name := range []string{"f4:parallel", "f4:sequential", "vote"} {
+	for _, name := range []string{"f4:parallel", "f4:sequential", "vote", "vote:default"} {
 		if a, b := encodeSweep(t, full.Sweep(name)), encodeSweep(t, res.Sweep(name)); !bytes.Equal(a, b) {
 			t.Errorf("resumed sweep %s differs from the fresh run's", name)
 		}

@@ -3,30 +3,39 @@ package nn
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 
 	"nbhd/internal/tensor"
 )
 
 // Conv2D is a 2-D convolution over NCHW tensors, implemented with
 // im2col one sample at a time. Forward, Infer and InferQuantized share
-// one per-sample loop (convPass): samples fan across workers, each
-// sample's receptive fields unroll into a (Cin*K*K, outH*outW) matrix,
-// and one GEMM multiplies the weights by it straight into the sample's
-// NCHW slice of the output, where the bias is added in place. Forward
-// keeps those matrices, sample-major, for Backward; Infer and
-// InferQuantized unroll into per-worker scratch. Backward is per sample
-// too: each sample's weight gradient goes into its own slot, and its
-// column gradient overwrites the sample's kept matrix before col2im
-// scatters it back. All scratch comes from the shared tensor pool and
-// is released when Backward completes, so nothing im2col-sized survives
-// the training step.
+// one per-sample loop (convPass): each sample's receptive fields unroll
+// into a (Cin*K*K, outH*outW) matrix, one GEMM multiplies the weights by
+// it, and an epilogue adds the bias while the product is in cache — and,
+// when Sequential's inference plan fused them into the conv, applies the
+// LeakyReLU and 2×2 max pool that follow it, writing only the pooled
+// result. Forward keeps those matrices, sample-major, for Backward;
+// Infer and InferQuantized unroll into per-worker scratch. Backward is
+// per sample too: each sample's weight gradient goes into its own slot,
+// and its column gradient overwrites the sample's kept matrix before
+// col2im scatters it back. All scratch comes from the shared tensor
+// pool and is released when Backward completes, so nothing im2col-sized
+// survives the training step.
+//
+// Parallelism has one level: a batch of at least GOMAXPROCS samples
+// splits its samples across workers, which take them one at a time,
+// and each sample's GEMM then runs on its worker; a smaller batch runs
+// its samples in turn and lets each GEMM split instead (forSamples,
+// tensor.Parallel).
 //
 // Bit-identity: each output element's dot product walks the Cin*K*K
 // (forward) or OutChannels (input-gradient) axis in the same order as the
 // per-sample reference, and the weight gradient is the per-sample
 // partials, each summed from +0 in ascending pixel order, added to a +0
 // total in sample order — exactly the float ordering of the historical
-// per-sample loop.
+// per-sample loop. The fused epilogue performs the same float32 add,
+// multiply and first-wins comparisons as the separate layers.
 type Conv2D struct {
 	InChannels, OutChannels int
 	KernelSize, Stride, Pad int
@@ -115,38 +124,58 @@ type convGEMM[T int8 | float32] interface {
 	release()
 }
 
+// forSamples runs f on the workers that share a batch's n samples,
+// whose GEMMs cost cost flops in all; each worker takes samples from u
+// until none are left. Samples split only when every P gets at least
+// one: a smaller batch runs its samples in turn on the caller (cost 0
+// keeps tensor.Parallel inline), so each sample's GEMM splits instead.
+// Either way one level splits.
+func forSamples(n, cost int, f func(u *tensor.Units) error) error {
+	if n < runtime.GOMAXPROCS(0) {
+		cost = 0
+	}
+	return tensor.Parallel(n, cost, f)
+}
+
 // convPass is the one per-sample loop behind Forward, Infer and
 // InferQuantized. For every sample of x it unrolls the receptive fields
 // into cols — the sample's slot of kept when kept is non-nil, else the
-// worker's scratch — multiplies the weights by them straight into the
-// sample's slice of out, and adds the bias in place.
-func convPass[T int8 | float32](c *Conv2D, x []T, d convDims, out *tensor.Tensor, kept []T, newGEMM func() convGEMM[T]) error {
+// worker's scratch — multiplies the weights by them, and finishes the
+// product with epi into the sample's slice of out: in place, or through
+// a per-worker scratch when epi pools.
+func convPass[T int8 | float32](c *Conv2D, x []T, d convDims, out *tensor.Tensor, kept []T, epi epilogue, newGEMM func() convGEMM[T]) error {
 	oHW := d.outH * d.outW
-	colLen := c.InChannels * c.KernelSize * c.KernelSize * oHW
+	colRows := c.InChannels * c.KernelSize * c.KernelSize
+	colLen := colRows * oHW
 	inPer := c.InChannels * d.h * d.w
-	outPer := c.OutChannels * oHW
-	return parallelSamples(d.n, len(out.Data), func(s0, s1 int) error {
+	convPer := c.OutChannels * oHW
+	outPer := len(out.Data) / d.n
+	return forSamples(d.n, d.n*convPer*colRows, func(u *tensor.Units) error {
 		g := newGEMM()
 		defer g.release()
 		var cols []T
 		if kept == nil {
 			cols = g.scratch(colLen)
 		}
-		for s := s0; s < s1; s++ {
+		var prod *tensor.Tensor
+		if epi.pool {
+			prod = tensor.GetScratch(convPer)
+			defer tensor.PutScratch(prod)
+		}
+		for s, ok := u.Next(); ok; s, ok = u.Next() {
 			if kept != nil {
 				cols = kept[s*colLen : (s+1)*colLen]
 			}
 			im2colInto(c, x[s*inPer:(s+1)*inPer], cols, d)
 			dst := out.Data[s*outPer : (s+1)*outPer]
-			if err := g.mul(dst, cols); err != nil {
+			conv := dst
+			if prod != nil {
+				conv = prod.Data
+			}
+			if err := g.mul(conv, cols); err != nil {
 				return err
 			}
-			for oc, bv := range c.bias.Value.Data {
-				row := dst[oc*oHW : (oc+1)*oHW]
-				for i := range row {
-					row[i] += bv
-				}
-			}
+			epi.finish(c.bias.Value.Data, conv, dst, d.outH, d.outW)
 		}
 		return nil
 	})
@@ -226,7 +255,7 @@ func (c *Conv2D) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 	k := c.KernelSize
 	cols := tensor.GetScratch(d.n, c.InChannels*k*k, d.outH*d.outW)
 	out := tensor.GetScratch(d.n, c.OutChannels, d.outH, d.outW)
-	if err := convPass(c, x.Data, d, out, cols.Data, c.f32Workers(d)); err != nil {
+	if err := convPass(c, x.Data, d, out, cols.Data, epilogue{}, c.f32Workers(d)); err != nil {
 		tensor.PutScratch(cols)
 		tensor.PutScratch(out)
 		return nil, fmt.Errorf("nn: conv forward: %w", err)
@@ -240,14 +269,36 @@ func (c *Conv2D) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 // Its im2col scratch is one sample's matrix per worker, and its output
 // matches Forward's bit for bit.
 func (c *Conv2D) Infer(x *tensor.Tensor) (*tensor.Tensor, error) {
+	return c.infer(x, epilogue{}, false)
+}
+
+// infer is Infer (or, quantized, InferQuantized) with the epilogue epi
+// fused in: the output is the conv's, or its 2×2-pooled size when epi
+// pools.
+func (c *Conv2D) infer(x *tensor.Tensor, epi epilogue, quantized bool) (*tensor.Tensor, error) {
+	if quantized && !c.qw.ready() {
+		return nil, fmt.Errorf("nn: conv InferQuantized before PrepareQuantized")
+	}
 	d, err := c.checkInput(x)
 	if err != nil {
 		return nil, err
 	}
-	out := tensor.GetScratch(d.n, c.OutChannels, d.outH, d.outW)
-	if err := convPass(c, x.Data, d, out, nil, c.f32Workers(d)); err != nil {
+	outH, outW := d.outH, d.outW
+	if epi.pool {
+		if outH < 2 || outW < 2 {
+			return nil, fmt.Errorf("nn: pool output degenerate for %dx%d (size=2 stride=2)", outH, outW)
+		}
+		outH, outW = outH/2, outW/2
+	}
+	out := tensor.GetScratch(d.n, c.OutChannels, outH, outW)
+	if quantized {
+		err = c.inferQuantized(x, d, out, epi)
+	} else if err = convPass(c, x.Data, d, out, nil, epi, c.f32Workers(d)); err != nil {
+		err = fmt.Errorf("nn: conv infer: %w", err)
+	}
+	if err != nil {
 		tensor.PutScratch(out)
-		return nil, fmt.Errorf("nn: conv infer: %w", err)
+		return nil, err
 	}
 	return out, nil
 }
@@ -332,11 +383,11 @@ func clearRow[T int8 | float32](s []T) {
 // gradient, and releases the forward caches back to the scratch pool —
 // after Backward nothing im2col-sized stays alive on the layer.
 //
-// Samples fan across workers. Each sample's weight gradient g·colᵀ goes
-// into its own slot; its column gradient Wᵀ·g then overwrites the
-// sample's kept matrix, which the slot has consumed, and col2im scatters
-// it into the sample's slice of the input gradient. The slots are summed
-// into dW afterwards, in sample order.
+// Samples split as in convPass (forSamples). Each sample's weight
+// gradient g·colᵀ goes into its own slot; its column gradient Wᵀ·g then
+// overwrites the sample's kept matrix, which the slot has consumed, and
+// col2im scatters it into the sample's slice of the input gradient. The
+// slots are summed into dW afterwards, in sample order.
 func (c *Conv2D) Backward(gradOut *tensor.Tensor) (*tensor.Tensor, error) {
 	if c.cols == nil {
 		return nil, fmt.Errorf("nn: conv backward before forward")
@@ -354,9 +405,9 @@ func (c *Conv2D) Backward(gradOut *tensor.Tensor) (*tensor.Tensor, error) {
 	slots := tensor.GetScratch(d.n, c.OutChannels, c.InChannels*c.KernelSize*c.KernelSize)
 	gradIn := tensor.GetScratch(d.n, c.InChannels, d.h, d.w)
 	gradIn.Zero()
-	err := parallelSamples(d.n, len(c.cols.Data), func(s0, s1 int) error {
+	err := forSamples(d.n, 2*d.n*wLen*oHW, func(u *tensor.Units) error {
 		g := c.newF32GEMM(d)
-		for s := s0; s < s1; s++ {
+		for s, ok := u.Next(); ok; s, ok = u.Next() {
 			cols := c.cols.Data[s*colLen : (s+1)*colLen]
 			if err := g.backward(slots.Data[s*wLen:(s+1)*wLen], gradOut.Data[s*outPer:(s+1)*outPer], cols); err != nil {
 				return err

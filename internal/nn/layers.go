@@ -42,7 +42,7 @@ func (p *MaxPool2D) outDims(x *tensor.Tensor) (n, c, outH, outW int, err error) 
 	h, w := x.Shape[2], x.Shape[3]
 	outH = (h-p.Size)/p.Stride + 1
 	outW = (w-p.Size)/p.Stride + 1
-	if outH <= 0 || outW <= 0 {
+	if h < p.Size || w < p.Size {
 		return 0, 0, 0, 0, fmt.Errorf("nn: pool output degenerate for %dx%d (size=%d stride=%d)", h, w, p.Size, p.Stride)
 	}
 	return n, c, outH, outW, nil
@@ -92,7 +92,10 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 }
 
 // Infer computes max pooling without recording argmax; it is stateless
-// and safe for concurrent use. Samples fan across workers.
+// and safe for concurrent use. A 2×2 stride-2 pool runs the fused conv
+// epilogue's branch-free kernel (firstMax), which keeps the generic
+// loop's results; behind a Conv2D, Sequential fuses the pool into the
+// conv instead.
 func (p *MaxPool2D) Infer(x *tensor.Tensor) (*tensor.Tensor, error) {
 	n, c, outH, outW, err := p.outDims(x)
 	if err != nil {
@@ -100,60 +103,36 @@ func (p *MaxPool2D) Infer(x *tensor.Tensor) (*tensor.Tensor, error) {
 	}
 	h, w := x.Shape[2], x.Shape[3]
 	out := tensor.GetScratch(n, c, outH, outW)
-	perSample := c * outH * outW
-	fast2x2 := p.Size == 2 && p.Stride == 2
-	// Pooling cannot fail, so there is no worker error to relay.
-	_ = parallelSamples(n, len(x.Data), func(s0, s1 int) error {
-		for s := s0; s < s1; s++ {
-			oi := s * perSample
-			for ci := 0; ci < c; ci++ {
-				chBase := (s*c + ci) * h * w
-				if fast2x2 {
-					// The ubiquitous 2x2/stride-2 case: compare the two rows
-					// of each window directly, skipping the window loops and
-					// the index arithmetic (identical results for non-NaN
-					// inputs; seeding from the first element instead of -Inf
-					// only differs when that element is NaN).
-					for oy := 0; oy < outH; oy++ {
-						top := x.Data[chBase+2*oy*w : chBase+2*oy*w+2*outW]
-						bot := x.Data[chBase+(2*oy+1)*w : chBase+(2*oy+1)*w+2*outW]
-						orow := out.Data[oi : oi+outW]
-						for ox := range orow {
-							best := top[2*ox]
-							if v := top[2*ox+1]; v > best {
-								best = v
-							}
-							if v := bot[2*ox]; v > best {
-								best = v
-							}
-							if v := bot[2*ox+1]; v > best {
-								best = v
-							}
-							orow[ox] = best
-						}
-						oi += outW
-					}
-					continue
+	oi := 0
+	for ch := 0; ch < n*c; ch++ {
+		chBase := ch * h * w
+		for oy := 0; oy < outH; oy++ {
+			if p.Size == 2 && p.Stride == 2 {
+				top := x.Data[chBase+2*oy*w : chBase+2*oy*w+2*outW]
+				bot := x.Data[chBase+(2*oy+1)*w : chBase+(2*oy+1)*w+2*outW]
+				for ox := range out.Data[oi : oi+outW] {
+					best := firstMax(top[2*ox], top[2*ox+1])
+					best = firstMax(best, bot[2*ox])
+					out.Data[oi+ox] = firstMax(best, bot[2*ox+1])
 				}
-				for oy := 0; oy < outH; oy++ {
-					for ox := 0; ox < outW; ox++ {
-						best := float32(math.Inf(-1))
-						for ky := 0; ky < p.Size; ky++ {
-							rowBase := chBase + (oy*p.Stride+ky)*w + ox*p.Stride
-							for kx := 0; kx < p.Size; kx++ {
-								if v := x.Data[rowBase+kx]; v > best {
-									best = v
-								}
-							}
+				oi += outW
+				continue
+			}
+			for ox := 0; ox < outW; ox++ {
+				best := float32(math.Inf(-1))
+				for ky := 0; ky < p.Size; ky++ {
+					rowBase := chBase + (oy*p.Stride+ky)*w + ox*p.Stride
+					for kx := 0; kx < p.Size; kx++ {
+						if v := x.Data[rowBase+kx]; v > best {
+							best = v
 						}
-						out.Data[oi] = best
-						oi++
 					}
 				}
+				out.Data[oi] = best
+				oi++
 			}
 		}
-		return nil
-	})
+	}
 	return out, nil
 }
 
@@ -194,10 +173,7 @@ func NewLeakyReLU(alpha float32) (*LeakyReLU, error) {
 func (r *LeakyReLU) apply(x *tensor.Tensor) *tensor.Tensor {
 	out := tensor.GetScratch(x.Shape...)
 	for i, v := range x.Data {
-		if v < 0 {
-			v = r.Alpha * v
-		}
-		out.Data[i] = v
+		out.Data[i] = leaky(v, r.Alpha)
 	}
 	return out
 }

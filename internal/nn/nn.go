@@ -7,13 +7,21 @@
 // is verified against central differences in the tests.
 //
 // The compute layer has two paths. The training path (Forward/Backward)
-// caches whatever the backward pass needs and recycles every
-// intermediate tensor through the shared scratch pool, so steady-state
-// training steps allocate almost nothing. The inference path (Infer) is
-// stateless and reentrant: it touches no layer caches, so one model can
-// serve concurrent Infer calls — the property the evaluation engine uses
-// to fan detector/classifier inference across its worker pool. Both
-// paths run the same kernels and produce bit-identical outputs.
+// runs layer by layer, caches whatever the backward pass needs and
+// recycles every intermediate tensor through the shared scratch pool,
+// so steady-state training steps allocate almost nothing. The inference
+// path (Infer, InferQuantized) is stateless and reentrant: it touches no
+// layer caches, so one model can serve concurrent Infer calls — the
+// property the evaluation engine uses to fan detector/classifier
+// inference across its worker pool. Sequential plans it once per
+// network, fusing every Conv2D → LeakyReLU → MaxPool2D(2) block into one
+// conv pass whose per-sample epilogue writes the pooled output (fuse.go).
+// Both paths run the same kernels and produce bit-identical outputs.
+//
+// Parallelism has one level, owned by tensor.Parallel: a batch of at
+// least GOMAXPROCS samples splits its samples, which workers take one
+// at a time, and runs each sample's GEMM on its worker; a smaller one
+// lets each GEMM split instead.
 package nn
 
 import (
@@ -79,6 +87,8 @@ type Sequential struct {
 	// params caches the flattened parameter list (layers are fixed after
 	// construction), keeping Params() allocation-free in training loops.
 	params []*Param
+	// plan is the inference path's stages, fused conv blocks included.
+	plan []stage
 
 	// Dispatch counters: full-network inference passes per compute path,
 	// surfaced per backend by the serving layer's /metricsz.
@@ -86,9 +96,10 @@ type Sequential struct {
 	quantInfers atomic.Uint64
 }
 
-// NewSequential builds a sequential network.
+// NewSequential builds a sequential network and plans its inference
+// stages (planInference); the layers must not change afterwards.
 func NewSequential(layers ...Layer) *Sequential {
-	return &Sequential{Layers: layers}
+	return &Sequential{Layers: layers, plan: planInference(layers)}
 }
 
 // Forward runs all layers in order for training. Outputs are scratch
@@ -135,29 +146,18 @@ func (s *Sequential) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
 	return cur, nil
 }
 
-// Infer runs all layers in order through their stateless inference path,
-// recycling each intermediate as soon as the next layer has consumed it.
-// It is safe for concurrent use on one network (nothing may mutate the
-// parameters concurrently). The caller's input is never recycled; the
-// returned output is a scratch tensor the caller may hand back via
+// Infer runs the network through its stateless inference path, one
+// stage of the plan NewSequential built at a time: each
+// Conv2D → LeakyReLU → MaxPool2D(2) block runs as one fused conv pass,
+// bit-identical to running the layers in turn. Each intermediate is
+// recycled as soon as the next stage has consumed it. It is safe for
+// concurrent use on one network (nothing may mutate the parameters
+// concurrently). The caller's input is never recycled; the returned
+// output is a scratch tensor the caller may hand back via
 // tensor.PutScratch when done.
 func (s *Sequential) Infer(x *tensor.Tensor) (*tensor.Tensor, error) {
 	s.f32Infers.Add(1)
-	cur := x
-	for i, l := range s.Layers {
-		y, err := l.Infer(cur)
-		if err != nil {
-			if cur != x {
-				tensor.PutScratch(cur)
-			}
-			return nil, fmt.Errorf("nn: layer %d infer: %w", i, err)
-		}
-		if y != cur && cur != x {
-			tensor.PutScratch(cur)
-		}
-		cur = y
-	}
-	return cur, nil
+	return s.infer(x, false)
 }
 
 // Params collects all trainable parameters (cached; do not mutate the
@@ -176,13 +176,4 @@ func (s *Sequential) ZeroGrads() {
 	for _, p := range s.Params() {
 		p.Grad.Zero()
 	}
-}
-
-// ParamCount returns the total number of trainable scalars.
-func (s *Sequential) ParamCount() int {
-	n := 0
-	for _, p := range s.Params() {
-		n += p.Value.NumElems()
-	}
-	return n
 }

@@ -219,6 +219,22 @@ func TestMaxPoolHalvesSize(t *testing.T) {
 			t.Errorf("pooled[%d] = %f, want %f", i, out.Data[i], w)
 		}
 	}
+	// An input narrower than the window has no output, on either path
+	// and fused behind a conv alike.
+	narrow := tensor.MustNew(2, 1, 1, 4)
+	if _, err := pool.Forward(narrow); err == nil {
+		t.Error("Forward pooled a 1-row input")
+	}
+	if _, err := pool.Infer(narrow); err == nil {
+		t.Error("Infer pooled a 1-row input")
+	}
+	conv, err := NewConv2D(1, 1, 1, 1, 0, rand.New(rand.NewSource(14)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewSequential(conv, pool).Infer(narrow); err == nil {
+		t.Error("fused conv → pool pooled a 1-row input")
+	}
 }
 
 func TestSequentialForwardBackward(t *testing.T) {
@@ -236,8 +252,8 @@ func TestSequentialForwardBackward(t *testing.T) {
 		t.Fatal(err)
 	}
 	net := NewSequential(conv, relu, pool)
-	if net.ParamCount() == 0 {
-		t.Error("ParamCount = 0")
+	if n := len(net.Params()); n != 2 {
+		t.Errorf("%d params, want the conv's weight and bias", n)
 	}
 	x := tensor.MustNew(2, 1, 8, 8)
 	x.UniformInit(1, rng)

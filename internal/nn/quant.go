@@ -10,11 +10,13 @@ import (
 // per tensor (PrepareQuantized, after training or loading); activations
 // are quantized per batch with a scale computed on the fly, multiplied
 // through an exact-int32 int8 GEMM, and come back to float32 before the
-// next layer — so shape-only layers (pooling, activations) run their
-// normal f32 path unchanged and need no quantized variant. Biases stay
-// f32 and are added after dequantization. This is NOT bit-identical to
-// the f32 path; the accuracy envelope is pinned by the experiment-level
-// epsilon harness (see docs/QUANTIZATION.md).
+// next layer. Shape-only layers need no quantized variant: the
+// activation and 2×2 pool that follow a conv run in f32 in its fused
+// epilogue (fuse.go), bit-identical to their f32 layers, and any other
+// runs its normal f32 Infer. Biases stay f32 and are added after
+// dequantization. This is NOT bit-identical to the f32 path; the
+// accuracy envelope is pinned by the experiment-level epsilon harness
+// (see docs/QUANTIZATION.md).
 
 // QuantizedLayer is implemented by layers that own weights and offer an
 // int8 inference path.
@@ -42,33 +44,15 @@ func (s *Sequential) PrepareQuantized() error {
 	return nil
 }
 
-// InferQuantized runs the network like Infer, but routes every layer
-// with an int8 path through it (others keep their f32 Infer). The same
-// recycling and concurrency contract as Infer applies. PrepareQuantized
-// must have been called after the last weight change.
+// InferQuantized runs the network like Infer, through the same plan,
+// but routes every stage with an int8 path through it (others keep
+// their f32 Infer); a fused conv block runs its GEMM in int8 and its
+// epilogue in f32. The same recycling and concurrency contract as Infer
+// applies. PrepareQuantized must have been called after the last weight
+// change.
 func (s *Sequential) InferQuantized(x *tensor.Tensor) (*tensor.Tensor, error) {
 	s.quantInfers.Add(1)
-	cur := x
-	for i, l := range s.Layers {
-		var y *tensor.Tensor
-		var err error
-		if ql, ok := l.(QuantizedLayer); ok {
-			y, err = ql.InferQuantized(cur)
-		} else {
-			y, err = l.Infer(cur)
-		}
-		if err != nil {
-			if cur != x {
-				tensor.PutScratch(cur)
-			}
-			return nil, fmt.Errorf("nn: layer %d infer quantized: %w", i, err)
-		}
-		if y != cur && cur != x {
-			tensor.PutScratch(cur)
-		}
-		cur = y
-	}
-	return cur, nil
+	return s.infer(x, true)
 }
 
 // InferCounts reports how many full-network inference passes ran on the
@@ -102,27 +86,24 @@ func (c *Conv2D) PrepareQuantized() error { return c.qw.prepare(c.weight.Value) 
 // one) and multiplies it against the prequantized weights with exact
 // int32 accumulation, adding the f32 bias in place.
 func (c *Conv2D) InferQuantized(x *tensor.Tensor) (*tensor.Tensor, error) {
-	if !c.qw.ready() {
-		return nil, fmt.Errorf("nn: conv InferQuantized before PrepareQuantized")
-	}
-	d, err := c.checkInput(x)
-	if err != nil {
-		return nil, err
-	}
+	return c.infer(x, epilogue{}, true)
+}
+
+// inferQuantized is InferQuantized's pass into out, with epi fused in.
+// The scale covers the whole batch, so a fused block's output (pooled,
+// when epi pools) sets the next layer's scale exactly as the unfused
+// chain's would.
+func (c *Conv2D) inferQuantized(x *tensor.Tensor, d convDims, out *tensor.Tensor, epi epilogue) error {
 	scale := tensor.ScaleFor(x.Data)
 	qx := tensor.GetScratchI8(len(x.Data))
+	defer tensor.PutScratchI8(qx)
 	if err := tensor.QuantizeSlice(qx, x.Data, scale); err != nil {
-		tensor.PutScratchI8(qx)
-		return nil, fmt.Errorf("nn: conv quantize input: %w", err)
+		return fmt.Errorf("nn: conv quantize input: %w", err)
 	}
-	out := tensor.GetScratch(d.n, c.OutChannels, d.outH, d.outW)
-	err = convPass(c, qx, d, out, nil, c.i8Workers(d, scale))
-	tensor.PutScratchI8(qx)
-	if err != nil {
-		tensor.PutScratch(out)
-		return nil, fmt.Errorf("nn: conv quantized gemm: %w", err)
+	if err := convPass(c, qx, d, out, nil, epi, c.i8Workers(d, scale)); err != nil {
+		return fmt.Errorf("nn: conv quantized gemm: %w", err)
 	}
-	return out, nil
+	return nil
 }
 
 // i8GEMM is one worker's int8 operand headers for convPass, re-pointed

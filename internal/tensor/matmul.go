@@ -1,10 +1,6 @@
 package tensor
 
-import (
-	"fmt"
-	"runtime"
-	"sync"
-)
+import "fmt"
 
 // The matrix-multiply entry points below validate their operands and
 // hand every problem to the one packed kernel (pack.go). Its contract:
@@ -15,7 +11,10 @@ import (
 // inner dimension is always walked 0..k-1 with a single accumulator).
 // Parallelism, packing and register blocking therefore change which
 // elements are computed when, but never the floating-point result:
-// optimized and reference kernels are bit-identical.
+// optimized and reference kernels are bit-identical. The split goes
+// through the compute layer's one fan-out (claim and fanOut in
+// parallel.go), so a multiply called while every P already runs a
+// worker — from inside nn's sample workers, say — runs on its caller.
 //
 // The historical kernels skipped multiplications where the A element was
 // zero. On dense training data that branch mispredicts once per multiply
@@ -23,46 +22,6 @@ import (
 // +0 and x + (±0*b) == x in round-to-nearest for every finite partial sum
 // x the kernels can produce, removing the skip does not change results
 // either (see TestZeroSkipRemovalBitIdentical).
-
-// parallelThreshold is the flop count below which kernels run
-// single-threaded: under it, goroutine startup costs more than the math.
-const parallelThreshold = 1 << 16
-
-// serialWork reports whether m independent units of a flops-sized
-// problem run on the calling goroutine. Callers test it before building
-// the closure parallelRows takes, so small and single-P multiplies — a
-// convolution's per-sample GEMMs among them — allocate nothing.
-func serialWork(m, flops int) bool {
-	return flops < parallelThreshold || m <= 1 || runtime.GOMAXPROCS(0) <= 1
-}
-
-// parallelRows runs kernel over [0, m) units, splitting the range
-// across GOMAXPROCS workers when the problem is worth it.
-func parallelRows(m, flops int, kernel func(r0, r1 int)) {
-	if serialWork(m, flops) {
-		kernel(0, m)
-		return
-	}
-	workers := min(runtime.GOMAXPROCS(0), m)
-	chunk := (m + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		r0 := w * chunk
-		r1 := r0 + chunk
-		if r1 > m {
-			r1 = m
-		}
-		if r0 >= r1 {
-			break
-		}
-		wg.Add(1)
-		go func(r0, r1 int) {
-			defer wg.Done()
-			kernel(r0, r1)
-		}(r0, r1)
-	}
-	wg.Wait()
-}
 
 // MatMulInto computes C = A·B into dst, which must be m×n and must not
 // overlap A or B.

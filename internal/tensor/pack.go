@@ -99,36 +99,32 @@ func probeBlocks() gemmBlocks {
 // by exactly one worker: columns in gemmNR-aligned chunks when n > m (a
 // convolution's few output channels against its many pixels), rows in
 // gemmMR-aligned chunks otherwise. The rule reads the shape alone, and
-// either split leaves each element's k order untouched. A problem too
-// small to split runs here, before any closure is built.
+// either split leaves each element's k order untouched. A problem that
+// claim keeps on one worker runs here, before any closure is built.
 func matMulPacked(dst, a, b *Tensor, m, n, k int, transA, transB bool) {
 	bs := gemmBlockSizes()
-	switch {
-	case n > m && !serialWork((n+gemmNR-1)/gemmNR, m*n*k):
-		parallelAligned(n, m*n*k, gemmNR, func(j0, j1 int) {
-			packedSerial(dst, a, b, 0, m, j0, j1, bs, transA, transB)
-		})
-	case n <= m && !serialWork((m+gemmMR-1)/gemmMR, m*n*k):
-		parallelAligned(m, m*n*k, gemmMR, func(r0, r1 int) {
-			packedSerial(dst, a, b, r0, r1, 0, n, bs, transA, transB)
-		})
-	default:
-		packedSerial(dst, a, b, 0, m, 0, n, bs, transA, transB)
+	size, align := m, gemmMR
+	if n > m {
+		size, align = n, gemmNR
 	}
-}
-
-// parallelAligned is parallelRows over [0, size) with worker chunks
-// rounded up to a multiple of align, so only the final worker sees a
-// ragged strip edge.
-func parallelAligned(size, flops, align int, kernel func(lo, hi int)) {
-	parallelRows((size+align-1)/align, flops, func(c0, c1 int) {
-		lo, hi := c0*align, c1*align
-		if hi > size {
-			hi = size
+	units := (size + align - 1) / align
+	w := claim(units, m*n*k)
+	if w <= 1 {
+		packedSerial(dst, a, b, 0, m, 0, n, bs, transA, transB)
+		return
+	}
+	// One block of whole units per worker, handed out by Units.
+	block := (units + w - 1) / w * align
+	_ = fanOut(w, &Units{n: int32((size + block - 1) / block)}, func(u *Units) error {
+		for c, ok := u.Next(); ok; c, ok = u.Next() {
+			lo, hi := c*block, min((c+1)*block, size)
+			if n > m {
+				packedSerial(dst, a, b, 0, m, lo, hi, bs, transA, transB)
+			} else {
+				packedSerial(dst, a, b, lo, hi, 0, n, bs, transA, transB)
+			}
 		}
-		if lo < hi {
-			kernel(lo, hi)
-		}
+		return nil
 	})
 }
 
@@ -280,18 +276,15 @@ func packANormal(dst []float32, a *Tensor, i0, mc, p0, kc int) {
 	lda := a.Shape[1]
 	di := 0
 	for ir := 0; ir < mc; ir += gemmMR {
-		rows := min(gemmMR, mc-ir)
-		for r := 0; r < rows; r++ {
+		if rows := mc - ir; rows < gemmMR {
+			packTail(dst[di:di+gemmMR*kc], a.Data[(i0+ir)*lda+p0:], lda, 1, rows)
+			break
+		}
+		for r := 0; r < gemmMR; r++ {
 			src := a.Data[(i0+ir+r)*lda+p0 : (i0+ir+r)*lda+p0+kc]
 			d := di + r
 			for p, v := range src {
 				dst[d+p*gemmMR] = v
-			}
-		}
-		for r := rows; r < gemmMR; r++ {
-			d := di + r
-			for p := 0; p < kc; p++ {
-				dst[d+p*gemmMR] = 0
 			}
 		}
 		di += gemmMR * kc
@@ -322,22 +315,64 @@ func packATrans(dst []float32, a *Tensor, i0, mc, p0, kc int) {
 }
 
 // packBNormal packs rows [p0,p0+kc) x cols [j0,j0+nc) of row-major B
-// (ldb = B.Shape[1]) into gemmNR-column strips, k-major. It streams
-// each source row once, front to back, dropping each gemmNR run into
-// its strip with one fixed-size copy; a ragged final strip pads with
-// zeros.
+// (ldb = B.Shape[1]) into gemmNR-column strips, k-major; a ragged final
+// strip pads with zeros (packTail). A wide panel streams each source row
+// once, front to back, dropping each gemmNR run into its strip with one
+// fixed-size copy (packBRow). A panel of at most narrowB columns — the
+// linear head's — fills one strip at a time instead (packBStrip), so
+// its stores run contiguously rather than a call per row.
 func packBNormal(dst []float32, b *Tensor, p0, kc, j0, nc int) {
 	ldb := b.Shape[1]
+	src := b.Data[p0*ldb+j0:]
 	full := nc / gemmNR * gemmNR
-	stripLen := gemmNR * kc
-	for p := 0; p < kc; p++ {
-		src := b.Data[(p0+p)*ldb+j0 : (p0+p)*ldb+j0+nc]
-		packBRow(dst[p*gemmNR:], src[:full], stripLen)
-		if full < nc {
-			var tail [gemmNR]float32
-			copy(tail[:], src[full:])
-			*(*[gemmNR]float32)(dst[full*kc+p*gemmNR:]) = tail
+	if nc <= narrowB {
+		for jr := 0; jr < full; jr += gemmNR {
+			packBStrip(dst[jr*kc:(jr+gemmNR)*kc], src[jr:], ldb)
 		}
+	} else {
+		for p := 0; p < kc; p++ {
+			packBRow(dst[p*gemmNR:], src[p*ldb:p*ldb+full], gemmNR*kc)
+		}
+	}
+	if full < nc {
+		packTail(dst[full*kc:(full+gemmNR)*kc], src[full:], 1, ldb, nc-full)
+	}
+}
+
+// narrowB is the widest B panel packBNormal packs strip by strip.
+const narrowB = 2 * gemmNR
+
+// packBStrip fills one full strip: each gemmNR-long row run of src,
+// ldb apart, goes to the next gemmNR slots of strip.
+func packBStrip(strip, src []float32, ldb int) {
+	for {
+		*(*[gemmNR]float32)(strip) = [gemmNR]float32(src)
+		if strip = strip[gemmNR:]; len(strip) == 0 {
+			return
+		}
+		src = src[ldb:]
+	}
+}
+
+// packTail fills a ragged strip, A's or B's (gemmMR == gemmNR == 4),
+// whose 0 < lanes < 4 live lanes read src[r*lane] at every k step,
+// zero-padding the rest; each step advances src by step. It writes lane
+// by lane (a local tile stored as one vector would stall on store
+// forwarding), branching only on lanes, which every step shares.
+func packTail(strip, src []float32, lane, step, lanes int) {
+	for {
+		d := (*[4]float32)(strip)
+		d[0], d[1], d[2], d[3] = src[0], 0, 0, 0
+		if lanes > 1 {
+			d[1] = src[lane]
+		}
+		if lanes > 2 {
+			d[2] = src[2*lane]
+		}
+		if strip = strip[4:]; len(strip) == 0 {
+			return
+		}
+		src = src[step:]
 	}
 }
 

@@ -109,10 +109,10 @@ func TestPackedGEMMPublicRoutingBitIdentical(t *testing.T) {
 		for _, n := range []int{4 * m, 4*m + 3, 257, 4099} {
 			for _, k := range []int{33, 130} {
 				shapes = append(shapes, shape{m, n, k}, shape{n, m, k})
-				if !serialWork((n+gemmNR-1)/gemmNR, m*n*k) {
+				if worthSplitting((n+gemmNR-1)/gemmNR, m*n*k) {
 					wide++
 				}
-				if !serialWork((n+gemmMR-1)/gemmMR, n*m*k) {
+				if worthSplitting((n+gemmMR-1)/gemmMR, n*m*k) {
 					tall++
 				}
 			}

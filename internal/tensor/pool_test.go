@@ -8,7 +8,7 @@ import (
 func TestPoolGetShapes(t *testing.T) {
 	p := NewPool()
 	a := p.Get(2, 3, 4)
-	if len(a.Data) != 24 || a.Dim(0) != 2 || a.Dim(2) != 4 {
+	if len(a.Data) != 24 || len(a.Shape) != 3 || a.Shape[0] != 2 || a.Shape[2] != 4 {
 		t.Fatalf("Get(2,3,4) = shape %v, %d elems", a.Shape, len(a.Data))
 	}
 	p.Put(a)

@@ -119,14 +119,20 @@ func QMatMulInto(dst *Tensor, a, b *QTensor) error {
 
 	// Pack all of B once (strips of gemmNR columns, pair-interleaved);
 	// workers share it read-only and pack only their own A rows. A
-	// problem too small to split runs here, before any closure is built.
+	// problem that claim keeps on one worker runs here, before any
+	// closure is built.
 	bpBuf := GetScratchI16(roundUp(n, gemmNR) * kp * 2)
 	packQB(bpBuf, b.Data, k, n)
-	if serialWork((m+gemmMR-1)/gemmMR, m*n*k) {
+	units := (m + gemmMR - 1) / gemmMR
+	if w := claim(units, m*n*k); w <= 1 {
 		qPackedRows(dst, a, bpBuf, 0, m, n, k, scale)
 	} else {
-		parallelAligned(m, m*n*k, gemmMR, func(r0, r1 int) {
-			qPackedRows(dst, a, bpBuf, r0, r1, n, k, scale)
+		block := (units + w - 1) / w * gemmMR
+		_ = fanOut(w, &Units{n: int32((m + block - 1) / block)}, func(u *Units) error {
+			for c, ok := u.Next(); ok; c, ok = u.Next() {
+				qPackedRows(dst, a, bpBuf, c*block, min((c+1)*block, m), n, k, scale)
+			}
+			return nil
 		})
 	}
 	PutScratchI16(bpBuf)

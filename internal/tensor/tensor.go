@@ -58,14 +58,6 @@ func FromSlice(data []float32, shape ...int) (*Tensor, error) {
 // NumElems returns the total element count.
 func (t *Tensor) NumElems() int { return len(t.Data) }
 
-// Dim returns the size of dimension i.
-func (t *Tensor) Dim(i int) int {
-	if i < 0 || i >= len(t.Shape) {
-		return 0
-	}
-	return t.Shape[i]
-}
-
 // SameShape reports whether two tensors have identical shapes.
 func (t *Tensor) SameShape(o *Tensor) bool {
 	if len(t.Shape) != len(o.Shape) {

@@ -15,11 +15,8 @@ func TestNew(t *testing.T) {
 	if a.NumElems() != 24 {
 		t.Errorf("NumElems = %d", a.NumElems())
 	}
-	if a.Dim(0) != 2 || a.Dim(1) != 3 || a.Dim(2) != 4 {
+	if len(a.Shape) != 3 || a.Shape[0] != 2 || a.Shape[1] != 3 || a.Shape[2] != 4 {
 		t.Errorf("dims = %v", a.Shape)
-	}
-	if a.Dim(-1) != 0 || a.Dim(3) != 0 {
-		t.Error("out-of-range Dim should return 0")
 	}
 	if _, err := New(); err == nil {
 		t.Error("empty shape accepted")

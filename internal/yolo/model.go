@@ -156,9 +156,6 @@ func (m *Model) GridSize() int { return m.grid }
 // InputSize returns the expected square input resolution.
 func (m *Model) InputSize() int { return m.cfg.InputSize }
 
-// ParamCount returns the number of trainable scalars.
-func (m *Model) ParamCount() int { return m.net.ParamCount() }
-
 // batchTensor packs rendered images into a pooled NCHW scratch tensor,
 // validating resolution. Callers own the tensor and should hand it back
 // via tensor.PutScratch.

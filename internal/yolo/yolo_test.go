@@ -33,8 +33,15 @@ func TestModelDefaults(t *testing.T) {
 	if m.GridSize() != 8 {
 		t.Errorf("GridSize = %d", m.GridSize())
 	}
-	if m.ParamCount() == 0 {
-		t.Error("ParamCount = 0")
+	// Three 3×3 conv stages 3→8→16→32, the 3×3 32→32 refinement, then
+	// the 1×1 head to CellOutputs per cell.
+	want := (3*9*8 + 8) + (8*9*16 + 16) + (16*9*32 + 32) + (32*9*32 + 32) + (32*CellOutputs + CellOutputs)
+	got := 0
+	for _, p := range m.net.Params() {
+		got += len(p.Value.Data)
+	}
+	if got != want {
+		t.Errorf("%d trainable scalars, want %d", got, want)
 	}
 }
 
