@@ -20,9 +20,12 @@ test:
 # and the math/rand equivalence tables) on a 32-bit target catches any
 # of it slipping into 32-bit int. The tensor and nn suites run the
 # packed GEMM's row and column splits through the pure-Go microkernels
-# (microKernel4x4Go, microKernelEdge), which amd64 replaces with SSE.
+# (microKernel4x4Go, microKernelEdge), which amd64 replaces with SSE,
+# and check the BCE loss's exp bit for bit against math.Exp's portable
+# code. The classify and yolo loss-curve and prediction goldens pin the
+# shared training loop (nn.Train) and backbone on that pure-Go path.
 test-386:
-	GOARCH=386 $(GO) test ./internal/randsrc ./internal/vlm ./internal/render ./internal/scene ./internal/tensor ./internal/nn
+	GOARCH=386 $(GO) test ./internal/randsrc ./internal/vlm ./internal/render ./internal/scene ./internal/tensor ./internal/nn ./internal/classify ./internal/yolo
 
 # Race overhead is ~10-20x; the root integration tests need more than
 # the default 10m package timeout on small runners.

@@ -60,7 +60,6 @@ var testOnlyAllowed = map[string]string{
 	"nbhd/internal/tensor.Tensor.Clone":                  "fixture: tensor tests copy a tensor before mutating it",
 	"nbhd/internal/tensor.Tensor.UniformInit":            "fixture: seeds test tensors at 50+ sites, bit-identity tests included",
 	"nbhd/internal/yolo.Load":                            "format reader: reads back the weights file cmd/trainyolo writes",
-	"nbhd/internal/yolo.Model.GridSize":                  "test seam: detector tests index the output grid",
 }
 
 // scanRoots are the directories whose non-test files count as callers.

@@ -74,7 +74,8 @@ type Spec struct {
 // error — an experiment runner supplies a real one.
 type Env interface {
 	// TrainDetector trains the YOLO-style detector baseline on the
-	// environment's corpus split for the given number of epochs.
+	// environment's corpus split for the given number of epochs (zero
+	// means the training protocol's 20).
 	TrainDetector(ctx context.Context, epochs int) (*yolo.Model, error)
 	// TrainSceneCNN trains the scene-classification CNN baseline on the
 	// same split.

@@ -14,18 +14,12 @@ func init() {
 		if env == nil {
 			return nil, fmt.Errorf("yolo spec needs an environment to train in (use OpenWith)")
 		}
-		epochs := s.Epochs
-		if epochs == 0 {
-			epochs = 20
+		m, err := env.TrainDetector(ctx, s.Epochs)
+		if err == nil && s.Quantized {
+			err = m.SetQuantized(true)
 		}
-		m, err := env.TrainDetector(ctx, epochs)
 		if err != nil {
 			return nil, err
-		}
-		if s.Quantized {
-			if err := m.SetQuantized(true); err != nil {
-				return nil, err
-			}
 		}
 		return NewYOLO(m, s.ScoreThresh, s.NMSIoU)
 	})

@@ -3,6 +3,7 @@ package classify
 import (
 	"testing"
 
+	"nbhd/internal/backbone"
 	"nbhd/internal/dataset"
 	"nbhd/internal/scene"
 )
@@ -48,7 +49,8 @@ func TestDefaults(t *testing.T) {
 	// 32×8×8 grid to the six indicators.
 	want := (3*9*8 + 8) + (8*9*16 + 16) + (16*9*32 + 32) + (32*8*8*6 + 6)
 	got := 0
-	for _, p := range m.net.Params() {
+	_, params := backbone.Weights(m.Net)
+	for _, p := range params {
 		got += len(p.Value.Data)
 	}
 	if got != want {

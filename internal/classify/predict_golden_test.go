@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"nbhd/internal/backbone"
 	"nbhd/internal/render"
 )
 
@@ -24,8 +25,8 @@ func predictGolden(t *testing.T, quantized bool) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.InputSize() != 64 || m.cfg.Channels != [3]int{8, 16, 32} {
-		t.Fatalf("golden model is %d px %v, want the served 64 px [8 16 32]", m.InputSize(), m.cfg.Channels)
+	if cfg, _ := backbone.Weights(m.Net); cfg.InputSize != 64 || cfg.Channels != [3]int{8, 16, 32} {
+		t.Fatalf("golden model is %d px %v, want the served 64 px [8 16 32]", cfg.InputSize, cfg.Channels)
 	}
 	if err := m.SetQuantized(quantized); err != nil {
 		t.Fatal(err)

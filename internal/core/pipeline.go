@@ -17,6 +17,7 @@ import (
 	"nbhd/internal/ensemble"
 	"nbhd/internal/labelme"
 	"nbhd/internal/metrics"
+	"nbhd/internal/nn"
 	"nbhd/internal/prompt"
 	"nbhd/internal/render"
 	"nbhd/internal/scene"
@@ -170,27 +171,34 @@ type BaselineOptions struct {
 	Stop func() error
 }
 
-// trainSplitExamples builds the supervised baselines' shared training
-// protocol: 70/20/10 split at Seed+1, render the training frames at the
-// detector resolution, and apply the Fig. 2 augmentation arms. The
-// detector and the scene CNN both train on exactly this corpus, which
-// is what makes their Fig. 5 comparison fair.
-func (p *Pipeline) trainSplitExamples(opts BaselineOptions) ([]dataset.Example, dataset.Split, error) {
+// trainOnSplit runs the supervised baselines' shared training protocol:
+// 70/20/10 split at Seed+1, render the training frames at the detector
+// resolution, apply the Fig. 2 augmentation arms, and hand them to train
+// with the shuffle seed Seed+shuffle. The detector and the scene CNN
+// both train on exactly this corpus, which is what makes their Fig. 5
+// comparison fair. It returns the split for the caller's test frames.
+func (p *Pipeline) trainOnSplit(opts BaselineOptions, shuffle int64, train func([]dataset.Example, nn.TrainConfig) error) (dataset.Split, error) {
 	split, err := p.Study.Split(dataset.PaperSplit(), p.cfg.Seed+1)
 	if err != nil {
-		return nil, dataset.Split{}, fmt.Errorf("core: %w", err)
+		return dataset.Split{}, fmt.Errorf("core: %w", err)
 	}
-	train, err := p.Study.RenderExamples(split.Train, p.cfg.DetectorInputSize)
+	examples, err := p.Study.RenderExamples(split.Train, p.cfg.DetectorInputSize)
+	if err == nil && len(opts.Augment) > 0 {
+		examples, err = dataset.Augment(examples, opts.Augment, p.cfg.Seed+2)
+	}
+	if err == nil {
+		err = train(examples, nn.TrainConfig{
+			Epochs:    opts.Epochs,
+			BatchSize: opts.BatchSize,
+			Seed:      p.cfg.Seed + shuffle,
+			Progress:  opts.Progress,
+			Stop:      opts.Stop,
+		})
+	}
 	if err != nil {
-		return nil, dataset.Split{}, fmt.Errorf("core: %w", err)
+		return dataset.Split{}, fmt.Errorf("core: %w", err)
 	}
-	if len(opts.Augment) > 0 {
-		train, err = dataset.Augment(train, opts.Augment, p.cfg.Seed+2)
-		if err != nil {
-			return nil, dataset.Split{}, fmt.Errorf("core: %w", err)
-		}
-	}
-	return train, split, nil
+	return split, nil
 }
 
 // TrainBaseline runs the paper's supervised pipeline: 70/20/10 split,
@@ -214,23 +222,13 @@ func (p *Pipeline) TrainBaseline(opts BaselineOptions) (*BaselineResult, error) 
 // and returns it with the split — the training half of TrainBaseline,
 // shared with the backend environment's training hook.
 func (p *Pipeline) trainDetectorModel(opts BaselineOptions) (*yolo.Model, dataset.Split, error) {
-	train, split, err := p.trainSplitExamples(opts)
-	if err != nil {
-		return nil, dataset.Split{}, err
-	}
 	model, err := yolo.New(yolo.Config{InputSize: p.cfg.DetectorInputSize, Seed: p.cfg.Seed + 4})
 	if err != nil {
 		return nil, dataset.Split{}, fmt.Errorf("core: %w", err)
 	}
-	err = model.Train(train, yolo.TrainConfig{
-		Epochs:    opts.Epochs,
-		BatchSize: opts.BatchSize,
-		Seed:      p.cfg.Seed + 5,
-		Progress:  opts.Progress,
-		Stop:      opts.Stop,
-	})
+	split, err := p.trainOnSplit(opts, 5, model.Train)
 	if err != nil {
-		return nil, dataset.Split{}, fmt.Errorf("core: %w", err)
+		return nil, dataset.Split{}, err
 	}
 	return model, split, nil
 }
@@ -293,23 +291,12 @@ func (p *Pipeline) DetectorPresenceReport(model *yolo.Model, examples []dataset.
 // returns the trained model, ready to wrap in a backend.CNN for
 // engine-driven presence evaluation.
 func (p *Pipeline) TrainSceneCNN(opts BaselineOptions) (*classify.Model, error) {
-	train, _, err := p.trainSplitExamples(opts)
-	if err != nil {
-		return nil, err
-	}
 	model, err := classify.New(classify.Config{InputSize: p.cfg.DetectorInputSize, Seed: p.cfg.Seed + 6})
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	err = model.Train(train, classify.TrainConfig{
-		Epochs:    opts.Epochs,
-		BatchSize: opts.BatchSize,
-		Seed:      p.cfg.Seed + 7,
-		Progress:  opts.Progress,
-		Stop:      opts.Stop,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+	if _, err := p.trainOnSplit(opts, 7, model.Train); err != nil {
+		return nil, err
 	}
 	return model, nil
 }

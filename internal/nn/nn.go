@@ -1,10 +1,14 @@
 // Package nn is a compact neural-network layer library with hand-written
 // backpropagation: 2-D convolution (per-sample im2col + one GEMM per sample),
 // max pooling, ReLU-family activations, fully connected layers, binary
-// cross-entropy and mean-squared-error losses, and the Adam optimizer.
-// It is the training substrate for the YOLO-style detector standing in
-// for the paper's YOLOv11-Nano baseline. Every layer's analytic gradient
-// is verified against central differences in the tests.
+// cross-entropy and mean-squared-error losses, the Adam optimizer and
+// the one supervised training loop (Train: stop, shuffle, batch,
+// forward, loss, backward, clip, Adam step). It is the training
+// substrate for the YOLO-style detector standing in for the paper's
+// YOLOv11-Nano baseline and for the scene CNN; both run Train through
+// the backbone package, differing only in the loss they hand it. Every
+// layer's analytic gradient is verified against central differences in
+// the tests.
 //
 // The compute layer has two paths. The training path (Forward/Backward)
 // runs layer by layer, caches whatever the backward pass needs and

@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"nbhd/internal/tensor"
@@ -335,6 +336,30 @@ func TestBCEGradientNumerically(t *testing.T) {
 		if math.Abs(numeric-float64(grad.Data[i])) > 1e-3 {
 			t.Errorf("bce grad[%d]: analytic %f vs numeric %f", i, grad.Data[i], numeric)
 		}
+	}
+}
+
+// TestExpPortable checks the BCE loss's exp against math.Exp: bit for
+// bit where math.Exp is the portable Go code (386, among others), and
+// within a few ulps where it is assembly (amd64, arm64, s390x).
+func TestExpPortable(t *testing.T) {
+	exact := runtime.GOARCH != "amd64" && runtime.GOARCH != "arm64" && runtime.GOARCH != "s390x"
+	xs := []float64{0, math.Copysign(0, -1), 1e-10, -1e-10, 1, -1, 0.5, -0.6931471805599453, 708, 709.8, -745.2, -746, math.Inf(1), math.Inf(-1)}
+	rng := rand.New(rand.NewSource(16))
+	for i := 0; i < 20000; i++ {
+		xs = append(xs, -30*rng.Float64(), 30*(rng.Float64()-0.5))
+	}
+	for _, x := range xs {
+		got, want := expPortable(x), math.Exp(x)
+		if got == want {
+			continue
+		}
+		if exact || math.Abs(got-want) > 1e-15*want {
+			t.Fatalf("expPortable(%v) = %v, math.Exp gives %v", x, got, want)
+		}
+	}
+	if !math.IsNaN(expPortable(math.NaN())) {
+		t.Error("expPortable(NaN) is not NaN")
 	}
 }
 

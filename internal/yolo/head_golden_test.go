@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"nbhd/internal/backbone"
 	"nbhd/internal/render"
 	"nbhd/internal/tensor"
 )
@@ -40,24 +41,19 @@ func quantizedHeadGolden(t *testing.T) []byte {
 		batch []*render.Image
 		first int
 	}{{"b8", imgs[:8], 0}, {"b1", imgs[8:], 8}} {
-		x, err := m.batchTensor(c.batch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := m.net.InferQuantized(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		per := out.NumElems() / len(c.batch)
-		for i := range c.batch {
-			line := fmt.Sprintf("%s f%d", c.name, c.first+i)
-			for _, v := range out.Data[i*per : (i+1)*per] {
-				line += fmt.Sprintf(" %.17g", v)
+		err := backbone.Infer(m.Net, c.batch, func(out *tensor.Tensor) {
+			per := out.NumElems() / len(c.batch)
+			for i := range c.batch {
+				line := fmt.Sprintf("%s f%d", c.name, c.first+i)
+				for _, v := range out.Data[i*per : (i+1)*per] {
+					line += fmt.Sprintf(" %.17g", v)
+				}
+				lines = append(lines, line)
 			}
-			lines = append(lines, line)
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		tensor.PutScratch(out)
-		tensor.PutScratch(x)
 	}
 
 	var buf bytes.Buffer

@@ -3,7 +3,10 @@
 // baseline. Each grid cell predicts one box (center offsets, normalized
 // size), an objectness logit, and per-class logits; training uses BCE on
 // objectness/class and weighted MSE on boxes, and inference decodes the
-// grid and applies per-class non-maximum suppression.
+// grid and applies per-class non-maximum suppression. The backbone, the
+// int8 switch and the training loop are the scene CNN's too (package
+// backbone); this package adds the grid head, its targets and loss, and
+// decoding.
 package yolo
 
 import (
@@ -13,6 +16,7 @@ import (
 	"math/rand"
 	"slices"
 
+	"nbhd/internal/backbone"
 	"nbhd/internal/metrics"
 	"nbhd/internal/nn"
 	"nbhd/internal/render"
@@ -27,108 +31,27 @@ const BoxFields = 5
 // CellOutputs is the per-cell prediction width.
 const CellOutputs = BoxFields + scene.NumIndicators
 
-// Config describes the detector architecture.
-type Config struct {
-	// InputSize is the square input resolution; must be divisible by 8
-	// (three pooling stages). Zero defaults to 64.
-	InputSize int
-	// Channels are the widths of the three backbone stages. Zero value
-	// defaults to [8, 16, 32].
-	Channels [3]int
-	// Seed initializes the weights deterministically.
-	Seed int64
-}
+// Config describes the detector architecture: input resolution,
+// backbone stage widths and weight seed.
+type Config = backbone.Config
 
-// withDefaults fills zero fields.
-func (c Config) withDefaults() Config {
-	if c.InputSize == 0 {
-		c.InputSize = 64
-	}
-	if c.Channels == [3]int{} {
-		c.Channels = [3]int{8, 16, 32}
-	}
-	return c
-}
-
-// validate checks the architecture constraints.
-func (c Config) validate() error {
-	if c.InputSize < 16 || c.InputSize%8 != 0 {
-		return fmt.Errorf("yolo: input size %d must be >= 16 and divisible by 8", c.InputSize)
-	}
-	for i, ch := range c.Channels {
-		if ch <= 0 {
-			return fmt.Errorf("yolo: stage %d channel count %d must be positive", i, ch)
-		}
-	}
-	return nil
-}
-
-// Model is the detector. Training (Train) is single-threaded; inference
-// (Detect/DetectBatch) runs on the stateless nn.Infer path and is safe
-// for concurrent use — though not concurrently with Train, which mutates
-// the weights.
+// Model is the detector: the shared backbone, a 3×3 refinement conv at
+// grid resolution and a 1×1 head to CellOutputs per cell. Training
+// (Train) is single-threaded; inference (DetectBatch) runs on the
+// stateless nn.Infer path and is safe for concurrent use — though not
+// concurrently with Train, which mutates the weights.
 type Model struct {
-	cfg  Config
+	*backbone.Net
 	grid int
-	net  *nn.Sequential
-
-	// quantized routes DetectBatch through the int8 inference path
-	// (weights prepared by SetQuantized; refreshed after Train).
-	quantized bool
 
 	// claimedArea is encodeTargets' per-cell claim scratch, reused across
 	// training steps.
 	claimedArea []float64
 }
 
-// SetQuantized switches inference between the f32 and int8 paths.
-// Enabling quantizes the current weights, so call it after training or
-// loading — never concurrently with inference. Train refreshes the
-// quantized weights automatically when the mode is on.
-func (m *Model) SetQuantized(enable bool) error {
-	if enable {
-		if err := m.net.PrepareQuantized(); err != nil {
-			return fmt.Errorf("yolo: prepare quantized: %w", err)
-		}
-	}
-	m.quantized = enable
-	return nil
-}
-
-// Quantized reports whether inference runs on the int8 path.
-func (m *Model) Quantized() bool { return m.quantized }
-
-// InferCounts exposes the network's f32-vs-quantized dispatch counters
-// for serving metrics.
-func (m *Model) InferCounts() (f32, quantized uint64) { return m.net.InferCounts() }
-
 // New builds a randomly initialized detector.
 func New(cfg Config) (*Model, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	mk := func() ([]nn.Layer, error) {
-		var layers []nn.Layer
-		in := render.Channels
-		for _, out := range cfg.Channels {
-			conv, err := nn.NewConv2D(in, out, 3, 1, 1, rng)
-			if err != nil {
-				return nil, err
-			}
-			relu, err := nn.NewLeakyReLU(0.1)
-			if err != nil {
-				return nil, err
-			}
-			pool, err := nn.NewMaxPool2D(2, 0)
-			if err != nil {
-				return nil, err
-			}
-			layers = append(layers, conv, relu, pool)
-			in = out
-		}
-		// Refinement stage at grid resolution.
+	net, err := backbone.New("yolo", cfg, func(in, _ int, rng *rand.Rand) ([]nn.Layer, error) {
 		conv, err := nn.NewConv2D(in, in, 3, 1, 1, rng)
 		if err != nil {
 			return nil, err
@@ -138,42 +61,12 @@ func New(cfg Config) (*Model, error) {
 			return nil, err
 		}
 		head, err := nn.NewConv2D(in, CellOutputs, 1, 1, 0, rng)
-		if err != nil {
-			return nil, err
-		}
-		return append(layers, conv, relu, head), nil
-	}
-	layers, err := mk()
+		return []nn.Layer{conv, relu, head}, err
+	})
 	if err != nil {
-		return nil, fmt.Errorf("yolo: build network: %w", err)
+		return nil, err
 	}
-	return &Model{cfg: cfg, grid: cfg.InputSize / 8, net: nn.NewSequential(layers...)}, nil
-}
-
-// GridSize returns the detector's output grid resolution.
-func (m *Model) GridSize() int { return m.grid }
-
-// InputSize returns the expected square input resolution.
-func (m *Model) InputSize() int { return m.cfg.InputSize }
-
-// batchTensor packs rendered images into a pooled NCHW scratch tensor,
-// validating resolution. Callers own the tensor and should hand it back
-// via tensor.PutScratch.
-func (m *Model) batchTensor(images []*render.Image) (*tensor.Tensor, error) {
-	if len(images) == 0 {
-		return nil, fmt.Errorf("yolo: empty batch")
-	}
-	s := m.cfg.InputSize
-	x := tensor.GetScratch(len(images), render.Channels, s, s)
-	per := render.Channels * s * s
-	for i, img := range images {
-		if img.W != s || img.H != s {
-			tensor.PutScratch(x)
-			return nil, fmt.Errorf("yolo: image %d is %dx%d, model expects %dx%d", i, img.W, img.H, s, s)
-		}
-		copy(x.Data[i*per:(i+1)*per], img.Pix)
-	}
-	return x, nil
+	return &Model{Net: net, grid: net.InputSize() / 8}, nil
 }
 
 // Detection re-exports the metrics detection type for callers.
@@ -189,30 +82,15 @@ func (m *Model) DetectBatch(imgs []*render.Image, scoreThresh, nmsIoU float64) (
 	if scoreThresh < 0 || scoreThresh > 1 {
 		return nil, fmt.Errorf("yolo: score threshold %f outside [0,1]", scoreThresh)
 	}
-	x, err := m.batchTensor(imgs)
+	res := make([][]Detection, len(imgs))
+	err := backbone.Infer(m.Net, imgs, func(out *tensor.Tensor) {
+		for s := range imgs {
+			res[s] = nonMaxSuppress(m.decode(out, s, scoreThresh), nmsIoU)
+		}
+	})
 	if err != nil {
 		return nil, err
 	}
-	var out *tensor.Tensor
-	if m.quantized {
-		out, err = m.net.InferQuantized(x)
-	} else {
-		out, err = m.net.Infer(x)
-	}
-	if err != nil {
-		tensor.PutScratch(x)
-		return nil, fmt.Errorf("yolo: forward: %w", err)
-	}
-	res := make([][]Detection, len(imgs))
-	for s := range imgs {
-		res[s] = nonMaxSuppress(m.decode(out, s, scoreThresh), nmsIoU)
-	}
-	// Infer may return its input unchanged (identity networks), so guard
-	// against recycling the same tensor twice.
-	if out != x {
-		tensor.PutScratch(out)
-	}
-	tensor.PutScratch(x)
 	return res, nil
 }
 
@@ -288,8 +166,8 @@ func nonMaxSuppress(dets []Detection, iouThresh float64) []Detection {
 // SaveParams serializes the model weights with gob. The architecture
 // config is written alongside so Load can validate compatibility.
 func (m *Model) SaveParams(w io.Writer) error {
-	params := m.net.Params()
-	blob := savedModel{Config: m.cfg, Params: make([][]float32, len(params))}
+	cfg, params := backbone.Weights(m.Net)
+	blob := savedModel{Config: cfg, Params: make([][]float32, len(params))}
 	for i, p := range params {
 		blob.Params[i] = p.Value.Data
 	}
@@ -314,7 +192,7 @@ func Load(r io.Reader) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	params := m.net.Params()
+	_, params := backbone.Weights(m.Net)
 	if len(params) != len(blob.Params) {
 		return nil, fmt.Errorf("yolo: saved model has %d tensors, architecture needs %d", len(blob.Params), len(params))
 	}

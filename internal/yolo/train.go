@@ -3,8 +3,8 @@ package yolo
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
+	"nbhd/internal/backbone"
 	"nbhd/internal/dataset"
 	"nbhd/internal/metrics"
 	"nbhd/internal/nn"
@@ -13,68 +13,23 @@ import (
 	"nbhd/internal/tensor"
 )
 
-// TrainConfig holds the training hyperparameters. The paper trains
-// YOLOv11-Nano for 20 epochs with batch size 16.
-type TrainConfig struct {
-	// Epochs is the number of passes over the training set; zero
-	// defaults to 20 (the paper's setting).
-	Epochs int
-	// BatchSize defaults to 16 (the paper's setting).
-	BatchSize int
-	// LearningRate defaults to 3e-3 with Adam.
-	LearningRate float64
-	// Seed drives shuffling.
-	Seed int64
-	// ObjWeight scales the objectness loss on cells that contain an
-	// object; defaults to 1.
-	ObjWeight float64
-	// NoObjWeight scales the objectness loss on empty cells; defaults
-	// to 0.5 (the classic YOLO down-weighting).
-	NoObjWeight float64
-	// CoordWeight scales the box regression loss; defaults to 5.
-	CoordWeight float64
-	// Progress, when non-nil, receives per-epoch mean losses.
-	Progress func(epoch int, loss float64)
-	// Stop, when non-nil, is polled at each epoch boundary; a non-nil
-	// return aborts training with that error. Pass ctx.Err to make a
-	// long run cancellable without goroutine games.
-	Stop func() error
-}
+// TrainConfig holds the training protocol's knobs: epochs, batch size,
+// shuffle seed, progress and stop hooks. The paper trains YOLOv11-Nano
+// for 20 epochs with batch size 16, the defaults.
+type TrainConfig = nn.TrainConfig
 
-func (c TrainConfig) withDefaults() TrainConfig {
-	if c.Epochs == 0 {
-		c.Epochs = 20
-	}
-	if c.BatchSize == 0 {
-		c.BatchSize = 16
-	}
-	if c.LearningRate == 0 {
-		c.LearningRate = 3e-3
-	}
-	if c.ObjWeight == 0 {
-		c.ObjWeight = 1
-	}
-	if c.NoObjWeight == 0 {
-		c.NoObjWeight = 0.5
-	}
-	if c.CoordWeight == 0 {
-		c.CoordWeight = 5
-	}
-	return c
-}
-
-func (c TrainConfig) validate() error {
-	if c.Epochs < 1 {
-		return fmt.Errorf("yolo: epochs must be >= 1, got %d", c.Epochs)
-	}
-	if c.BatchSize < 1 {
-		return fmt.Errorf("yolo: batch size must be >= 1, got %d", c.BatchSize)
-	}
-	if c.LearningRate <= 0 {
-		return fmt.Errorf("yolo: learning rate must be positive, got %f", c.LearningRate)
-	}
-	return nil
-}
+// The detector's Adam step size and loss weights.
+const (
+	learningRate = 3e-3
+	// objWeight scales the objectness loss on cells that contain an
+	// object.
+	objWeight = 1
+	// noObjWeight scales the objectness loss on empty cells (the
+	// classic YOLO down-weighting).
+	noObjWeight = 0.5
+	// coordWeight scales the box regression loss.
+	coordWeight = 5
+)
 
 // targets encodes ground truth for a batch into the grid layout:
 // per-cell box targets, objectness, class one-hots, plus masks weighting
@@ -100,7 +55,7 @@ func (t *targets) release() {
 // its center. When two objects share a cell the larger box wins (roads
 // beat incidental overlaps), which matches the one-predictor-per-cell
 // head.
-func (m *Model) encodeTargets(batch []dataset.Example, cfg TrainConfig) targets {
+func (m *Model) encodeTargets(batch []dataset.Example) targets {
 	g := m.grid
 	n := len(batch)
 	zeroed := func(shape ...int) *tensor.Tensor {
@@ -116,7 +71,7 @@ func (m *Model) encodeTargets(batch []dataset.Example, cfg TrainConfig) targets 
 		cls:     zeroed(n, scene.NumIndicators, g, g),
 		clsMask: zeroed(n, scene.NumIndicators, g, g),
 	}
-	t.objMask.Fill(float32(cfg.NoObjWeight))
+	t.objMask.Fill(noObjWeight)
 	// claimedArea[cell] is the area of the object that claimed the cell,
 	// or -1 when unclaimed; reused across samples to stay allocation-free.
 	if cap(m.claimedArea) < g*g {
@@ -152,10 +107,10 @@ func (m *Model) encodeTargets(batch []dataset.Example, cfg TrainConfig) targets 
 			// so their coordinate loss is up-weighted.
 			sizeBoost := float32(2 - o.BBox.Area())
 			for c := 0; c < 4; c++ {
-				t.boxMask.Set(float32(cfg.CoordWeight)*sizeBoost, s, c, gy, gx)
+				t.boxMask.Set(coordWeight*sizeBoost, s, c, gy, gx)
 			}
 			t.obj.Set(1, s, 0, gy, gx)
-			t.objMask.Set(float32(cfg.ObjWeight), s, 0, gy, gx)
+			t.objMask.Set(objWeight, s, 0, gy, gx)
 			// Class one-hot, trained only at object cells. Previous
 			// claims' class rows are overwritten by zeroing first.
 			for c := 0; c < scene.NumIndicators; c++ {
@@ -168,13 +123,11 @@ func (m *Model) encodeTargets(batch []dataset.Example, cfg TrainConfig) targets 
 	return t
 }
 
-// lossAndGrad computes the composite detection loss for raw head output
-// and returns the gradient tensor matching the output shape. The
-// gradient is a scratch tensor the caller must recycle; every
-// intermediate is pooled.
-func (m *Model) lossAndGrad(out *tensor.Tensor, tg targets) (float64, *tensor.Tensor, error) {
+// lossInto computes the composite detection loss for raw head output
+// and writes its gradient into grad, which has the output's shape.
+// Every intermediate is pooled.
+func (m *Model) lossInto(grad, out *tensor.Tensor, tg targets) (float64, error) {
 	n, g := out.Shape[0], m.grid
-	grad := tensor.GetScratch(out.Shape...)
 
 	// Slice views by channel group. Output layout: (N, CellOutputs, g, g)
 	// with channels [cx cy w h obj cls...]. We gather each group into
@@ -212,22 +165,17 @@ func (m *Model) lossAndGrad(out *tensor.Tensor, tg targets) (float64, *tensor.Te
 		clsChans[i] = BoxFields + i
 	}
 
-	fail := func(err error) (float64, *tensor.Tensor, error) {
-		tensor.PutScratch(grad)
-		return 0, nil, err
-	}
-
 	// Box loss: MSE between sigmoid(logit) and target, masked to object
 	// cells. Chain rule multiplies by sigmoid'.
 	boxLogits := gather(boxChans)
 	boxPred := tensor.GetScratch(boxLogits.Shape...)
 	if err := nn.SigmoidInto(boxPred, boxLogits); err != nil {
-		return fail(fmt.Errorf("yolo: box loss: %w", err))
+		return 0, fmt.Errorf("yolo: box loss: %w", err)
 	}
 	boxGrad := tensor.GetScratch(boxLogits.Shape...)
 	boxLoss, err := nn.MSEInto(boxGrad, boxPred, tg.box, tg.boxMask)
 	if err != nil {
-		return fail(fmt.Errorf("yolo: box loss: %w", err))
+		return 0, fmt.Errorf("yolo: box loss: %w", err)
 	}
 	for i, v := range boxPred.Data {
 		boxGrad.Data[i] *= v * (1 - v)
@@ -242,7 +190,7 @@ func (m *Model) lossAndGrad(out *tensor.Tensor, tg targets) (float64, *tensor.Te
 	objGrad := tensor.GetScratch(objLogits.Shape...)
 	objLoss, err := nn.BCEWithLogitsInto(objGrad, objLogits, tg.obj, tg.objMask)
 	if err != nil {
-		return fail(fmt.Errorf("yolo: obj loss: %w", err))
+		return 0, fmt.Errorf("yolo: obj loss: %w", err)
 	}
 	scatter(objGrad, objChans)
 	tensor.PutScratch(objLogits)
@@ -253,113 +201,24 @@ func (m *Model) lossAndGrad(out *tensor.Tensor, tg targets) (float64, *tensor.Te
 	clsGrad := tensor.GetScratch(clsLogits.Shape...)
 	clsLoss, err := nn.BCEWithLogitsInto(clsGrad, clsLogits, tg.cls, tg.clsMask)
 	if err != nil {
-		return fail(fmt.Errorf("yolo: class loss: %w", err))
+		return 0, fmt.Errorf("yolo: class loss: %w", err)
 	}
 	scatter(clsGrad, clsChans)
 	tensor.PutScratch(clsLogits)
 	tensor.PutScratch(clsGrad)
 
-	return boxLoss + objLoss + clsLoss, grad, nil
+	return boxLoss + objLoss + clsLoss, nil
 }
 
 // Train fits the model to the examples. All images must match the
 // model's input size.
 func (m *Model) Train(examples []dataset.Example, cfg TrainConfig) error {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return err
-	}
-	if len(examples) == 0 {
-		return fmt.Errorf("yolo: no training examples")
-	}
-	opt, err := nn.NewAdam(cfg.LearningRate, 0, 0, 0)
-	if err != nil {
-		return err
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	order := make([]int, len(examples))
-	for i := range order {
-		order[i] = i
-	}
-	batch := make([]dataset.Example, 0, cfg.BatchSize)
-	images := make([]*render.Image, 0, cfg.BatchSize)
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		if cfg.Stop != nil {
-			if err := cfg.Stop(); err != nil {
-				return fmt.Errorf("yolo: training stopped: %w", err)
-			}
-		}
-		rng.Shuffle(len(order), func(a, b int) { order[a], order[b] = order[b], order[a] })
-		var epochLoss float64
-		batches := 0
-		for start := 0; start < len(order); start += cfg.BatchSize {
-			end := start + cfg.BatchSize
-			if end > len(order) {
-				end = len(order)
-			}
-			batch = batch[:0]
-			images = images[:0]
-			for _, idx := range order[start:end] {
-				batch = append(batch, examples[idx])
-				images = append(images, examples[idx].Image)
-			}
-			loss, err := m.trainStep(batch, images, cfg, opt)
-			if err != nil {
-				return fmt.Errorf("yolo: epoch %d: %w", epoch, err)
-			}
-			epochLoss += loss
-			batches++
-		}
-		if cfg.Progress != nil {
-			cfg.Progress(epoch, epochLoss/float64(batches))
-		}
-	}
-	if m.quantized {
-		// Keep the int8 weight copies in sync with the freshly trained
-		// f32 weights.
-		if err := m.net.PrepareQuantized(); err != nil {
-			return fmt.Errorf("yolo: refresh quantized weights: %w", err)
-		}
-	}
-	return nil
-}
-
-// trainStep runs one optimizer update on a batch. Every tensor it
-// creates — the input batch, targets, loss gradients, and all network
-// intermediates — cycles through the scratch pool, so steady-state steps
-// are allocation-free.
-func (m *Model) trainStep(batch []dataset.Example, images []*render.Image, cfg TrainConfig, opt nn.Optimizer) (float64, error) {
-	x, err := m.batchTensor(images)
-	if err != nil {
-		return 0, err
-	}
-	out, err := m.net.Forward(x)
-	if err != nil {
-		tensor.PutScratch(x)
-		return 0, err
-	}
-	tg := m.encodeTargets(batch, cfg)
-	loss, grad, err := m.lossAndGrad(out, tg)
-	tg.release()
-	if err != nil {
-		tensor.PutScratch(x)
-		return 0, err
-	}
-	m.net.ZeroGrads()
-	gradIn, err := m.net.Backward(grad)
-	tensor.PutScratch(grad)
-	tensor.PutScratch(x)
-	if err != nil {
-		return 0, err
-	}
-	tensor.PutScratch(gradIn)
-	if _, err := nn.ClipGradNorm(m.net.Params(), 10); err != nil {
-		return 0, err
-	}
-	if err := opt.Step(m.net.Params()); err != nil {
-		return 0, err
-	}
-	return loss, nil
+	return backbone.Train(m.Net, examples, learningRate, cfg, func(batch []dataset.Example, out, grad *tensor.Tensor) (float64, error) {
+		tg := m.encodeTargets(batch)
+		loss, err := m.lossInto(grad, out, tg)
+		tg.release()
+		return loss, err
+	})
 }
 
 // evalBatchSize is the inference batch width used by Evaluate and the

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"nbhd/internal/backbone"
 	"nbhd/internal/dataset"
 	"nbhd/internal/metrics"
 	"nbhd/internal/render"
@@ -30,14 +31,12 @@ func TestModelDefaults(t *testing.T) {
 	if m.InputSize() != 64 {
 		t.Errorf("InputSize = %d", m.InputSize())
 	}
-	if m.GridSize() != 8 {
-		t.Errorf("GridSize = %d", m.GridSize())
-	}
 	// Three 3×3 conv stages 3→8→16→32, the 3×3 32→32 refinement, then
 	// the 1×1 head to CellOutputs per cell.
 	want := (3*9*8 + 8) + (8*9*16 + 16) + (16*9*32 + 32) + (32*9*32 + 32) + (32*CellOutputs + CellOutputs)
 	got := 0
-	for _, p := range m.net.Params() {
+	_, params := backbone.Weights(m.Net)
+	for _, p := range params {
 		got += len(p.Value.Data)
 	}
 	if got != want {
@@ -54,7 +53,8 @@ func TestModelDeterministicInit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pa, pb := a.net.Params(), b.net.Params()
+	_, pa := backbone.Weights(a.Net)
+	_, pb := backbone.Weights(b.Net)
 	for i := range pa {
 		for j := range pa[i].Value.Data {
 			if pa[i].Value.Data[j] != pb[i].Value.Data[j] {
@@ -134,8 +134,8 @@ func TestTrainConfigValidation(t *testing.T) {
 	if err := m.Train(ex, TrainConfig{Epochs: -1}); err == nil {
 		t.Error("negative epochs accepted")
 	}
-	if err := m.Train(ex, TrainConfig{LearningRate: -1}); err == nil {
-		t.Error("negative lr accepted")
+	if err := m.Train(ex, TrainConfig{BatchSize: -1}); err == nil {
+		t.Error("negative batch size accepted")
 	}
 	if err := m.Train(nil, TrainConfig{}); err == nil {
 		t.Error("empty training set accepted")
@@ -205,8 +205,8 @@ func TestEncodeTargetsAssignsCenterCell(t *testing.T) {
 			{Indicator: scene.Powerline, BBox: scene.Rect{X0: 0.0, Y0: 0.0, X1: 1.0, Y1: 0.4}},
 		},
 	}
-	tg := m.encodeTargets([]dataset.Example{ex}, TrainConfig{}.withDefaults())
-	g := m.GridSize()
+	tg := m.encodeTargets([]dataset.Example{ex})
+	g := m.InputSize() / 8
 	// Center (0.5, 0.2) falls in cell (g/2, g*0.2).
 	gx, gy := g/2, int(0.2*float64(g))
 	if got := tg.obj.At(0, 0, gy, gx); got != 1 {
@@ -233,8 +233,8 @@ func TestEncodeTargetsLargerBoxWinsCell(t *testing.T) {
 	small := scene.Object{Indicator: scene.Streetlight, BBox: scene.Rect{X0: 0.45, Y0: 0.45, X1: 0.55, Y1: 0.55}}
 	big := scene.Object{Indicator: scene.MultilaneRoad, BBox: scene.Rect{X0: 0.2, Y0: 0.3, X1: 0.8, Y1: 0.7}}
 	for _, order := range [][]scene.Object{{small, big}, {big, small}} {
-		tg := m.encodeTargets([]dataset.Example{{ID: "x", Objects: order}}, TrainConfig{}.withDefaults())
-		g := m.GridSize()
+		tg := m.encodeTargets([]dataset.Example{{ID: "x", Objects: order}})
+		g := m.InputSize() / 8
 		gx, gy := g/2, g/2
 		if got := tg.cls.At(0, scene.MultilaneRoad.Index(), gy, gx); got != 1 {
 			t.Errorf("larger box should own the contested cell (order %v)", order[0].Indicator)
