@@ -24,8 +24,11 @@ test:
 # and check the BCE loss's exp bit for bit against math.Exp's portable
 # code. The classify and yolo loss-curve and prediction goldens pin the
 # shared training loop (nn.Train) and backbone on that pure-Go path.
+# The gateway's /v1/classify scanner parses int fields at the platform's
+# int width, as encoding/json does; its fuzz seeds replay a width past
+# int32 there.
 test-386:
-	GOARCH=386 $(GO) test ./internal/randsrc ./internal/vlm ./internal/render ./internal/scene ./internal/tensor ./internal/nn ./internal/classify ./internal/yolo
+	GOARCH=386 $(GO) test ./internal/randsrc ./internal/vlm ./internal/render ./internal/scene ./internal/tensor ./internal/nn ./internal/classify ./internal/yolo ./internal/serve
 
 # Race overhead is ~10-20x; the root integration tests need more than
 # the default 10m package timeout on small runners.
@@ -61,12 +64,15 @@ bench-smoke:
 # Runs each fuzz target for ten seconds past its seed corpus (plain
 # `go test` already replays the seeds under testdata/fuzz/). The
 # targets cover the strict-JSON spec and gateway config parsers, the
-# packed GEMM kernel and the math/rand copy in randsrc. `go test -fuzz` takes one package and one target
-# per run; capping minimization at 100 runs per new input keeps the
-# ten seconds spent fuzzing rather than shrinking inputs.
+# gateway's /v1/classify body scanner against encoding/json, the
+# packed GEMM kernel and the math/rand copy in randsrc. `go test -fuzz`
+# takes one package and one target per run; capping minimization at
+# 100 runs per new input keeps the ten seconds spent fuzzing rather
+# than shrinking inputs.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzParseSpec$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/experiment
 	$(GO) test -run=NONE -fuzz='^FuzzParseConfig$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/serve
+	$(GO) test -run=NONE -fuzz='^FuzzDecodeClassify$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/serve
 	$(GO) test -run=NONE -fuzz='^FuzzPackedGEMM$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/tensor
 	$(GO) test -run=NONE -fuzz='^FuzzSource$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/randsrc
 

@@ -151,11 +151,19 @@ func (rt *Router) handleClassify(w http.ResponseWriter, r *http.Request) {
 		wire.WriteError(w, http.StatusMethodNotAllowed, "invalid_request_error", "use POST", reqID)
 		return
 	}
-	body, req, ok := readBody[serve.ClassifyRequest](w, r, rt.maxBody, reqID)
-	if !ok {
+	// The gateway's own reader and decoder, so the router accepts
+	// exactly what a gateway accepts and never forwards a rejected or
+	// truncated body; the bytes it read are what it forwards.
+	var req serve.ClassifyRequest
+	body, herr := wire.ReadBody(w, r, rt.maxBody)
+	if herr == nil {
+		herr = serve.DecodeClassify(body, &req)
+	}
+	if herr != nil {
+		herr.Write(w, reqID)
 		return
 	}
-	key, err := serve.RequestShardKey(req, rt.quantized[req.Backend])
+	key, err := serve.RequestShardKey(&req, rt.quantized[req.Backend])
 	if err != nil {
 		wire.WriteError(w, http.StatusBadRequest, "invalid_request_error", err.Error(), reqID)
 		return
@@ -169,11 +177,16 @@ func (rt *Router) handleNeighborhood(w http.ResponseWriter, r *http.Request) {
 		wire.WriteError(w, http.StatusMethodNotAllowed, "invalid_request_error", "use POST", reqID)
 		return
 	}
-	body, req, ok := readBody[serve.NeighborhoodRequest](w, r, rt.maxBody, reqID)
-	if !ok {
+	var req serve.NeighborhoodRequest
+	body, herr := wire.ReadBody(w, r, rt.maxBody)
+	if herr == nil {
+		herr = wire.DecodeBytes(body, &req)
+	}
+	if herr != nil {
+		herr.Write(w, reqID)
 		return
 	}
-	key, err := serve.NeighborhoodShardKey(req, rt.quantized[req.Backend])
+	key, err := serve.NeighborhoodShardKey(&req, rt.quantized[req.Backend])
 	if err != nil {
 		wire.WriteError(w, http.StatusBadRequest, "invalid_request_error", err.Error(), reqID)
 		return
@@ -191,25 +204,6 @@ func (rt *Router) handleNearest(w http.ResponseWriter, r *http.Request) {
 	// is identical on every replica), so the key only needs to spread
 	// identical queries consistently; the raw query string does that.
 	rt.forward(w, r, "nearest|"+r.URL.RawQuery, nil, reqID)
-}
-
-// readBody strictly decodes a bounded JSON request body in one pass
-// (wire.DecodeBody, so the router accepts exactly what a gateway
-// accepts) and tees the raw bytes off that read for re-sending
-// downstream. On failure it writes the error response and reports
-// false, so a rejected or truncated body is never forwarded.
-func readBody[T any](w http.ResponseWriter, r *http.Request, limit int64, reqID string) ([]byte, *T, bool) {
-	var raw bytes.Buffer
-	r.Body = struct {
-		io.Reader
-		io.Closer
-	}{io.TeeReader(r.Body, &raw), r.Body}
-	var req T
-	if herr := wire.DecodeBody(w, r, limit, &req); herr != nil {
-		herr.Write(w, reqID)
-		return nil, nil, false
-	}
-	return raw.Bytes(), &req, true
 }
 
 // spillOrder applies consistent hashing with bounded loads to the

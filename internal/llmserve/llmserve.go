@@ -12,9 +12,10 @@
 // with the serving gateway (internal/serve), which sheds overload with
 // 503 the same way this server rate-limits with 429: one llmclient-style
 // retry loop (llmclient.ParseRetryAfter, jittered backoff, zero-seconds
-// means no-guidance) handles both services. Request bodies follow the
-// same strict, bounded decode as the gateway's (wire.DecodeBody), and
-// uploads the same guarded image decode.
+// means no-guidance) handles both services. Request bodies are read
+// whole under the same bound and decoded by the same strict rule as the
+// gateway's (wire.DecodeBody), and uploads take the same guarded image
+// decode.
 package llmserve
 
 import (

@@ -25,6 +25,7 @@ import (
 	"nbhd/internal/render"
 	"nbhd/internal/scene"
 	"nbhd/internal/serve"
+	"nbhd/internal/wire"
 )
 
 // fakeBackend is a deterministic injectable backend: answers depend
@@ -279,6 +280,91 @@ func TestClassifyByCoordinateAndUpload(t *testing.T) {
 			t.Fatalf("status = %d, want 400", resp.StatusCode)
 		}
 	})
+}
+
+// TestClassifyAnswersEveryEncodingAlike posts one upload as json.Marshal
+// writes it and again reordered, re-spaced and with every "/" escaped,
+// the form the gateway's canonical-body scanner leaves to encoding/json.
+// Both must get the same answers under one cache key, and a rejected
+// upload must get the same status and message either way.
+func TestClassifyAnswersEveryEncodingAlike(t *testing.T) {
+	fb := &fakeBackend{name: "fake"}
+	cache := studyCache(t, 2)
+	_, ts := gateway(t, serve.Config{MaxImageBytes: 16 << 10}, serve.Options{
+		Backends: map[string]backend.Backend{"fake": fb},
+	})
+	// reencode writes an upload body the other way: keys reordered,
+	// whitespace added and every "/" in the payload escaped.
+	reencode := func(b64 string, w, h int) string {
+		return fmt.Sprintf("{ \"frame\" : {\n\t\"height\": %d, \"width\":%d ,\"image_f32_base64\":\"%s\"},\r\n \"backend\":\"fake\" }\n",
+			h, w, strings.ReplaceAll(b64, "/", `\/`))
+	}
+	canonical := func(b64 string, w, h int) string {
+		body, err := json.Marshal(serve.ClassifyRequest{Backend: "fake", Frame: serve.FrameRef{ImageF32Base64: b64, Width: w, Height: h}})
+		if err != nil {
+			t.Fatalf("marshal: %v", err)
+		}
+		return string(body)
+	}
+	// errorOf is a rejected request's status, type and message.
+	errorOf := func(resp *http.Response) string {
+		var body wire.ErrorResponse
+		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+			t.Fatalf("error body is not JSON: %v", err)
+		}
+		return fmt.Sprintf("%d %s: %s", resp.StatusCode, body.Error.Type, body.Error.Message)
+	}
+
+	ex, err := cache.Example(0, 32)
+	if err != nil {
+		t.Fatalf("render: %v", err)
+	}
+	b64 := base64.StdEncoding.EncodeToString(ex.Image.EncodeRawF32())
+	if !strings.Contains(b64, "/") {
+		t.Fatalf("payload has no '/' to escape")
+	}
+	var answers [2]serve.ClassifyResponse
+	for i, body := range []string{canonical(b64, 32, 32), reencode(b64, 32, 32)} {
+		resp := postClassify(t, ts.URL, body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("body %d: status = %d, want 200", i, resp.StatusCode)
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&answers[i]); err != nil {
+			t.Fatalf("body %d: decode: %v", i, err)
+		}
+	}
+	first, second := answers[0], answers[1]
+	if first.Cached || !second.Cached {
+		t.Fatalf("cached = %v then %v, want false then true (one cache key)", first.Cached, second.Cached)
+	}
+	if second.Frame != first.Frame || fmt.Sprint(second.Indicators) != fmt.Sprint(first.Indicators) ||
+		fmt.Sprint(second.Answers) != fmt.Sprint(first.Answers) {
+		t.Fatalf("re-encoded upload answered %+v, canonical %+v", second, first)
+	}
+
+	for _, tc := range []struct {
+		name, b64 string
+		w, h      int
+		status    int
+	}{
+		{"invalid base64", "AAAA/!==", 1, 1, http.StatusBadRequest},
+		{"oversized image", strings.Repeat("AB/+", 6<<10), 64, 64, http.StatusRequestEntityTooLarge},
+		{"body over the limit", strings.Repeat("AB/+", 300<<10), 64, 64, http.StatusRequestEntityTooLarge},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want := errorOf(postClassify(t, ts.URL, canonical(tc.b64, tc.w, tc.h)))
+			got := errorOf(postClassify(t, ts.URL, reencode(tc.b64, tc.w, tc.h)))
+			if !strings.HasPrefix(want, fmt.Sprint(tc.status)) {
+				t.Fatalf("canonical body: %s, want status %d", want, tc.status)
+			}
+			if got != want {
+				t.Fatalf("re-encoded body: %s\ncanonical body:  %s", got, want)
+			}
+		})
+	}
+	if got := fb.batchSizes(); len(got) != 1 {
+		t.Fatalf("backend saw batches %v, want one (the repeat is cached, the rejects never dispatch)", got)
+	}
 }
 
 func TestResultCacheServesRepeats(t *testing.T) {

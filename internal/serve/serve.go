@@ -323,7 +323,11 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ClassifyRequest
-	if herr := wire.DecodeBody(w, r, render.UploadBodyLimit(s.cfg.MaxImageBytes), &req); herr != nil {
+	body, herr := wire.ReadBody(w, r, render.UploadBodyLimit(s.cfg.MaxImageBytes))
+	if herr == nil {
+		herr = DecodeClassify(body, &req)
+	}
+	if herr != nil {
 		herr.Write(w, reqID)
 		return
 	}

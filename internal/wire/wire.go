@@ -9,15 +9,17 @@
 //   - Overload is shed with 429 or 503 plus a delta-seconds Retry-After
 //     (Shed), which llmclient's retry loop honours.
 //   - JSON input is strict: exactly one value, no unknown fields, no
-//     trailing data (DecodeStrict). Request bodies are also bounded, and
-//     a body over its limit is a 413, never a truncated-JSON 400
-//     (DecodeBody). Config and spec parsers use the same rule.
+//     trailing data (DecodeStrict). Request bodies are read whole and
+//     bounded first, and a body over its limit is a 413, never a
+//     truncated-JSON 400 (ReadBody, DecodeBody). Config and spec parsers
+//     use the same rule.
 //   - Every request gets a traceable ID from a prefixed sequence (IDs).
 //   - Daemons listen, drain on cancellation and shut down gracefully
 //     through Serve.
 package wire
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -102,20 +104,45 @@ func DecodeStrict(r io.Reader, v any) error {
 	return nil
 }
 
-// DecodeBody strictly decodes a request body of at most limit bytes in
-// one streaming pass. A body over the limit is a 413; any other failure,
-// including an empty body, is a 400. Both are invalid_request_error.
+// ReadBody reads a request body of at most limit bytes. A body over
+// the limit is a 413 invalid_request_error, whatever its first bytes
+// hold.
+func ReadBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, *Error) {
+	var buf bytes.Buffer
+	if n := r.ContentLength; n > 0 && n <= limit {
+		// One allocation for a declared length: ReadFrom keeps MinRead
+		// bytes free before each read.
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit)); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			return nil, &Error{Status: http.StatusRequestEntityTooLarge, Type: "invalid_request_error",
+				Message: fmt.Sprintf("request body exceeds limit of %d bytes", limit)}
+		}
+		return nil, BadRequest("empty or malformed JSON body: %v", err)
+	}
+	return buf.Bytes(), nil
+}
+
+// DecodeBytes strictly decodes a body that ReadBody returned
+// (DecodeStrict). Any failure, including an empty body, is a 400
+// invalid_request_error.
+func DecodeBytes(body []byte, v any) *Error {
+	if err := DecodeStrict(bytes.NewReader(body), v); err != nil {
+		return BadRequest("empty or malformed JSON body: %v", err)
+	}
+	return nil
+}
+
+// DecodeBody strictly decodes a request body of at most limit bytes:
+// ReadBody, then DecodeBytes.
 func DecodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) *Error {
-	err := DecodeStrict(http.MaxBytesReader(w, r.Body, limit), v)
-	if err == nil {
-		return nil
+	body, herr := ReadBody(w, r, limit)
+	if herr != nil {
+		return herr
 	}
-	var tooBig *http.MaxBytesError
-	if errors.As(err, &tooBig) {
-		return &Error{Status: http.StatusRequestEntityTooLarge, Type: "invalid_request_error",
-			Message: fmt.Sprintf("request body exceeds limit of %d bytes", limit)}
-	}
-	return BadRequest("empty or malformed JSON body: %v", err)
+	return DecodeBytes(body, v)
 }
 
 // IDs mints request IDs "<prefix>-000001", "<prefix>-000002", ...; it

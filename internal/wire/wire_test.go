@@ -68,6 +68,9 @@ func TestDecodeBody(t *testing.T) {
 		{"trailing value", `{"a":"b"}{}`, http.StatusBadRequest, "trailing data after JSON value"},
 		{"trailing garbage", `{"a":"b"} x`, http.StatusBadRequest, "trailing data after JSON value"},
 		{"trailing data past the limit", `{"a":"b"}` + strings.Repeat(" ", limit), http.StatusRequestEntityTooLarge, "exceeds limit"},
+		// The body is read whole before it is parsed, so a body over its
+		// limit is a 413 even when its first byte is already malformed.
+		{"malformed prefix past the limit", "x" + strings.Repeat(" ", limit), http.StatusRequestEntityTooLarge, "exceeds limit"},
 		{"empty body", ``, http.StatusBadRequest, "empty or malformed JSON body: EOF"},
 		{"whitespace body", " \n\t ", http.StatusBadRequest, "empty or malformed JSON body: EOF"},
 	}
