@@ -21,14 +21,16 @@ test:
 # of it slipping into 32-bit int. The tensor and nn suites run the
 # packed GEMM's row and column splits through the pure-Go microkernels
 # (microKernel4x4Go, microKernelEdge), which amd64 replaces with SSE,
-# and check the BCE loss's exp bit for bit against math.Exp's portable
-# code. The classify and yolo loss-curve and prediction goldens pin the
-# shared training loop (nn.Train) and backbone on that pure-Go path.
+# and check the exp behind the sigmoid and the BCE loss bit for bit
+# against math.Exp's portable code. The classify and yolo loss-curve and
+# prediction goldens pin the shared training loop (nn.Train) and
+# backbone on that pure-Go path, and the backend suite checks the one
+# supervised adapter's answers against both models there.
 # The gateway's /v1/classify scanner parses int fields at the platform's
 # int width, as encoding/json does; its fuzz seeds replay a width past
 # int32 there.
 test-386:
-	GOARCH=386 $(GO) test ./internal/randsrc ./internal/vlm ./internal/render ./internal/scene ./internal/tensor ./internal/nn ./internal/classify ./internal/yolo ./internal/serve
+	GOARCH=386 $(GO) test ./internal/randsrc ./internal/vlm ./internal/render ./internal/scene ./internal/tensor ./internal/nn ./internal/classify ./internal/yolo ./internal/backend ./internal/serve
 
 # Race overhead is ~10-20x; the root integration tests need more than
 # the default 10m package timeout on small runners.

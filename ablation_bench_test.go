@@ -122,11 +122,11 @@ func BenchmarkComparisonSceneClassifier(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		detRep, err := pipe.DetectorPresenceReport(res.Model, test, 0.25)
+		det, err := backend.NewYOLO(res.Model, 0.25, 0.45)
 		if err != nil {
 			b.Fatal(err)
 		}
-		_, _, detF1, detAcc = detRep.Averages()
+		_, _, detF1, detAcc = presenceReport(b, det, test).Averages()
 
 		cls, err := classify.New(classify.Config{InputSize: size, Seed: benchSeed + 7})
 		if err != nil {
@@ -135,11 +135,11 @@ func BenchmarkComparisonSceneClassifier(b *testing.B) {
 		if err := cls.Train(train, classify.TrainConfig{Epochs: epochs, BatchSize: 16, Seed: benchSeed + 8}); err != nil {
 			b.Fatal(err)
 		}
-		clsRep, err := cls.Evaluate(test, 0.5)
+		clsBackend, err := backend.NewCNN(cls, 0.5)
 		if err != nil {
 			b.Fatal(err)
 		}
-		_, _, clsF1, clsAcc = clsRep.Averages()
+		_, _, clsF1, clsAcc = presenceReport(b, clsBackend, test).Averages()
 	}
 	b.StopTimer()
 	fmt.Printf("\n§IV-B3 — detection pipeline vs scene-classification prior work (image-level):\n")

@@ -63,6 +63,33 @@ func detectorPipeline(b *testing.B, coords, size int) *core.Pipeline {
 	return pipe
 }
 
+// presenceReport scores a backend's image-level presence answers on
+// examples, asking it in chunks of its preferred batch: how Fig. 5 and
+// §IV-B3 score the supervised baselines next to the LLMs.
+func presenceReport(tb testing.TB, b backend.Backend, examples []dataset.Example) *metrics.ClassReport {
+	tb.Helper()
+	inds := scene.Indicators()
+	batch := max(b.Capabilities().PreferredBatch, 1)
+	var report metrics.ClassReport
+	for start := 0; start < len(examples); start += batch {
+		chunk := examples[start:min(start+batch, len(examples))]
+		items := make([]backend.Item, len(chunk))
+		for i := range chunk {
+			items[i] = backend.Item{ID: chunk[i].ID, Image: chunk[i].Image}
+		}
+		res, err := b.Classify(context.Background(), backend.BatchRequest{Items: items, Options: backend.Options{Indicators: inds[:]}})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		for i, ans := range res.Answers {
+			var pred [scene.NumIndicators]bool
+			copy(pred[:], ans)
+			report.AddVector(pred, chunk[i].Presence())
+		}
+	}
+	return &report
+}
+
 // llmPipeline builds the corpus used by the LLM benchmarks.
 func llmPipeline(b *testing.B) *core.Pipeline {
 	b.Helper()
@@ -314,11 +341,11 @@ func BenchmarkFigure5_MajorityVoting(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		detRep, err := detPipe.DetectorPresenceReport(res.Model, test, 0.25)
+		det, err := backend.NewYOLO(res.Model, 0.25, 0.45)
 		if err != nil {
 			b.Fatal(err)
 		}
-		_, _, _, yoloAcc = detRep.Averages()
+		_, _, _, yoloAcc = presenceReport(b, det, test).Averages()
 
 		f5 = runSpec(b, spec)
 	}

@@ -26,40 +26,33 @@ import (
 // testOnlyAllowed names exports that may lack a non-test caller, keyed
 // "importpath.Func" or "importpath.Type.Method", each with its reason.
 var testOnlyAllowed = map[string]string{
-	"nbhd/internal/analysis.RegressionResult.Predict":    "test seam: tests check a fitted regression by its predictions",
-	"nbhd/internal/backend.Open":                         "paper benchmark: bench_test.go opens the four LLM backends by spec",
-	"nbhd/internal/classify.Model.Evaluate":              "paper benchmark: ablation_bench_test.go scores the CNN baseline with it",
-	"nbhd/internal/classify.Model.Predict":               "reference implementation: PredictBatch and the cnn adapter are tested against it",
-	"nbhd/internal/core.Pipeline.DetectorPresenceReport": "paper benchmark: Table I in bench_test.go and ablation_bench_test.go",
-	"nbhd/internal/dataset.ApplyCondition":               "reference implementation: ConditionInto is tested against it",
-	"nbhd/internal/dataset.RenderCache.StoreHits":        "test seam: counts frames the persistent tier served",
-	"nbhd/internal/ensemble.PaperCommittee":              "paper benchmark: the paper's top-3 committee in the black-box and integration suites",
-	"nbhd/internal/experiment.DiffRuns":                  "test seam: checkpoint and lab black-box tests diff resumed runs byte for byte",
-	"nbhd/internal/experiment.Store.RunDir":              "test seam: tests reach a saved run's files on disk",
-	"nbhd/internal/experiment.Store.Runs":                "test seam: checkpoint tests list the saved runs",
-	"nbhd/internal/fleet.Ring.Has":                       "test seam: supervisor tests watch ring membership",
-	"nbhd/internal/fleet.Ring.Owner":                     "test seam: ring tests check shard ownership",
-	"nbhd/internal/fleet.Supervisor.DrainReplica":        "test seam: supervisor tests drain a replica on demand",
-	"nbhd/internal/fleet.Supervisor.KillReplica":         "test seam: supervisor tests kill a replica on demand",
-	"nbhd/internal/geoindex.Index.Nearest":               "paper benchmark: BenchmarkNearest in spatial_bench_test.go",
-	"nbhd/internal/gsv.Server.Usage":                     "test seam: quota tests count the requests a key spent",
-	"nbhd/internal/lab.Lab.Kill":                         "test seam: black-box tests simulate a crash mid-run",
-	"nbhd/internal/labelme.Record.Objects":               "reference implementation: labelme tests round-trip annotations through it",
-	"nbhd/internal/labelme.Store.CountByLabel":           "test seam: labelme tests tally the annotated objects",
-	"nbhd/internal/labelme.Store.Get":                    "test seam: labelme tests read a stored record back",
-	"nbhd/internal/labelme.Store.Len":                    "test seam: labelme tests count the stored records",
-	"nbhd/internal/labelme.Store.TotalObjects":           "test seam: pipeline tests check the annotated object count (the paper's 1,927)",
-	"nbhd/internal/llmclient.Client.Models":              "test seam: client tests list the models an in-process llmserve offers",
-	"nbhd/internal/llmserve.Server.RequestsServed":       "test seam: client tests count the requests a fake server answered",
-	"nbhd/internal/metrics.ClassReport.Add":              "fixture: metrics tests build reports pair by pair",
-	"nbhd/internal/metrics.ClassReport.Row":              "test seam: metrics tests check one table row's layout",
-	"nbhd/internal/scene.Scene.Has":                      "fixture: tests read a scene's ground truth through it",
-	"nbhd/internal/store.Store.Stats":                    "test seam: store and memory tests read the footprint counters",
-	"nbhd/internal/store.Store.Sync":                     "test seam: store tests flush a writer so a reader sees its records",
-	"nbhd/internal/tensor.FromSlice":                     "fixture: builds tensors at 50+ test sites, bit-identity tests included",
-	"nbhd/internal/tensor.Tensor.Clone":                  "fixture: tensor tests copy a tensor before mutating it",
-	"nbhd/internal/tensor.Tensor.UniformInit":            "fixture: seeds test tensors at 50+ sites, bit-identity tests included",
-	"nbhd/internal/yolo.Load":                            "format reader: reads back the weights file cmd/trainyolo writes",
+	"nbhd/internal/backend.Open":                   "paper benchmark: bench_test.go opens the four LLM backends by spec",
+	"nbhd/internal/classify.Model.Predict":         "reference implementation: PredictBatch and the cnn adapter are tested against it",
+	"nbhd/internal/dataset.ApplyCondition":         "reference implementation: ConditionInto is tested against it",
+	"nbhd/internal/dataset.RenderCache.StoreHits":  "test seam: counts frames the persistent tier served",
+	"nbhd/internal/ensemble.PaperCommittee":        "paper benchmark: the paper's top-3 committee in the black-box and integration suites",
+	"nbhd/internal/experiment.DiffRuns":            "test seam: checkpoint and lab black-box tests diff resumed runs byte for byte",
+	"nbhd/internal/experiment.Store.RunDir":        "test seam: tests reach a saved run's files on disk",
+	"nbhd/internal/experiment.Store.Runs":          "test seam: checkpoint tests list the saved runs",
+	"nbhd/internal/fleet.Supervisor.DrainReplica":  "test seam: supervisor tests drain a replica on demand",
+	"nbhd/internal/fleet.Supervisor.KillReplica":   "test seam: supervisor tests kill a replica on demand",
+	"nbhd/internal/geoindex.Index.Nearest":         "paper benchmark: BenchmarkNearest in spatial_bench_test.go",
+	"nbhd/internal/gsv.Server.Usage":               "test seam: quota tests count the requests a key spent",
+	"nbhd/internal/lab.Lab.Kill":                   "test seam: black-box tests simulate a crash mid-run",
+	"nbhd/internal/labelme.Record.Objects":         "reference implementation: labelme tests round-trip annotations through it",
+	"nbhd/internal/labelme.Store.Get":              "test seam: labelme tests read a stored record back",
+	"nbhd/internal/labelme.Store.Len":              "test seam: labelme tests count the stored records",
+	"nbhd/internal/labelme.Store.TotalObjects":     "test seam: pipeline tests check the annotated object count (the paper's 1,927)",
+	"nbhd/internal/llmclient.Client.Models":        "test seam: client tests list the models an in-process llmserve offers",
+	"nbhd/internal/llmserve.Server.RequestsServed": "test seam: client tests count the requests a fake server answered",
+	"nbhd/internal/metrics.ClassReport.Add":        "fixture: metrics tests build reports pair by pair",
+	"nbhd/internal/metrics.ClassReport.Row":        "test seam: metrics tests check one table row's layout",
+	"nbhd/internal/store.Store.Stats":              "test seam: store and memory tests read the footprint counters",
+	"nbhd/internal/store.Store.Sync":               "test seam: store tests flush a writer so a reader sees its records",
+	"nbhd/internal/tensor.FromSlice":               "fixture: builds tensors at 50+ test sites, bit-identity tests included",
+	"nbhd/internal/tensor.Tensor.Clone":            "fixture: tensor tests copy a tensor before mutating it",
+	"nbhd/internal/tensor.Tensor.UniformInit":      "fixture: seeds test tensors at 50+ sites, bit-identity tests included",
+	"nbhd/internal/yolo.Load":                      "format reader: reads back the weights file cmd/trainyolo writes",
 }
 
 // scanRoots are the directories whose non-test files count as callers.

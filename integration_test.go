@@ -123,11 +123,11 @@ func TestDetectorBeatsCommittee(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	detRep, err := pipe.DetectorPresenceReport(res.Model, test, 0.25)
+	det, err := backend.NewYOLO(res.Model, 0.25, 0.45)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, _, detAcc := detRep.Averages()
+	_, _, _, detAcc := presenceReport(t, det, test).Averages()
 
 	committee, err := ensemble.PaperCommittee()
 	if err != nil {
@@ -159,8 +159,8 @@ func TestHeadingConsistency(t *testing.T) {
 		var single, multi bool
 		for k := 0; k < 4; k++ {
 			sc := study.Frames[start+k].Scene
-			single = single || sc.Has(scene.SingleLaneRoad)
-			multi = multi || sc.Has(scene.MultilaneRoad)
+			single = single || sc.Presence()[scene.SingleLaneRoad.Index()]
+			multi = multi || sc.Presence()[scene.MultilaneRoad.Index()]
 			if sc.Point.RoadClass != study.Frames[start].Scene.Point.RoadClass {
 				t.Fatalf("frame group at %d mixes road classes", start)
 			}

@@ -245,7 +245,11 @@ func TestFitRegressionRecoversCoefficients(t *testing.T) {
 		byID[o.TractID] = o.Prevalence
 	}
 	for _, tp := range tracts {
-		if e := math.Abs(fit.Predict(tp) - byID[tp.TractID]); e > maxErr {
+		pred := fit.Intercept
+		for k, rate := range tp.Rates {
+			pred += fit.Coef[k] * rate
+		}
+		if e := math.Abs(pred - byID[tp.TractID]); e > maxErr {
 			maxErr = e
 		}
 	}

@@ -136,12 +136,3 @@ func solveSymmetric(a [scene.NumIndicators + 1][scene.NumIndicators + 1]float64,
 	}
 	return x, nil
 }
-
-// Predict evaluates the fitted model on one tract.
-func (r *RegressionResult) Predict(tp TractProfile) float64 {
-	pred := r.Intercept
-	for k := 0; k < scene.NumIndicators; k++ {
-		pred += r.Coef[k] * tp.Rates[k]
-	}
-	return pred
-}

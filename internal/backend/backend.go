@@ -7,6 +7,13 @@
 // drives them all through the same frame-major walk over the corpus and
 // scores their answers through the same path.
 //
+// The detector and the CNN share one adapter (NewYOLO, NewCNN): it owns
+// their capabilities, compute counters and request handling, and each
+// constructor adds only the model's rule from a batch of frames to
+// image-level indicator presence. That adapter is the one place either
+// model's presence is decided, for the engine, the serve gateway and
+// the paper benchmarks alike.
+//
 // A Backend classifies frames in batches and advertises capability hints
 // the engine uses to shape the sweep: whether it consumes precomputed
 // perception features, the batch size it prefers, how many concurrent

@@ -14,9 +14,10 @@ import (
 	"nbhd/internal/yolo"
 )
 
-func testItems(t *testing.T, n, size int) []Item {
+// testExamples renders the first n frames of a seeded study at size.
+func testExamples(t *testing.T, n, size int, seed int64) []dataset.Example {
 	t.Helper()
-	st, err := dataset.BuildStudy(dataset.StudyConfig{Coordinates: (n + 3) / 4, Seed: 1})
+	st, err := dataset.BuildStudy(dataset.StudyConfig{Coordinates: (n + 3) / 4, Seed: seed})
 	if err != nil {
 		t.Fatalf("BuildStudy: %v", err)
 	}
@@ -28,11 +29,21 @@ func testItems(t *testing.T, n, size int) []Item {
 	if err != nil {
 		t.Fatalf("RenderExamples: %v", err)
 	}
-	items := make([]Item, n)
+	return ex
+}
+
+// itemsOf turns examples into a request's items.
+func itemsOf(ex []dataset.Example) []Item {
+	items := make([]Item, len(ex))
 	for i := range ex {
 		items[i] = Item{ID: ex[i].ID, Image: ex[i].Image}
 	}
 	return items
+}
+
+func testItems(t *testing.T, n, size int) []Item {
+	t.Helper()
+	return itemsOf(testExamples(t, n, size, 1))
 }
 
 func testModel(t *testing.T, id vlm.ModelID) *vlm.Model {

@@ -10,12 +10,10 @@
 package classify
 
 import (
-	"fmt"
 	"math/rand"
 
 	"nbhd/internal/backbone"
 	"nbhd/internal/dataset"
-	"nbhd/internal/metrics"
 	"nbhd/internal/nn"
 	"nbhd/internal/render"
 	"nbhd/internal/scene"
@@ -97,40 +95,4 @@ func (m *Model) PredictBatch(images []*render.Image) ([][scene.NumIndicators]flo
 		return nil, err
 	}
 	return out, nil
-}
-
-// evalBatchSize is the inference batch width used by Evaluate.
-const evalBatchSize = 16
-
-// Evaluate scores the classifier's thresholded presence predictions,
-// predicting in batches of evalBatchSize; results are bit-identical to
-// the per-image sweep.
-func (m *Model) Evaluate(examples []dataset.Example, threshold float64) (*metrics.ClassReport, error) {
-	if threshold <= 0 || threshold >= 1 {
-		return nil, fmt.Errorf("classify: threshold %f outside (0,1)", threshold)
-	}
-	var report metrics.ClassReport
-	imgs := make([]*render.Image, 0, evalBatchSize)
-	for start := 0; start < len(examples); start += evalBatchSize {
-		end := start + evalBatchSize
-		if end > len(examples) {
-			end = len(examples)
-		}
-		imgs = imgs[:0]
-		for i := start; i < end; i++ {
-			imgs = append(imgs, examples[i].Image)
-		}
-		probs, err := m.PredictBatch(imgs)
-		if err != nil {
-			return nil, fmt.Errorf("classify: evaluate batch starting at %s: %w", examples[start].ID, err)
-		}
-		for k := range probs {
-			var pred [scene.NumIndicators]bool
-			for j := range probs[k] {
-				pred[j] = probs[k][j] >= threshold
-			}
-			report.AddVector(pred, examples[start+k].Presence())
-		}
-	}
-	return &report, nil
 }

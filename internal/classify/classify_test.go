@@ -5,7 +5,6 @@ import (
 
 	"nbhd/internal/backbone"
 	"nbhd/internal/dataset"
-	"nbhd/internal/scene"
 )
 
 func examples(t *testing.T, n, size int) []dataset.Example {
@@ -112,48 +111,5 @@ func TestTrainLossDecreases(t *testing.T) {
 	}
 	if losses[len(losses)-1] >= losses[0] {
 		t.Errorf("loss did not decrease: %f -> %f", losses[0], losses[len(losses)-1])
-	}
-}
-
-func TestTrainThenEvaluateBeatsChance(t *testing.T) {
-	if testing.Short() {
-		t.Skip("training in -short mode")
-	}
-	m, err := New(Config{InputSize: 32, Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex := examples(t, 80, 32)
-	if err := m.Train(ex, TrainConfig{Epochs: 15, BatchSize: 16, Seed: 5}); err != nil {
-		t.Fatalf("Train: %v", err)
-	}
-	report, err := m.Evaluate(ex, 0.5)
-	if err != nil {
-		t.Fatalf("Evaluate: %v", err)
-	}
-	_, _, _, acc := report.Averages()
-	if acc < 0.8 {
-		t.Errorf("train-set accuracy %.3f, classifier failed to learn", acc)
-	}
-}
-
-func TestEvaluateValidation(t *testing.T) {
-	m, err := New(Config{InputSize: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex := examples(t, 2, 32)
-	if _, err := m.Evaluate(ex, 0); err == nil {
-		t.Error("zero threshold accepted")
-	}
-	if _, err := m.Evaluate(ex, 1); err == nil {
-		t.Error("unit threshold accepted")
-	}
-	rep, err := m.Evaluate(ex, 0.5)
-	if err != nil {
-		t.Fatalf("Evaluate: %v", err)
-	}
-	if rep.Of(scene.Sidewalk).Total() != len(ex) {
-		t.Error("report does not cover all examples")
 	}
 }

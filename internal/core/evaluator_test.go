@@ -21,10 +21,11 @@ import (
 )
 
 // evaluateClassifierSerial is the pre-cache, pre-concurrency reference
-// implementation: re-render the corpus, perceive inside Classify, and
-// accumulate one report in frame order. The tests below assert the
-// concurrent path reproduces it bit-for-bit.
-func evaluateClassifierSerial(p *Pipeline, c backend.Classifier, opts LLMOptions) (*metrics.ClassReport, error) {
+// implementation: re-render the corpus at b's render size, ask b about
+// one frame at a time without perception features, and accumulate one
+// report in frame order. The tests below assert the concurrent path
+// reproduces it bit-for-bit.
+func evaluateClassifierSerial(p *Pipeline, b backend.Backend, opts LLMOptions) (*metrics.ClassReport, error) {
 	frames := p.Study.Frames
 	if opts.FrameLimit > 0 && opts.FrameLimit < len(frames) {
 		frames = frames[:opts.FrameLimit]
@@ -33,26 +34,32 @@ func evaluateClassifierSerial(p *Pipeline, c backend.Classifier, opts LLMOptions
 	for i := range indices {
 		indices[i] = i
 	}
-	examples, err := p.Study.RenderExamples(indices, p.cfg.LLMRenderSize)
+	size := b.Capabilities().RenderSize
+	if size == 0 {
+		size = p.cfg.LLMRenderSize
+	}
+	examples, err := p.Study.RenderExamples(indices, size)
 	if err != nil {
 		return nil, err
 	}
 	inds := scene.Indicators()
 	var report metrics.ClassReport
 	for i, ex := range examples {
-		answers, err := c.Classify(vlm.Request{
-			Image:       ex.Image,
-			Indicators:  inds[:],
-			Language:    opts.Language,
-			Mode:        opts.Mode,
-			Temperature: opts.Temperature,
-			TopP:        opts.TopP,
+		res, err := b.Classify(context.Background(), backend.BatchRequest{
+			Items: []backend.Item{{ID: ex.ID, Image: ex.Image}},
+			Options: backend.Options{
+				Indicators:  inds[:],
+				Language:    opts.Language,
+				Mode:        opts.Mode,
+				Temperature: opts.Temperature,
+				TopP:        opts.TopP,
+			},
 		})
 		if err != nil {
 			return nil, err
 		}
 		var pred [scene.NumIndicators]bool
-		copy(pred[:], answers)
+		copy(pred[:], res.Answers[0])
 		report.AddVector(pred, frames[i].Scene.Presence())
 	}
 	return &report, nil
@@ -166,7 +173,7 @@ func TestEvaluatorMatchesSerial(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			want, err := evaluateClassifierSerial(p, tc.classifier, tc.opts)
+			want, err := evaluateClassifierSerial(p, wrap(t, tc.classifier), tc.opts)
 			if err != nil {
 				t.Fatalf("serial: %v", err)
 			}
@@ -224,7 +231,7 @@ func TestEvaluateBackendSetMatchesSerial(t *testing.T) {
 				if wants[en.classifier] != nil {
 					continue
 				}
-				want, err := evaluateClassifierSerial(ref, en.classifier, opts)
+				want, err := evaluateClassifierSerial(ref, wrap(t, en.classifier), opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -298,7 +305,7 @@ func TestVotingTopThreeMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := evaluateClassifierSerial(p, committee, LLMOptions{})
+	want, err := evaluateClassifierSerial(p, wrap(t, committee), LLMOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,8 +408,8 @@ func TestEvaluatorSharesRenders(t *testing.T) {
 }
 
 // TestEvaluateBackendYOLOMatchesPresenceReport: the detector swept
-// through the engine's backend path must equal the direct
-// DetectorPresenceReport over the same corpus at the detector's
+// through the engine's concurrent batched walk must equal its adapter
+// asked one frame at a time over the same corpus at the detector's
 // resolution.
 func TestEvaluateBackendYOLOMatchesPresenceReport(t *testing.T) {
 	p := smallPipeline(t, 8)
@@ -418,26 +425,18 @@ func TestEvaluateBackendYOLOMatchesPresenceReport(t *testing.T) {
 	if err != nil {
 		t.Fatalf("EvaluateBackend: %v", err)
 	}
-	indices := make([]int, p.Study.Len())
-	for i := range indices {
-		indices[i] = i
-	}
-	examples, err := p.Study.RenderExamples(indices, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := p.DetectorPresenceReport(m, examples, 0.25)
+	want, err := evaluateClassifierSerial(p, b, LLMOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if *got != *want {
-		t.Errorf("engine YOLO sweep diverges from DetectorPresenceReport\ngot:  %+v\nwant: %+v", *got, *want)
+		t.Errorf("engine YOLO sweep diverges from its adapter asked frame by frame\ngot:  %+v\nwant: %+v", *got, *want)
 	}
 }
 
 // TestEvaluateBackendCNNMatchesEvaluate: the scene-classification CNN
-// swept through the engine must equal the model's own Evaluate over the
-// same corpus.
+// swept through the engine must equal its adapter asked one frame at a
+// time over the same corpus.
 func TestEvaluateBackendCNNMatchesEvaluate(t *testing.T) {
 	p := smallPipeline(t, 8)
 	m, err := classify.New(classify.Config{InputSize: 32, Seed: 8})
@@ -452,20 +451,12 @@ func TestEvaluateBackendCNNMatchesEvaluate(t *testing.T) {
 	if err != nil {
 		t.Fatalf("EvaluateBackend: %v", err)
 	}
-	indices := make([]int, p.Study.Len())
-	for i := range indices {
-		indices[i] = i
-	}
-	examples, err := p.Study.RenderExamples(indices, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := m.Evaluate(examples, 0.5)
+	want, err := evaluateClassifierSerial(p, b, LLMOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if *got != *want {
-		t.Errorf("engine CNN sweep diverges from Model.Evaluate\ngot:  %+v\nwant: %+v", *got, *want)
+		t.Errorf("engine CNN sweep diverges from its adapter asked frame by frame\ngot:  %+v\nwant: %+v", *got, *want)
 	}
 }
 

@@ -19,7 +19,6 @@ import (
 	"nbhd/internal/metrics"
 	"nbhd/internal/nn"
 	"nbhd/internal/prompt"
-	"nbhd/internal/render"
 	"nbhd/internal/scene"
 	"nbhd/internal/store"
 	"nbhd/internal/yolo"
@@ -250,46 +249,10 @@ func (p *Pipeline) EvaluateDetector(model *yolo.Model, test []dataset.Example) (
 	return &BaselineResult{Model: model, Report: report, AP: ap, MAP50: metrics.MeanAP(ap)}, nil
 }
 
-// DetectorPresenceReport converts detections to image-level presence
-// predictions (an indicator is "present" when any detection of that class
-// clears the score threshold) and scores them like an LLM — the
-// comparison Fig. 5 makes between YOLOv11 and the LLMs. Frames run
-// through the detector's batched inference path in chunks; results are
-// bit-identical to the per-frame sweep.
-func (p *Pipeline) DetectorPresenceReport(model *yolo.Model, examples []dataset.Example, scoreThresh float64) (*metrics.ClassReport, error) {
-	const chunk = 16
-	var report metrics.ClassReport
-	imgs := make([]*render.Image, 0, chunk)
-	for start := 0; start < len(examples); start += chunk {
-		end := start + chunk
-		if end > len(examples) {
-			end = len(examples)
-		}
-		imgs = imgs[:0]
-		for i := start; i < end; i++ {
-			imgs = append(imgs, examples[i].Image)
-		}
-		batchDets, err := model.DetectBatch(imgs, scoreThresh, 0.45)
-		if err != nil {
-			return nil, fmt.Errorf("core: detect batch starting at %s: %w", examples[start].ID, err)
-		}
-		for k, dets := range batchDets {
-			var pred [scene.NumIndicators]bool
-			for _, d := range dets {
-				if idx := d.Class.Index(); idx >= 0 {
-					pred[idx] = true
-				}
-			}
-			report.AddVector(pred, examples[start+k].Presence())
-		}
-	}
-	return &report, nil
-}
-
 // TrainSceneCNN trains the multi-label scene-classification baseline
 // (§IV-B3) on the same 70/20/10 split protocol as the detector and
-// returns the trained model, ready to wrap in a backend.CNN for
-// engine-driven presence evaluation.
+// returns the trained model, ready for backend.NewCNN, the adapter
+// through which the engine scores its presence answers.
 func (p *Pipeline) TrainSceneCNN(opts BaselineOptions) (*classify.Model, error) {
 	model, err := classify.New(classify.Config{InputSize: p.cfg.DetectorInputSize, Seed: p.cfg.Seed + 6})
 	if err != nil {

@@ -48,39 +48,23 @@ func TestWalkMixesSizesAndConditions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gemini, claude := testModel(t, vlm.Gemini15Pro), testModel(t, vlm.Claude37)
+	gemini, claude := wrap(t, testModel(t, vlm.Gemini15Pro)), wrap(t, testModel(t, vlm.Claude37))
 	refs := map[string]*Pipeline{"clean": smallPipeline(t, 10)}
 	night, err := NewPipeline(Config{Coordinates: 10, Seed: 5, DetectorInputSize: 32, LLMRenderSize: 96, Condition: "night"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	refs["night"] = night
-	cnnRef := func(cond string) *metrics.ClassReport {
-		ref := refs[cond]
-		indices := make([]int, ref.Study.Len())
-		for i := range indices {
-			indices[i] = i
-		}
-		examples, err := ref.Study.RenderExamples(indices, 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := cnn.Evaluate(examples, 0.5)
+	ref := func(b backend.Backend, cond string) *metrics.ClassReport {
+		want, err := evaluateClassifierSerial(refs[cond], b, LLMOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return want
 	}
-	vlmRef := func(c backend.Classifier, cond string) *metrics.ClassReport {
-		want, err := evaluateClassifierSerial(refs[cond], c, LLMOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return want
-	}
-	backends := []backend.Backend{wrap(t, gemini), cnnBackend, wrap(t, claude), cnnBackend}
+	backends := []backend.Backend{gemini, cnnBackend, claude, cnnBackend}
 	opts := []LLMOptions{{}, {Condition: "night"}, {Condition: "night"}, {Condition: "clean"}}
-	wants := []*metrics.ClassReport{vlmRef(gemini, "clean"), cnnRef("night"), vlmRef(claude, "night"), cnnRef("clean")}
+	wants := []*metrics.ClassReport{ref(gemini, "clean"), ref(cnnBackend, "night"), ref(claude, "night"), ref(cnnBackend, "clean")}
 	for _, workers := range []int{1, 3} {
 		p := smallPipeline(t, 10)
 		got, err := walkSet(p.NewEvaluator(EvalConfig{Workers: workers}), backends, opts)

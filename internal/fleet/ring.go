@@ -23,7 +23,7 @@ const defaultVirtualNodes = 256
 //
 // Membership is health: the supervisor adds a replica when it passes
 // health checks and removes it when it fails them or starts draining,
-// so Owner and Successors only ever name replicas believed routable.
+// so Successors only ever names replicas believed routable.
 // All methods are safe for concurrent use.
 type Ring struct {
 	mu     sync.RWMutex
@@ -105,13 +105,6 @@ func (r *Ring) Remove(id string) {
 	r.gen++
 }
 
-// Has reports current membership.
-func (r *Ring) Has(id string) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.member[id]
-}
-
 // Members returns the current replica IDs, sorted.
 func (r *Ring) Members() []string {
 	r.mu.RLock()
@@ -138,16 +131,6 @@ func (r *Ring) Generation() uint64 {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return r.gen
-}
-
-// Owner returns the replica that owns a shard key; ok is false on an
-// empty ring.
-func (r *Ring) Owner(key string) (string, bool) {
-	succ := r.Successors(key, 1)
-	if len(succ) == 0 {
-		return "", false
-	}
-	return succ[0], true
 }
 
 // Successors returns up to n distinct replicas in ring order starting

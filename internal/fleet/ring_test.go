@@ -18,11 +18,11 @@ func owners(t *testing.T, r *Ring, keys []string) map[string]string {
 	t.Helper()
 	out := make(map[string]string, len(keys))
 	for _, k := range keys {
-		id, ok := r.Owner(k)
-		if !ok {
-			t.Fatalf("Owner(%q): empty ring", k)
+		succ := r.Successors(k, 1)
+		if len(succ) != 1 {
+			t.Fatalf("Successors(%q, 1) = %v: empty ring", k, succ)
 		}
-		out[k] = id
+		out[k] = succ[0]
 	}
 	return out
 }
@@ -38,11 +38,11 @@ func TestRingDistribution(t *testing.T) {
 	keys := ringKeys(10000)
 	counts := make(map[string]int)
 	for _, k := range keys {
-		id, ok := r.Owner(k)
-		if !ok {
+		succ := r.Successors(k, 1)
+		if len(succ) != 1 {
 			t.Fatal("empty ring")
 		}
-		counts[id]++
+		counts[succ[0]]++
 	}
 	if len(counts) != 4 {
 		t.Fatalf("keys landed on %d replicas, want 4: %v", len(counts), counts)
@@ -133,8 +133,7 @@ func TestRingFailoverMatchesRemoval(t *testing.T) {
 	}
 	r.Remove(victim)
 	for k, want := range succ {
-		got, _ := r.Owner(k)
-		if got != want {
+		if got := r.Successors(k, 1)[0]; got != want {
 			t.Fatalf("key %q: failover successor %s but post-removal owner %s", k, want, got)
 		}
 	}
@@ -142,9 +141,6 @@ func TestRingFailoverMatchesRemoval(t *testing.T) {
 
 func TestRingSuccessorsDistinct(t *testing.T) {
 	r := NewRing(0)
-	if _, ok := r.Owner("k"); ok {
-		t.Fatal("empty ring reported an owner")
-	}
 	if s := r.Successors("k", 3); s != nil {
 		t.Fatalf("empty ring returned successors %v", s)
 	}
@@ -162,8 +158,8 @@ func TestRingSuccessorsDistinct(t *testing.T) {
 		}
 		seen[id] = true
 	}
-	if owner, _ := r.Owner("some-key"); owner != s[0] {
-		t.Fatalf("Successors[0] = %s, Owner = %s", s[0], owner)
+	if owner := r.Successors("some-key", 1); owner[0] != s[0] {
+		t.Fatalf("Successors(k, 5)[0] = %s, Successors(k, 1) = %v", s[0], owner)
 	}
 }
 

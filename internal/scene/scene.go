@@ -252,16 +252,6 @@ type Scene struct {
 	Seed int64 `json:"seed"`
 }
 
-// Has reports whether any object of the given indicator is present.
-func (s *Scene) Has(ind Indicator) bool {
-	for i := range s.Objects {
-		if s.Objects[i].Indicator == ind {
-			return true
-		}
-	}
-	return false
-}
-
 // Presence returns the image-level presence vector over the canonical
 // indicator order — the label format the LLM evaluation consumes.
 func (s *Scene) Presence() [NumIndicators]bool {

@@ -215,10 +215,10 @@ func TestGenerateAlongRoadAlwaysHasRoad(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Generate: %v", err)
 		}
-		if !s.Has(MultilaneRoad) {
+		if !s.Presence()[MultilaneRoad.Index()] {
 			t.Fatalf("along-road view missing road object (seed %d)", seed)
 		}
-		if s.Has(SingleLaneRoad) {
+		if s.Presence()[SingleLaneRoad.Index()] {
 			t.Fatalf("wrong road class generated (seed %d)", seed)
 		}
 	}
@@ -231,7 +231,7 @@ func TestGenerateRoadClassMatchesPoint(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Generate: %v", err)
 		}
-		if s.Has(MultilaneRoad) {
+		if s.Presence()[MultilaneRoad.Index()] {
 			t.Fatal("multilane object on single-lane point")
 		}
 	}
@@ -246,7 +246,7 @@ func TestGenerateUrbanicityGradient(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Generate: %v", err)
 			}
-			if s.Has(ind) {
+			if s.Presence()[ind.Index()] {
 				n++
 			}
 		}
@@ -291,15 +291,12 @@ func TestScenePresenceAndCounts(t *testing.T) {
 		},
 	}
 	p := s.Presence()
-	if !p[Streetlight.Index()] || !p[Powerline.Index()] || p[Sidewalk.Index()] {
+	if !p[Streetlight.Index()] || !p[Powerline.Index()] || p[Sidewalk.Index()] || p[Apartment.Index()] {
 		t.Errorf("Presence = %v", p)
 	}
 	c := s.CountByIndicator()
 	if c[Streetlight.Index()] != 2 || c[Powerline.Index()] != 1 || c[Apartment.Index()] != 0 {
 		t.Errorf("CountByIndicator = %v", c)
-	}
-	if !s.Has(Powerline) || s.Has(Apartment) {
-		t.Error("Has() wrong")
 	}
 }
 

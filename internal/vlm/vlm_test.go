@@ -35,24 +35,24 @@ func TestPerceiveMatchesGroundTruth(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Perceive: %v", err)
 		}
-		sc := st.Frames[i].Scene
+		has := st.Frames[i].Scene.Presence()
 		checks := []struct {
 			name string
 			got  bool
 			want bool
 		}{
-			{"road", f.Road != RoadNone, sc.Has(scene.SingleLaneRoad) || sc.Has(scene.MultilaneRoad)},
-			{"sidewalk", f.Sidewalk, sc.Has(scene.Sidewalk)},
-			{"streetlight", f.Streetlight, sc.Has(scene.Streetlight)},
-			{"powerline", f.Powerline, sc.Has(scene.Powerline)},
-			{"apartment", f.Apartment, sc.Has(scene.Apartment)},
+			{"road", f.Road != RoadNone, has[scene.SingleLaneRoad.Index()] || has[scene.MultilaneRoad.Index()]},
+			{"sidewalk", f.Sidewalk, has[scene.Sidewalk.Index()]},
+			{"streetlight", f.Streetlight, has[scene.Streetlight.Index()]},
+			{"powerline", f.Powerline, has[scene.Powerline.Index()]},
+			{"apartment", f.Apartment, has[scene.Apartment.Index()]},
 		}
 		for _, c := range checks {
 			if c.got != c.want {
 				misses++
 			}
 		}
-		if f.Road == RoadMulti && sc.Has(scene.SingleLaneRoad) {
+		if f.Road == RoadMulti && has[scene.SingleLaneRoad.Index()] {
 			misses++
 		}
 	}
@@ -67,7 +67,7 @@ func TestPerceivePartialRoad(t *testing.T) {
 	st, ex := studyExamples(t, 40)
 	for i, e := range ex {
 		sc := st.Frames[i].Scene
-		if !sc.Has(scene.SingleLaneRoad) && !sc.Has(scene.MultilaneRoad) {
+		if has := sc.Presence(); !has[scene.SingleLaneRoad.Index()] && !has[scene.MultilaneRoad.Index()] {
 			continue
 		}
 		f, err := Perceive(e.Image)
