@@ -67,7 +67,9 @@ bench-smoke:
 # `go test` already replays the seeds under testdata/fuzz/). The
 # targets cover the strict-JSON spec and gateway config parsers, the
 # gateway's /v1/classify body scanner against encoding/json, the
-# packed GEMM kernel and the math/rand copy in randsrc. `go test -fuzz`
+# packed GEMM kernel, the math/rand copy in randsrc, and the two parsers
+# a remote model's reply crosses: its Yes/No answers (prompt) and its
+# Retry-After header (llmclient). `go test -fuzz`
 # takes one package and one target per run; capping minimization at
 # 100 runs per new input keeps the ten seconds spent fuzzing rather
 # than shrinking inputs.
@@ -77,6 +79,8 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzDecodeClassify$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/serve
 	$(GO) test -run=NONE -fuzz='^FuzzPackedGEMM$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/tensor
 	$(GO) test -run=NONE -fuzz='^FuzzSource$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/randsrc
+	$(GO) test -run=NONE -fuzz='^FuzzParseAnswers$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/prompt
+	$(GO) test -run=NONE -fuzz='^FuzzParseRetryAfter$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/llmclient
 
 fmt:
 	gofmt -w .

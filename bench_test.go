@@ -492,15 +492,11 @@ func BenchmarkAblationCommitteeSize(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for ci, ids := range committees {
-			models := make([]*vlm.Model, len(ids))
-			for mi, id := range ids {
-				models[mi] = llmModel(b, id)
+			spec := backend.Spec{Kind: "voting", Name: "committee"}
+			for _, id := range ids {
+				spec.Members = append(spec.Members, backend.Spec{Kind: "vlm", Model: string(id)})
 			}
-			committee, err := ensemble.NewCommittee(models...)
-			if err != nil {
-				b.Fatal(err)
-			}
-			cb, err := backend.NewCommittee(committee)
+			cb, err := backend.Open(context.Background(), spec)
 			if err != nil {
 				b.Fatal(err)
 			}

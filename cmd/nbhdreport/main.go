@@ -79,7 +79,10 @@ func run() error {
 		fmt.Fprintf(os.Stderr, "nbhdreport: run artifacts in %s\n", dir)
 	}
 	res := runRes.Analysis("neighborhood").Result
-	committee := spec.Backends["committee"].Models
+	var committee []string
+	for _, m := range spec.Backends["committee"].Members {
+		committee = append(committee, m.Model)
+	}
 
 	fmt.Printf("analyzed %d coordinates into %d tracts (committee: %v)\n",
 		len(res.Locations), len(res.Tracts), committee)

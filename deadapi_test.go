@@ -30,7 +30,6 @@ var testOnlyAllowed = map[string]string{
 	"nbhd/internal/classify.Model.Predict":         "reference implementation: PredictBatch and the cnn adapter are tested against it",
 	"nbhd/internal/dataset.ApplyCondition":         "reference implementation: ConditionInto is tested against it",
 	"nbhd/internal/dataset.RenderCache.StoreHits":  "test seam: counts frames the persistent tier served",
-	"nbhd/internal/ensemble.PaperCommittee":        "paper benchmark: the paper's top-3 committee in the black-box and integration suites",
 	"nbhd/internal/experiment.DiffRuns":            "test seam: checkpoint and lab black-box tests diff resumed runs byte for byte",
 	"nbhd/internal/experiment.Store.RunDir":        "test seam: tests reach a saved run's files on disk",
 	"nbhd/internal/experiment.Store.Runs":          "test seam: checkpoint tests list the saved runs",

@@ -129,11 +129,11 @@ func TestDetectorBeatsCommittee(t *testing.T) {
 	}
 	_, _, _, detAcc := presenceReport(t, det, test).Averages()
 
-	committee, err := ensemble.PaperCommittee()
-	if err != nil {
-		t.Fatal(err)
+	committee := backend.Spec{Kind: "voting", Name: "committee"}
+	for _, id := range ensemble.PaperCommittee() {
+		committee.Members = append(committee.Members, backend.Spec{Kind: "vlm", Model: string(id)})
 	}
-	cb, err := backend.NewCommittee(committee)
+	cb, err := backend.Open(context.Background(), committee)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,6 +14,11 @@
 // model's presence is decided, for the engine, the serve gateway and
 // the paper benchmarks alike.
 //
+// A majority-voting committee is one composite, Voting, over member
+// backends: the paper's top-three committee is a voting spec over one
+// vlm member per model in process, or one http member per model
+// remotely, with the same answers either way.
+//
 // A Backend classifies frames in batches and advertises capability hints
 // the engine uses to shape the sweep: whether it consumes precomputed
 // perception features, the batch size it prefers, how many concurrent

@@ -3,6 +3,7 @@ package backend
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 
 	"nbhd/internal/classify"
@@ -127,53 +128,97 @@ func TestLocalPerceivedPathMatches(t *testing.T) {
 	}
 }
 
-// plainClassifier has no ClassifyPerceived: the adapter must not claim
-// the fast path for it.
-type plainClassifier struct{}
+// plainBackend answers "no" to everything and has no perception fast
+// path.
+type plainBackend struct{}
 
-func (plainClassifier) Classify(vlm.Request) ([]bool, error) {
-	return make([]bool, scene.NumIndicators), nil
+func (plainBackend) Name() string               { return "plain" }
+func (plainBackend) Capabilities() Capabilities { return Capabilities{} }
+func (plainBackend) Classify(_ context.Context, req BatchRequest) (BatchResult, error) {
+	out := make([][]bool, len(req.Items))
+	for i := range out {
+		out[i] = make([]bool, scene.NumIndicators)
+	}
+	return BatchResult{Answers: out}, nil
 }
 
-func TestLocalCapabilitiesWithoutFastPath(t *testing.T) {
-	b, err := NewLocal("", plainClassifier{})
+func TestVotingCapabilitiesWithoutFastPath(t *testing.T) {
+	gemini, err := NewVLM(testModel(t, vlm.Gemini15Pro))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewVoting("", gemini, plainBackend{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if b.Capabilities().PerceivedFeatures {
-		t.Error("plain classifier must not advertise the perception fast path")
+		t.Error("a committee with a member lacking the fast path must not advertise it")
 	}
-	if b.Name() != "local" {
+	if b.Name() != "voting" {
 		t.Errorf("default name = %q", b.Name())
 	}
 }
 
-func TestCommitteeAdapter(t *testing.T) {
-	c, err := ensemble.PaperCommittee()
-	if err != nil {
-		t.Fatal(err)
+// paperCommitteeSpec declares the paper's top-three committee the way
+// the builtin specs and the gateway's default routes do.
+func paperCommitteeSpec() Spec {
+	s := Spec{Kind: "voting", Name: "committee"}
+	for _, id := range ensemble.PaperCommittee() {
+		s.Members = append(s.Members, Spec{Kind: "vlm", Model: string(id)})
 	}
-	b, err := NewCommittee(c)
+	return s
+}
+
+// TestCommitteeAdapter: the committee spec, opened through the registry,
+// answers item for item what ensemble.Vote over each member's direct
+// answers gives, on the plain path and on the perceived one.
+func TestCommitteeAdapter(t *testing.T) {
+	b, err := Open(context.Background(), paperCommitteeSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !b.Capabilities().PerceivedFeatures {
-		t.Error("committee adapter should support the perception fast path")
+		t.Error("committee should support the perception fast path")
 	}
-	items := testItems(t, 4, 96)
-	res, err := b.Classify(context.Background(), BatchRequest{Items: items, Options: fullOptions()})
-	if err != nil {
-		t.Fatal(err)
+	var members []*vlm.Model
+	for _, id := range ensemble.PaperCommittee() {
+		members = append(members, testModel(t, id))
 	}
 	inds := scene.Indicators()
-	for i, it := range items {
-		want, err := c.Classify(vlm.Request{Image: it.Image, Indicators: inds[:]})
+	for _, perceived := range []bool{false, true} {
+		items := testItems(t, 6, 96)
+		if perceived {
+			for i := range items {
+				feats, err := vlm.Perceive(items[i].Image)
+				if err != nil {
+					t.Fatal(err)
+				}
+				items[i].Feats = &feats
+			}
+		}
+		res, err := b.Classify(context.Background(), BatchRequest{Items: items, Options: fullOptions()})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for k := range want {
-			if res.Answers[i][k] != want[k] {
-				t.Fatalf("item %d indicator %d diverges from direct committee", i, k)
+		for i, it := range items {
+			req := vlm.Request{Image: it.Image, Indicators: inds[:]}
+			votes := make([][]bool, len(members))
+			for mi, m := range members {
+				if perceived {
+					votes[mi], err = m.ClassifyPerceived(req, *it.Feats)
+				} else {
+					votes[mi], err = m.Classify(req)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := ensemble.Vote(votes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(res.Answers[i], want) {
+				t.Fatalf("perceived=%v item %d: committee %v, direct vote %v", perceived, i, res.Answers[i], want)
 			}
 		}
 	}
@@ -335,14 +380,8 @@ func TestVotingCapabilityMerge(t *testing.T) {
 }
 
 func TestConstructorValidation(t *testing.T) {
-	if _, err := NewLocal("x", nil); err == nil {
-		t.Error("nil classifier accepted")
-	}
 	if _, err := NewVLM(nil); err == nil {
 		t.Error("nil model accepted")
-	}
-	if _, err := NewCommittee(nil); err == nil {
-		t.Error("nil committee accepted")
 	}
 	if _, err := NewHTTP(HTTPConfig{}); err == nil {
 		t.Error("missing client accepted")

@@ -140,36 +140,30 @@ func TestHTTPBackendBitIdenticalUnderInjected429s(t *testing.T) {
 	}
 }
 
-// TestRemoteVotingMatchesLocalCommittee: the composite voting backend
-// over three HTTP members reproduces the in-process committee exactly —
-// the paper's majority-voting step, fully remote.
+// TestRemoteVotingMatchesLocalCommittee: the committee spec over three
+// HTTP members reproduces the same spec over in-process vlm members
+// exactly — the paper's majority-voting step, fully remote.
 func TestRemoteVotingMatchesLocalCommittee(t *testing.T) {
 	pipe := integrationPipeline(t, 6)
 	ts := startLLMServer(t, llmserve.Config{})
-	client, err := llmclient.New(llmclient.Config{
-		BaseURL:     ts.URL,
-		BaseBackoff: time.Millisecond,
-		Encoding:    llmclient.EncodeRawF32,
+	committee := func(member func(vlm.ModelID) backend.Spec) backend.Backend {
+		spec := backend.Spec{Kind: "voting", Name: "committee"}
+		for _, id := range ensemble.PaperCommittee() {
+			spec.Members = append(spec.Members, member(id))
+		}
+		b, err := backend.Open(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = backend.Close(b) })
+		return b
+	}
+	local := committee(func(id vlm.ModelID) backend.Spec {
+		return backend.Spec{Kind: "vlm", Model: string(id)}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	committee, err := ensemble.PaperCommittee()
-	if err != nil {
-		t.Fatal(err)
-	}
-	local, err := backend.NewCommittee(committee)
-	if err != nil {
-		t.Fatal(err)
-	}
-	members := make([]backend.Backend, 0, committee.Size())
-	for _, id := range committee.Members() {
-		members = append(members, httpVLM(t, client, id))
-	}
-	remote, err := backend.NewVoting("http-committee", members...)
-	if err != nil {
-		t.Fatal(err)
-	}
+	remote := committee(func(id vlm.ModelID) backend.Spec {
+		return backend.Spec{Kind: "http", Model: string(id), BaseURL: ts.URL, BaseBackoffMS: 1}
+	})
 	ev := pipe.NewEvaluator(core.EvalConfig{Workers: 4})
 	ctx := context.Background()
 	want, err := ev.EvaluateBackend(ctx, local, core.LLMOptions{})

@@ -19,18 +19,15 @@ import (
 // Registered kinds and their fields:
 //
 //	vlm        Model
-//	committee  Models
 //	http       Model, BaseURL, APIKey, MaxInFlight, PreferredBatch, Encoding
 //	yolo       Epochs, ScoreThresh, NMSIoU, Quantized   (needs an Env to train)
 //	cnn        Epochs, Threshold, Quantized             (needs an Env to train)
-//	voting     Name, Members
+//	voting     Name, Members   (no member spec may repeat an earlier one)
 type Spec struct {
 	// Kind selects the registered factory ("vlm", "http", "voting", ...).
 	Kind string `json:"kind"`
 	// Model is the model ID for the vlm and http kinds.
 	Model string `json:"model,omitempty"`
-	// Models lists the member model IDs for the committee kind.
-	Models []string `json:"models,omitempty"`
 	// BaseURL and APIKey configure the http kind's client.
 	BaseURL string `json:"base_url,omitempty"`
 	APIKey  string `json:"api_key,omitempty"`

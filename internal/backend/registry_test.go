@@ -14,7 +14,7 @@ func TestOpenUnknownKindListsRegistered(t *testing.T) {
 	if err == nil {
 		t.Fatal("Open accepted an unknown kind")
 	}
-	for _, kind := range []string{"nope", "vlm", "http", "yolo", "cnn", "voting", "committee"} {
+	for _, kind := range []string{"nope", "vlm", "http", "yolo", "cnn", "voting"} {
 		if !strings.Contains(err.Error(), kind) {
 			t.Errorf("error %q does not mention %q", err, kind)
 		}
@@ -66,6 +66,44 @@ func TestOpenVotingSpecRecursesMembers(t *testing.T) {
 	}
 }
 
+// TestOpenVotingSpecRejectsBadMembers: a voting spec needs members, and
+// a member spec equal to an earlier one as a JSON document would vote
+// twice, so the voting spec refuses it wherever it sits — remote members
+// included — and names both positions.
+func TestOpenVotingSpecRejectsBadMembers(t *testing.T) {
+	gemini := backend.Spec{Kind: "vlm", Model: string(vlm.Gemini15Pro)}
+	claude := backend.Spec{Kind: "vlm", Model: string(vlm.Claude37)}
+	remote := backend.Spec{Kind: "http", Model: string(vlm.Grok2), BaseURL: "http://127.0.0.1:1"}
+	cases := []struct {
+		name    string
+		members []backend.Spec
+		want    string
+	}{
+		{"none", nil, "backend: open voting: voting spec needs members"},
+		{"adjacent", []backend.Spec{gemini, gemini}, "backend: open voting: member 1 repeats member 0 and would vote twice"},
+		{"apart", []backend.Spec{gemini, claude, gemini}, "backend: open voting: member 2 repeats member 0 and would vote twice"},
+		{"remote", []backend.Spec{remote, claude, remote}, "backend: open voting: member 2 repeats member 0 and would vote twice"},
+		{"empty-members", []backend.Spec{gemini, {Kind: "vlm", Model: string(vlm.Gemini15Pro), Members: []backend.Spec{}}}, "backend: open voting: member 1 repeats member 0 and would vote twice"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := backend.Open(context.Background(), backend.Spec{Kind: "voting", Members: tc.members})
+			if err == nil || err.Error() != tc.want {
+				t.Fatalf("Open = %v, want %q", err, tc.want)
+			}
+		})
+	}
+	// The same model behind another kind is a different member.
+	other := backend.Spec{Kind: "http", Model: string(vlm.Gemini15Pro), BaseURL: "http://127.0.0.1:1"}
+	b, err := backend.Open(context.Background(), backend.Spec{Kind: "voting", Members: []backend.Spec{gemini, other}})
+	if err != nil {
+		t.Fatalf("distinct member specs rejected: %v", err)
+	}
+	if err := backend.Close(b); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestOpenTrainedKindsNeedEnv(t *testing.T) {
 	for _, kind := range []string{"yolo", "cnn"} {
 		if _, err := backend.Open(context.Background(), backend.Spec{Kind: kind}); err == nil {
@@ -76,13 +114,13 @@ func TestOpenTrainedKindsNeedEnv(t *testing.T) {
 
 func TestRegisterCustomKind(t *testing.T) {
 	backend.Register("registry-test-custom", func(ctx context.Context, s backend.Spec, env backend.Env) (backend.Backend, error) {
-		return backend.NewLocal("custom", stubClassifier{})
+		return stubBackend{}, nil
 	})
 	b, err := backend.Open(context.Background(), backend.Spec{Kind: "registry-test-custom"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Name() != "custom" {
+	if b.Name() != "stub" {
 		t.Errorf("custom backend named %q", b.Name())
 	}
 	found := false
@@ -104,9 +142,15 @@ func TestRegisterCustomKind(t *testing.T) {
 	})
 }
 
-// stubClassifier answers "no" to everything.
-type stubClassifier struct{}
+// stubBackend answers "no" to everything.
+type stubBackend struct{}
 
-func (stubClassifier) Classify(req vlm.Request) ([]bool, error) {
-	return make([]bool, len(req.Indicators)), nil
+func (stubBackend) Name() string                       { return "stub" }
+func (stubBackend) Capabilities() backend.Capabilities { return backend.Capabilities{} }
+func (stubBackend) Classify(_ context.Context, req backend.BatchRequest) (backend.BatchResult, error) {
+	out := make([][]bool, len(req.Items))
+	for i := range out {
+		out[i] = make([]bool, len(req.Options.Indicators))
+	}
+	return backend.BatchResult{Answers: out}, nil
 }

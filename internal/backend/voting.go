@@ -2,6 +2,7 @@ package backend
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -13,6 +14,19 @@ func init() {
 	Register("voting", func(ctx context.Context, s Spec, env Env) (Backend, error) {
 		if len(s.Members) == 0 {
 			return nil, fmt.Errorf("voting spec needs members")
+		}
+		// Members are compared as the JSON documents specs are, so an
+		// omitted field and its zero value are the same member.
+		seen := make(map[string]int, len(s.Members))
+		for i, ms := range s.Members {
+			doc, err := json.Marshal(ms)
+			if err != nil {
+				return nil, fmt.Errorf("member %d: %w", i, err)
+			}
+			if j, dup := seen[string(doc)]; dup {
+				return nil, fmt.Errorf("member %d repeats member %d and would vote twice", i, j)
+			}
+			seen[string(doc)] = i
 		}
 		members := make([]Backend, 0, len(s.Members))
 		for i, ms := range s.Members {
@@ -26,12 +40,12 @@ func init() {
 	})
 }
 
-// Voting majority-votes the answers of member backends — the
-// backend-layer generalization of ensemble.Committee. Because it uses
-// the same ensemble.Vote rule, a Voting backend over Local members is
-// bit-identical to a Local backend over the equivalent committee, and a
-// Voting backend over HTTP members runs the paper's committee fully
-// remotely.
+// Voting majority-votes the answers of member backends with
+// ensemble.Vote. It is the repo's one committee: the paper's top-three
+// vote is a voting spec over vlm members in process, and over http
+// members it runs the same committee fully remotely with bit-identical
+// answers. The voting spec rejects a member spec that repeats an
+// earlier one; NewVoting itself accepts any members.
 type Voting struct {
 	name    string
 	members []Backend

@@ -65,48 +65,35 @@ func evaluateClassifierSerial(p *Pipeline, b backend.Backend, opts LLMOptions) (
 	return &report, nil
 }
 
-func testModel(t *testing.T, id vlm.ModelID) *vlm.Model {
+// testVLM opens one builtin simulated model as a backend.
+func testVLM(t *testing.T, id vlm.ModelID) backend.Backend {
 	t.Helper()
-	profile, err := vlm.ProfileFor(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := vlm.NewModel(profile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
-}
-
-func testCommittee(t *testing.T) *ensemble.Committee {
-	t.Helper()
-	committee, err := ensemble.PaperCommittee()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return committee
-}
-
-// wrap adapts a test classifier to the backend layer with the adapter
-// its family opens through.
-func wrap(t *testing.T, c backend.Classifier) backend.Backend {
-	t.Helper()
-	var (
-		b   backend.Backend
-		err error
-	)
-	switch v := c.(type) {
-	case *vlm.Model:
-		b, err = backend.NewVLM(v)
-	case *ensemble.Committee:
-		b, err = backend.NewCommittee(v)
-	default:
-		b, err = backend.NewLocal("test", c)
-	}
+	b, err := backend.Open(context.Background(), backend.Spec{Kind: "vlm", Model: string(id)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// committeeOf opens a voting committee over builtin simulated models,
+// the spec shape of the paper's committee.
+func committeeOf(t *testing.T, ids ...vlm.ModelID) backend.Backend {
+	t.Helper()
+	spec := backend.Spec{Kind: "voting", Name: "committee"}
+	for _, id := range ids {
+		spec.Members = append(spec.Members, backend.Spec{Kind: "vlm", Model: string(id)})
+	}
+	b, err := backend.Open(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// testCommittee opens the paper's top-three committee.
+func testCommittee(t *testing.T) backend.Backend {
+	t.Helper()
+	return committeeOf(t, ensemble.PaperCommittee()...)
 }
 
 // modelBackends wraps the four builtin models in vlm.AllModels order.
@@ -114,7 +101,7 @@ func modelBackends(t *testing.T) []backend.Backend {
 	t.Helper()
 	out := make([]backend.Backend, 0, len(vlm.AllModels()))
 	for _, id := range vlm.AllModels() {
-		out = append(out, wrap(t, testModel(t, id)))
+		out = append(out, testVLM(t, id))
 	}
 	return out
 }
@@ -137,7 +124,7 @@ func voteTopThree(t *testing.T, ev *Evaluator, reports []*metrics.ClassReport, o
 	members := make([]backend.Backend, 0, len(top))
 	for _, s := range top {
 		ids = append(ids, vlm.ModelID(s.ID))
-		members = append(members, wrap(t, testModel(t, vlm.ModelID(s.ID))))
+		members = append(members, testVLM(t, vlm.ModelID(s.ID)))
 	}
 	voting, err := backend.NewVoting("majority voting", members...)
 	if err != nil {
@@ -157,29 +144,29 @@ func voteTopThree(t *testing.T, ev *Evaluator, reports []*metrics.ClassReport, o
 func TestEvaluatorMatchesSerial(t *testing.T) {
 	p := smallPipeline(t, 12)
 	cases := []struct {
-		name       string
-		classifier backend.Classifier
-		opts       LLMOptions
+		name string
+		b    backend.Backend
+		opts LLMOptions
 	}{
-		{"gemini", testModel(t, vlm.Gemini15Pro), LLMOptions{}},
-		{"chatgpt", testModel(t, vlm.ChatGPT4oMini), LLMOptions{}},
-		{"claude", testModel(t, vlm.Claude37), LLMOptions{}},
-		{"grok", testModel(t, vlm.Grok2), LLMOptions{}},
+		{"gemini", testVLM(t, vlm.Gemini15Pro), LLMOptions{}},
+		{"chatgpt", testVLM(t, vlm.ChatGPT4oMini), LLMOptions{}},
+		{"claude", testVLM(t, vlm.Claude37), LLMOptions{}},
+		{"grok", testVLM(t, vlm.Grok2), LLMOptions{}},
 		{"committee", testCommittee(t), LLMOptions{}},
-		{"sequential-spanish", testModel(t, vlm.Gemini15Pro), LLMOptions{Language: prompt.Spanish, Mode: prompt.Sequential}},
-		{"sampling", testModel(t, vlm.Grok2), LLMOptions{Temperature: 1.5, TopP: 0.5}},
-		{"frame-limit", testModel(t, vlm.Claude37), LLMOptions{FrameLimit: 7}},
+		{"sequential-spanish", testVLM(t, vlm.Gemini15Pro), LLMOptions{Language: prompt.Spanish, Mode: prompt.Sequential}},
+		{"sampling", testVLM(t, vlm.Grok2), LLMOptions{Temperature: 1.5, TopP: 0.5}},
+		{"frame-limit", testVLM(t, vlm.Claude37), LLMOptions{FrameLimit: 7}},
 		{"frame-limit-committee", testCommittee(t), LLMOptions{FrameLimit: 10}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			want, err := evaluateClassifierSerial(p, wrap(t, tc.classifier), tc.opts)
+			want, err := evaluateClassifierSerial(p, tc.b, tc.opts)
 			if err != nil {
 				t.Fatalf("serial: %v", err)
 			}
 			for _, workers := range []int{1, 3, 16} {
 				ev := p.NewEvaluator(EvalConfig{Workers: workers})
-				got, err := ev.EvaluateBackend(context.Background(), wrap(t, tc.classifier), tc.opts)
+				got, err := ev.EvaluateBackend(context.Background(), tc.b, tc.opts)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
@@ -211,11 +198,11 @@ func (b batchedBackend) Capabilities() backend.Capabilities {
 // asks about exactly once.
 func TestEvaluateBackendSetMatchesSerial(t *testing.T) {
 	type entry struct {
-		classifier backend.Classifier
-		batch      int
+		b     backend.Backend
+		batch int
 	}
-	gemini, chatgpt := testModel(t, vlm.Gemini15Pro), testModel(t, vlm.ChatGPT4oMini)
-	claude, grok := testModel(t, vlm.Claude37), testModel(t, vlm.Grok2)
+	gemini, chatgpt := testVLM(t, vlm.Gemini15Pro), testVLM(t, vlm.ChatGPT4oMini)
+	claude, grok := testVLM(t, vlm.Claude37), testVLM(t, vlm.Grok2)
 	sets := [][]entry{
 		{{claude, 3}},
 		{{gemini, 1}, {testCommittee(t), 4}, {grok, 0}},
@@ -225,17 +212,17 @@ func TestEvaluateBackendSetMatchesSerial(t *testing.T) {
 	ref := smallPipeline(t, 10)
 	for _, limit := range []int{0, 7} {
 		opts := LLMOptions{FrameLimit: limit}
-		wants := make(map[backend.Classifier]*metrics.ClassReport)
+		wants := make(map[backend.Backend]*metrics.ClassReport)
 		for _, set := range sets {
 			for _, en := range set {
-				if wants[en.classifier] != nil {
+				if wants[en.b] != nil {
 					continue
 				}
-				want, err := evaluateClassifierSerial(ref, wrap(t, en.classifier), opts)
+				want, err := evaluateClassifierSerial(ref, en.b, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				wants[en.classifier] = want
+				wants[en.b] = want
 			}
 		}
 		for _, workers := range []int{1, 2, 3, 8} {
@@ -244,7 +231,7 @@ func TestEvaluateBackendSetMatchesSerial(t *testing.T) {
 			for _, set := range sets {
 				backends := make([]backend.Backend, len(set))
 				for i, en := range set {
-					backends[i] = batchedBackend{Backend: wrap(t, en.classifier), batch: en.batch}
+					backends[i] = batchedBackend{Backend: en.b, batch: en.batch}
 				}
 				got, err := ev.EvaluateBackendSet(context.Background(), backends, opts)
 				if err != nil {
@@ -254,7 +241,7 @@ func TestEvaluateBackendSetMatchesSerial(t *testing.T) {
 					t.Fatalf("limit=%d workers=%d: reports = %d, want %d", limit, workers, len(got), len(set))
 				}
 				for i, en := range set {
-					if *got[i] != *wants[en.classifier] {
+					if *got[i] != *wants[en.b] {
 						t.Errorf("limit=%d workers=%d set of %d: backend %d (batch %d) diverges from serial", limit, workers, len(set), i, en.batch)
 					}
 				}
@@ -297,15 +284,7 @@ func TestVotingTopThreeMatchesSerial(t *testing.T) {
 	if len(ids) != 3 {
 		t.Fatalf("committee = %v", ids)
 	}
-	members := make([]*vlm.Model, 0, 3)
-	for _, id := range ids {
-		members = append(members, testModel(t, id))
-	}
-	committee, err := ensemble.NewCommittee(members...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := evaluateClassifierSerial(p, wrap(t, committee), LLMOptions{})
+	want, err := evaluateClassifierSerial(p, committeeOf(t, ids...), LLMOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +337,7 @@ func TestEvaluatorCancellation(t *testing.T) {
 	ev := p.NewEvaluator(EvalConfig{Workers: 2})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := ev.EvaluateBackend(ctx, wrap(t, testModel(t, vlm.Gemini15Pro)), LLMOptions{})
+	_, err := ev.EvaluateBackend(ctx, testVLM(t, vlm.Gemini15Pro), LLMOptions{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -368,18 +347,20 @@ func TestEvaluatorCancellation(t *testing.T) {
 	}
 }
 
-// failingClassifier errors on every frame, exercising first-error
+// failingBackend errors on every batch, exercising first-error
 // propagation through the worker pool.
-type failingClassifier struct{}
+type failingBackend struct{}
 
-func (failingClassifier) Classify(vlm.Request) ([]bool, error) {
-	return nil, errors.New("boom")
+func (failingBackend) Name() string                       { return "failing" }
+func (failingBackend) Capabilities() backend.Capabilities { return backend.Capabilities{} }
+func (failingBackend) Classify(context.Context, backend.BatchRequest) (backend.BatchResult, error) {
+	return backend.BatchResult{}, errors.New("boom")
 }
 
 func TestEvaluatorFirstErrorPropagation(t *testing.T) {
 	p := smallPipeline(t, 6)
 	ev := p.NewEvaluator(EvalConfig{Workers: 4})
-	_, err := ev.EvaluateBackend(context.Background(), wrap(t, failingClassifier{}), LLMOptions{})
+	_, err := ev.EvaluateBackend(context.Background(), failingBackend{}, LLMOptions{})
 	if err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("expected classification error, got %v", err)
 	}
@@ -396,9 +377,9 @@ func TestEvaluatorSharesRenders(t *testing.T) {
 		jobs = append(jobs, SweepJob{Backend: b})
 	}
 	jobs = append(jobs,
-		SweepJob{Backend: wrap(t, testCommittee(t))},
-		SweepJob{Backend: wrap(t, testModel(t, vlm.Gemini15Pro)), Options: LLMOptions{Language: prompt.Chinese}})
-	analyses := []AnalysisJob{{Backend: wrap(t, testCommittee(t)), TractFeet: 2000}}
+		SweepJob{Backend: testCommittee(t)},
+		SweepJob{Backend: testVLM(t, vlm.Gemini15Pro), Options: LLMOptions{Language: prompt.Chinese}})
+	analyses := []AnalysisJob{{Backend: testCommittee(t), TractFeet: 2000}}
 	if _, _, _, err := p.NewEvaluator(EvalConfig{}).Walk(context.Background(), jobs, analyses); err != nil {
 		t.Fatal(err)
 	}

@@ -82,7 +82,7 @@ func TestTrainBaselineWithAugmentAndNoise(t *testing.T) {
 func TestEvaluateBackend(t *testing.T) {
 	p := smallPipeline(t, 10)
 	ev := p.NewEvaluator(EvalConfig{})
-	b := wrap(t, testModel(t, vlm.Gemini15Pro))
+	b := testVLM(t, vlm.Gemini15Pro)
 	report, err := ev.EvaluateBackend(context.Background(), b, LLMOptions{})
 	if err != nil {
 		t.Fatalf("EvaluateBackend: %v", err)
@@ -133,7 +133,7 @@ func TestEvaluateBackendSetAndVoting(t *testing.T) {
 func TestEvaluateBackendLanguagesAndModes(t *testing.T) {
 	p := smallPipeline(t, 8)
 	ev := p.NewEvaluator(EvalConfig{})
-	b := wrap(t, testModel(t, vlm.Gemini15Pro))
+	b := testVLM(t, vlm.Gemini15Pro)
 	for _, opts := range []LLMOptions{
 		{Language: prompt.Spanish},
 		{Mode: prompt.Sequential},
@@ -148,7 +148,7 @@ func TestEvaluateBackendLanguagesAndModes(t *testing.T) {
 
 func TestAnalyzeNeighborhood(t *testing.T) {
 	p := smallPipeline(t, 16)
-	_, analyzed, _, err := p.NewEvaluator(EvalConfig{}).Walk(context.Background(), nil, []AnalysisJob{{Backend: wrap(t, testCommittee(t)), TractFeet: 2000}})
+	_, analyzed, _, err := p.NewEvaluator(EvalConfig{}).Walk(context.Background(), nil, []AnalysisJob{{Backend: testCommittee(t), TractFeet: 2000}})
 	if err != nil {
 		t.Fatalf("Walk: %v", err)
 	}

@@ -22,13 +22,10 @@ func storePipeline(t *testing.T, coords int, dir string) *Pipeline {
 // same StoreDir classifies the full corpus without a single render.
 func TestPipelineWarmStartZeroRenders(t *testing.T) {
 	dir := t.TempDir()
-	model, err := vlm.NewModel(vlm.BuiltinProfiles()[vlm.ChatGPT4oMini])
-	if err != nil {
-		t.Fatal(err)
-	}
+	model := testVLM(t, vlm.ChatGPT4oMini)
 
 	cold := storePipeline(t, 6, dir)
-	coldRep, err := cold.NewEvaluator(EvalConfig{}).EvaluateBackend(context.Background(), wrap(t, model), LLMOptions{})
+	coldRep, err := cold.NewEvaluator(EvalConfig{}).EvaluateBackend(context.Background(), model, LLMOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +38,7 @@ func TestPipelineWarmStartZeroRenders(t *testing.T) {
 
 	warm := storePipeline(t, 6, dir)
 	defer warm.Close()
-	warmRep, err := warm.NewEvaluator(EvalConfig{}).EvaluateBackend(context.Background(), wrap(t, model), LLMOptions{})
+	warmRep, err := warm.NewEvaluator(EvalConfig{}).EvaluateBackend(context.Background(), model, LLMOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

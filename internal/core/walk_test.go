@@ -48,7 +48,7 @@ func TestWalkMixesSizesAndConditions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gemini, claude := wrap(t, testModel(t, vlm.Gemini15Pro)), wrap(t, testModel(t, vlm.Claude37))
+	gemini, claude := testVLM(t, vlm.Gemini15Pro), testVLM(t, vlm.Claude37)
 	refs := map[string]*Pipeline{"clean": smallPipeline(t, 10)}
 	night, err := NewPipeline(Config{Coordinates: 10, Seed: 5, DetectorInputSize: 32, LLMRenderSize: 96, Condition: "night"})
 	if err != nil {
@@ -273,15 +273,15 @@ func TestWalkMatchesJobsAlone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gemini := wrap(t, testModel(t, vlm.Gemini15Pro))
+	gemini := testVLM(t, vlm.Gemini15Pro)
 	sweeps := []SweepJob{
 		{Backend: gemini},
 		{Backend: gemini, Options: LLMOptions{Language: prompt.Spanish, FrameLimit: 13}},
-		{Backend: wrap(t, testModel(t, vlm.Claude37)), Options: LLMOptions{Condition: "night", FrameLimit: 7}},
+		{Backend: testVLM(t, vlm.Claude37), Options: LLMOptions{Condition: "night", FrameLimit: 7}},
 		{Backend: cnnBackend},
 		{Backend: cnnBackend, Options: LLMOptions{Condition: "noise", FrameLimit: 21}},
 	}
-	analyses := []AnalysisJob{{Backend: wrap(t, testCommittee(t)), TractFeet: 3000}}
+	analyses := []AnalysisJob{{Backend: testCommittee(t), TractFeet: 3000}}
 
 	wantSweeps := make([]BackendSweep, len(sweeps))
 	for i := range sweeps {

@@ -1,8 +1,10 @@
-// Package ensemble implements the paper's majority-voting scheme
+// Package ensemble implements the paper's majority-voting rule
 // (§IV-C2): combine per-image Yes/No answers from several LLMs, reaching
 // a prediction "when at least two models agree" (for a three-model
 // committee), plus the model-selection step that picks the top performers
-// to vote. It also provides the multi-frame fusion the paper lists as
+// to vote and the paper's committee itself. Asking the members is the
+// backend layer's job: backend.Voting asks each member and applies Vote.
+// The package also provides the multi-frame fusion the paper lists as
 // future work (§V): combining the four headings of one coordinate.
 package ensemble
 
@@ -128,85 +130,9 @@ func FuseHeadings(perHeading [][scene.NumIndicators]bool, strategy FusionStrateg
 	return out, nil
 }
 
-// Committee is a fixed set of models whose answers are combined by
-// majority vote.
-type Committee struct {
-	models []*vlm.Model
-}
-
-// NewCommittee builds a committee; at least one model is required and an
-// odd count is recommended (even committees break ties toward absent).
-func NewCommittee(models ...*vlm.Model) (*Committee, error) {
-	if len(models) == 0 {
-		return nil, fmt.Errorf("ensemble: committee needs at least one model")
-	}
-	seen := make(map[vlm.ModelID]bool, len(models))
-	for _, m := range models {
-		if seen[m.ID()] {
-			return nil, fmt.Errorf("ensemble: duplicate committee member %q", m.ID())
-		}
-		seen[m.ID()] = true
-	}
-	return &Committee{models: append([]*vlm.Model(nil), models...)}, nil
-}
-
-// Size returns the number of members.
-func (c *Committee) Size() int { return len(c.models) }
-
-// Members returns the member IDs in committee order.
-func (c *Committee) Members() []vlm.ModelID {
-	out := make([]vlm.ModelID, len(c.models))
-	for i, m := range c.models {
-		out[i] = m.ID()
-	}
-	return out
-}
-
-// Classify runs every member on the request and majority-votes the
-// answers.
-func (c *Committee) Classify(req vlm.Request) ([]bool, error) {
-	all := make([][]bool, 0, len(c.models))
-	for _, m := range c.models {
-		answers, err := m.Classify(req)
-		if err != nil {
-			return nil, fmt.Errorf("ensemble: member %s: %w", m.ID(), err)
-		}
-		all = append(all, answers)
-	}
-	return Vote(all)
-}
-
-// ClassifyPerceived is Classify with precomputed perception features:
-// every member consumes the same evidence, so an n-member committee
-// perceives the frame zero times instead of n. Votes are bit-identical
-// to Classify since members share the perception pipeline.
-func (c *Committee) ClassifyPerceived(req vlm.Request, feats vlm.Features) ([]bool, error) {
-	all := make([][]bool, 0, len(c.models))
-	for _, m := range c.models {
-		answers, err := m.ClassifyPerceived(req, feats)
-		if err != nil {
-			return nil, fmt.Errorf("ensemble: member %s: %w", m.ID(), err)
-		}
-		all = append(all, answers)
-	}
-	return Vote(all)
-}
-
-// PaperCommittee builds the paper's top-three committee: Gemini 1.5 Pro,
-// Claude 3.7, and Grok 2 (§IV-C2).
-func PaperCommittee() (*Committee, error) {
-	ids := []vlm.ModelID{vlm.Gemini15Pro, vlm.Claude37, vlm.Grok2}
-	models := make([]*vlm.Model, 0, len(ids))
-	for _, id := range ids {
-		p, err := vlm.ProfileFor(id)
-		if err != nil {
-			return nil, err
-		}
-		m, err := vlm.NewModel(p)
-		if err != nil {
-			return nil, err
-		}
-		models = append(models, m)
-	}
-	return NewCommittee(models...)
+// PaperCommittee returns the paper's top-three committee in vote order:
+// Gemini 1.5 Pro, Claude 3.7 and Grok 2 (§IV-C2). The backend layer
+// majority-votes them as a voting spec over one member spec each.
+func PaperCommittee() []vlm.ModelID {
+	return []vlm.ModelID{vlm.Gemini15Pro, vlm.Claude37, vlm.Grok2}
 }

@@ -1,6 +1,7 @@
 package ensemble
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -161,48 +162,24 @@ func TestFusionStrategyString(t *testing.T) {
 }
 
 func TestPaperCommittee(t *testing.T) {
-	c, err := PaperCommittee()
-	if err != nil {
-		t.Fatalf("PaperCommittee: %v", err)
-	}
-	if c.Size() != 3 {
-		t.Fatalf("committee size = %d", c.Size())
-	}
-	members := c.Members()
+	got := PaperCommittee()
 	want := []vlm.ModelID{vlm.Gemini15Pro, vlm.Claude37, vlm.Grok2}
-	for i := range want {
-		if members[i] != want[i] {
-			t.Errorf("member %d = %s, want %s", i, members[i], want[i])
-		}
+	if !slices.Equal(got, want) {
+		t.Fatalf("PaperCommittee() = %v, want %v", got, want)
+	}
+	// Each call returns a fresh slice: a caller may not edit the paper's
+	// committee for the next caller.
+	got[0] = vlm.ChatGPT4oMini
+	if PaperCommittee()[0] != vlm.Gemini15Pro {
+		t.Error("PaperCommittee shares its slice across calls")
 	}
 }
 
-func TestCommitteeValidation(t *testing.T) {
-	if _, err := NewCommittee(); err == nil {
-		t.Error("empty committee accepted")
-	}
-	p, err := vlm.ProfileFor(vlm.Grok2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m1, err := vlm.NewModel(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, err := vlm.NewModel(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewCommittee(m1, m2); err == nil {
-		t.Error("duplicate members accepted")
-	}
-}
-
+// TestCommitteeClassify: the paper's committee, each member asked about
+// one rendered study frame and the answers put to Vote, gives one answer
+// per indicator, and the same answers whether the members perceive the
+// frame themselves or share precomputed features.
 func TestCommitteeClassify(t *testing.T) {
-	c, err := PaperCommittee()
-	if err != nil {
-		t.Fatal(err)
-	}
 	st, err := dataset.BuildStudy(dataset.StudyConfig{Coordinates: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -212,12 +189,45 @@ func TestCommitteeClassify(t *testing.T) {
 		t.Fatal(err)
 	}
 	inds := scene.Indicators()
-	answers, err := c.Classify(vlm.Request{Image: ex[0].Image, Indicators: inds[:]})
+	req := vlm.Request{Image: ex[0].Image, Indicators: inds[:]}
+	feats, err := vlm.Perceive(ex[0].Image)
 	if err != nil {
-		t.Fatalf("Classify: %v", err)
+		t.Fatal(err)
 	}
-	if len(answers) != 6 {
-		t.Fatalf("answers = %d", len(answers))
+	var plain, perceived [][]bool
+	for _, id := range PaperCommittee() {
+		p, err := vlm.ProfileFor(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := vlm.NewModel(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := m.Classify(req)
+		if err != nil {
+			t.Fatalf("%s Classify: %v", id, err)
+		}
+		plain = append(plain, a)
+		a, err = m.ClassifyPerceived(req, feats)
+		if err != nil {
+			t.Fatalf("%s ClassifyPerceived: %v", id, err)
+		}
+		perceived = append(perceived, a)
+	}
+	answers, err := Vote(plain)
+	if err != nil {
+		t.Fatalf("Vote: %v", err)
+	}
+	if len(answers) != scene.NumIndicators {
+		t.Fatalf("answers = %d, want %d", len(answers), scene.NumIndicators)
+	}
+	fast, err := Vote(perceived)
+	if err != nil {
+		t.Fatalf("Vote: %v", err)
+	}
+	if !slices.Equal(answers, fast) {
+		t.Errorf("perceived-path vote %v differs from plain vote %v", fast, answers)
 	}
 }
 
@@ -242,7 +252,7 @@ func TestMajorityVotingBeatsMembers(t *testing.T) {
 	}
 	inds := scene.Indicators()
 
-	memberIDs := []vlm.ModelID{vlm.Gemini15Pro, vlm.Claude37, vlm.Grok2}
+	memberIDs := PaperCommittee()
 	members := make([]*vlm.Model, len(memberIDs))
 	for i, id := range memberIDs {
 		p, err := vlm.ProfileFor(id)

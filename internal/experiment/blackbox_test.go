@@ -8,6 +8,7 @@ package experiment_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -95,6 +96,25 @@ func TestValidateRejectsUnknownBackendKind(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "quantum") {
 		t.Errorf("error does not name the unknown kind: %v", err)
+	}
+}
+
+// TestRetiredCommitteeVocabularyRejected: the committee is a voting
+// spec, so a spec still written with the retired "committee" kind fails
+// validation naming it, and one with the retired "models" field fails
+// to decode.
+func TestRetiredCommitteeVocabularyRejected(t *testing.T) {
+	const retired = "committee"
+	spec := demoSpec()
+	spec.Backends[retired] = backend.Spec{Kind: retired}
+	want := fmt.Sprintf(`experiment: backend "committee" has unknown kind "committee" (registered: %v)`, backend.Kinds())
+	if err := spec.Validate(); err == nil || err.Error() != want {
+		t.Errorf("Validate = %v, want %q", err, want)
+	}
+	const models = `{"name":"x","backends":{"c":{"kind":"voting","models":["grok-2"]}},"sweeps":[{"name":"s","backends":["c"]}]}`
+	want = `experiment: parse spec: json: unknown field "models"`
+	if _, err := experiment.ParseSpec([]byte(models)); err == nil || err.Error() != want {
+		t.Errorf("ParseSpec = %v, want %q", err, want)
 	}
 }
 

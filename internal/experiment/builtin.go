@@ -7,6 +7,7 @@ import (
 
 	"nbhd/internal/backend"
 	"nbhd/internal/dataset"
+	"nbhd/internal/ensemble"
 	"nbhd/internal/prompt"
 	"nbhd/internal/vlm"
 	"nbhd/internal/world"
@@ -66,17 +67,10 @@ func (c BuiltinConfig) modelBackends() map[string]backend.Spec {
 	return out
 }
 
-// committeeSpec declares the paper's top-three committee: an in-process
-// committee locally, or a voting composite of HTTP members remotely.
+// committeeSpec declares the paper's top-three committee: a voting
+// composite over one model spec per member, in process or remote alike.
 func (c BuiltinConfig) committeeSpec() backend.Spec {
-	ids := []vlm.ModelID{vlm.Gemini15Pro, vlm.Claude37, vlm.Grok2}
-	if c.BaseURL == "" {
-		models := make([]string, len(ids))
-		for i, id := range ids {
-			models[i] = string(id)
-		}
-		return backend.Spec{Kind: "committee", Models: models}
-	}
+	ids := ensemble.PaperCommittee()
 	members := make([]backend.Spec, len(ids))
 	for i, id := range ids {
 		members[i] = c.modelSpec(id)

@@ -11,8 +11,10 @@ import (
 	"context"
 	"encoding/base64"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"strconv"
@@ -172,11 +174,16 @@ func decodeError(resp *http.Response) error {
 // delta-seconds form is recognized — llmserve and the serve gateway send
 // nothing else — so HTTP-date values return false and callers fall back
 // to their own backoff. A zero duration with ok=true means the server
-// gave no pacing guidance, not "retry immediately" (see retryDelay).
+// gave no pacing guidance, not "retry immediately" (see retryDelay). A
+// delay too long for a time.Duration saturates at the longest one, so a
+// huge value can never wrap into a short or negative wait.
 func ParseRetryAfter(v string) (time.Duration, bool) {
-	secs, err := strconv.Atoi(strings.TrimSpace(v))
-	if err != nil || secs < 0 {
+	secs, err := strconv.ParseInt(strings.TrimSpace(v), 10, 64)
+	if err != nil && !errors.Is(err, strconv.ErrRange) || secs < 0 {
 		return 0, false
+	}
+	if secs > math.MaxInt64/int64(time.Second) {
+		return math.MaxInt64, true
 	}
 	return time.Duration(secs) * time.Second, true
 }

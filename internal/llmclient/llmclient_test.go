@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -419,6 +420,17 @@ func TestAPIKeyAuth(t *testing.T) {
 	}
 }
 
+// FuzzParseRetryAfter: any header value parses without panicking, and
+// an accepted one is never a negative wait. Seeds live under
+// testdata/fuzz/FuzzParseRetryAfter.
+func FuzzParseRetryAfter(f *testing.F) {
+	f.Fuzz(func(t *testing.T, v string) {
+		if d, ok := ParseRetryAfter(v); ok && d < 0 {
+			t.Fatalf("ParseRetryAfter(%q) = (%v, true): negative wait", v, d)
+		}
+	})
+}
+
 func TestParseRetryAfter(t *testing.T) {
 	cases := []struct {
 		in     string
@@ -433,6 +445,13 @@ func TestParseRetryAfter(t *testing.T) {
 		{"abc", 0, false},
 		{"1.5", 0, false},
 		{"Wed, 21 Oct 2015 07:28:00 GMT", 0, false},
+		// Delays past time.Duration's range saturate instead of
+		// wrapping into a short (2^64 ns + 290ms) or negative wait.
+		{"9223372036", 9223372036 * time.Second, true},
+		{"9223372037", math.MaxInt64, true},
+		{"18446744074", math.MaxInt64, true},
+		{"99999999999999999999", math.MaxInt64, true},
+		{"-99999999999999999999", 0, false},
 	}
 	for _, tc := range cases {
 		got, ok := ParseRetryAfter(tc.in)

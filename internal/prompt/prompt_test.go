@@ -1,6 +1,7 @@
 package prompt
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -313,4 +314,30 @@ func TestQuestionsInSubsetProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
+}
+
+// FuzzParseAnswers holds the boundary a remote model's reply crosses:
+// any reply, count and language parse without panicking, an accepted
+// reply carries exactly the asked-for count, and every answer vector
+// survives FormatAnswers → ParseAnswers in every prompt language. Seeds
+// live under testdata/fuzz/FuzzParseAnswers.
+func FuzzParseAnswers(f *testing.F) {
+	f.Fuzz(func(t *testing.T, text string, n int, lang uint8, bits uint64) {
+		if got, err := ParseAnswers(text, n, Language(lang)); err == nil && len(got) != n {
+			t.Fatalf("ParseAnswers(%q, %d, %d) accepted %d answers", text, n, lang, len(got))
+		}
+		l := Languages()[int(lang)%len(Languages())]
+		v := make([]bool, 1+int(uint64(n)%64))
+		for i := range v {
+			v[i] = bits&(1<<i) != 0
+		}
+		reply := FormatAnswers(v, l)
+		got, err := ParseAnswers(reply, len(v), l)
+		if err != nil {
+			t.Fatalf("%v: formatted reply %q rejected: %v", l, reply, err)
+		}
+		if !slices.Equal(got, v) {
+			t.Fatalf("%v: %q parsed as %v, want %v", l, reply, got, v)
+		}
+	})
 }

@@ -372,6 +372,12 @@ func TestParseConfig(t *testing.T) {
 	if _, err := ParseConfig([]byte(`{"backendz":{}}`)); err == nil {
 		t.Fatalf("unknown field accepted")
 	}
+	// The committee is a voting spec: the retired "models" field is an
+	// unknown field like any other.
+	const want = `serve: parse config: json: unknown field "models"`
+	if _, err := ParseConfig([]byte(`{"backends":{"committee":{"kind":"voting","models":["grok-2"]}}}`)); err == nil || err.Error() != want {
+		t.Fatalf("ParseConfig = %v, want %q", err, want)
+	}
 	// Trailing data is rejected whatever follows the object, including
 	// a stray '}' or ']' that json.Decoder.More reports as "no more".
 	for _, trailing := range []string{` trailing`, `}`, `]`, `{}`, `x`} {

@@ -38,6 +38,7 @@ import (
 
 	"nbhd/internal/backend"
 	"nbhd/internal/dataset"
+	"nbhd/internal/ensemble"
 	"nbhd/internal/geoindex"
 	"nbhd/internal/prompt"
 	"nbhd/internal/render"
@@ -114,9 +115,11 @@ func DefaultBackends() map[string]backend.Spec {
 	for _, id := range vlm.AllModels() {
 		routes[string(id)] = backend.Spec{Kind: "vlm", Model: string(id)}
 	}
-	routes["committee"] = backend.Spec{Kind: "committee", Models: []string{
-		string(vlm.Gemini15Pro), string(vlm.Claude37), string(vlm.Grok2),
-	}}
+	committee := backend.Spec{Kind: "voting", Name: "committee"}
+	for _, id := range ensemble.PaperCommittee() {
+		committee.Members = append(committee.Members, backend.Spec{Kind: "vlm", Model: string(id)})
+	}
+	routes["committee"] = committee
 	return routes
 }
 
