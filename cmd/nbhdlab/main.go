@@ -30,6 +30,7 @@ import (
 	"os/signal"
 	"syscall"
 
+	"nbhd/internal/experiment"
 	"nbhd/internal/lab"
 	"nbhd/internal/wire"
 )
@@ -98,7 +99,7 @@ func labConfig(path string, coords int, seed int64, interval int) (lab.Config, e
 		return lab.ParseConfig(data)
 	}
 	return lab.Config{
-		Builtin: lab.BuiltinSettings{Coordinates: coords, Seed: seed},
+		Builtin: experiment.BuiltinConfig{Coordinates: coords, Seed: seed},
 		Jobs:    []lab.JobConfig{{Name: "smoke", Spec: "smoke", IntervalSeconds: interval}},
 	}, nil
 }

@@ -39,9 +39,6 @@ var testOnlyAllowed = map[string]string{
 	"nbhd/internal/gsv.Server.Usage":               "test seam: quota tests count the requests a key spent",
 	"nbhd/internal/lab.Lab.Kill":                   "test seam: black-box tests simulate a crash mid-run",
 	"nbhd/internal/labelme.Record.Objects":         "reference implementation: labelme tests round-trip annotations through it",
-	"nbhd/internal/labelme.Store.Get":              "test seam: labelme tests read a stored record back",
-	"nbhd/internal/labelme.Store.Len":              "test seam: labelme tests count the stored records",
-	"nbhd/internal/labelme.Store.TotalObjects":     "test seam: pipeline tests check the annotated object count (the paper's 1,927)",
 	"nbhd/internal/llmclient.Client.Models":        "test seam: client tests list the models an in-process llmserve offers",
 	"nbhd/internal/llmserve.Server.RequestsServed": "test seam: client tests count the requests a fake server answered",
 	"nbhd/internal/metrics.ClassReport.Add":        "fixture: metrics tests build reports pair by pair",

@@ -15,7 +15,6 @@ import (
 	"nbhd/internal/classify"
 	"nbhd/internal/dataset"
 	"nbhd/internal/ensemble"
-	"nbhd/internal/labelme"
 	"nbhd/internal/metrics"
 	"nbhd/internal/nn"
 	"nbhd/internal/prompt"
@@ -24,34 +23,37 @@ import (
 	"nbhd/internal/yolo"
 )
 
-// Config parameterizes a pipeline run.
+// Config parameterizes a pipeline run. It is also the dataset section
+// of an experiment spec (experiment.DatasetSpec), so its JSON form is
+// part of every spec document.
 type Config struct {
 	// Coordinates is the number of sampled coordinates (x4 headings).
 	// Zero defaults to the paper's 300.
-	Coordinates int
-	// Seed drives all generation.
-	Seed int64
-	// DetectorInputSize is the detector's render/input resolution; zero
-	// defaults to 64.
-	DetectorInputSize int
+	Coordinates int `json:"coordinates,omitempty"`
+	// Seed drives all generation; the same seed reproduces the same
+	// corpus, renders, and model answers.
+	Seed int64 `json:"seed"`
+	// DetectorInputSize is the supervised baselines' render/input
+	// resolution; zero defaults to 64.
+	DetectorInputSize int `json:"detector_input_size,omitempty"`
 	// LLMRenderSize is the resolution of frames sent to LLMs; zero
 	// defaults to 96.
-	LLMRenderSize int
+	LLMRenderSize int `json:"llm_render_size,omitempty"`
 	// StoreDir, when non-empty, opens (creating on demand) a persistent
 	// frame store there and serves renders through it: frames already in
 	// the store are memory-mapped instead of re-rendered, and fresh
-	// renders are persisted for every later run. Pipelines with a
-	// StoreDir own the store and must be Closed.
-	StoreDir string
+	// renders are persisted for every later run (see internal/store).
+	// Pipelines with a StoreDir own the store and must be Closed.
+	StoreDir string `json:"store_dir,omitempty"`
 	// Morphology names the procedural world family the corpus counties
 	// are generated from (world.Names); empty keeps the legacy study
 	// world.
-	Morphology string
+	Morphology string `json:"morphology,omitempty"`
 	// Condition names the corpus-level capture condition
 	// (dataset.Conditions); empty or "clean" renders clean frames.
 	// Supervised baselines train on the conditioned corpus; evaluation
 	// sweeps can override per sweep via LLMOptions.Condition.
-	Condition string
+	Condition string `json:"condition,omitempty"`
 }
 
 func (c Config) withDefaults() Config {
@@ -72,8 +74,6 @@ func (c Config) withDefaults() Config {
 type Pipeline struct {
 	cfg   Config
 	Study *dataset.Study
-	// Annotations is the LabelMe store built from the corpus.
-	Annotations *labelme.Store
 
 	// cache is every walk's frame source (RenderCache.RenderInto): a
 	// walk renders each frame once per resolution into its workers'
@@ -87,7 +87,7 @@ type Pipeline struct {
 	frameStore *store.Store
 }
 
-// NewPipeline assembles the corpus and annotations.
+// NewPipeline assembles the corpus.
 func NewPipeline(cfg Config) (*Pipeline, error) {
 	cfg = cfg.withDefaults()
 	study, err := dataset.BuildStudy(dataset.StudyConfig{
@@ -99,21 +99,7 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	labeler, err := labelme.NewLabeler(labelme.LabelerConfig{Seed: cfg.Seed})
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	ann := labelme.NewStore()
-	for _, fr := range study.Frames {
-		rec, err := labeler.Annotate(fr.Scene, cfg.DetectorInputSize, cfg.DetectorInputSize)
-		if err != nil {
-			return nil, fmt.Errorf("core: annotate %s: %w", fr.Scene.ID, err)
-		}
-		if err := ann.Put(rec); err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-	}
-	p := &Pipeline{cfg: cfg, Study: study, Annotations: ann}
+	p := &Pipeline{cfg: cfg, Study: study}
 	if cfg.StoreDir != "" {
 		fs, err := store.Open(cfg.StoreDir, store.Options{})
 		if err != nil {

@@ -24,21 +24,6 @@ func TestNewPipelineBuildsAnnotations(t *testing.T) {
 	if p.Study.Len() != 24 {
 		t.Fatalf("frames = %d", p.Study.Len())
 	}
-	if p.Annotations.Len() != 24 {
-		t.Fatalf("annotations = %d", p.Annotations.Len())
-	}
-	// Annotation object counts match scene ground truth.
-	if got, want := p.Annotations.TotalObjects(), totalObjects(p.Study); got != want {
-		t.Errorf("annotation objects = %d, scene objects = %d", got, want)
-	}
-}
-
-func totalObjects(st *dataset.Study) int {
-	n := 0
-	for _, fr := range st.Frames {
-		n += len(fr.Scene.Objects)
-	}
-	return n
 }
 
 func TestTrainBaselineSmoke(t *testing.T) {

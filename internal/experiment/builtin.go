@@ -13,40 +13,41 @@ import (
 	"nbhd/internal/world"
 )
 
-// BuiltinConfig parameterizes the built-in paper specs.
+// BuiltinConfig parameterizes the built-in paper specs. Its JSON form
+// is the "builtin" section of a lab config.
 type BuiltinConfig struct {
 	// Coordinates is the corpus size (x4 headings); zero defaults to
 	// the paper's 300.
-	Coordinates int
+	Coordinates int `json:"coordinates,omitempty"`
 	// Seed drives all generation.
-	Seed int64
+	Seed int64 `json:"seed,omitempty"`
 	// BaseURL, when non-empty, makes every model backend a remote HTTP
 	// spec against this llmserve-compatible server instead of the
 	// in-process simulation. With the default lossless encoding the
 	// reports are bit-identical either way.
-	BaseURL string
+	BaseURL string `json:"base_url,omitempty"`
 	// APIKey is the bearer token for remote backends.
-	APIKey string
+	APIKey string `json:"api_key,omitempty"`
 	// TrainEpochs is the training budget for the supervised specs
 	// (yolo, cnn); zero defaults to the paper's 20.
-	TrainEpochs int
+	TrainEpochs int `json:"train_epochs,omitempty"`
 	// Quantized switches the supervised specs (yolo, cnn) to int8
 	// inference after training (see docs/QUANTIZATION.md).
-	Quantized bool
+	Quantized bool `json:"quantized,omitempty"`
 	// Morphology selects the procedural world family the corpus comes
 	// from (world.Names); empty keeps the legacy study world. A
 	// parameterized builtin name ("robustness:coastal") overrides it.
-	Morphology string
+	Morphology string `json:"morphology,omitempty"`
 	// Condition sets the corpus-level capture condition
 	// (dataset.Conditions); empty renders clean frames.
-	Condition string
+	Condition string `json:"condition,omitempty"`
 	// MatrixKinds restricts the robustness matrix's backend kinds to a
 	// subset of RobustnessKinds (canonical order is kept regardless of
 	// the order given here); empty sweeps all of them.
-	MatrixKinds []string
+	MatrixKinds []string `json:"matrix_kinds,omitempty"`
 	// MatrixConditions restricts the robustness matrix's capture
 	// conditions; empty sweeps every registered condition, clean first.
-	MatrixConditions []string
+	MatrixConditions []string `json:"matrix_conditions,omitempty"`
 }
 
 // modelSpec declares one model backend: in-process simulation, or

@@ -195,7 +195,7 @@ func (r *Runner) Run(ctx context.Context, spec Spec, sink Sink) (*Result, error)
 		return nil, err
 	}
 
-	pipe, err := core.NewPipeline(spec.Dataset.coreConfig())
+	pipe, err := core.NewPipeline(spec.Dataset)
 	if err != nil {
 		return fail(fmt.Errorf("experiment: %s: %w", spec.Name, err))
 	}
@@ -357,7 +357,7 @@ func (rn *run) errorf(step string, err error) error {
 // the checkpoint.
 func (rn *run) plan() error {
 	for i, sw := range rn.spec.Sweeps {
-		opts, err := rn.spec.Dataset.sweepOptions(sw.Options)
+		opts, err := sweepOptions(rn.spec.Dataset, sw.Options)
 		if err != nil {
 			return rn.errorf(sweepStep(sw.Name), err)
 		}

@@ -46,53 +46,15 @@ type Spec struct {
 	Workers int `json:"workers,omitempty"`
 }
 
-// DatasetSpec configures the synthetic study corpus.
-type DatasetSpec struct {
-	// Coordinates is the number of sampled coordinates (x4 headings);
-	// zero defaults to the paper's 300.
-	Coordinates int `json:"coordinates,omitempty"`
-	// Seed drives all generation; the same seed reproduces the same
-	// corpus, renders, and model answers.
-	Seed int64 `json:"seed"`
-	// DetectorInputSize is the supervised baselines' render resolution;
-	// zero defaults to 64.
-	DetectorInputSize int `json:"detector_input_size,omitempty"`
-	// LLMRenderSize is the resolution of frames sent to LLM backends;
-	// zero defaults to 96.
-	LLMRenderSize int `json:"llm_render_size,omitempty"`
-	// StoreDir, when set, backs the run's renders with a persistent
-	// frame store at that path: frames rendered by any earlier run with
-	// the same corpus parameters are memory-mapped instead of
-	// re-rendered, and this run's renders persist for the next (see
-	// internal/store).
-	StoreDir string `json:"store_dir,omitempty"`
-	// Morphology names the procedural world family the corpus counties
-	// come from (world.Names); empty keeps the legacy study world.
-	Morphology string `json:"morphology,omitempty"`
-	// Condition names the corpus-level capture condition every render is
-	// degraded under (dataset.Conditions); empty or "clean" renders clean
-	// frames. Sweeps can override per sweep via their options.
-	Condition string `json:"condition,omitempty"`
-}
+// DatasetSpec configures the synthetic study corpus: the spec's
+// dataset section is the pipeline's own configuration.
+type DatasetSpec = core.Config
 
-// coreConfig lowers the dataset spec to the pipeline's configuration.
-func (d DatasetSpec) coreConfig() core.Config {
-	return core.Config{
-		Coordinates:       d.Coordinates,
-		Seed:              d.Seed,
-		DetectorInputSize: d.DetectorInputSize,
-		LLMRenderSize:     d.LLMRenderSize,
-		StoreDir:          d.StoreDir,
-		Morphology:        d.Morphology,
-		Condition:         d.Condition,
-	}
-}
-
-// sweepOptions parses a sweep's options for a run over this dataset,
-// with the capture condition resolved against the dataset's (see
+// sweepOptions parses a sweep's options for a run over dataset d, with
+// the capture condition resolved against the dataset's (see
 // dataset.ResolveCondition): options that select the same frames and
 // requests compare equal however the condition is spelled.
-func (d DatasetSpec) sweepOptions(o OptionsSpec) (core.LLMOptions, error) {
+func sweepOptions(d DatasetSpec, o OptionsSpec) (core.LLMOptions, error) {
 	opts, err := o.llmOptions()
 	if err != nil {
 		return core.LLMOptions{}, err

@@ -133,8 +133,8 @@ func NewRouter(ring *Ring, resolve func(id string) (string, bool), cfg Config, o
 // routes plus its own health and metrics.
 func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/classify", rt.handleClassify)
-	mux.HandleFunc("/v1/neighborhood", rt.handleNeighborhood)
+	mux.HandleFunc("/v1/classify", rt.handleKeyed(rt.classifyKey))
+	mux.HandleFunc("/v1/neighborhood", rt.handleKeyed(rt.neighborhoodKey))
 	mux.HandleFunc("/v1/nearest", rt.handleNearest)
 	mux.HandleFunc("/healthz", rt.handleHealth)
 	mux.HandleFunc("/metricsz", rt.handleMetrics)
@@ -145,53 +145,55 @@ func (rt *Router) Handler() http.Handler {
 // traffic; in-flight forwards finish normally, mirroring serve.Drain.
 func (rt *Router) Drain() { rt.draining.Store(true) }
 
-func (rt *Router) handleClassify(w http.ResponseWriter, r *http.Request) {
-	reqID := rt.ids.Next()
-	if r.Method != http.MethodPost {
-		wire.WriteError(w, http.StatusMethodNotAllowed, "invalid_request_error", "use POST", reqID)
-		return
+// handleKeyed is the router's one POST data-plane handler: read the
+// body under the gateway's limit, decode it and derive its shard key
+// with key, and forward the bytes it read. key decodes with the
+// gateway's own decoder, so the router accepts exactly what a gateway
+// accepts and never forwards a rejected or truncated body.
+func (rt *Router) handleKeyed(key func(body []byte) (string, *wire.Error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		reqID := rt.ids.Next()
+		if r.Method != http.MethodPost {
+			wire.WriteError(w, http.StatusMethodNotAllowed, "invalid_request_error", "use POST", reqID)
+			return
+		}
+		body, herr := wire.ReadBody(w, r, rt.maxBody)
+		var k string
+		if herr == nil {
+			k, herr = key(body)
+		}
+		if herr != nil {
+			herr.Write(w, reqID)
+			return
+		}
+		rt.forward(w, r, k, body, reqID)
 	}
-	// The gateway's own reader and decoder, so the router accepts
-	// exactly what a gateway accepts and never forwards a rejected or
-	// truncated body; the bytes it read are what it forwards.
+}
+
+// classifyKey is a /v1/classify body's shard key.
+func (rt *Router) classifyKey(body []byte) (string, *wire.Error) {
 	var req serve.ClassifyRequest
-	body, herr := wire.ReadBody(w, r, rt.maxBody)
-	if herr == nil {
-		herr = serve.DecodeClassify(body, &req)
-	}
-	if herr != nil {
-		herr.Write(w, reqID)
-		return
+	if herr := serve.DecodeClassify(body, &req); herr != nil {
+		return "", herr
 	}
 	key, err := serve.RequestShardKey(&req, rt.quantized[req.Backend])
 	if err != nil {
-		wire.WriteError(w, http.StatusBadRequest, "invalid_request_error", err.Error(), reqID)
-		return
+		return "", wire.BadRequest("%v", err)
 	}
-	rt.forward(w, r, key, body, reqID)
+	return key, nil
 }
 
-func (rt *Router) handleNeighborhood(w http.ResponseWriter, r *http.Request) {
-	reqID := rt.ids.Next()
-	if r.Method != http.MethodPost {
-		wire.WriteError(w, http.StatusMethodNotAllowed, "invalid_request_error", "use POST", reqID)
-		return
-	}
+// neighborhoodKey is a /v1/neighborhood body's shard key.
+func (rt *Router) neighborhoodKey(body []byte) (string, *wire.Error) {
 	var req serve.NeighborhoodRequest
-	body, herr := wire.ReadBody(w, r, rt.maxBody)
-	if herr == nil {
-		herr = wire.DecodeBytes(body, &req)
-	}
-	if herr != nil {
-		herr.Write(w, reqID)
-		return
+	if herr := wire.DecodeBytes(body, &req); herr != nil {
+		return "", herr
 	}
 	key, err := serve.NeighborhoodShardKey(&req, rt.quantized[req.Backend])
 	if err != nil {
-		wire.WriteError(w, http.StatusBadRequest, "invalid_request_error", err.Error(), reqID)
-		return
+		return "", wire.BadRequest("%v", err)
 	}
-	rt.forward(w, r, key, body, reqID)
+	return key, nil
 }
 
 func (rt *Router) handleNearest(w http.ResponseWriter, r *http.Request) {

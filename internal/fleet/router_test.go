@@ -24,6 +24,7 @@ import (
 	"nbhd/internal/fleet"
 	"nbhd/internal/llmclient"
 	"nbhd/internal/serve"
+	"nbhd/internal/wire"
 )
 
 // fakeBackend answers deterministically from the frame ID and indicator
@@ -422,6 +423,42 @@ func TestFleetRejectsOversizedBody(t *testing.T) {
 				})
 			}
 		})
+	}
+	if m := tf.router.Metrics(); len(m.Forwarded) != 0 {
+		t.Fatalf("rejected bodies reached a replica: forwarded %v", m.Forwarded)
+	}
+}
+
+// TestFleetFrameRefRuleMatchesGateway: a frame reference that names
+// no addressing mode, or two, gets the gateway's exact 400 at the
+// router, which rejects it before forwarding.
+func TestFleetFrameRefRuleMatchesGateway(t *testing.T) {
+	tf := newTestFleet(t, 2, serve.Config{}, 600000, 0)
+	gatewayURL, ok := tf.sup.URLOf(tf.sup.Replicas()[0])
+	if !ok {
+		t.Fatal("no replica URL")
+	}
+	cases := []struct{ name, body, msg string }{
+		{"two references", `{"backend":"fake","frame":{"index":0,"image_png_base64":"AAAA"}}`,
+			"frame needs exactly one of index, image_f32_base64, image_png_base64 (got 2)"},
+		{"no reference", `{"backend":"fake","frame":{}}`,
+			"frame needs exactly one of index, image_f32_base64, image_png_base64 (got 0)"},
+	}
+	for _, tc := range cases {
+		for _, via := range []struct{ name, url string }{{"router", tf.ts.URL}, {"gateway", gatewayURL}} {
+			resp, err := http.Post(via.url+"/v1/classify", "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatalf("%s via %s: POST: %v", tc.name, via.name, err)
+			}
+			var eb wire.ErrorResponse
+			err = json.NewDecoder(resp.Body).Decode(&eb)
+			_ = resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || err != nil ||
+				eb.Error.Type != "invalid_request_error" || eb.Error.Message != tc.msg {
+				t.Errorf("%s via %s: %d %+v (decode err %v), want 400 invalid_request_error %q",
+					tc.name, via.name, resp.StatusCode, eb.Error, err, tc.msg)
+			}
+		}
 	}
 	if m := tf.router.Metrics(); len(m.Forwarded) != 0 {
 		t.Fatalf("rejected bodies reached a replica: forwarded %v", m.Forwarded)

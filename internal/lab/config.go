@@ -27,41 +27,9 @@ type Config struct {
 	// Builtin parameterizes jobs whose spec is a built-in name
 	// (experiment.BuiltinNames): corpus size, seed, optional remote
 	// model server.
-	Builtin BuiltinSettings `json:"builtin,omitzero"`
+	Builtin experiment.BuiltinConfig `json:"builtin,omitzero"`
 	// Jobs are the scheduled experiments.
 	Jobs []JobConfig `json:"jobs,omitempty"`
-}
-
-// BuiltinSettings mirrors experiment.BuiltinConfig with JSON tags.
-type BuiltinSettings struct {
-	Coordinates int    `json:"coordinates,omitempty"`
-	Seed        int64  `json:"seed,omitempty"`
-	BaseURL     string `json:"base_url,omitempty"`
-	APIKey      string `json:"api_key,omitempty"`
-	TrainEpochs int    `json:"train_epochs,omitempty"`
-	Quantized   bool   `json:"quantized,omitempty"`
-	// Morphology and Condition pick the corpus world family and capture
-	// condition for builtin jobs; MatrixKinds and MatrixConditions
-	// restrict the robustness matrix grid.
-	Morphology       string   `json:"morphology,omitempty"`
-	Condition        string   `json:"condition,omitempty"`
-	MatrixKinds      []string `json:"matrix_kinds,omitempty"`
-	MatrixConditions []string `json:"matrix_conditions,omitempty"`
-}
-
-func (b BuiltinSettings) experimentConfig() experiment.BuiltinConfig {
-	return experiment.BuiltinConfig{
-		Coordinates:      b.Coordinates,
-		Seed:             b.Seed,
-		BaseURL:          b.BaseURL,
-		APIKey:           b.APIKey,
-		TrainEpochs:      b.TrainEpochs,
-		Quantized:        b.Quantized,
-		Morphology:       b.Morphology,
-		Condition:        b.Condition,
-		MatrixKinds:      b.MatrixKinds,
-		MatrixConditions: b.MatrixConditions,
-	}
 }
 
 // JobConfig is one scheduled experiment.

@@ -362,7 +362,7 @@ func (l *Lab) resolveSpec(rec *RunRecord) (experiment.Spec, string, error) {
 			}
 			spec, err = experiment.ParseSpec(data)
 		} else {
-			spec, err = experiment.Builtin(j.Spec, l.cfg.Builtin.experimentConfig())
+			spec, err = experiment.Builtin(j.Spec, l.cfg.Builtin)
 		}
 	default:
 		return experiment.Spec{}, "", fmt.Errorf("lab: run %s has neither a job nor a spec", rec.ID)

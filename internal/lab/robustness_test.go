@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"nbhd/internal/experiment"
 	"nbhd/internal/lab"
 )
 
@@ -13,7 +14,7 @@ import (
 // restrictions, and baseline-diffs byte-identical across runs.
 func TestRobustnessBuiltinJob(t *testing.T) {
 	cfg := lab.Config{
-		Builtin: lab.BuiltinSettings{
+		Builtin: experiment.BuiltinConfig{
 			Coordinates:      4,
 			Seed:             2,
 			TrainEpochs:      1,

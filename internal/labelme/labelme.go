@@ -1,9 +1,9 @@
 // Package labelme implements a LabelMe-compatible annotation layer: the
 // JSON record format produced by the LabelMe tool the paper's student
-// labeler used (§IV-A), conversion from scene ground truth, an annotation
-// store, and a human-labeler model with controllable error injection (the
-// paper's §V limitation: "human error in labeling training data could
-// impact the reliability of the model").
+// labeler used (§IV-A), conversion from scene ground truth, and a
+// human-labeler model with controllable error injection (the paper's §V
+// limitation: "human error in labeling training data could impact the
+// reliability of the model").
 package labelme
 
 import (
@@ -230,45 +230,4 @@ func clampRange(v, lo, hi float64) float64 {
 		return hi
 	}
 	return v
-}
-
-// Store is an in-memory annotation collection keyed by image path.
-type Store struct {
-	records map[string]*Record
-}
-
-// NewStore builds an empty store.
-func NewStore() *Store {
-	return &Store{records: make(map[string]*Record)}
-}
-
-// Put validates and inserts or replaces a record.
-func (s *Store) Put(rec *Record) error {
-	if err := rec.Validate(); err != nil {
-		return err
-	}
-	s.records[rec.ImagePath] = rec
-	return nil
-}
-
-// Get returns the record for an image path, or an error if absent.
-func (s *Store) Get(imagePath string) (*Record, error) {
-	rec, ok := s.records[imagePath]
-	if !ok {
-		return nil, fmt.Errorf("labelme: no annotation for %q", imagePath)
-	}
-	return rec, nil
-}
-
-// Len returns the number of stored records.
-func (s *Store) Len() int { return len(s.records) }
-
-// TotalObjects returns the total labeled object count (the paper reports
-// 1,927).
-func (s *Store) TotalObjects() int {
-	n := 0
-	for _, rec := range s.records {
-		n += len(rec.Shapes)
-	}
-	return n
 }

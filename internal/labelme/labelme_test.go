@@ -221,46 +221,3 @@ func TestLabelerConfigValidate(t *testing.T) {
 		}
 	}
 }
-
-func TestStore(t *testing.T) {
-	st := NewStore()
-	rec, err := FromScene(testScene(t), 640, 640)
-	if err != nil {
-		t.Fatalf("FromScene: %v", err)
-	}
-	if err := st.Put(rec); err != nil {
-		t.Fatalf("Put: %v", err)
-	}
-	if st.Len() != 1 {
-		t.Errorf("Len = %d", st.Len())
-	}
-	got, err := st.Get("img-0001-n.png")
-	if err != nil || got != rec {
-		t.Errorf("Get = %v, %v", got, err)
-	}
-	if _, err := st.Get("missing.png"); err == nil {
-		t.Error("missing record returned without error")
-	}
-	counts := make(map[string]int)
-	for _, sh := range got.Shapes {
-		counts[sh.Label]++
-	}
-	if counts["single-lane road"] != 1 || counts["streetlight"] != 1 {
-		t.Errorf("labels read back = %v", counts)
-	}
-	if st.TotalObjects() != 2 {
-		t.Errorf("TotalObjects = %d", st.TotalObjects())
-	}
-	// Invalid record rejected.
-	bad := &Record{ImagePath: "", ImageWidth: 1, ImageHeight: 1}
-	if err := st.Put(bad); err == nil {
-		t.Error("invalid record stored")
-	}
-	// Replacement keeps count stable.
-	if err := st.Put(rec); err != nil {
-		t.Fatalf("re-Put: %v", err)
-	}
-	if st.Len() != 1 {
-		t.Errorf("Len after replace = %d", st.Len())
-	}
-}

@@ -20,10 +20,13 @@ type route struct {
 	caps     backend.Capabilities
 	maxBatch int
 	delay    time.Duration
-	// admit is the bounded admission queue: a token is held from
+	// renderSize is the resolution dataset frames render at for this
+	// route: the backend's required size, else the gateway default.
+	renderSize int
+	// queue is the bounded admission queue: a token is held from
 	// admission to response, so its occupancy is the route's in-flight
 	// depth and overflow sheds with 503.
-	admit chan struct{}
+	queue chan struct{}
 	// dispatchSem bounds concurrent Classify calls when the backend
 	// advertises a MaxConcurrency; nil means unbounded.
 	dispatchSem chan struct{}
@@ -65,7 +68,9 @@ type pendingCall struct {
 type callResult struct {
 	answers   []bool
 	batchSize int
-	err       error
+	// cached marks an answer the LRU served (route.answer).
+	cached bool
+	err    error
 }
 
 // enqueue joins the coalescer for the request's options key and waits

@@ -262,15 +262,19 @@ func (s *Server) newRoute(name string, b backend.Backend) *route {
 		delay = 0
 	}
 	rt := &route{
-		srv:      s,
-		name:     name,
-		b:        b,
-		caps:     caps,
-		maxBatch: maxBatch,
-		delay:    delay,
-		admit:    make(chan struct{}, s.cfg.MaxQueue),
-		coal:     make(map[string]*coalescer),
-		met:      newRouteMetrics(),
+		srv:        s,
+		name:       name,
+		b:          b,
+		caps:       caps,
+		maxBatch:   maxBatch,
+		delay:      delay,
+		renderSize: caps.RenderSize,
+		queue:      make(chan struct{}, s.cfg.MaxQueue),
+		coal:       make(map[string]*coalescer),
+		met:        newRouteMetrics(),
+	}
+	if rt.renderSize == 0 {
+		rt.renderSize = s.cfg.DefaultRenderSize
 	}
 	dispatch := s.cfg.MaxDispatch
 	if dispatch == 0 {
@@ -334,71 +338,31 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		herr.Write(w, reqID)
 		return
 	}
-	rt, ok := s.routes[req.Backend]
-	if !ok {
-		wire.WriteError(w, http.StatusNotFound, "unknown_backend",
-			fmt.Sprintf("unknown backend %q (serving: %v)", req.Backend, s.names), reqID)
-		return
-	}
-	opts, herr := requestOptions(&req)
+	rt, herr := s.lookup(req.Backend)
 	if herr != nil {
 		herr.Write(w, reqID)
 		return
 	}
-	item, frameKey, herr := s.resolveFrame(rt, &req)
+	opts, herr := req.options()
 	if herr != nil {
 		herr.Write(w, reqID)
 		return
 	}
-
-	rt.met.request()
-	// Admission control: the bounded queue counts every admitted
-	// request until its response is written; overflow sheds.
-	select {
-	case rt.admit <- struct{}{}:
-	default:
-		rt.met.shedOne()
-		wire.Shed(w, http.StatusServiceUnavailable, "overloaded", fmt.Sprintf("backend %q queue full (%d in flight)", rt.name, cap(rt.admit)), reqID, s.cfg.RetryAfterSeconds)
+	item, frameKey, herr := s.resolveFrame(rt, &req.Frame)
+	if herr != nil {
+		herr.Write(w, reqID)
 		return
 	}
-	defer func() { <-rt.admit }()
+	if !rt.admit(w, reqID) {
+		return
+	}
+	defer rt.release()
 
 	start := time.Now()
-	key := ShardKey(rt.name, rt.caps.Quantized, opts, frameKey)
-	if s.results != nil {
-		if ans, ok := s.results.get(key); ok {
-			rt.met.cacheHit()
-			rt.met.okOne(time.Since(start))
-			wire.WriteJSON(w, http.StatusOK, ClassifyResponse{
-				Backend:    rt.name,
-				Frame:      item.ID,
-				Indicators: indicatorNames(opts.Indicators),
-				Answers:    ans,
-				Cached:     true,
-				RequestID:  reqID,
-			})
-			return
-		}
-	}
-
-	res, err := rt.enqueue(r.Context(), frameKey, item, opts)
+	res, err := rt.answer(r.Context(), frameKey, item, opts)
 	if err != nil {
-		if r.Context().Err() != nil {
-			// The client hung up; there is nobody to answer. The
-			// batch (if any) still served its other members.
-			rt.met.failOne()
-			return
-		}
-		rt.met.failOne()
-		if s.baseCtx.Err() != nil {
-			wire.Shed(w, http.StatusServiceUnavailable, "overloaded", "server is shutting down", reqID, s.cfg.RetryAfterSeconds)
-			return
-		}
-		wire.WriteError(w, http.StatusInternalServerError, "backend_error", err.Error(), reqID)
+		rt.fail(w, r, err, reqID)
 		return
-	}
-	if s.results != nil {
-		s.results.add(key, res.answers)
 	}
 	rt.met.okOne(time.Since(start))
 	wire.WriteJSON(w, http.StatusOK, ClassifyResponse{
@@ -407,22 +371,96 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		Indicators: indicatorNames(opts.Indicators),
 		Answers:    res.answers,
 		BatchSize:  res.batchSize,
+		Cached:     res.cached,
 		RequestID:  reqID,
 	})
 }
 
-// requestOptions lowers the wire request to backend options, normalizing
-// defaults so semantically identical requests share a coalescer key. It
-// is deliberately free of server state: the fleet router runs the same
-// canonicalization through RequestShardKey.
-func requestOptions(req *ClassifyRequest) (backend.Options, *wire.Error) {
+// lookup finds a request's route: a backend name the gateway does not
+// mount is a 404 unknown_backend.
+func (s *Server) lookup(name string) (*route, *wire.Error) {
+	rt, ok := s.routes[name]
+	if !ok {
+		return nil, &wire.Error{Status: http.StatusNotFound, Type: "unknown_backend",
+			Message: fmt.Sprintf("unknown backend %q (serving: %v)", name, s.names)}
+	}
+	return rt, nil
+}
+
+// admit counts a request and takes one slot of the route's bounded
+// admission queue for it, held until release once the response is
+// written. A full queue sheds the request with 503 + Retry-After and
+// admit reports false.
+func (rt *route) admit(w http.ResponseWriter, reqID string) bool {
+	rt.met.request()
+	select {
+	case rt.queue <- struct{}{}:
+		return true
+	default:
+		rt.met.shedOne()
+		wire.Shed(w, http.StatusServiceUnavailable, "overloaded", fmt.Sprintf("backend %q queue full (%d in flight)", rt.name, cap(rt.queue)), reqID, rt.srv.cfg.RetryAfterSeconds)
+		return false
+	}
+}
+
+// release frees the slot admit took.
+func (rt *route) release() { <-rt.queue }
+
+// answer is the one way a request reaches the backend: the LRU result
+// cache answers a repeat, and a miss goes through the route's
+// coalescer and fills the cache with the fresh answer.
+func (rt *route) answer(ctx context.Context, frameKey string, item backend.Item, opts backend.Options) (callResult, error) {
+	results := rt.srv.results
+	key := ShardKey(rt.name, rt.caps.Quantized, opts, frameKey)
+	if results != nil {
+		if ans, ok := results.get(key); ok {
+			rt.met.cacheHit()
+			return callResult{answers: ans, cached: true}, nil
+		}
+	}
+	res, err := rt.enqueue(ctx, frameKey, item, opts)
+	if err != nil {
+		return callResult{}, err
+	}
+	if results != nil {
+		results.add(key, res.answers)
+	}
+	return res, nil
+}
+
+// fail answers an admitted request whose answer failed, counting the
+// error: nothing when the client hung up (nobody is listening; a batch
+// still served its other members), a 503 shed while the server is
+// closing, and a 500 backend_error otherwise.
+func (rt *route) fail(w http.ResponseWriter, r *http.Request, err error, reqID string) {
+	rt.met.failOne()
+	switch {
+	case r.Context().Err() != nil:
+	case rt.srv.baseCtx.Err() != nil:
+		wire.Shed(w, http.StatusServiceUnavailable, "overloaded", "server is shutting down", reqID, rt.srv.cfg.RetryAfterSeconds)
+	default:
+		wire.WriteError(w, http.StatusInternalServerError, "backend_error", err.Error(), reqID)
+	}
+}
+
+// options lowers the request's knobs to backend options (lowerOptions).
+func (req *ClassifyRequest) options() (backend.Options, *wire.Error) {
+	return lowerOptions(req.Indicators, req.Language, req.Mode, req.Temperature, req.TopP, req.Nonce)
+}
+
+// lowerOptions lowers a request's wire knobs to backend options,
+// normalizing defaults so semantically identical requests share a
+// coalescer key. It is deliberately free of server state: the fleet
+// router runs the same canonicalization through RequestShardKey and
+// NeighborhoodShardKey.
+func lowerOptions(indicators []string, language, mode string, temperature, topP float64, nonce int64) (backend.Options, *wire.Error) {
 	var opts backend.Options
-	if len(req.Indicators) == 0 {
+	if len(indicators) == 0 {
 		inds := scene.Indicators()
 		opts.Indicators = inds[:]
 	} else {
-		opts.Indicators = make([]scene.Indicator, len(req.Indicators))
-		for i, name := range req.Indicators {
+		opts.Indicators = make([]scene.Indicator, len(indicators))
+		for i, name := range indicators {
 			ind, err := scene.ParseIndicator(name)
 			if err != nil {
 				return backend.Options{}, wire.BadRequest("%v", err)
@@ -431,70 +469,86 @@ func requestOptions(req *ClassifyRequest) (backend.Options, *wire.Error) {
 		}
 	}
 	opts.Language = prompt.English
-	if req.Language != "" {
-		lang, err := prompt.ParseLanguage(req.Language)
+	if language != "" {
+		lang, err := prompt.ParseLanguage(language)
 		if err != nil {
 			return backend.Options{}, wire.BadRequest("%v", err)
 		}
 		opts.Language = lang
 	}
 	opts.Mode = prompt.Parallel
-	if req.Mode != "" {
-		mode, err := prompt.ParseMode(req.Mode)
+	if mode != "" {
+		m, err := prompt.ParseMode(mode)
 		if err != nil {
 			return backend.Options{}, wire.BadRequest("%v", err)
 		}
-		opts.Mode = mode
+		opts.Mode = m
 	}
-	opts.Temperature = req.Temperature
-	opts.TopP = req.TopP
-	opts.Nonce = req.Nonce
+	opts.Temperature = temperature
+	opts.TopP = topP
+	opts.Nonce = nonce
 	return opts, nil
 }
 
-// resolveFrame turns the request's frame reference into a backend item
-// plus the frame part of its cache key.
-func (s *Server) resolveFrame(rt *route, req *ClassifyRequest) (backend.Item, string, *wire.Error) {
+// checkRefs enforces the frame-reference rule the gateway and the
+// fleet router share: exactly one addressing mode is set.
+func (ref *FrameRef) checkRefs() error {
 	refs := 0
-	if req.Frame.Index != nil {
+	if ref.Index != nil {
 		refs++
 	}
-	if req.Frame.ImageF32Base64 != "" {
+	if ref.ImageF32Base64 != "" {
 		refs++
 	}
-	if req.Frame.ImagePNGBase64 != "" {
+	if ref.ImagePNGBase64 != "" {
 		refs++
 	}
 	if refs != 1 {
-		return backend.Item{}, "", wire.BadRequest("frame needs exactly one of index, image_f32_base64, image_png_base64 (got %d)", refs)
+		return fmt.Errorf("frame needs exactly one of index, image_f32_base64, image_png_base64 (got %d)", refs)
+	}
+	return nil
+}
+
+// resolveFrame turns a frame reference into a backend item plus the
+// frame part of its cache key. It is the one place an upload becomes a
+// key.
+func (s *Server) resolveFrame(rt *route, ref *FrameRef) (backend.Item, string, *wire.Error) {
+	if err := ref.checkRefs(); err != nil {
+		return backend.Item{}, "", wire.BadRequest("%v", err)
 	}
 	switch {
-	case req.Frame.Index != nil:
+	case ref.Index != nil:
 		if s.frames == nil {
 			return backend.Item{}, "", wire.BadRequest("this gateway serves no dataset; address frames by image payload")
 		}
-		size := rt.caps.RenderSize
-		if size == 0 {
-			size = s.cfg.DefaultRenderSize
-		}
-		ex, err := s.frames.Example(*req.Frame.Index, size)
+		item, key, err := rt.indexFrame(*ref.Index)
 		if err != nil {
 			return backend.Item{}, "", wire.BadRequest("%v", err)
 		}
-		return backend.Item{ID: ex.ID, Image: ex.Image}, fmt.Sprintf("idx:%d@%d", *req.Frame.Index, size), nil
-	case req.Frame.ImageF32Base64 != "":
-		img, err := render.DecodeBase64RawF32(req.Frame.ImageF32Base64, req.Frame.Width, req.Frame.Height, s.cfg.MaxImageBytes)
+		return item, key, nil
+	case ref.ImageF32Base64 != "":
+		img, err := render.DecodeBase64RawF32(ref.ImageF32Base64, ref.Width, ref.Height, s.cfg.MaxImageBytes)
 		if err != nil {
 			return backend.Item{}, "", uploadError(err)
 		}
 		return backend.Item{ID: "upload", Image: img}, "img:" + pixelHash(img), nil
 	default:
-		img, err := render.DecodeBase64PNG(req.Frame.ImagePNGBase64, s.cfg.MaxImageBytes)
+		img, err := render.DecodeBase64PNG(ref.ImagePNGBase64, s.cfg.MaxImageBytes)
 		if err != nil {
 			return backend.Item{}, "", uploadError(err)
 		}
 		return backend.Item{ID: "upload", Image: img}, "img:" + pixelHash(img), nil
 	}
+}
+
+// indexFrame renders dataset frame idx at the route's render size; the
+// frame key names both.
+func (rt *route) indexFrame(idx int) (backend.Item, string, error) {
+	ex, err := rt.srv.frames.Example(idx, rt.renderSize)
+	if err != nil {
+		return backend.Item{}, "", err
+	}
+	return backend.Item{ID: ex.ID, Image: ex.Image}, fmt.Sprintf("idx:%d@%d", idx, rt.renderSize), nil
 }
 
 // uploadError maps an image upload failure to its response: 413
@@ -538,7 +592,7 @@ func (s *Server) Metrics() MetricsSnapshot {
 		snap.CacheEntries, snap.CacheCapacity = s.results.size()
 	}
 	for name, rt := range s.routes {
-		rm := rt.met.snapshot(len(rt.admit), cap(rt.admit))
+		rm := rt.met.snapshot(len(rt.queue), cap(rt.queue))
 		rm.Quantized = rt.caps.Quantized
 		if cs, ok := backend.StatsOf(rt.b); ok {
 			rm.Compute = &cs

@@ -50,7 +50,7 @@ func ShardKey(backendName string, quantized bool, opts backend.Options, frameKey
 // pixels may shard to different replicas; each replica then caches its
 // own copy — a mild duplication, never an inconsistency.)
 func RequestShardKey(req *ClassifyRequest, quantized bool) (string, error) {
-	opts, herr := requestOptions(req)
+	opts, herr := req.options()
 	if herr != nil {
 		return "", errors.New(herr.Message)
 	}
@@ -71,14 +71,7 @@ func NeighborhoodShardKey(req *NeighborhoodRequest, quantized bool) (string, err
 	if req.Lat == nil || req.Lng == nil {
 		return "", fmt.Errorf("lat and lng are required")
 	}
-	opts, herr := requestOptions(&ClassifyRequest{
-		Indicators:  req.Indicators,
-		Language:    req.Language,
-		Mode:        req.Mode,
-		Temperature: req.Temperature,
-		TopP:        req.TopP,
-		Nonce:       req.Nonce,
-	})
+	opts, herr := req.options()
 	if herr != nil {
 		return "", errors.New(herr.Message)
 	}
@@ -88,18 +81,8 @@ func NeighborhoodShardKey(req *NeighborhoodRequest, quantized bool) (string, err
 
 // frameRefKey fingerprints a wire frame reference without decoding it.
 func frameRefKey(ref *FrameRef) (string, error) {
-	refs := 0
-	if ref.Index != nil {
-		refs++
-	}
-	if ref.ImageF32Base64 != "" {
-		refs++
-	}
-	if ref.ImagePNGBase64 != "" {
-		refs++
-	}
-	if refs != 1 {
-		return "", fmt.Errorf("frame needs exactly one of index, image_f32_base64, image_png_base64 (got %d)", refs)
+	if err := ref.checkRefs(); err != nil {
+		return "", err
 	}
 	switch {
 	case ref.Index != nil:

@@ -9,11 +9,11 @@ package serve
 // bit-identical to a linear scan with geo.Coordinate.DistanceFeet (see
 // internal/geoindex).
 //
-// /v1/neighborhood rides the classify path's shell: the whole request
-// takes one admission slot, its frames flow through the same coalescer
-// and LRU result cache as /v1/classify (a frame classified by one
-// endpoint is a cache hit for the other), and drain semantics are
-// unchanged.
+// /v1/neighborhood shares the classify path: the same route lookup,
+// admission step (the whole request takes one slot) and failure writer,
+// and every frame is answered by route.answer, the LRU and coalescer
+// /v1/classify uses (a frame classified by one endpoint is a cache hit
+// for the other).
 
 import (
 	"context"
@@ -125,10 +125,9 @@ func (s *Server) handleNeighborhood(w http.ResponseWriter, r *http.Request) {
 		herr.Write(w, reqID)
 		return
 	}
-	rt, ok := s.routes[req.Backend]
-	if !ok {
-		wire.WriteError(w, http.StatusNotFound, "unknown_backend",
-			fmt.Sprintf("unknown backend %q (serving: %v)", req.Backend, s.names), reqID)
+	rt, herr := s.lookup(req.Backend)
+	if herr != nil {
+		herr.Write(w, reqID)
 		return
 	}
 	if s.frames == nil {
@@ -143,14 +142,7 @@ func (s *Server) handleNeighborhood(w http.ResponseWriter, r *http.Request) {
 		wire.WriteError(w, http.StatusBadRequest, "invalid_request_error", fmt.Sprintf("radius_feet must be positive, got %v", req.RadiusFeet), reqID)
 		return
 	}
-	opts, herr := requestOptions(&ClassifyRequest{
-		Indicators:  req.Indicators,
-		Language:    req.Language,
-		Mode:        req.Mode,
-		Temperature: req.Temperature,
-		TopP:        req.TopP,
-		Nonce:       req.Nonce,
-	})
+	opts, herr := req.options()
 	if herr != nil {
 		herr.Write(w, reqID)
 		return
@@ -168,35 +160,17 @@ func (s *Server) handleNeighborhood(w http.ResponseWriter, r *http.Request) {
 		hits = hits[:maxCoords]
 		truncated = true
 	}
-
-	rt.met.request()
 	// One admission slot covers the whole sweep: a neighborhood request
 	// is one unit of queue occupancy, however many frames it fans into.
-	select {
-	case rt.admit <- struct{}{}:
-	default:
-		rt.met.shedOne()
-		wire.Shed(w, http.StatusServiceUnavailable, "overloaded", fmt.Sprintf("backend %q queue full (%d in flight)", rt.name, cap(rt.admit)), reqID, s.cfg.RetryAfterSeconds)
+	if !rt.admit(w, reqID) {
 		return
 	}
-	defer func() { <-rt.admit }()
+	defer rt.release()
 
 	start := time.Now()
-	size := rt.caps.RenderSize
-	if size == 0 {
-		size = s.cfg.DefaultRenderSize
-	}
-	locations, err := s.classifyGroups(r.Context(), rt, hits, size, opts)
+	locations, err := s.classifyGroups(r.Context(), rt, hits, opts)
 	if err != nil {
-		rt.met.failOne()
-		if r.Context().Err() != nil {
-			return
-		}
-		if s.baseCtx.Err() != nil {
-			wire.Shed(w, http.StatusServiceUnavailable, "overloaded", "server is shutting down", reqID, s.cfg.RetryAfterSeconds)
-			return
-		}
-		wire.WriteError(w, http.StatusInternalServerError, "backend_error", err.Error(), reqID)
+		rt.fail(w, r, err, reqID)
 		return
 	}
 	counts := make(map[string]int, len(opts.Indicators))
@@ -217,40 +191,55 @@ func (s *Server) handleNeighborhood(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// classifyGroups classifies every frame of every hit coordinate through
-// the route's coalescer (all frames enqueue concurrently, so they
-// co-batch) and fuses each coordinate's headings with any-vote fusion —
-// an indicator is present at a coordinate when any of its four headings
-// shows it, the same rule as ensemble.FuseAny. Results keep the hits'
-// (distance, ID) order. Frames answered by the LRU skip the backend.
-func (s *Server) classifyGroups(ctx context.Context, rt *route, hits []geoindex.Result, size int, opts backend.Options) ([]LocationResult, error) {
+// options lowers the request's knobs to backend options (lowerOptions),
+// for the handler and NeighborhoodShardKey alike.
+func (req *NeighborhoodRequest) options() (backend.Options, *wire.Error) {
+	return lowerOptions(req.Indicators, req.Language, req.Mode, req.Temperature, req.TopP, req.Nonce)
+}
+
+// classifyGroups answers every frame of every hit coordinate through
+// route.answer (all frames enqueue concurrently, so they co-batch) and
+// fuses each coordinate's headings with any-vote fusion — an indicator
+// is present at a coordinate when any of its four headings shows it,
+// the same rule as ensemble.FuseAny. Results keep the hits' (distance,
+// ID) order. The first frame to fail cancels the rest and is the error
+// returned, so a backend failure is never masked by the cancellation
+// it caused.
+func (s *Server) classifyGroups(ctx context.Context, rt *route, hits []geoindex.Result, opts backend.Options) ([]LocationResult, error) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	frames := s.frames.Study().Frames
 	answers := make([][][]bool, len(hits)) // [hit][heading]answer vector
-	errs := make([]error, len(hits))
-	var wg sync.WaitGroup
+	var (
+		wg       sync.WaitGroup
+		failOnce sync.Once
+		failErr  error
+	)
 	for i, h := range hits {
 		answers[i] = make([][]bool, framesPerCoordinate)
 		for j, idx := range groupFrames(h.ID) {
 			wg.Add(1)
 			go func(i, j, idx int) {
 				defer wg.Done()
-				ans, err := s.classifyFrameCached(ctx, rt, idx, size, opts)
+				item, frameKey, err := rt.indexFrame(idx)
+				var res callResult
+				if err == nil {
+					res, err = rt.answer(ctx, frameKey, item, opts)
+				}
 				if err != nil {
-					errs[i] = err
-					cancel()
+					failOnce.Do(func() {
+						failErr = err
+						cancel()
+					})
 					return
 				}
-				answers[i][j] = ans
+				answers[i][j] = res.answers
 			}(i, j, idx)
 		}
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if failErr != nil {
+		return nil, failErr
 	}
 	out := make([]LocationResult, len(hits))
 	for i, h := range hits {
@@ -272,30 +261,4 @@ func (s *Server) classifyGroups(ctx context.Context, rt *route, hits []geoindex.
 		}
 	}
 	return out, nil
-}
-
-// classifyFrameCached answers one dataset frame via the shared LRU or,
-// on a miss, the route's coalescer — the same key scheme as
-// /v1/classify, so the two endpoints share cached answers.
-func (s *Server) classifyFrameCached(ctx context.Context, rt *route, idx, size int, opts backend.Options) ([]bool, error) {
-	ex, err := s.frames.Example(idx, size)
-	if err != nil {
-		return nil, err
-	}
-	fk := fmt.Sprintf("idx:%d@%d", idx, size)
-	key := ShardKey(rt.name, rt.caps.Quantized, opts, fk)
-	if s.results != nil {
-		if ans, ok := s.results.get(key); ok {
-			rt.met.cacheHit()
-			return ans, nil
-		}
-	}
-	res, err := rt.enqueue(ctx, fk, backend.Item{ID: ex.ID, Image: ex.Image}, opts)
-	if err != nil {
-		return nil, err
-	}
-	if s.results != nil {
-		s.results.add(key, res.answers)
-	}
-	return res.answers, nil
 }

@@ -6,6 +6,7 @@ package serve_test
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -17,6 +18,7 @@ import (
 	"nbhd/internal/geo"
 	"nbhd/internal/scene"
 	"nbhd/internal/serve"
+	"nbhd/internal/wire"
 )
 
 func spatialGateway(t *testing.T, coords int) (*dataset.RenderCache, *httptestURL) {
@@ -278,5 +280,34 @@ func TestNeighborhoodSharesClassifyCache(t *testing.T) {
 	}
 	if !cbody.Cached {
 		t.Fatal("classify after neighborhood sweep was not a cache hit")
+	}
+}
+
+// TestNeighborhoodBackendErrorKeepsRootCause: when the backend fails,
+// a sweep's 500 names the backend's error, never the cancellation that
+// failure sent to the sweep's other frames. Every request misses the
+// LRU (distinct nonces) and fans into several batches.
+func TestNeighborhoodBackendErrorKeepsRootCause(t *testing.T) {
+	cache := studyCache(t, 12)
+	fb := &fakeBackend{name: "fake", caps: backend.Capabilities{PreferredBatch: 4, RenderSize: 32}, err: errors.New("boom")}
+	_, ts := gateway(t, serve.Config{}, serve.Options{
+		Frames:   cache,
+		Backends: map[string]backend.Backend{"fake": fb},
+	})
+	u := &httptestURL{url: ts.URL}
+	center := cache.Study().Frames[0].Scene.Point.Coordinate
+	for n := 1; n <= 50; n++ {
+		resp := u.postNeighborhood(t, fmt.Sprintf(
+			`{"backend":"fake","lat":%v,"lng":%v,"radius_feet":1e9,"nonce":%d}`, center.Lat, center.Lng, n))
+		if resp.StatusCode != http.StatusInternalServerError {
+			t.Fatalf("request %d: status = %d, want 500", n, resp.StatusCode)
+		}
+		var body wire.ErrorResponse
+		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+			t.Fatal(err)
+		}
+		if body.Error.Type != "backend_error" || body.Error.Message != "serve: fake: boom" {
+			t.Fatalf("request %d: error = %+v, want backend_error %q", n, body.Error, "serve: fake: boom")
+		}
 	}
 }
