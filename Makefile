@@ -56,18 +56,20 @@ bench:
 # sweep), the quantization drift recorder, the spatial index and
 # warm-start store serving, the degradation ops, a 96×96 frame render,
 # perception, source seeding, the evaluator's four-model walk and a
-# whole f4 run through the experiment runner (two sweeps, one walk).
+# whole f4 run through the experiment runner (two sweeps, one walk),
+# and one cache-hit raw-f32 upload through the gateway's handler.
 # -benchmem keeps allocation counts visible.
 # Performance numbers come from nbhdbench (see BENCHMARK.json), not
 # from this target.
 bench-smoke:
-	$(GO) test -run=NONE -bench='MatMul128|HTTPBackend_Sweep|ConvForward|ConvBackward|TrainEpoch|DetectorForward|PredictBatch|QuantDrift|GEMMSizes|Nearest|WarmStart|DegradationOps|RenderFrame96|Perceive|Seed|EvaluatorSweep|RunnerRun' -benchtime=1x -benchmem . ./internal/tensor ./internal/randsrc
+	$(GO) test -run=NONE -bench='MatMul128|HTTPBackend_Sweep|ConvForward|ConvBackward|TrainEpoch|DetectorForward|PredictBatch|QuantDrift|GEMMSizes|Nearest|WarmStart|DegradationOps|RenderFrame96|Perceive|Seed|EvaluatorSweep|RunnerRun|ClassifyUploadHit' -benchtime=1x -benchmem . ./internal/tensor ./internal/randsrc ./internal/serve
 
 # Runs each fuzz target for ten seconds past its seed corpus (plain
 # `go test` already replays the seeds under testdata/fuzz/). The
 # targets cover the strict-JSON spec and gateway config parsers, the
-# gateway's /v1/classify body scanner against encoding/json, the
-# packed GEMM kernel, the math/rand copy in randsrc, and the two parsers
+# gateway's /v1/classify body scanner against encoding/json, its
+# raw-f32 upload key against the decoded image's hash, the raw-f32 and
+# PNG upload decoders, the packed GEMM kernel, the math/rand copy in randsrc, and the two parsers
 # a remote model's reply crosses: its Yes/No answers (prompt) and its
 # Retry-After header (llmclient). `go test -fuzz`
 # takes one package and one target per run; capping minimization at
@@ -77,6 +79,8 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzParseSpec$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/experiment
 	$(GO) test -run=NONE -fuzz='^FuzzParseConfig$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/serve
 	$(GO) test -run=NONE -fuzz='^FuzzDecodeClassify$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/serve
+	$(GO) test -run=NONE -fuzz='^FuzzUploadKey$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/serve
+	$(GO) test -run=NONE -fuzz='^FuzzDecodeUpload$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/render
 	$(GO) test -run=NONE -fuzz='^FuzzPackedGEMM$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/tensor
 	$(GO) test -run=NONE -fuzz='^FuzzSource$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/randsrc
 	$(GO) test -run=NONE -fuzz='^FuzzParseAnswers$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/prompt

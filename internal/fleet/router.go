@@ -75,8 +75,10 @@ type RouterOptions struct {
 	// Client issues the forwarded requests; nil builds a pooled client
 	// (idle connections per replica, no per-request TCP churn).
 	Client *http.Client
-	// MaxBodyBytes bounds a buffered request body; zero defaults to the
-	// gateway's image cap plus JSON scaffolding headroom.
+	// MaxBodyBytes bounds a buffered /v1/classify body; zero defaults
+	// to the gateway's image cap plus JSON scaffolding headroom.
+	// /v1/neighborhood bodies take the gateway's own bound,
+	// serve.NeighborhoodBodyLimit.
 	MaxBodyBytes int64
 }
 
@@ -133,8 +135,8 @@ func NewRouter(ring *Ring, resolve func(id string) (string, bool), cfg Config, o
 // routes plus its own health and metrics.
 func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/classify", rt.handleKeyed(rt.classifyKey))
-	mux.HandleFunc("/v1/neighborhood", rt.handleKeyed(rt.neighborhoodKey))
+	mux.HandleFunc("/v1/classify", rt.handleKeyed(rt.maxBody, rt.classifyKey))
+	mux.HandleFunc("/v1/neighborhood", rt.handleKeyed(serve.NeighborhoodBodyLimit, rt.neighborhoodKey))
 	mux.HandleFunc("/v1/nearest", rt.handleNearest)
 	mux.HandleFunc("/healthz", rt.handleHealth)
 	mux.HandleFunc("/metricsz", rt.handleMetrics)
@@ -146,18 +148,18 @@ func (rt *Router) Handler() http.Handler {
 func (rt *Router) Drain() { rt.draining.Store(true) }
 
 // handleKeyed is the router's one POST data-plane handler: read the
-// body under the gateway's limit, decode it and derive its shard key
-// with key, and forward the bytes it read. key decodes with the
-// gateway's own decoder, so the router accepts exactly what a gateway
-// accepts and never forwards a rejected or truncated body.
-func (rt *Router) handleKeyed(key func(body []byte) (string, *wire.Error)) http.HandlerFunc {
+// body under the gateway's limit for the route, decode it and derive
+// its shard key with key, and forward the bytes it read. key decodes
+// with the gateway's own decoder, so the router accepts exactly what a
+// gateway accepts and never forwards a rejected or truncated body.
+func (rt *Router) handleKeyed(limit int64, key func(body []byte) (string, *wire.Error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		reqID := rt.ids.Next()
 		if r.Method != http.MethodPost {
 			wire.WriteError(w, http.StatusMethodNotAllowed, "invalid_request_error", "use POST", reqID)
 			return
 		}
-		body, herr := wire.ReadBody(w, r, rt.maxBody)
+		body, herr := wire.ReadBody(w, r, limit)
 		var k string
 		if herr == nil {
 			k, herr = key(body)

@@ -429,6 +429,39 @@ func TestFleetRejectsOversizedBody(t *testing.T) {
 	}
 }
 
+// TestFleetNeighborhoodBodyLimitMatchesGateway: a valid neighborhood
+// body over the gateway's limit, though far under the upload limit
+// /v1/classify bodies get, is the gateway's exact 413 at the router,
+// which forwards nothing.
+func TestFleetNeighborhoodBodyLimitMatchesGateway(t *testing.T) {
+	tf := newTestFleet(t, 2, serve.Config{}, 600000, 0)
+	gatewayURL, ok := tf.sup.URLOf(tf.sup.Replicas()[0])
+	if !ok {
+		t.Fatal("no replica URL")
+	}
+	body := `{"backend":"fake",` + strings.Repeat(" ", 1500000) + `"lat":1,"lng":2,"radius_feet":10}`
+	var got [2]wire.ErrorResponse
+	for i, url := range []string{tf.ts.URL, gatewayURL} {
+		resp, err := http.Post(url+"/v1/neighborhood", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST: %v", err)
+		}
+		err = json.NewDecoder(resp.Body).Decode(&got[i])
+		_ = resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || err != nil {
+			t.Fatalf("%s: status %d (decode err %v), want 413", url, resp.StatusCode, err)
+		}
+	}
+	router, gateway := got[0].Error, got[1].Error
+	router.RequestID, gateway.RequestID = "", ""
+	if router != gateway {
+		t.Fatalf("router answered %+v, gateway %+v", router, gateway)
+	}
+	if m := tf.router.Metrics(); len(m.Forwarded) != 0 {
+		t.Fatalf("an oversized body reached a replica: forwarded %v", m.Forwarded)
+	}
+}
+
 // TestFleetFrameRefRuleMatchesGateway: a frame reference that names
 // no addressing mode, or two, gets the gateway's exact 400 at the
 // router, which rejects it before forwarding.

@@ -370,11 +370,13 @@ func (s *Server) extractContent(req ChatRequest) (string, *render.Image, error) 
 				}
 				img = decoded
 			case "image_f32":
-				decoded, err := render.DecodeBase64RawF32(part.ImageF32Base64, part.Width, part.Height, s.cfg.MaxImageBytes)
+				raw, err := render.AppendRawF32Base64(nil, []byte(part.ImageF32Base64), part.Width, part.Height, s.cfg.MaxImageBytes)
 				if err != nil {
 					return "", nil, err
 				}
-				img = decoded
+				if img, err = render.DecodeRawF32(part.Width, part.Height, raw); err != nil {
+					return "", nil, err
+				}
 			default:
 				return "", nil, fmt.Errorf("unsupported content part type %q", part.Type)
 			}

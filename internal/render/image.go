@@ -17,6 +17,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"slices"
 
 	"nbhd/internal/randsrc"
 )
@@ -184,28 +185,45 @@ func (m *Image) EncodeRawF32() []byte {
 // DecodeRawF32 rebuilds a w×h image from EncodeRawF32 bytes. Values are
 // clamped to [0,1] (NaNs become 0) so untrusted payloads cannot violate
 // the pixel invariants; in-range inputs round-trip exactly. The payload
-// length is validated against the claimed dimensions (in 64-bit, so
-// huge w×h cannot overflow) before any allocation, so a small hostile
-// request cannot make the decoder allocate gigabytes.
+// length is validated against the claimed dimensions (without
+// multiplying them, so huge w×h cannot overflow) before any allocation,
+// so a small hostile request cannot make the decoder allocate
+// gigabytes.
 func DecodeRawF32(w, h int, data []byte) (*Image, error) {
-	if w <= 0 || h <= 0 {
-		return nil, fmt.Errorf("render: image size must be positive, got %dx%d", w, h)
-	}
-	if want := 4 * int64(Channels) * int64(w) * int64(h); int64(len(data)) != want {
-		return nil, fmt.Errorf("render: raw f32 payload is %d bytes, want %d for %dx%d", len(data), want, w, h)
+	if err := checkRawF32(w, h, len(data)); err != nil {
+		return nil, err
 	}
 	img, err := NewImage(w, h)
 	if err != nil {
 		return nil, err
 	}
 	for i := range img.Pix {
-		v := math.Float32frombits(binary.LittleEndian.Uint32(data[4*i:]))
-		if v != v { // NaN
-			v = 0
-		}
-		img.Pix[i] = clampF32(v)
+		img.Pix[i] = canonF32(math.Float32frombits(binary.LittleEndian.Uint32(data[4*i:])))
 	}
 	return img, nil
+}
+
+// checkRawF32 reports whether n bytes are the EncodeRawF32 payload of
+// a w×h image. It divides rather than multiplies, so no w and h can
+// wrap the product around to a small length.
+func checkRawF32(w, h, n int) error {
+	if w <= 0 || h <= 0 {
+		return fmt.Errorf("render: image size must be positive, got %dx%d", w, h)
+	}
+	const pixelBytes = 4 * Channels
+	if px := n / pixelBytes; n%pixelBytes != 0 || px%w != 0 || px/w != h {
+		return fmt.Errorf("render: raw f32 payload is %d bytes, want %d for %dx%d", n, pixelBytes*int64(w)*int64(h), w, h)
+	}
+	return nil
+}
+
+// canonF32 is the pixel value DecodeRawF32 stores for v: NaN becomes 0
+// and the rest clamps to [0,1] (-0 stays -0).
+func canonF32(v float32) float32 {
+	if v != v {
+		return 0
+	}
+	return clampF32(v)
 }
 
 // ErrTooLarge is wrapped by the upload decoders when an image payload,
@@ -220,9 +238,12 @@ var ErrTooLarge = errors.New("exceeds limit")
 // wrap ErrTooLarge. Error messages are written for API clients, so
 // services return them verbatim.
 func DecodeBase64PNG(b64 string, maxBytes int) (*Image, error) {
-	raw, err := decodeBase64(b64, maxBytes)
-	if err != nil {
+	if err := checkPayload(len(b64), maxBytes); err != nil {
 		return nil, err
+	}
+	raw, err := base64.StdEncoding.DecodeString(b64)
+	if err != nil {
+		return nil, fmt.Errorf("image is not valid base64: %v", err)
 	}
 	cfg, err := png.DecodeConfig(bytes.NewReader(raw))
 	if err != nil {
@@ -238,18 +259,37 @@ func DecodeBase64PNG(b64 string, maxBytes int) (*Image, error) {
 	return img, nil
 }
 
-// DecodeBase64RawF32 decodes a base64 EncodeRawF32 upload of w×h
-// pixels, checking the payload against maxBytes as DecodeBase64PNG does.
-func DecodeBase64RawF32(b64 string, w, h, maxBytes int) (*Image, error) {
-	raw, err := decodeBase64(b64, maxBytes)
-	if err != nil {
-		return nil, err
+// AppendRawF32Base64 decodes a base64 EncodeRawF32 upload of w×h pixels
+// and appends its canonical bytes to dst: every float32 as DecodeRawF32
+// stores it, so DecodeRawF32 on them builds the image the upload
+// describes, and they equal that image's EncodeRawF32. The payload is
+// checked against maxBytes before decoding, as DecodeBase64PNG does,
+// and the buffer is canonicalised in place, so the call allocates only
+// when dst lacks room for the payload. On error dst comes back at its
+// original length. Like DecodeBase64PNG's, its error messages are
+// written for API clients.
+func AppendRawF32Base64(dst, b64 []byte, w, h, maxBytes int) ([]byte, error) {
+	if err := checkPayload(len(b64), maxBytes); err != nil {
+		return dst, err
 	}
-	img, err := DecodeRawF32(w, h, raw)
+	start := len(dst)
+	dst = slices.Grow(dst, base64.StdEncoding.DecodedLen(len(b64)))
+	n, err := base64.StdEncoding.Decode(dst[start:cap(dst)], b64)
 	if err != nil {
-		return nil, fmt.Errorf("image is not a valid raw f32 buffer: %v", err)
+		return dst[:start], fmt.Errorf("image is not valid base64: %v", err)
 	}
-	return img, nil
+	raw := dst[start : start+n]
+	if err := checkRawF32(w, h, n); err != nil {
+		return dst[:start], fmt.Errorf("image is not a valid raw f32 buffer: %v", err)
+	}
+	for i := 0; i < n; i += 4 {
+		// The bit patterns up to 1.0's are the values in [+0, 1], which
+		// canonF32 keeps.
+		if u := binary.LittleEndian.Uint32(raw[i:]); u > 0x3f800000 {
+			binary.LittleEndian.PutUint32(raw[i:], math.Float32bits(canonF32(math.Float32frombits(u))))
+		}
+	}
+	return dst[:start+n], nil
 }
 
 // UploadBodyLimit bounds a JSON request body that carries one base64
@@ -257,17 +297,13 @@ func DecodeBase64RawF32(b64 string, w, h, maxBytes int) (*Image, error) {
 // rounded up to 2x, plus 1 MiB for the rest of the request.
 func UploadBodyLimit(maxImageBytes int) int64 { return int64(maxImageBytes)*2 + 1<<20 }
 
-// decodeBase64 enforces the payload cap before allocating the decoded
-// buffer.
-func decodeBase64(b64 string, maxBytes int) ([]byte, error) {
-	if base64.StdEncoding.DecodedLen(len(b64)) > maxBytes {
-		return nil, fmt.Errorf("image payload %w of %d bytes", ErrTooLarge, maxBytes)
+// checkPayload enforces the payload cap on a base64 literal of n bytes
+// before its decoded buffer is allocated.
+func checkPayload(n, maxBytes int) error {
+	if base64.StdEncoding.DecodedLen(n) > maxBytes {
+		return fmt.Errorf("image payload %w of %d bytes", ErrTooLarge, maxBytes)
 	}
-	raw, err := base64.StdEncoding.DecodeString(b64)
-	if err != nil {
-		return nil, fmt.Errorf("image is not valid base64: %v", err)
-	}
-	return raw, nil
+	return nil
 }
 
 // Resize scales the image to (w,h) with bilinear interpolation.

@@ -2,13 +2,7 @@ package serve
 
 import (
 	"container/list"
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
-	"math"
 	"sync"
-
-	"nbhd/internal/render"
 )
 
 // lru is the gateway's bounded answer cache: classification is
@@ -67,25 +61,4 @@ func (c *lru) size() (entries, capacity int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len(), c.max
-}
-
-// pixelHash fingerprints an uploaded image for the result cache and
-// the batch-window dedup: SHA-256 over the dimensions and the exact
-// float32 bit patterns. The hash is the sole identity of an untrusted
-// payload — a shared cache entry and collapsed inference hang off it —
-// so it must be collision-resistant, not merely well-distributed.
-func pixelHash(img *render.Image) string {
-	h := sha256.New()
-	buf := make([]byte, 0, 4096)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(img.W))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(img.H))
-	for _, px := range img.Pix {
-		buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(px))
-		if len(buf) >= 4092 {
-			_, _ = h.Write(buf)
-			buf = buf[:0]
-		}
-	}
-	_, _ = h.Write(buf)
-	return hex.EncodeToString(h.Sum(nil))
 }

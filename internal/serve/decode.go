@@ -18,7 +18,10 @@ import (
 )
 
 // DecodeClassify strictly decodes a /v1/classify body that
-// wire.ReadBody returned into req, exactly as wire.DecodeBytes would.
+// wire.ReadBody returned into req, as wire.DecodeBytes would, with one
+// difference: on a canonical body the image_f32_base64 literal is left
+// in body, not copied into FrameRef.ImageF32Base64, so req then aliases
+// body and must not outlive it.
 func DecodeClassify(body []byte, req *ClassifyRequest) *wire.Error {
 	var fast ClassifyRequest
 	if scanClassify(body, &fast) {
@@ -40,7 +43,8 @@ var (
 // escape; integers only for index, width, height and nonce; JSON
 // whitespace; nothing but whitespace after the object. Indicators,
 // temperature and top_p are outside it. Every body it accepts is one
-// DecodeStrict accepts with the same result.
+// DecodeStrict accepts with the same result, except that the
+// image_f32_base64 literal stays a sub-slice of body (FrameRef.f32).
 func scanClassify(body []byte, req *ClassifyRequest) bool {
 	s := scanner{b: body}
 	ok := s.object(classifyKeys, func(k int) bool {
@@ -79,7 +83,9 @@ func (s *scanner) frame(f *FrameRef) bool {
 			f.Index = &idx
 			return ok
 		case 1:
-			return s.str(&f.ImageF32Base64)
+			v, ok := s.literal()
+			f.f32 = v
+			return ok
 		case 2:
 			n, ok := s.integer(strconv.IntSize)
 			f.Width = int(n)

@@ -332,22 +332,6 @@ func TestLRUEvictsLeastRecentlyUsed(t *testing.T) {
 	}
 }
 
-func TestPixelHashDiscriminates(t *testing.T) {
-	a := render.MustNewImage(4, 4)
-	b := render.MustNewImage(4, 4)
-	if pixelHash(a) != pixelHash(b) {
-		t.Fatalf("identical images hash differently")
-	}
-	b.Set(1, 1, 0, 0.5)
-	if pixelHash(a) == pixelHash(b) {
-		t.Fatalf("distinct images collide")
-	}
-	c := render.MustNewImage(2, 8) // same pixel count, different shape
-	if pixelHash(a) == pixelHash(c) {
-		t.Fatalf("different dimensions collide")
-	}
-}
-
 func TestQuantile(t *testing.T) {
 	vals := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
 	if q := quantile(vals, 0.50); q != 5 {

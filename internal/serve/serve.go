@@ -329,8 +329,11 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		wire.WriteError(w, http.StatusMethodNotAllowed, "invalid_request_error", "use POST", reqID)
 		return
 	}
+	// req aliases body, and body's buffer goes back to the pool once
+	// the response is written.
 	var req ClassifyRequest
-	body, herr := wire.ReadBody(w, r, render.UploadBodyLimit(s.cfg.MaxImageBytes))
+	body, buf, herr := wire.ReadPooledBody(w, r, render.UploadBodyLimit(s.cfg.MaxImageBytes))
+	defer wire.ReleaseBody(buf)
 	if herr == nil {
 		herr = DecodeClassify(body, &req)
 	}
@@ -348,18 +351,19 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		herr.Write(w, reqID)
 		return
 	}
-	item, frameKey, herr := s.resolveFrame(rt, &req.Frame)
+	fr, herr := s.resolveFrame(rt, &req.Frame)
 	if herr != nil {
 		herr.Write(w, reqID)
 		return
 	}
+	defer fr.release()
 	if !rt.admit(w, reqID) {
 		return
 	}
 	defer rt.release()
 
 	start := time.Now()
-	res, err := rt.answer(r.Context(), frameKey, item, opts)
+	res, err := rt.answer(r.Context(), &fr, opts)
 	if err != nil {
 		rt.fail(w, r, err, reqID)
 		return
@@ -367,7 +371,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	rt.met.okOne(time.Since(start))
 	wire.WriteJSON(w, http.StatusOK, ClassifyResponse{
 		Backend:    rt.name,
-		Frame:      item.ID,
+		Frame:      fr.item.ID,
 		Indicators: indicatorNames(opts.Indicators),
 		Answers:    res.answers,
 		BatchSize:  res.batchSize,
@@ -407,18 +411,23 @@ func (rt *route) admit(w http.ResponseWriter, reqID string) bool {
 func (rt *route) release() { <-rt.queue }
 
 // answer is the one way a request reaches the backend: the LRU result
-// cache answers a repeat, and a miss goes through the route's
-// coalescer and fills the cache with the fresh answer.
-func (rt *route) answer(ctx context.Context, frameKey string, item backend.Item, opts backend.Options) (callResult, error) {
+// cache answers a repeat, and a miss loads the frame's item, goes
+// through the route's coalescer and fills the cache with the fresh
+// answer.
+func (rt *route) answer(ctx context.Context, fr *frame, opts backend.Options) (callResult, error) {
 	results := rt.srv.results
-	key := ShardKey(rt.name, rt.caps.Quantized, opts, frameKey)
+	key := ShardKey(rt.name, rt.caps.Quantized, opts, fr.key)
 	if results != nil {
 		if ans, ok := results.get(key); ok {
 			rt.met.cacheHit()
 			return callResult{answers: ans, cached: true}, nil
 		}
 	}
-	res, err := rt.enqueue(ctx, frameKey, item, opts)
+	item, err := fr.load()
+	if err != nil {
+		return callResult{}, err
+	}
+	res, err := rt.enqueue(ctx, fr.key, item, opts)
 	if err != nil {
 		return callResult{}, err
 	}
@@ -497,7 +506,7 @@ func (ref *FrameRef) checkRefs() error {
 	if ref.Index != nil {
 		refs++
 	}
-	if ref.ImageF32Base64 != "" {
+	if ref.ImageF32Base64 != "" || len(ref.f32) > 0 {
 		refs++
 	}
 	if ref.ImagePNGBase64 != "" {
@@ -509,46 +518,47 @@ func (ref *FrameRef) checkRefs() error {
 	return nil
 }
 
-// resolveFrame turns a frame reference into a backend item plus the
-// frame part of its cache key. It is the one place an upload becomes a
-// key.
-func (s *Server) resolveFrame(rt *route, ref *FrameRef) (backend.Item, string, *wire.Error) {
+// resolveFrame turns a frame reference into the frame a request
+// answers. It is the one place an upload becomes a key. The caller
+// releases the frame once the request is answered.
+func (s *Server) resolveFrame(rt *route, ref *FrameRef) (frame, *wire.Error) {
 	if err := ref.checkRefs(); err != nil {
-		return backend.Item{}, "", wire.BadRequest("%v", err)
+		return frame{}, wire.BadRequest("%v", err)
 	}
 	switch {
 	case ref.Index != nil:
 		if s.frames == nil {
-			return backend.Item{}, "", wire.BadRequest("this gateway serves no dataset; address frames by image payload")
+			return frame{}, wire.BadRequest("this gateway serves no dataset; address frames by image payload")
 		}
-		item, key, err := rt.indexFrame(*ref.Index)
+		fr, err := rt.indexFrame(*ref.Index)
 		if err != nil {
-			return backend.Item{}, "", wire.BadRequest("%v", err)
+			return frame{}, wire.BadRequest("%v", err)
 		}
-		return item, key, nil
-	case ref.ImageF32Base64 != "":
-		img, err := render.DecodeBase64RawF32(ref.ImageF32Base64, ref.Width, ref.Height, s.cfg.MaxImageBytes)
-		if err != nil {
-			return backend.Item{}, "", uploadError(err)
-		}
-		return backend.Item{ID: "upload", Image: img}, "img:" + pixelHash(img), nil
-	default:
+		return fr, nil
+	case ref.ImagePNGBase64 != "":
 		img, err := render.DecodeBase64PNG(ref.ImagePNGBase64, s.cfg.MaxImageBytes)
 		if err != nil {
-			return backend.Item{}, "", uploadError(err)
+			return frame{}, uploadError(err)
 		}
-		return backend.Item{ID: "upload", Image: img}, "img:" + pixelHash(img), nil
+		pixels := append(appendHeader(nil, img.W, img.H), img.EncodeRawF32()...)
+		return frame{key: uploadKey(pixels), item: backend.Item{ID: "upload", Image: img}}, nil
+	default:
+		fr, err := rawUpload(ref.imageF32(), ref.Width, ref.Height, s.cfg.MaxImageBytes)
+		if err != nil {
+			return frame{}, uploadError(err)
+		}
+		return fr, nil
 	}
 }
 
 // indexFrame renders dataset frame idx at the route's render size; the
 // frame key names both.
-func (rt *route) indexFrame(idx int) (backend.Item, string, error) {
+func (rt *route) indexFrame(idx int) (frame, error) {
 	ex, err := rt.srv.frames.Example(idx, rt.renderSize)
 	if err != nil {
-		return backend.Item{}, "", err
+		return frame{}, err
 	}
-	return backend.Item{ID: ex.ID, Image: ex.Image}, fmt.Sprintf("idx:%d@%d", idx, rt.renderSize), nil
+	return frame{key: fmt.Sprintf("idx:%d@%d", idx, rt.renderSize), item: backend.Item{ID: ex.ID, Image: ex.Image}}, nil
 }
 
 // uploadError maps an image upload failure to its response: 413

@@ -87,11 +87,11 @@ func frameRefKey(ref *FrameRef) (string, error) {
 	switch {
 	case ref.Index != nil:
 		return fmt.Sprintf("idx:%d", *ref.Index), nil
-	case ref.ImageF32Base64 != "":
-		sum := sha256.Sum256([]byte(ref.ImageF32Base64))
-		return fmt.Sprintf("b64f32:%dx%d:%s", ref.Width, ref.Height, hex.EncodeToString(sum[:])), nil
-	default:
+	case ref.ImagePNGBase64 != "":
 		sum := sha256.Sum256([]byte(ref.ImagePNGBase64))
 		return "b64png:" + hex.EncodeToString(sum[:]), nil
+	default:
+		sum := sha256.Sum256(ref.imageF32())
+		return fmt.Sprintf("b64f32:%dx%d:%s", ref.Width, ref.Height, hex.EncodeToString(sum[:])), nil
 	}
 }

@@ -33,6 +33,10 @@ import (
 // emits one frame per cardinal heading, consecutively per coordinate.
 var framesPerCoordinate = len(geo.CardinalHeadings())
 
+// NeighborhoodBodyLimit bounds a /v1/neighborhood request body, at the
+// gateway and at the fleet router alike: a body over it is a 413.
+const NeighborhoodBodyLimit = 1 << 20
+
 // defaultMaxCoordinates bounds a /v1/neighborhood sweep: at four frames
 // per coordinate this caps one request at 256 classifications.
 const defaultMaxCoordinates = 64
@@ -121,7 +125,7 @@ func (s *Server) handleNeighborhood(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req NeighborhoodRequest
-	if herr := wire.DecodeBody(w, r, 1<<20, &req); herr != nil {
+	if herr := wire.DecodeBody(w, r, NeighborhoodBodyLimit, &req); herr != nil {
 		herr.Write(w, reqID)
 		return
 	}
@@ -221,10 +225,10 @@ func (s *Server) classifyGroups(ctx context.Context, rt *route, hits []geoindex.
 			wg.Add(1)
 			go func(i, j, idx int) {
 				defer wg.Done()
-				item, frameKey, err := rt.indexFrame(idx)
+				fr, err := rt.indexFrame(idx)
 				var res callResult
 				if err == nil {
-					res, err = rt.answer(ctx, frameKey, item, opts)
+					res, err = rt.answer(ctx, &fr, opts)
 				}
 				if err != nil {
 					failOnce.Do(func() {

@@ -311,3 +311,32 @@ func TestNeighborhoodBackendErrorKeepsRootCause(t *testing.T) {
 		}
 	}
 }
+
+// TestNeighborhoodCountsCacheHitsPerFrame: cache_hits counts frames
+// answered from the LRU, so a repeated sweep adds one per frame while
+// requests and ok count one per sweep.
+func TestNeighborhoodCountsCacheHitsPerFrame(t *testing.T) {
+	cache, u := spatialGateway(t, 2)
+	frames := cache.Study().Frames
+	center := frames[0].Scene.Point.Coordinate
+	body := fmt.Sprintf(`{"backend":"fake","lat":%v,"lng":%v,"radius_feet":1e9}`, center.Lat, center.Lng)
+	for range 2 {
+		if resp := u.postNeighborhood(t, body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("status = %d", resp.StatusCode)
+		}
+	}
+	resp, err := http.Get(u.url + "/metricsz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = resp.Body.Close() }()
+	var snap serve.MetricsSnapshot
+	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	rm := snap.Routes["fake"]
+	if rm.Requests != 2 || rm.OK != 2 || rm.CacheHits != int64(len(frames)) {
+		t.Fatalf("requests %d, ok %d, cache_hits %d; want 2, 2, %d (one per frame of the second sweep)",
+			rm.Requests, rm.OK, rm.CacheHits, len(frames))
+	}
+}

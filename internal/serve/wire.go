@@ -24,6 +24,19 @@ type FrameRef struct {
 	Height         int    `json:"height,omitempty"`
 	// ImagePNGBase64 uploads an 8-bit PNG.
 	ImagePNGBase64 string `json:"image_png_base64,omitempty"`
+	// f32 is the image_f32_base64 literal as DecodeClassify's scanner
+	// leaves it: a sub-slice of the request body, in place of
+	// ImageF32Base64.
+	f32 []byte
+}
+
+// imageF32 returns the image_f32_base64 literal, wherever the decoder
+// left it.
+func (ref *FrameRef) imageF32() []byte {
+	if ref.f32 != nil {
+		return ref.f32
+	}
+	return []byte(ref.ImageF32Base64)
 }
 
 // ClassifyRequest is the body of POST /v1/classify.
@@ -173,8 +186,9 @@ type MetricsSnapshot struct {
 type RouteMetrics struct {
 	// Requests counts everything routed here; OK, Errors, and Shed
 	// partition the outcomes (client disconnects land in Errors).
-	// CacheHits is the subset of OK answered from the LRU without
-	// touching the backend.
+	// CacheHits counts frames answered from the LRU without touching
+	// the backend: one per /v1/classify hit, and one per frame a
+	// /v1/neighborhood sweep finds there, so it can exceed OK.
 	Requests  int64 `json:"requests"`
 	OK        int64 `json:"ok"`
 	Errors    int64 `json:"errors"`

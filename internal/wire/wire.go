@@ -11,8 +11,9 @@
 //   - JSON input is strict: exactly one value, no unknown fields, no
 //     trailing data (DecodeStrict). Request bodies are read whole and
 //     bounded first, and a body over its limit is a 413, never a
-//     truncated-JSON 400 (ReadBody, DecodeBody). Config and spec parsers
-//     use the same rule.
+//     truncated-JSON 400 (ReadBody, DecodeBody; ReadPooledBody reads
+//     into a recycled buffer). Config and spec parsers use the same
+//     rule.
 //   - Every request gets a traceable ID from a prefixed sequence (IDs).
 //   - Daemons listen, drain on cancellation and shut down gracefully
 //     through Serve.
@@ -27,6 +28,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -108,7 +110,36 @@ func DecodeStrict(r io.Reader, v any) error {
 // the limit is a 413 invalid_request_error, whatever its first bytes
 // hold.
 func ReadBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, *Error) {
-	var buf bytes.Buffer
+	return readBody(w, r, limit, new(bytes.Buffer))
+}
+
+// maxPooledBody caps the buffers ReleaseBody keeps, so one large body
+// does not stay pinned in the pool.
+const maxPooledBody = 1 << 20
+
+// bodies recycles ReadPooledBody's buffers.
+var bodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// ReadPooledBody is ReadBody into a buffer taken from a pool. It always
+// returns the buffer: hand it to ReleaseBody once nothing reads body
+// any more, because the next request may then overwrite its bytes.
+func ReadPooledBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, *bytes.Buffer, *Error) {
+	buf := bodies.Get().(*bytes.Buffer)
+	buf.Reset()
+	body, herr := readBody(w, r, limit, buf)
+	return body, buf, herr
+}
+
+// ReleaseBody returns a ReadPooledBody buffer to the pool, unless it
+// grew past 1 MiB.
+func ReleaseBody(buf *bytes.Buffer) {
+	if buf.Cap() <= maxPooledBody {
+		bodies.Put(buf)
+	}
+}
+
+// readBody is ReadBody into an empty buf.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64, buf *bytes.Buffer) ([]byte, *Error) {
 	if n := r.ContentLength; n > 0 && n <= limit {
 		// One allocation for a declared length: ReadFrom keeps MinRead
 		// bytes free before each read.

@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -99,6 +100,28 @@ func TestDecodeBody(t *testing.T) {
 				t.Errorf("message %q does not contain %q", herr.Message, tc.wantMsg)
 			}
 		})
+	}
+}
+
+// TestReadPooledBodyMatchesReadBody: the pooled reader returns what
+// ReadBody does, bytes and errors alike, including from a buffer an
+// earlier, longer body left behind.
+func TestReadPooledBodyMatchesReadBody(t *testing.T) {
+	const limit = 32
+	for _, body := range []string{strings.Repeat("y", limit), `{"a":"b"}`, strings.Repeat("z", limit+1), ""} {
+		read := func(f func(http.ResponseWriter, *http.Request, int64) ([]byte, *wire.Error)) ([]byte, *wire.Error) {
+			return f(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/", strings.NewReader(body)), limit)
+		}
+		want, wantErr := read(wire.ReadBody)
+		got, gotErr := read(func(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, *wire.Error) {
+			b, buf, herr := wire.ReadPooledBody(w, r, limit)
+			b = append([]byte(nil), b...)
+			wire.ReleaseBody(buf)
+			return b, herr
+		})
+		if string(got) != string(want) || !reflect.DeepEqual(gotErr, wantErr) {
+			t.Errorf("body %q: pooled read %q %+v, ReadBody %q %+v", body, got, gotErr, want, wantErr)
+		}
 	}
 }
 
